@@ -22,6 +22,15 @@ The ``imex_be`` map has a useful structure: it is the composition of
 componentwise order whenever the explicit part does.  It also preserves
 exact zeros bitwise (a zero state with a zero source stays identically
 zero), which the degeneracy tests rely on.
+
+Implicit solves.  When the coefficients declare ``constant_diffusion``, the
+diffusion is evaluated once per march and each component's implicit operator
+is built once per time step length: a LAPACK tridiagonal LU factor
+(``dgttrf``, applied by ``dgttrs``) in 1D, and in 2D the eigenvalues of the
+5-point Dirichlet operator, which the DST-I diagonalizes (Buzbee, Golub &
+Nielson, SIAM J. Numer. Anal. 7, 1970).  Diffusion that varies in space,
+time or state is re-evaluated every step and solved by a banded solve in 1D
+and by Jacobi-preconditioned BiCGSTAB in 2D.
 """
 
 from __future__ import annotations
@@ -31,9 +40,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import dstn, idstn
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import solve_banded
-from scipy.sparse.linalg import LinearOperator, bicgstab, cg
+from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .errors import DegenerateRefinement, NonConvergence, SolverError, SpecError
 from .model import Field, Grid, SpatialDomain, build_cutoff
@@ -185,25 +196,30 @@ def _explicit_diffusion(a, values, grid, diagonal=True, mixed=True):
 
 
 def _reaction_drift(spec, t, values, grid):
-    """Drift plus source terms, shape (m, *grid.shape)."""
+    """Drift plus source terms, shape (m, *grid.shape).
+
+    The gradient is taken only when the evaluators may read it
+    (``depends_on_gradient``) or the drift is non-zero somewhere; otherwise
+    they receive zeros in its place, as the coefficient contract allows.
+    """
+    coeffs = spec.coefficients
     pts = grid.points
     u = np.moveaxis(values, 0, -1)
-    p = _gradient(values, grid)
+    if coeffs.depends_on_gradient:
+        p = _gradient(values, grid)
+    else:
+        p = np.broadcast_to(0.0, u.shape + (grid.dimension,))
     b = np.broadcast_to(
-        np.asarray(spec.coefficients.drift(t, pts, u, p), dtype=float), pts.shape
+        np.asarray(coeffs.drift(t, pts, u, p), dtype=float), pts.shape
     )
     c = np.broadcast_to(
-        np.asarray(spec.coefficients.source(t, pts, u, p), dtype=float), u.shape
+        np.asarray(coeffs.source(t, pts, u, p), dtype=float), u.shape
     )
-    total = c + np.einsum("...i,...ki->...k", b, p)
-    return np.moveaxis(total, -1, 0)
-
-
-def _full_rhs(spec, t, values, grid):
-    a = _frozen_diffusion(spec, t, grid, values)
-    out = _explicit_diffusion(a, values, grid) + _reaction_drift(spec, t, values, grid)
-    out[(slice(None),) + np.nonzero(~grid.interior_mask)] = 0.0
-    return out
+    if np.any(b):
+        if not coeffs.depends_on_gradient:
+            p = _gradient(values, grid)
+        c = c + np.einsum("...i,...ki->...k", b, p)
+    return np.moveaxis(c, -1, 0)
 
 
 # ----------------------------------------------------------- implicit solve
@@ -216,6 +232,66 @@ def _solve_1d_banded(a_node, h, lam, rhs_int):
     ab[0, 1:] = -r * a_node[:-1]
     ab[2, :-1] = -r * a_node[1:]
     return solve_banded((1, 1), ab, rhs_int)
+
+
+def _tridiagonal_solver(a_node, h, lam):
+    """Factor the 1D operator once; the solver applies it with ``dgttrs``.
+
+    The bands are those of :func:`_solve_1d_banded`, and factor-then-solve
+    gives the same bits as its ``solve_banded`` call.  The LAPACK wrapper
+    needs three unknowns or more, so smaller systems keep the banded solve.
+    """
+    if a_node.size < 3:
+        return lambda rhs_int: _solve_1d_banded(a_node, h, lam, rhs_int)
+    r = lam / h**2
+    dl, d, du, du2, ipiv, info = dgttrf(
+        -r * a_node[1:], 1.0 + 2.0 * r * a_node, -r * a_node[:-1])
+    if info != 0:
+        raise SolverError(f"tridiagonal factorization failed (info={info})")
+
+    def apply(rhs_int):
+        return dgttrs(dl, d, du, du2, ipiv, rhs_int)[0]
+
+    return apply
+
+
+def _dst_solver(axx, ayy, hx, hy, lam, shape):
+    """Direct solver of the 2D 5-point operator with constant coefficients.
+
+    The DST-I diagonalizes the Dirichlet second difference along each axis,
+    with eigenvalues -(4 / h^2) sin^2(pi j / (2 (m + 1))), j = 1..m, so a
+    solve is a forward transform, a division by the operator's eigenvalues,
+    and the inverse transform.
+    """
+    mx, my = shape
+    sx = np.sin(0.5 * np.pi * np.arange(1, mx + 1) / (mx + 1)) ** 2
+    sy = np.sin(0.5 * np.pi * np.arange(1, my + 1) / (my + 1)) ** 2
+    den = (1.0 + (4.0 * lam * axx / hx**2) * sx[:, None]
+           + (4.0 * lam * ayy / hy**2) * sy[None, :])
+
+    def apply(rhs_int):
+        if not np.any(rhs_int):
+            # the transforms can turn zeros into -0.0; zero data stays bitwise zero
+            return np.zeros_like(rhs_int)
+        modes = dstn(rhs_int, type=1)
+        modes /= den
+        return idstn(modes, type=1, overwrite_x=True)
+
+    return apply
+
+
+def _direct_solvers(grid, a, lam):
+    """One implicit solver per component for diffusion constant in t, x and u."""
+    interior = grid.interior_slices
+    m = a.shape[-3]
+    if grid.dimension == 1:
+        return [_tridiagonal_solver(a[interior + (k, 0, 0)], grid.spacing[0], lam)
+                for k in range(m)]
+    node = (1, 1)  # any node: the coefficients are the same everywhere
+    shape = tuple(n - 2 for n in grid.shape)
+    return [_dst_solver(a[node + (k, 0, 0)], a[node + (k, 1, 1)],
+                        grid.spacing[0], grid.spacing[1], lam, shape)
+            for k in range(m)]
 
 
 def _assemble_2d(axx, ayy, hx, hy, lam):
@@ -240,7 +316,7 @@ def _assemble_2d(axx, ayy, hx, hy, lam):
     return mat, diag
 
 
-def _solve_2d_iterative(mat, diag, rhs, x0, config, symmetric, counter):
+def _solve_2d_iterative(mat, diag, rhs, x0, config, counter):
     if not np.any(rhs):
         return np.zeros_like(rhs)
     precond = LinearOperator(mat.shape, matvec=lambda v: v / diag)
@@ -248,34 +324,37 @@ def _solve_2d_iterative(mat, diag, rhs, x0, config, symmetric, counter):
     def count(_xk):
         counter[0] += 1
 
-    solver = cg if symmetric else bicgstab
-    x, info = solver(mat, rhs, x0=x0, rtol=config.linear_rtol, atol=0.0,
-                     maxiter=config.linear_maxiter, M=precond, callback=count)
+    x, info = bicgstab(mat, rhs, x0=x0, rtol=config.linear_rtol, atol=0.0,
+                       maxiter=config.linear_maxiter, M=precond, callback=count)
     if info != 0:
         raise SolverError(f"linear solve failed to converge (info={info})")
     return x
 
 
-def _implicit_diffusion_solve(spec, grid, a, lam, rhs, previous, config, counter):
-    """Solve (I - lam * sum_i a_ii d_ii) w = rhs componentwise on the interior."""
+def _implicit_diffusion_solve(grid, a, lam, rhs, previous, config, counter,
+                              direct=None):
+    """Solve (I - lam * sum_i a_ii d_ii) w = rhs componentwise on the interior.
+
+    ``direct`` holds prebuilt per-component solvers for constant diffusion;
+    without it the operator is assembled from ``a`` for this step.
+    """
     n = grid.dimension
-    m = spec.components
     out = np.zeros_like(rhs)
     interior = grid.interior_slices
-    for k in range(m):
+    for k in range(rhs.shape[0]):
         rhs_int = rhs[(k,) + interior]
-        if n == 1:
+        if direct is not None:
+            sol = direct[k](rhs_int)
+        elif n == 1:
             a_node = _diag_coefficient(a, k, 0)[interior]
             sol = _solve_1d_banded(a_node, grid.spacing[0], lam, rhs_int)
         elif n == 2:
             axx = _diag_coefficient(a, k, 0)[interior]
             ayy = _diag_coefficient(a, k, 1)[interior]
-            symmetric = (np.ptp(axx) <= 1e-13 * (1.0 + abs(float(axx.flat[0])))
-                         and np.ptp(ayy) <= 1e-13 * (1.0 + abs(float(ayy.flat[0]))))
             mat, diag = _assemble_2d(axx, ayy, grid.spacing[0], grid.spacing[1], lam)
             x0 = previous[(k,) + interior].ravel()
             sol = _solve_2d_iterative(mat, diag, rhs_int.ravel(), x0, config,
-                                      symmetric, counter).reshape(rhs_int.shape)
+                                      counter).reshape(rhs_int.shape)
         else:
             raise SpecError("implicit diffusion solves support one or two dimensions")
         out[(k,) + interior] = sol
@@ -284,30 +363,57 @@ def _implicit_diffusion_solve(spec, grid, a, lam, rhs, previous, config, counter
 
 # ------------------------------------------------------------------- stepping
 
-def _advance(spec, grid, values, t, dt, config, counter=None):
-    counter = counter if counter is not None else [0]
-    if config.scheme == "erk2":
-        f1 = _full_rhs(spec, t, values, grid)
-        stage = values + dt * f1
-        f2 = _full_rhs(spec, t + dt, stage, grid)
-        return values + 0.5 * dt * (f1 + f2)
+def _stepper(spec, grid, config, dt, t0, values0):
+    """The one-step map ``advance(values, t, counter)`` for a fixed ``dt``.
 
-    # both imex modes freeze the diffusion coefficient at the step start
-    a = _frozen_diffusion(spec, t, grid, values)
-    react = _reaction_drift(spec, t, values, grid)
-    if config.scheme == "imex_be":
+    Both imex modes freeze the diffusion coefficient at the step start.  With
+    ``constant_diffusion`` it is evaluated once, at ``(t0, values0)``, and the
+    implicit solvers are built once for every step of this ``dt``; they live
+    only as long as the returned function.
+    """
+    boundary = (slice(None),) + np.nonzero(~grid.interior_mask)
+    frozen = None
+    if spec.coefficients.constant_diffusion:
+        frozen = _frozen_diffusion(spec, t0, grid, values0)
+
+    def diffusion(t, values):
+        if frozen is not None:
+            return frozen
+        return _frozen_diffusion(spec, t, grid, values)
+
+    if config.scheme == "erk2":
+        def full_rhs(t, values):
+            out = (_explicit_diffusion(diffusion(t, values), values, grid)
+                   + _reaction_drift(spec, t, values, grid))
+            out[boundary] = 0.0
+            return out
+
+        def advance(values, t, counter):
+            f1 = full_rhs(t, values)
+            stage = values + dt * f1
+            f2 = full_rhs(t + dt, stage)
+            return values + 0.5 * dt * (f1 + f2)
+
+        return advance
+
+    lam = dt if config.scheme == "imex_be" else 0.5 * dt
+    direct = _direct_solvers(grid, frozen, lam) if frozen is not None else None
+
+    def advance(values, t, counter):
+        a = diffusion(t, values)
+        react = _reaction_drift(spec, t, values, grid)
         explicit = react + _explicit_diffusion(a, values, grid,
                                                diagonal=False, mixed=True)
-        rhs = values + dt * explicit
-        rhs[(slice(None),) + np.nonzero(~grid.interior_mask)] = 0.0
-        return _implicit_diffusion_solve(spec, grid, a, dt, rhs, values, config, counter)
+        if config.scheme == "imex_be":
+            rhs = values + dt * explicit
+        else:
+            half = _explicit_diffusion(a, values, grid, diagonal=True, mixed=False)
+            rhs = values + 0.5 * dt * half + dt * explicit
+        rhs[boundary] = 0.0
+        return _implicit_diffusion_solve(grid, a, lam, rhs, values, config,
+                                         counter, direct)
 
-    # imex_cn
-    half = _explicit_diffusion(a, values, grid, diagonal=True, mixed=False)
-    explicit = react + _explicit_diffusion(a, values, grid, diagonal=False, mixed=True)
-    rhs = values + 0.5 * dt * half + dt * explicit
-    rhs[(slice(None),) + np.nonzero(~grid.interior_mask)] = 0.0
-    return _implicit_diffusion_solve(spec, grid, a, 0.5 * dt, rhs, values, config, counter)
+    return advance
 
 
 def step(state, t, dt, spec, config):
@@ -317,7 +423,7 @@ def step(state, t, dt, spec, config):
     grid = state.grid
     counter = [0]
     old = np.asarray(state.values, dtype=float)
-    new = _advance(spec, grid, old, t, dt, config, counter)
+    new = _stepper(spec, grid, config, dt, t, old)(old, t, counter)
     report = _make_report(0, t + dt, old, new, dt, clipped=0,
                           iterations=counter[0],
                           source_evals=2 if config.scheme == "erk2" else 1)
@@ -395,13 +501,8 @@ def _stability_bound(spec, grid, values):
     return 1.0 / (2.0 * worst * sum(1.0 / h**2 for h in grid.spacing))
 
 
-def solve(spec, config, grid=None):
+def solve(spec, config):
     """Integrate the system to its horizon and collect the trajectory."""
-    if grid is not None:
-        same = (grid.nodes_per_axis == spec.initial.grid.nodes_per_axis
-                and grid.domain.bounds == spec.initial.grid.domain.bounds)
-        if not same:
-            raise SpecError("the supplied grid must match the grid of the initial data")
     grid = spec.initial.grid
     spec.initial.validate()
     steps = max(1, int(round(spec.horizon / config.dt)))
@@ -425,9 +526,10 @@ def solve(spec, config, grid=None):
     reports = []
     clipped_total = 0
     t = 0.0
+    advance = _stepper(spec, grid, config, dt, t, w)
     for i in range(steps):
         counter = [0]
-        new = _advance(spec, grid, w, t, dt, config, counter)
+        new = advance(w, t, counter)
         if not np.all(np.isfinite(new)):
             raise SolverError(f"solution lost finiteness at step {i + 1} (t={t + dt:g})")
         clipped = 0

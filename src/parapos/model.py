@@ -228,7 +228,10 @@ class CoefficientSet:
     per-component ``(..., m, n, n)`` stack, selected by
     ``per_component_diffusion``.  Evaluators must be pure: same inputs, same
     bits.  When ``depends_on_gradient`` is False the source and drift ignore
-    ``p`` by contract and callers may pass zeros.
+    ``p`` by contract and callers may pass zeros.  When
+    ``constant_diffusion`` is True the diffusion returns the same matrices
+    for every ``t``, ``x`` and ``u`` by contract, so solvers may evaluate it
+    once and build their implicit operators once.
     """
 
     diffusion: object
@@ -236,6 +239,7 @@ class CoefficientSet:
     source: object
     depends_on_gradient: bool = False
     per_component_diffusion: bool = False
+    constant_diffusion: bool = False
 
     def diffusion_matrices(self, t, x, u, components):
         """Evaluate and normalize diffusion to shape ``(..., m, n, n)``."""
@@ -462,8 +466,8 @@ def evaluate_coefficients(spec, t, x, u, p):
 def build_lv_problem(lv, domain, initial, horizon):
     """Wrap competition coefficients as a full problem spec.
 
-    The drift vanishes, diffusion is the per-species diagonal, and the source
-    never reads the gradient.
+    The drift vanishes, diffusion is the per-species constant diagonal, and
+    the source never reads the gradient.
     """
     if initial.components != lv.species:
         raise SpecError(
@@ -491,6 +495,7 @@ def build_lv_problem(lv, domain, initial, horizon):
         source=source,
         depends_on_gradient=False,
         per_component_diffusion=True,
+        constant_diffusion=True,
     )
     return ProblemSpec(domain=domain, coefficients=coeffs, initial=initial, horizon=horizon, lv=lv)
 

@@ -227,6 +227,32 @@ def s7_logistic_flat():
     }
 
 
+def s8_competition_2d():
+    return {
+        "name": "S8_competition_2d",
+        "problem": {
+            "domain": {"bounds": [[0.0, 1.0], [0.0, 1.0]]},
+            "grid": {"nodes": [61, 61]},
+            "horizon": 0.5,
+            "coefficients": {
+                "kind": "lv",
+                "diffusion": [0.01, 0.02],
+                "growth": [1.0, 0.8],
+                "interaction": [[1.0, 0.4], [0.5, 1.1]],
+            },
+            "initial": [
+                {"kind": "plateau", "amplitude": 0.7, "center": [0.4, 0.45],
+                 "radius": 0.2, "width": 0.1},
+                {"kind": "plateau", "amplitude": 0.5, "center": [0.6, 0.55],
+                 "radius": 0.2, "width": 0.1},
+            ],
+        },
+        "scheme": {"scheme": "imex_be", "dt": 0.01, "store_every": 10},
+        "checks": {"assumptions": ["A1", "A2'", "A4", "A6", "A7"]},
+        "analysis": {"ops": ["max_principle"]},
+    }
+
+
 def n1_negative_source():
     cfg = s1_positivity()
     cfg["name"] = "N1_negative_source"
@@ -261,6 +287,8 @@ REGISTRY = {
                              s6_oracle_crosscheck),
     "S7_logistic_flat": ("flat plateau tracks the logistic closed form",
                          s7_logistic_flat),
+    "S8_competition_2d": ("two species compete on the unit square, "
+                          "positive and under the barrier", s8_competition_2d),
     "N1_negative_source": ("negative source offset that breaks positivity",
                            n1_negative_source),
     "N2_decaying_growth": ("decaying growth rate that breaks monotonicity",

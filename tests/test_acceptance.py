@@ -1,4 +1,4 @@
-"""Acceptance gate: ten end-to-end criteria, one printed verdict line each.
+"""Acceptance gate: eleven end-to-end criteria, one printed verdict line each.
 
 Each test prints ``[acceptance] Cnn <label>: PASS/FAIL (<measurements>)`` on
 the real terminal (bypassing capture) and then asserts, so a plain pytest run
@@ -196,18 +196,38 @@ def test_c09_schemes_show_second_order_on_smooth_data(capsys):
 
 def test_c10_repeat_runs_are_bitwise_identical(tmp_path, capsys):
     names = ["S1_positivity", "S2_maxbound", "S3_extinction",
-             "S4_asymptotics", "S5_cauchy_nested", "S6_oracle_crosscheck"]
+             "S4_asymptotics", "S5_cauchy_nested", "S6_oracle_crosscheck",
+             "S8_competition_2d"]
     compared = 0
     clean = True
     for name in names:
         config = get_scenario(name)
         run_scenario(config, out_dir=tmp_path / "a" / name)
         run_scenario(config, out_dir=tmp_path / "b" / name)
-        for path in sorted((tmp_path / "a" / name).glob("*.csv")):
-            twin = tmp_path / "b" / name / path.name
-            if path.read_bytes() != twin.read_bytes():
-                clean = False
+        # every artifact but the manifest, whose timestamps differ by design
+        files = sorted(p.name for p in (tmp_path / "a" / name).iterdir()
+                       if p.name != "manifest.json")
+        twins = sorted(p.name for p in (tmp_path / "b" / name).iterdir()
+                       if p.name != "manifest.json")
+        clean = clean and files == twins
+        for fname in files:
+            a = (tmp_path / "a" / name / fname).read_bytes()
+            b = (tmp_path / "b" / name / fname).read_bytes()
+            clean = clean and a == b
             compared += 1
     verdict(capsys, 10, "bitwise deterministic reruns",
-            clean and compared >= 2 * len(names),
-            f"{compared} csv files compared across {len(names)} scenarios")
+            clean and compared >= 4 * len(names),
+            f"{compared} artifacts compared across {len(names)} scenarios")
+
+
+def test_c11_two_dimensional_competition_verdicts(scenario_run, capsys):
+    manifest, out = scenario_run("S8_competition_2d")
+    states = {tag: v.status for tag, v in manifest.verdicts.items()}
+    want = {"hypotheses": "verified", "positivity": "verified",
+            "sup-bound": "verified"}
+    sup = manifest.verdicts["sup-bound"].data
+    worst_min = float(diagnostics(out)["min_value"].min())
+    verdict(capsys, 11, "two-dimensional competition",
+            manifest.status == "ok" and states == want,
+            f"verdicts {states}, min value {worst_min:.2e}, "
+            f"sup {sup['observed_sup']:.4f} vs barrier {sup['bound']:.4f}")

@@ -1,8 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import spsolve
 
 from oracles import (
     backward_euler_heat_factor,
@@ -14,6 +18,8 @@ from parapos.coefficients import build_initial_field
 from parapos.errors import DegenerateRefinement, NonConvergence, SolverError, SpecError
 from parapos.fdm import (
     SchemeConfig,
+    _assemble_2d,
+    _direct_solvers,
     estimate_order,
     positivity_step_bound,
     solve,
@@ -21,9 +27,11 @@ from parapos.fdm import (
     step,
 )
 from parapos.model import (
+    CoefficientSet,
     Field,
     Grid,
     LVCoefficients,
+    ProblemSpec,
     SpatialDomain,
     build_lv_problem,
 )
@@ -88,8 +96,43 @@ class TestSingleStep:
         dt = 1e-3
         new, report = step(init, 0.0, dt, spec, SchemeConfig(scheme="imex_be", dt=dt))
         lam = 2.0 * dirichlet_laplacian_eigenvalue(g.spacing[0])
-        assert_allclose(new.values[0], init.values[0] / (1.0 + dt * lam), atol=1e-9)
+        assert_allclose(new.values[0], init.values[0] / (1.0 + dt * lam), atol=1e-12)
+        # constant diffusion is solved directly, with no iterations
+        assert report.solve_iterations == 0
+
+    def test_two_dimensional_varying_diffusion_solves_the_discrete_equation(self):
+        # space-varying diffusion keeps the iterative solve; its answer must
+        # satisfy the backward Euler equation written out stencil by stencil
+        dom = SpatialDomain(((0.0, 1.0), (0.0, 1.5)))
+        g = Grid(dom, (21, 25))
+        pts = g.points
+        axx = 1.0 + pts[..., 0]
+        ayy = 0.5 + 0.25 * np.sin(np.pi * pts[..., 1])
+
+        def diffusion(t, x, u):
+            a = np.zeros(np.asarray(x).shape[:-1] + (2, 2))
+            a[..., 0, 0] = 1.0 + x[..., 0]
+            a[..., 1, 1] = 0.5 + 0.25 * np.sin(np.pi * x[..., 1])
+            return a
+
+        coeffs = CoefficientSet(
+            diffusion=diffusion,
+            drift=lambda t, x, u, p: np.zeros(np.asarray(x).shape[:-1] + (2,)),
+            source=lambda t, x, u, p: np.zeros_like(u),
+        )
+        init = Field.from_arrays(
+            g, (np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1] / 1.5))[None])
+        spec = ProblemSpec(dom, coeffs, init, horizon=1.0)
+        dt = 1e-3
+        new, report = step(init, 0.0, dt, spec, SchemeConfig(scheme="imex_be", dt=dt))
         assert report.solve_iterations >= 1
+        w = new.values[0]
+        hx, hy = g.spacing
+        core = (slice(1, -1), slice(1, -1))
+        lap = (axx[core] * (w[2:, 1:-1] - 2.0 * w[core] + w[:-2, 1:-1]) / hx**2
+               + ayy[core] * (w[1:-1, 2:] - 2.0 * w[core] + w[1:-1, :-2]) / hy**2)
+        residual = w[core] - dt * lap - init.values[0][core]
+        assert np.abs(residual).max() <= 1e-8
 
     def test_bad_dt_rejected(self):
         spec = heat_problem()
@@ -173,7 +216,6 @@ class TestSolve:
         def negative_source(t, x, u, p, _base=shifted):
             return np.asarray(_base(t, x, u, p)) - 1.0
 
-        from dataclasses import replace
         spec = replace(spec, coefficients=replace(spec.coefficients, source=negative_source))
         config = SchemeConfig(scheme="imex_be", dt=0.01, positivity="clip_and_flag")
         traj = solve(spec, config)
@@ -187,19 +229,11 @@ class TestSolve:
         traj = solve(spec, SchemeConfig(scheme="imex_be", dt=0.01, positivity="monitor_only"))
         assert traj.clipped_total == 0
 
-    def test_mismatched_grid_argument_rejected(self):
-        spec = logistic_problem(n=51)
-        other = Grid(UNIT, (41,))
-        with pytest.raises(SpecError):
-            solve(spec, SchemeConfig(), grid=other)
-
     def test_mixed_derivative_terms_consistent_between_schemes(self):
         # anisotropic 2D diffusion with a cross term: the implicit-explicit
         # and fully explicit paths must agree to the schemes' joint accuracy
         dom = SpatialDomain(((0.0, 1.0), (0.0, 1.0)))
         g = Grid(dom, (21, 21))
-        from parapos.model import CoefficientSet, ProblemSpec
-
         a = np.array([[1.0, 0.3], [0.3, 0.5]])
 
         def diffusion(t, x, u):
@@ -219,6 +253,101 @@ class TestSolve:
         traj_e = solve(spec, fine)
         traj_i = solve(spec, SchemeConfig(scheme="imex_be", dt=1e-5))
         assert np.abs(traj_e.final_values - traj_i.final_values).max() < 1e-5
+
+
+class TestDirectSolvers:
+    def test_dst_solve_matches_a_sparse_direct_solve(self):
+        # non-square grid, unequal spacings and unequal coefficients, so an
+        # axis swap anywhere in the transform solve would show
+        g = Grid(SpatialDomain(((0.0, 1.0), (0.0, 2.5))), (17, 29))
+        hx, hy = g.spacing
+        axx, ayy, lam = 0.7, 0.05, 0.013
+        a = np.zeros(g.shape + (1, 2, 2))
+        a[..., 0, 0, 0] = axx
+        a[..., 0, 1, 1] = ayy
+        rhs = np.random.default_rng(3).standard_normal((15, 27))
+        mat, _ = _assemble_2d(np.full(rhs.shape, axx), np.full(rhs.shape, ayy),
+                              hx, hy, lam)
+        ref = spsolve(mat.tocsc(), rhs.ravel()).reshape(rhs.shape)
+        got = _direct_solvers(g, a, lam)[0](rhs)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("nodes", (4, 5, 101))
+    @pytest.mark.parametrize("scheme", ("imex_be", "imex_cn"))
+    def test_factored_1d_solve_is_bitwise_the_banded_solve(self, nodes, scheme):
+        # imex_be solves with lam = dt, imex_cn with lam = dt / 2; four nodes
+        # leave two unknowns, below what the LAPACK factor accepts
+        spec = logistic_problem(n=nodes, d=0.05, horizon=0.2)
+        varying = replace(spec, coefficients=replace(spec.coefficients,
+                                                     constant_diffusion=False))
+        config = SchemeConfig(scheme=scheme, dt=0.01)
+        assert np.array_equal(solve(spec, config).values, solve(varying, config).values)
+
+    def test_direct_and_iterative_2d_marches_agree(self):
+        g = Grid(SpatialDomain(((0.0, 1.0), (0.0, 1.0))), (25, 31))
+        lv = LVCoefficients(np.array([0.02, 0.01]), (lambda t, x: 1.0, lambda t, x: 0.8),
+                            ((lambda t, x: 1.0, lambda t, x: 0.5),
+                             (lambda t, x: 0.4, lambda t, x: 1.0)))
+        init = build_initial_field(g, [
+            {"kind": "plateau", "amplitude": 0.7, "center": [0.4, 0.5], "radius": 0.2, "width": 0.1},
+            {"kind": "sine", "amplitude": 0.5}])
+        spec = build_lv_problem(lv, g.domain, init, horizon=0.2)
+        varying = replace(spec, coefficients=replace(spec.coefficients,
+                                                     constant_diffusion=False))
+        config = SchemeConfig(scheme="imex_be", dt=0.01)
+        direct, iterative = solve(spec, config), solve(varying, config)
+        assert all(r.solve_iterations == 0 for r in direct.reports)
+        assert all(r.solve_iterations >= 1 for r in iterative.reports)
+        scale = np.abs(iterative.final_values).max()
+        assert np.abs(direct.final_values - iterative.final_values).max() <= 1e-8 * scale
+
+
+class TestPositivityProperties:
+    """imex_be is an M-matrix inverse after a non-negative explicit map.
+
+    For LV sources with dt * (sum_i gamma_ki u_i - beta_k) <= 1 the explicit
+    part keeps non-negative data non-negative, so the step must too, and a
+    species that is identically zero must stay identically zero.
+    """
+
+    @staticmethod
+    def check(grid, seed, diffusion, growth, interaction, zero_species, dt, steps):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(0.0, 1.0, (2,) + grid.shape)
+        values[rng.uniform(size=values.shape) < 0.3] = 0.0
+        if zero_species is not None:
+            values[zero_species] = 0.0
+        lv = LVCoefficients(np.asarray(diffusion),
+                            tuple((lambda t, x, _b=b: _b) for b in growth),
+                            tuple(tuple((lambda t, x, _g=g: _g) for g in row)
+                                  for row in interaction))
+        spec = build_lv_problem(lv, grid.domain, Field.from_arrays(grid, values),
+                                horizon=steps * dt)
+        traj = solve(spec, SchemeConfig(scheme="imex_be", dt=dt, store_every=1))
+        assert traj.values.min() >= -1e-14 * traj.values.max()
+        if zero_species is not None:
+            assert not np.any(traj.values[:, zero_species].view(np.uint64))
+
+    LV = dict(
+        seed=st.integers(0, 2**32 - 1),
+        diffusion=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=2),
+        growth=st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2),
+        interaction=st.lists(st.lists(st.floats(0.0, 2.0), min_size=2, max_size=2),
+                             min_size=2, max_size=2),
+        zero_species=st.sampled_from([None, 0, 1]),
+        dt=st.floats(1e-4, 0.05),
+        steps=st.integers(1, 3),
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(nodes=st.integers(5, 41), **LV)
+    def test_one_dimensional_step_keeps_nonnegative_data_nonnegative(self, nodes, **lv):
+        self.check(Grid(UNIT, (nodes,)), **lv)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nx=st.integers(5, 17), ny=st.integers(5, 17), **LV)
+    def test_two_dimensional_step_keeps_nonnegative_data_nonnegative(self, nx, ny, **lv):
+        self.check(Grid(SpatialDomain(((0.0, 1.0), (0.0, 2.0))), (nx, ny)), **lv)
 
 
 def test_positivity_step_bound_matches_the_logistic_slope():
