@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Byte-identity gate: sha256 of every artifact a set of runs writes.
+
+Runs the named built-in scenarios and config files through ``parapos run``
+into a fresh temporary directory and prints a sorted ``path sha256`` table
+of every artifact except ``manifest.json`` (which carries timestamps).
+Paths are relative to that directory, so tables from two source trees
+compare line by line:
+
+    PYTHONPATH=old/src python scripts/artifact_digests.py S4_asymptotics > old.txt
+    PYTHONPATH=src python scripts/artifact_digests.py S4_asymptotics --compare old.txt
+
+With ``--compare FILE`` the script lists every path whose digest differs
+from FILE, or that only one side has, and exits 1 if there is any.  A run
+that ends in a configuration or runtime error (exit code 2 or 3) makes the
+script exit with that code.
+"""
+
+import argparse
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from parapos.cli import main as parapos_main
+from parapos.io import sha256_file
+
+
+def digest_table(base):
+    """``{relative path: sha256}`` for every file under ``base`` but manifests."""
+    return {str(p.relative_to(base)): sha256_file(p)
+            for p in sorted(Path(base).rglob("*"))
+            if p.is_file() and p.name != "manifest.json"}
+
+
+def read_table(path):
+    table = {}
+    for line in Path(path).read_text().splitlines():
+        if line.strip():
+            name, digest = line.rsplit(" ", 1)
+            table[name] = digest
+    return table
+
+
+def differences(ours, theirs):
+    """Sorted paths whose digests differ or that only one table has."""
+    return sorted(p for p in ours.keys() | theirs.keys()
+                  if ours.get(p) != theirs.get(p))
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("targets", nargs="+",
+                        help="built-in scenario names or config file paths")
+    parser.add_argument("--compare", metavar="FILE", default=None,
+                        help="a table printed earlier; list the paths that differ")
+    args = parser.parse_args(argv)
+
+    os.environ.pop("PARAPOS_OUT", None)  # it would override --out
+    with tempfile.TemporaryDirectory() as tmp:
+        code = parapos_main(["run", *args.targets, "--out", tmp, "--workers", "1"])
+        table = digest_table(tmp)
+
+    for name, digest in table.items():
+        print(f"{name} {digest}")
+    if code >= 2:
+        print(f"parapos run exited with {code}", file=sys.stderr)
+        return code
+    if args.compare is not None:
+        diff = differences(table, read_table(args.compare))
+        for name in diff:
+            print(f"differs: {name}", file=sys.stderr)
+        print(f"{len(diff)} of {len(table)} artifacts differ from {args.compare}",
+              file=sys.stderr)
+        return 1 if diff else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -256,8 +256,10 @@ def detect_monotone(trajectory, component, expected_sign, tol_factor=1e-8):
 
     The margin at a node is the discrete time difference quotient times the
     expected sign; the verdict passes when the worst margin stays above
-    -tol_mono with tol_mono = tol_factor * (1 + sup|u|).  The witness points
-    at the worst node and snapshot pair.
+    -tol_mono with tol_mono = tol_factor * (1 + sup|u|).  The worst margin is
+    taken over interior nodes only, since the wall nodes are pinned to zero
+    and would hold it at 0.  The witness points at the worst node (full-grid
+    indices) and snapshot pair.
     """
     sign = _parse_sign(expected_sign)
     vals = trajectory.values
@@ -268,9 +270,10 @@ def detect_monotone(trajectory, component, expected_sign, tol_factor=1e-8):
     if not 0 <= component < m:
         raise SpecError(f"component {component} out of range for {m} components")
     series = vals[:, component]
+    interior = series[(slice(None),) + trajectory.grid.interior_slices]
     dt = np.diff(times)
     shaper = (slice(None),) + (None,) * (series.ndim - 1)
-    rates = sign * np.diff(series, axis=0) / dt[shaper]
+    rates = sign * np.diff(interior, axis=0) / dt[shaper]
     flat = int(rates.argmin())
     where = np.unravel_index(flat, rates.shape)
     worst = float(rates[where])
@@ -279,7 +282,7 @@ def detect_monotone(trajectory, component, expected_sign, tol_factor=1e-8):
     witness = {
         "t_from": float(times[where[0]]),
         "t_to": float(times[where[0] + 1]),
-        "node": tuple(int(i) for i in where[1:]),
+        "node": tuple(int(i) + 1 for i in where[1:]),
         "rate": worst if sign > 0 else -worst,
     }
     return MonotoneVerdict(passed=bool(worst >= -tol), worst_margin=worst,

@@ -195,31 +195,39 @@ def _explicit_diffusion(a, values, grid, diagonal=True, mixed=True):
     return out
 
 
-def _reaction_drift(spec, t, values, grid):
-    """Drift plus source terms, shape (m, *grid.shape).
+def _as_shape(arr, shape):
+    """``arr`` as floats broadcast to ``shape``, itself when it already fits."""
+    arr = np.asarray(arr, dtype=float)
+    return arr if arr.shape == shape else np.broadcast_to(arr, shape)
+
+
+def _reaction_drift(spec, grid, components):
+    """The drift plus source terms as a function ``(t, values) -> (m, *grid.shape)``.
 
     The gradient is taken only when the evaluators may read it
     (``depends_on_gradient``) or the drift is non-zero somewhere; otherwise
     they receive zeros in its place, as the coefficient contract allows.
+    The axis orders and that zero gradient are built once, not per call.
     """
     coeffs = spec.coefficients
     pts = grid.points
-    u = np.moveaxis(values, 0, -1)
-    if coeffs.depends_on_gradient:
-        p = _gradient(values, grid)
-    else:
-        p = np.broadcast_to(0.0, u.shape + (grid.dimension,))
-    b = np.broadcast_to(
-        np.asarray(coeffs.drift(t, pts, u, p), dtype=float), pts.shape
-    )
-    c = np.broadcast_to(
-        np.asarray(coeffs.source(t, pts, u, p), dtype=float), u.shape
-    )
-    if np.any(b):
-        if not coeffs.depends_on_gradient:
-            p = _gradient(values, grid)
-        c = c + np.einsum("...i,...ki->...k", b, p)
-    return np.moveaxis(c, -1, 0)
+    n = grid.dimension
+    to_last = (*range(1, n + 1), 0)
+    to_first = (n, *range(n))
+    zero_p = np.broadcast_to(0.0, grid.shape + (components, n))
+
+    def evaluate(t, values):
+        u = values.transpose(to_last)
+        p = _gradient(values, grid) if coeffs.depends_on_gradient else zero_p
+        b = _as_shape(coeffs.drift(t, pts, u, p), pts.shape)
+        c = _as_shape(coeffs.source(t, pts, u, p), u.shape)
+        if np.any(b):
+            if not coeffs.depends_on_gradient:
+                p = _gradient(values, grid)
+            c = c + np.einsum("...i,...ki->...k", b, p)
+        return c.transpose(to_first)
+
+    return evaluate
 
 
 # ----------------------------------------------------------- implicit solve
@@ -372,6 +380,7 @@ def _stepper(spec, grid, config, dt, t0, values0):
     only as long as the returned function.
     """
     boundary = (slice(None),) + np.nonzero(~grid.interior_mask)
+    reaction = _reaction_drift(spec, grid, values0.shape[0])
     frozen = None
     if spec.coefficients.constant_diffusion:
         frozen = _frozen_diffusion(spec, t0, grid, values0)
@@ -384,7 +393,7 @@ def _stepper(spec, grid, config, dt, t0, values0):
     if config.scheme == "erk2":
         def full_rhs(t, values):
             out = (_explicit_diffusion(diffusion(t, values), values, grid)
-                   + _reaction_drift(spec, t, values, grid))
+                   + reaction(t, values))
             out[boundary] = 0.0
             return out
 
@@ -398,12 +407,17 @@ def _stepper(spec, grid, config, dt, t0, values0):
 
     lam = dt if config.scheme == "imex_be" else 0.5 * dt
     direct = _direct_solvers(grid, frozen, lam) if frozen is not None else None
+    # mixed second derivatives need two axes, and frozen diffusion shows once
+    # whether it has any off-diagonal entry
+    off_diagonal = ~np.eye(grid.dimension, dtype=bool)
+    mixed = grid.dimension > 1 and (
+        frozen is None or bool(np.any(frozen[..., off_diagonal])))
 
     def advance(values, t, counter):
         a = diffusion(t, values)
-        react = _reaction_drift(spec, t, values, grid)
-        explicit = react + _explicit_diffusion(a, values, grid,
-                                               diagonal=False, mixed=True)
+        explicit = reaction(t, values)
+        if mixed:
+            explicit = explicit + _explicit_diffusion(a, values, grid, diagonal=False)
         if config.scheme == "imex_be":
             rhs = values + dt * explicit
         else:
@@ -432,17 +446,16 @@ def step(state, t, dt, spec, config):
 
 def _make_report(index, t, old, new, dt, clipped, iterations=0, source_evals=1):
     m = new.shape[0]
-    negnorm = float(max(0.0, -float(new.min())))
-    rate = (new - old) / dt
-    dudt_min = float(rate[0].min()) if m >= 1 else float("nan")
-    dvdt_max = float(rate[1].max()) if m >= 2 else float("nan")
+    low = float(new.min())
+    dudt_min = float(((new[0] - old[0]) / dt).min()) if m >= 1 else float("nan")
+    dvdt_max = float(((new[1] - old[1]) / dt).max()) if m >= 2 else float("nan")
     sup = float(np.sqrt((new * new).sum(axis=0)).max())
     return StepReport(
         step=index,
         t=float(t),
-        min_value=float(new.min()),
+        min_value=low,
         sup_norm=sup,
-        negpart_norm=negnorm,
+        negpart_norm=max(0.0, -low),
         dudt_min=dudt_min,
         dvdt_max=dvdt_max,
         clipped=clipped,

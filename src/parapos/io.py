@@ -37,7 +37,13 @@ def _fmt(value):
 
 
 def write_trajectory_csv(path, trajectory, source="fdm"):
-    """Long-format snapshot table: one row per (time, node, component)."""
+    """Long-format snapshot table: one row per (time, node, component).
+
+    Rows are formatted one (time, component) block at a time: the index
+    columns are built once per node and component, and only that block's
+    values become Python floats, so the writer never holds the whole array
+    as Python objects nor the whole file as text.
+    """
     values = np.asarray(trajectory.values)
     times = np.asarray(trajectory.times)
     nt, m = values.shape[0], values.shape[1]
@@ -46,21 +52,17 @@ def write_trajectory_csv(path, trajectory, source="fdm"):
     if n > len(_INDEX_NAMES):
         raise SpecError("trajectory export supports up to three dimensions")
     header = ["t", *_INDEX_NAMES[:n], "component", "value", "source"]
-    idx = [ix.ravel() for ix in np.meshgrid(*(np.arange(s) for s in shape),
-                                            indexing="ij")]
+    nodes = [",".join(map(str, ix)) for ix in np.ndindex(shape)]
+    middles = [[f",{node},{k}," for node in nodes] for k in range(m)]
+    tail = f",{source}\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for it in range(nt):
             t_str = _fmt(times[it])
             for k in range(m):
-                flat = values[it, k].ravel()
-                for row in range(flat.size):
-                    cols = [t_str]
-                    cols.extend(str(int(ix[row])) for ix in idx)
-                    cols.append(str(k))
-                    cols.append(_fmt(flat[row]))
-                    cols.append(source)
-                    fh.write(",".join(cols) + "\n")
+                block = np.asarray(values[it, k], dtype=float).ravel().tolist()
+                fh.write("".join([f"{t_str}{mid}{v!r}{tail}"
+                                  for mid, v in zip(middles[k], block)]))
 
 
 def write_diagnostics_csv(path, trajectory):

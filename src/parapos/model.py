@@ -281,6 +281,7 @@ class LVCoefficients:
     diffusion: np.ndarray
     growth: tuple
     interaction: tuple
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.diffusion = np.asarray(self.diffusion, dtype=float)
@@ -337,20 +338,58 @@ class LVCoefficients:
     def theta(self):
         return self._alias(1, 1)
 
+    def _profiles(self, x):
+        """Per-coefficient space profiles on ``x``, built once per ``x`` object.
+
+        A separable coefficient ``time_part(t) * space_part(x)`` keeps its
+        space profile here: a Python float when the profile is one bitwise
+        constant value, else the array.  Other coefficients get None and are
+        called as ``f(t, x)``.  The memo holds one entry, keyed on the
+        identity of ``x``; marches pass the same ``Grid.points`` every step.
+        """
+        memo = self._memo
+        if memo is not None and memo[0] is x:
+            return memo[1]
+        from .coefficients import Coefficient  # local import: coefficients imports model
+
+        arr = np.asarray(x, dtype=float)
+
+        def profile(f):
+            if not isinstance(f, Coefficient):
+                return None
+            prof = np.asarray(f.space_part(arr), dtype=float)
+            bits = np.ascontiguousarray(prof).view(np.uint64).ravel()
+            if prof.shape == arr.shape[:-1] and bits.size and (bits == bits[0]).all():
+                return float(prof.flat[0])
+            return prof
+
+        profiles = ([profile(g) for g in self.growth],
+                    [[profile(f) for f in row] for row in self.interaction])
+        self._memo = (x, profiles)
+        return profiles
+
+    @staticmethod
+    def _value(f, prof, t, x):
+        # the product Coefficient.__call__ computes, with the space part reused
+        if prof is None:
+            return f(t, x)
+        return float(f.time_part(t)) * prof
+
     def growth_values(self, t, x):
         batch = np.asarray(x).shape[:-1]
-        cols = [np.broadcast_to(np.asarray(g(t, x), dtype=float), batch) for g in self.growth]
-        return np.stack(cols, axis=-1)
+        out = np.empty(batch + (self.species,))
+        for k, (g, prof) in enumerate(zip(self.growth, self._profiles(x)[0])):
+            out[..., k] = self._value(g, prof, t, x)
+        return out
 
     def interaction_values(self, t, x):
         batch = np.asarray(x).shape[:-1]
         m = self.species
         out = np.empty(batch + (m, m))
+        profs = self._profiles(x)[1]
         for k in range(m):
             for i in range(m):
-                out[..., k, i] = np.broadcast_to(
-                    np.asarray(self.interaction[k][i](t, x), dtype=float), batch
-                )
+                out[..., k, i] = self._value(self.interaction[k][i], profs[k][i], t, x)
         return out
 
     def source(self, t, x, u):

@@ -11,6 +11,7 @@ because nothing was promised for inputs outside the hypotheses.
 from __future__ import annotations
 
 import logging
+import math
 import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -101,8 +102,15 @@ def _positivity_verdict(trajectory):
         slack = POSITIVITY_FACTOR * (1.0 + rep.sup_norm)
         worst = max(worst, rep.negpart_norm - slack)
     status = "verified" if worst <= 0.0 else "violated"
-    return Verdict(status, data={"worst_excess": worst,
-                                 "steps": len(trajectory.reports)})
+    bound = trajectory.positivity_dt_bound
+    return Verdict(status, data={
+        "worst_excess": worst,
+        "steps": len(trajectory.reports),
+        # strict JSON has no Infinity: an unbounded step is written as null
+        "dt_bound": float(bound) if math.isfinite(bound) else None,
+        "dt_ok": bool(trajectory.positivity_dt_ok),
+        "dt_adjusted": bool(trajectory.dt_adjusted),
+    })
 
 
 def _sup_bound_verdict(trajectory, bound, label):

@@ -5,6 +5,7 @@ mathematics (closed forms, dense linear algebra, scalar ODE steppers), so
 expected values in the tests never come from the code under test.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -103,3 +104,24 @@ def trapezoid_weak_residual(x, u, d, source, test_values, test_lap):
     """Reference weak residual: trapezoid of d*u*eta'' + source*eta on x."""
     integrand = d * u * test_lap + source * test_values
     return float(np.trapezoid(integrand, x))
+
+
+def trajectory_csv_reference(times, values, source="fdm"):
+    """The trajectory CSV, one row at a time, from its documented format.
+
+    Header ``t,i[,j[,k]],component,value,source``; then one row per stored
+    time, per component, per node, nested in that order with nodes in
+    row-major order; floats as ``repr`` of the double; each line ends in a
+    newline.
+    """
+    values = np.asarray(values, dtype=float)
+    shape = values.shape[2:]
+    header = ["t", *("i", "j", "k")[:len(shape)], "component", "value", "source"]
+    lines = [",".join(header)]
+    for it, t in enumerate(times):
+        for k in range(values.shape[1]):
+            for node in itertools.product(*(range(s) for s in shape)):
+                value = values[(it, k) + node]
+                lines.append(",".join([repr(float(t)), *(str(i) for i in node),
+                                       str(k), repr(float(value)), source]))
+    return "\n".join(lines) + "\n"

@@ -205,6 +205,24 @@ class TestDetectMonotone:
         assert verdict.witness["t_to"] == pytest.approx(2.0 / 3.0)
         assert verdict.witness["rate"] < 0
 
+    def test_margin_and_witness_skip_the_zero_walls(self):
+        # interior node j rises at rate j + 1; the walls stay at exactly 0
+        times = np.linspace(0.0, 1.0, 4)
+        values = np.zeros((4, 1, 6))
+        rates = np.arange(1.0, 5.0)
+        values[:, 0, 1:-1] = times[:, None] * rates[None, :]
+        traj = Trajectory(Grid(UNIT, (6,)), "imex_be", float(times[1]), times,
+                          values, [], positivity_dt_bound=np.inf,
+                          positivity_dt_ok=True)
+        verdict = detect_monotone(traj, 0, "+")
+        assert verdict.passed
+        assert verdict.worst_margin == pytest.approx(1.0, rel=1e-12)
+        assert verdict.witness["node"] == (1,)
+        falling = detect_monotone(traj, 0, "-")
+        assert not falling.passed
+        assert falling.worst_margin == pytest.approx(-4.0, rel=1e-12)
+        assert falling.witness["node"] == (4,)
+
     def test_validation(self):
         with pytest.raises(SpecError):
             detect_monotone(make_trajectory([0.0, 0.1]), 0, "+")

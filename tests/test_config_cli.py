@@ -8,8 +8,10 @@ import pytest
 from parapos.cli import main
 from parapos.config import DEFAULT_ASSUMPTIONS, load_config, load_config_data
 from parapos.errors import ConfigError
+from parapos.fdm import Trajectory
 from parapos.io import sha256_file
-from parapos.runner import run_scenario
+from parapos.model import Grid, SpatialDomain
+from parapos.runner import _positivity_verdict, run_scenario
 from parapos.scenarios import REGISTRY, get_scenario, list_scenarios
 
 
@@ -313,7 +315,51 @@ class TestCli:
         assert manifest["error"]
 
 
+class TestPositivityVerdict:
+    @staticmethod
+    def trajectory(bound, ok, adjusted):
+        grid = Grid(SpatialDomain(((0.0, 1.0),)), (5,))
+        return Trajectory(grid, "imex_be", 0.1, np.array([0.0]), np.zeros((1, 1, 5)),
+                          [], positivity_dt_bound=bound, positivity_dt_ok=ok,
+                          dt_adjusted=adjusted)
+
+    def test_finite_step_bound_is_reported(self):
+        data = _positivity_verdict(self.trajectory(0.25, True, False)).data
+        assert data["dt_bound"] == 0.25
+        assert data["dt_ok"] is True
+        assert data["dt_adjusted"] is False
+
+    def test_unbounded_step_is_null_in_strict_json(self):
+        data = _positivity_verdict(self.trajectory(np.inf, True, True)).data
+        assert data["dt_bound"] is None
+        assert data["dt_adjusted"] is True
+        json.dumps(data, allow_nan=False)
+
+    def test_manifest_carries_the_step_diagnostics(self, cli_s5):
+        _, base = cli_s5
+        manifest = json.loads((base / "S5_cauchy_nested" / "manifest.json").read_text())
+        data = manifest["verdicts"]["positivity"]["data"]
+        assert {"dt_bound", "dt_ok", "dt_adjusted"} <= data.keys()
+
+
 class TestDeterminism:
+    def test_worker_counts_write_identical_artifacts(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PARAPOS_OUT", raising=False)
+        names = ["S2_maxbound", "S5_cauchy_nested"]
+        for workers in ("1", "2"):
+            code = main(["run", *names, "--out", str(tmp_path / workers),
+                         "--workers", workers])
+            assert code == 0
+        for name in names:
+            one, two = tmp_path / "1" / name, tmp_path / "2" / name
+            files = sorted(str(p.relative_to(one)) for p in one.rglob("*")
+                           if p.is_file() and p.name != "manifest.json")
+            assert files == sorted(str(p.relative_to(two)) for p in two.rglob("*")
+                                   if p.is_file() and p.name != "manifest.json")
+            assert len(files) >= 3
+            for rel in files:
+                assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+
     def test_repeat_runs_are_bitwise_identical(self, tmp_path):
         config = get_scenario("S5_cauchy_nested")
         first = run_scenario(config, out_dir=tmp_path / "a")

@@ -254,6 +254,30 @@ class TestSolve:
         traj_i = solve(spec, SchemeConfig(scheme="imex_be", dt=1e-5))
         assert np.abs(traj_e.final_values - traj_i.final_values).max() < 1e-5
 
+    def test_mixed_derivative_terms_kept_with_constant_diffusion(self):
+        # the direct solve takes the diagonal only; the cross term must still
+        # enter explicitly, as it does on the iterative path
+        dom = SpatialDomain(((0.0, 1.0), (0.0, 1.0)))
+        g = Grid(dom, (21, 21))
+        a = np.array([[1.0, 0.3], [0.3, 0.5]])
+        pts = g.points
+        init = Field.from_arrays(
+            g, (np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1]))[None]
+        )
+        finals = []
+        for constant in (False, True):
+            coeffs = CoefficientSet(
+                diffusion=lambda t, x, u: np.broadcast_to(
+                    a, np.asarray(x).shape[:-1] + (2, 2)),
+                drift=lambda t, x, u, p: np.zeros(np.asarray(x).shape[:-1] + (2,)),
+                source=lambda t, x, u, p: np.zeros_like(u),
+                constant_diffusion=constant,
+            )
+            spec = ProblemSpec(dom, coeffs, init, horizon=0.02)
+            finals.append(solve(spec, SchemeConfig(scheme="imex_be", dt=1e-3)).final_values)
+        scale = np.abs(finals[0]).max()
+        assert np.abs(finals[1] - finals[0]).max() <= 1e-8 * scale
+
 
 class TestDirectSolvers:
     def test_dst_solve_matches_a_sparse_direct_solve(self):

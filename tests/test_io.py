@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from oracles import trajectory_csv_reference
 from parapos.errors import SpecError
 from parapos.fdm import StepReport, Trajectory
 from parapos.io import (
@@ -69,6 +72,28 @@ class TestTrajectoryCsv:
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, small_trajectory())
         assert path.read_bytes().endswith(b"\n")
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 2)])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("source", ["fdm", "duhamel"])
+    def test_bytes_match_the_row_by_row_reference(self, tmp_path, shape, m, source):
+        rng = np.random.default_rng(len(shape) * 10 + m)
+        times = np.array([0.0, 1.0 / 3.0, 0.5, 1e16])
+        values = rng.normal(size=(len(times), m) + shape)
+        flat = values.reshape(-1)
+        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 1.0 / 3.0]
+        flat[:len(special)] = special
+        flat[-len(special):] = special[::-1]
+        traj = SimpleNamespace(times=times, values=values)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj, source=source)
+        expected = trajectory_csv_reference(times, values, source=source)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_more_than_three_dimensions_rejected(self, tmp_path):
+        traj = SimpleNamespace(times=np.zeros(1), values=np.zeros((1, 1, 2, 2, 2, 2)))
+        with pytest.raises(SpecError):
+            write_trajectory_csv(tmp_path / "traj.csv", traj)
 
 
 class TestDiagnosticsCsv:

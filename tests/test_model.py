@@ -4,6 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from parapos.coefficients import (
+    BumpInSpace,
+    Coefficient,
+    ConstantInSpace,
+    ConstantInTime,
+    ExpInTime,
+    TabulatedCoefficient,
+    parse_coefficient,
+)
 from parapos.errors import CoefficientError, SpecError
 from parapos.model import (
     CoefficientSet,
@@ -168,6 +177,79 @@ class TestLVCoefficients:
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
         with pytest.raises(SpecError):
             lv.beta
+
+
+def _memo_test_coefficients():
+    """Growth/interaction mix: exp in time, bump in space, a table, a constant."""
+    bump = BumpInSpace(center=(0.4,), radius=0.3, width=0.1, amplitude=0.5)
+    t_values = np.array([0.0, 0.5, 2.0])
+    x_axis = np.linspace(0.0, 1.0, 6)
+    table = np.cos(np.add.outer(t_values, 3.0 * x_axis)) + 2.0
+    return (
+        (Coefficient(ExpInTime(2.0, -0.5, 1.0), ConstantInSpace()),
+         Coefficient(ExpInTime(1.5, 0.5, 0.7), bump)),
+        ((Coefficient(ConstantInTime(1.0), ConstantInSpace(1.0 / 3.0)),
+          TabulatedCoefficient(t_values, (x_axis,), table)),
+         (Coefficient(ExpInTime(1.0, -0.5, 1.0), bump),
+          parse_coefficient(2.0))),
+    )
+
+
+def _direct_source(growth, interaction, t, x, u):
+    """The LV source with every coefficient called as f(t, x) on every call."""
+    batch = x.shape[:-1]
+    m = len(growth)
+    beta = np.stack([np.broadcast_to(np.asarray(g(t, x), dtype=float), batch)
+                     for g in growth], axis=-1)
+    gam = np.empty(batch + (m, m))
+    for k in range(m):
+        for i in range(m):
+            gam[..., k, i] = np.broadcast_to(
+                np.asarray(interaction[k][i](t, x), dtype=float), batch)
+    return u * (beta - np.einsum("...ki,...i->...k", gam, u))
+
+
+class TestLVSourceMemo:
+    def test_bitwise_equal_to_direct_evaluation_across_two_grids(self):
+        growth, interaction = _memo_test_coefficients()
+        lv = LVCoefficients(np.array([0.05, 0.5]), growth, interaction)
+        grids = [unit_grid(41).points, unit_grid(23).points]
+        rng = np.random.default_rng(5)
+        states = [rng.uniform(0.0, 2.0, size=pts.shape[:-1] + (2,)) for pts in grids]
+        for step, which in enumerate([0, 0, 1, 0, 1, 1, 0]):
+            t = 0.37 * step
+            x, u = grids[which], states[which]
+            got = lv.source(t, x, u)
+            fresh = LVCoefficients(np.array([0.05, 0.5]), growth, interaction)
+            want = _direct_source(growth, interaction, t, x, u)
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == fresh.source(t, x, u).tobytes()
+
+    def test_single_point_queries(self):
+        growth, interaction = _memo_test_coefficients()
+        lv = LVCoefficients(np.array([0.05, 0.5]), growth, interaction)
+        for xv in (0.1, 0.45, 0.45, 0.9):
+            x = np.array([xv])
+            u = np.array([0.3, 1.1])
+            want = _direct_source(growth, interaction, 1.5, x, u)
+            assert lv.source(1.5, x, u).tobytes() == want.tobytes()
+
+    def test_space_part_is_evaluated_once_per_grid(self):
+        calls = []
+
+        def space(x):
+            calls.append(1)
+            return 1.0 + np.asarray(x, dtype=float)[..., 0]
+
+        coef = Coefficient(ExpInTime(1.0, 1.0, 1.0), space)
+        lv = LVCoefficients(np.array([1.0]), (coef,), ((coef,),))
+        x = unit_grid(11).points
+        u = np.full((11, 1), 0.5)
+        for step in range(5):
+            lv.source(0.1 * step, x, u)
+        assert len(calls) == 2  # one growth and one interaction profile
+        lv.source(0.0, unit_grid(13).points, np.full((13, 1), 0.5))
+        assert len(calls) == 4
 
 
 def test_build_lv_problem_wires_diagonal_diffusion():
