@@ -59,7 +59,7 @@ def main(argv=None):
 
     os.environ.pop("PARAPOS_OUT", None)  # it would override --out
     with tempfile.TemporaryDirectory() as tmp:
-        code = parapos_main(["run", *args.targets, "--out", tmp, "--workers", "1"])
+        code = parapos_main(["run", *args.targets, "--out", tmp])
         table = digest_table(tmp)
 
     for name, digest in table.items():

@@ -18,7 +18,7 @@ gate binds it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -293,9 +293,9 @@ def detect_monotone(trajectory, component, expected_sign, tol_factor=1e-8):
 class SteadyStateReport:
     """Late-time state of a run plus the evidence that it stopped moving.
 
-    The residual and monotonicity slots start empty; the steady-state
-    pipeline fills them in after evaluating the weak-form battery, and the
-    invariant (two equations per test function) is enforced at that point.
+    The residual slot starts empty; the steady-state pipeline fills it in
+    after evaluating the weak-form battery, and the invariant (two equations
+    per test function) is enforced at that point.
     """
 
     reached: bool
@@ -305,7 +305,6 @@ class SteadyStateReport:
     values: np.ndarray
     drift: np.ndarray
     residuals: np.ndarray | None = None
-    monotone_margins: dict = field(default_factory=dict)
 
     def attach_residuals(self, residuals):
         residuals = np.asarray(residuals, dtype=float)
@@ -323,7 +322,6 @@ class SteadyStateReport:
             "shape": [int(s) for s in self.values.shape[1:]],
             "component_sup": [float(np.abs(v).max()) for v in self.values],
             "max_drift": float(np.abs(self.drift).max()),
-            "monotone_margins": {k: float(v) for k, v in self.monotone_margins.items()},
         }
         out["residuals"] = (None if self.residuals is None
                             else [[float(r) for r in row] for row in self.residuals])

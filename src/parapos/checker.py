@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import SpecError
-from .model import Majorants
+from .model import Majorants, second_difference
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
@@ -156,6 +156,40 @@ def halton_block(count, dim, seed):
     for d in range(dim):
         pts[:, d] = _radical_inverse(idx, _PRIMES[d])
     return (pts + shift) % 1.0
+
+
+def source_jacobians(spec, amp):
+    """Sampled source Jacobians, ``jac[i, k, l] = d c_k / d u_l``, shape (48, m, m).
+
+    The 48 samples (seeded Halton, seed 11) cover the horizon, the domain
+    and the state box [0, amp]^m, at zero gradient.  Each column is a
+    central difference with step ``1e-6 * max(1, amp)``.  The Picard route
+    sizes its contraction windows from the largest entry, and the positivity
+    step bound reads the most negative diagonal entry.
+    """
+    samples = 48
+    n = spec.dimension
+    m = spec.components
+    delta = 1e-6 * max(1.0, amp)
+    raw = halton_block(samples, 1 + n + m, seed=11)
+    ts = raw[:, 0] * spec.horizon
+    xs = np.empty((samples, n))
+    for axis, (lo, hi) in enumerate(spec.domain.bounds):
+        xs[:, axis] = lo + raw[:, 1 + axis] * (hi - lo)
+    us = amp * raw[:, 1 + n:]
+    p0 = np.zeros((m, n))
+    src = spec.coefficients.source
+    jac = np.empty((samples, m, m))
+    for i in range(samples):
+        for l in range(m):
+            up = us[i].copy()
+            um = us[i].copy()
+            up[l] += delta
+            um[l] -= delta
+            c_hi = np.asarray(src(float(ts[i]), xs[i], up, p0), dtype=float)
+            c_lo = np.asarray(src(float(ts[i]), xs[i], um, p0), dtype=float)
+            jac[i, :, l] = (c_hi - c_lo) / (2.0 * delta)
+    return jac
 
 
 def _region_samples(spec, budget, with_p, orthant=False, extra_cube=False):
@@ -412,30 +446,26 @@ def _axis_first_derivative(values, axis, h):
     return out
 
 
-def _axis_second_derivative(values, axis, h):
-    """Second-order second derivative along ``axis`` with one-sided edges."""
-    out = np.empty_like(values)
+def _axis_second_derivative(values, grid, axis):
+    """Second-order second derivative along ``axis`` with one-sided faces.
+
+    Interior nodes take the shared 3-point difference; only the two face
+    planes are overwritten with the one-sided 4-point formula.
+    """
+    h = grid.spacing[axis]
+    out = second_difference(values, grid, axis)
     sl = [slice(None)] * values.ndim
 
     def take(i):
         sl2 = list(sl)
-        sl2[axis] = i
+        sl2[1 + axis] = i
         return values[tuple(sl2)]
 
-    inner = [slice(None)] * values.ndim
-    inner[axis] = slice(1, -1)
-    hi = [slice(None)] * values.ndim
-    hi[axis] = slice(2, None)
-    mid = [slice(None)] * values.ndim
-    mid[axis] = slice(1, -1)
-    lo = [slice(None)] * values.ndim
-    lo[axis] = slice(None, -2)
-    out[tuple(inner)] = (values[tuple(hi)] - 2.0 * values[tuple(mid)] + values[tuple(lo)]) / h**2
     first = list(sl)
-    first[axis] = 0
+    first[1 + axis] = 0
     out[tuple(first)] = (2.0 * take(0) - 5.0 * take(1) + 4.0 * take(2) - take(3)) / h**2
     last = list(sl)
-    last[axis] = values.shape[axis] - 1
+    last[1 + axis] = -1
     out[tuple(last)] = (2.0 * take(-1) - 5.0 * take(-2) + 4.0 * take(-3) - take(-4)) / h**2
     return out
 
@@ -451,9 +481,7 @@ def _derivative_arrays(field_values, grid):
         d = _axis_first_derivative(field_values, 1 + axis, grid.spacing[axis])
         firsts.append(d)
         grad[..., axis] = d
-        hess[..., axis, axis] = _axis_second_derivative(
-            field_values, 1 + axis, grid.spacing[axis]
-        )
+        hess[..., axis, axis] = _axis_second_derivative(field_values, grid, axis)
     for i in range(n):
         for j in range(i + 1, n):
             mixed = _axis_first_derivative(firsts[j], 1 + i, grid.spacing[i])
@@ -614,17 +642,8 @@ def check_monotone_coefficients(lv, budget, domain, horizon, tolerances=None):
 
 def discrete_laplacian(values, grid):
     """Standard 3/5-point Laplacian on interior nodes; boundary rows are zero."""
-    out = np.zeros_like(values)
-    inner = (slice(None),) + grid.interior_slices
-    acc = np.zeros_like(values[inner])
-    for axis in range(grid.dimension):
-        h = grid.spacing[axis]
-        sl_hi = [slice(None)] + list(grid.interior_slices)
-        sl_lo = [slice(None)] + list(grid.interior_slices)
-        sl_hi[1 + axis] = slice(2, None)
-        sl_lo[1 + axis] = slice(None, -2)
-        acc = acc + (values[tuple(sl_hi)] - 2.0 * values[inner] + values[tuple(sl_lo)]) / h**2
-    out[inner] = acc
+    out = sum(second_difference(values, grid, axis) for axis in range(grid.dimension))
+    out[:, ~grid.interior_mask] = 0.0
     return out
 
 

@@ -11,7 +11,6 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .config import load_config, load_config_data
 from .errors import ConfigError
@@ -34,20 +33,10 @@ def _cmd_run(args):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    workers = args.workers or os.cpu_count() or 1
-
-    def one(config):
-        return run_scenario(config, out_dir=os.path.join(out_base, config.name),
-                            seed=args.seed)
-
-    if len(configs) == 1 or workers == 1:
-        manifests = [one(c) for c in configs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            manifests = list(pool.map(one, configs))
-
     code = 0
-    for manifest in manifests:
+    for config in configs:
+        manifest = run_scenario(config, out_dir=os.path.join(out_base, config.name),
+                                seed=args.seed)
         code = max(code, manifest_exit_code(manifest))
         state = manifest.status if manifest.status != "ok" else (
             "verified" if manifest.all_verified else
@@ -80,15 +69,13 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute scenarios (built-in names or "
-                                     "config file paths)")
+                                     "config file paths) one after another")
     run.add_argument("config", nargs="+",
                      help="scenario name from 'parapos list' or a JSON file")
     run.add_argument("--out", default=None, help="output base directory "
                      "(env PARAPOS_OUT takes precedence)")
     run.add_argument("--seed", type=int, default=None,
                      help="override the sampling seed of the checks")
-    run.add_argument("--workers", type=int, default=None,
-                     help="worker pool size for batches (default: cores)")
     run.set_defaults(func=_cmd_run)
 
     lst = sub.add_parser("list", help="names of the built-in scenarios")

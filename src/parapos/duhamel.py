@@ -32,7 +32,9 @@ discrete Laplacian.
 Time quadrature of the integral term is composite trapezoid in the source
 time, except for the final panel, which is integrated by its midpoint: the
 kernel is evaluated at half a panel of lag and the source endpoint values
-are averaged.
+are averaged.  Its one copy is ``_duhamel_integral``, which both
+``duhamel_apply`` and the Picard sweep call.  The source-Jacobian samples
+that size the Picard windows come from :func:`checker.source_jacobians`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checker import source_jacobians
 from .errors import DomainError, NonContraction, SolverError, SpecError
 from .model import Grid
 
@@ -182,15 +185,9 @@ def duhamel_apply(values, grid, rates, tau, source=None, source_times=None,
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
     rates = np.broadcast_to(np.asarray(rates, dtype=float), (m,)).astype(float)
-
-    def evolve(state, lag):
-        out = np.empty_like(state)
-        for k in range(m):
-            op = KernelOperator(grid, float(rates[k]), lag, config)
-            out[k] = op.apply(state[k])
-        return out
-
-    hom = evolve(values, tau) if tau > 0 else values.copy()
+    hom = np.empty_like(values)
+    for k in range(m):
+        hom[k] = KernelOperator(grid, float(rates[k]), tau, config).apply(values[k])
     if source is None or tau == 0:
         return hom
     if source_times is None:
@@ -206,18 +203,46 @@ def duhamel_apply(values, grid, rates, tau, source=None, source_times=None,
         raise SpecError("source history must be sampled uniformly in time")
     if abs(stimes[0]) > 1e-12 or abs(stimes[-1] - tau) > 1e-9 * max(tau, 1.0):
         raise SpecError("source history must run from 0 to the requested lag")
+    evolve = _lag_evolver(grid, rates, ds, config)
+    return hom + ds * _duhamel_integral(source, source.shape[0] - 1, evolve)
 
-    last = source.shape[0] - 1
-    acc = np.zeros_like(values)
-    # composite trapezoid over [s_0, s_{last-1}]
-    if last >= 2:
-        acc += 0.5 * evolve(source[0], tau - stimes[0])
-        for j in range(1, last - 1):
-            acc += evolve(source[j], tau - stimes[j])
-        acc += 0.5 * evolve(source[last - 1], tau - stimes[last - 1])
-    # final panel by midpoint: kernel at half a panel of lag, source averaged
-    acc += evolve(0.5 * (source[last - 1] + source[last]), 0.5 * ds)
-    return hom + ds * acc
+
+def _lag_evolver(grid, rates, dt, cfg):
+    """``evolve(values, n)``: every component evolved over ``n`` half panels.
+
+    A half panel is ``dt / 2`` of lag, so the midpoint panel shares the
+    cache.  Operators are built on first use and kept per (component, n).
+    """
+    ops = {}
+
+    def evolve(values, half_steps):
+        out = np.empty_like(values)
+        for k in range(len(rates)):
+            key = (k, half_steps)
+            if key not in ops:
+                ops[key] = KernelOperator(grid, float(rates[k]),
+                                          half_steps * dt / 2.0, cfg)
+            out[k] = ops[key].apply(values[k])
+        return out
+
+    return evolve
+
+
+def _duhamel_integral(history, j, evolve):
+    """Integral over [0, s_j] of the source history evolved to time s_j.
+
+    ``history[l]`` is the source at s_l = l dt.  Composite trapezoid over the
+    first j - 1 panels and midpoint on the last: the kernel lagged by half a
+    panel acts on the average of its two endpoint values.  Returns the sum
+    of the weighted terms, to be scaled by dt.
+    """
+    acc = evolve(0.5 * (history[j - 1] + history[j]), 1)
+    if j >= 2:
+        acc += 0.5 * evolve(history[0], 2 * j)
+        for l in range(1, j - 1):
+            acc += evolve(history[l], 2 * (j - l))
+        acc += 0.5 * evolve(history[j - 1], 2)
+    return acc
 
 
 # ------------------------------------------------------------ picard route
@@ -288,34 +313,6 @@ def _extract_rates(spec):
     return rates
 
 
-def _source_jacobian_sup(spec, amp, samples=48, delta=None):
-    """Sampled sup of |d c_k / d u_l| over the expected state range."""
-    from .checker import halton_block
-
-    n = spec.dimension
-    m = spec.components
-    delta = delta or 1e-6 * max(1.0, amp)
-    raw = halton_block(samples, 1 + n + m, seed=11)
-    ts = raw[:, 0] * spec.horizon
-    xs = np.empty((samples, n))
-    for axis, (lo, hi) in enumerate(spec.domain.bounds):
-        xs[:, axis] = lo + raw[:, 1 + axis] * (hi - lo)
-    us = amp * raw[:, 1 + n:]
-    p0 = np.zeros((m, n))
-    src = spec.coefficients.source
-    worst = 0.0
-    for i in range(samples):
-        for l in range(m):
-            up = us[i].copy()
-            um = us[i].copy()
-            up[l] += delta
-            um[l] -= delta
-            c_hi = np.asarray(src(float(ts[i]), xs[i], up, p0), dtype=float)
-            c_lo = np.asarray(src(float(ts[i]), xs[i], um, p0), dtype=float)
-            worst = max(worst, float(np.abs(c_hi - c_lo).max()) / (2.0 * delta))
-    return worst
-
-
 def _source_at(spec, t, grid, values):
     """Source on the grid, evaluated at the absolute value of the state."""
     u = np.moveaxis(np.abs(values), 0, -1)
@@ -332,17 +329,17 @@ def picard_solve(spec, config=None):
     number of dt steps.  Within each window the sweep is iterated until the
     sup change falls under ``tol`` (relative to the state size); three
     consecutive growths of the change raise NonContraction, as does running
-    out of sweeps.  The integral term uses the same time quadrature as
-    ``duhamel_apply``: composite trapezoid with a midpoint final panel.
+    out of sweeps.  The integral term is ``_duhamel_integral``, the
+    quadrature ``duhamel_apply`` uses: composite trapezoid with a midpoint
+    final panel.
     """
     config = config or PicardConfig()
     grid = spec.initial.grid
     spec.initial.validate()
     rates = _extract_rates(spec)
-    m = spec.components
 
     amp = 2.0 * max(1.0, float(np.abs(spec.initial.values).max()))
-    j_hat = _source_jacobian_sup(spec, amp)
+    j_hat = float(np.abs(source_jacobians(spec, amp)).max())
     dt = config.dt
     if j_hat > 0:
         window_steps = max(1, int(math.floor(0.5 / (j_hat * dt))))
@@ -351,21 +348,7 @@ def picard_solve(spec, config=None):
     total_steps = max(1, int(round(spec.horizon / dt)))
     dt = spec.horizon / total_steps
 
-    # operators cached by half-steps of lag so the midpoint panel shares them
-    ops = {}
-
-    def operator(k, half_steps):
-        key = (k, half_steps)
-        if key not in ops:
-            ops[key] = KernelOperator(grid, float(rates[k]),
-                                      half_steps * dt / 2.0, config.kernel)
-        return ops[key]
-
-    def evolve(values, half_steps):
-        out = np.empty_like(values)
-        for k in range(m):
-            out[k] = operator(k, half_steps).apply(values[k])
-        return out
+    evolve = _lag_evolver(grid, rates, dt, config.kernel)
 
     u0 = spec.initial.values.copy()
     t0 = 0.0
@@ -387,16 +370,8 @@ def picard_solve(spec, config=None):
         for sweep in range(config.max_iter):
             sweeps = sweep + 1
             gam = [_source_at(spec, t0 + j * dt, grid, v[j]) for j in range(span + 1)]
-            new = [u0.copy()]
-            for j in range(1, span + 1):
-                # trapezoid over the first j - 1 panels, midpoint on the last
-                acc = evolve(0.5 * (gam[j - 1] + gam[j]), 1)
-                if j >= 2:
-                    acc += 0.5 * evolve(gam[0], 2 * j)
-                    for l in range(1, j - 1):
-                        acc += evolve(gam[l], 2 * (j - l))
-                    acc += 0.5 * evolve(gam[j - 1], 2)
-                new.append(hom[j] + dt * acc)
+            new = [u0.copy()] + [hom[j] + dt * _duhamel_integral(gam, j, evolve)
+                                 for j in range(1, span + 1)]
             change = max(
                 float(np.abs(new[j] - v[j]).max()) for j in range(1, span + 1))
             scale = 1.0 + max(float(np.abs(new[j]).max()) for j in range(span + 1))

@@ -1,10 +1,11 @@
 """Finite-difference solvers for the parabolic system on a box.
 
 Spatial discretization is the standard second-order stencil set: central
-differences for gradients, 3/5-point second differences per axis, and the
-four-point cross stencil for mixed second derivatives.  Zero Dirichlet data
-is enforced by construction: only interior nodes are unknowns and boundary
-nodes are pinned to zero.
+differences for gradients, 3/5-point second differences per axis (the one
+copy is :func:`model.second_difference`, which the checker's Laplacian
+shares), and the four-point cross stencil for mixed second derivatives.
+Zero Dirichlet data is enforced by construction: only interior nodes are
+unknowns and boundary nodes are pinned to zero.
 
 Three time steppers are provided:
 
@@ -30,7 +31,12 @@ is built once per time step length: a LAPACK tridiagonal LU factor
 5-point Dirichlet operator, which the DST-I diagonalizes (Buzbee, Golub &
 Nielson, SIAM J. Numer. Anal. 7, 1970).  Diffusion that varies in space,
 time or state is re-evaluated every step and solved by a banded solve in 1D
-and by Jacobi-preconditioned BiCGSTAB in 2D.
+and by Jacobi-preconditioned BiCGSTAB in 2D, to the fixed relative
+tolerance ``LINEAR_RTOL`` within ``LINEAR_MAXITER`` iterations.
+
+The positivity step bound reads the source slopes from the Jacobian samples
+of :func:`checker.source_jacobians`, the same samples that size the Picard
+windows of the kernel route.
 """
 
 from __future__ import annotations
@@ -46,11 +52,16 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
+from .checker import source_jacobians
 from .errors import DegenerateRefinement, NonConvergence, SolverError, SpecError
-from .model import Field, Grid, SpatialDomain, build_cutoff
+from .model import Field, Grid, SpatialDomain, build_cutoff, second_difference
 
 SCHEMES = ("imex_be", "imex_cn", "erk2")
 POSITIVITY_MODES = ("monitor_only", "clip_and_flag")
+
+#: BiCGSTAB tolerance and iteration cap of the 2D solve with varying diffusion
+LINEAR_RTOL = 1e-10
+LINEAR_MAXITER = 5000
 
 
 @dataclass(frozen=True)
@@ -59,8 +70,6 @@ class SchemeConfig:
     dt: float = 1e-2
     positivity: str = "monitor_only"
     store_every: int = 10
-    linear_rtol: float = 1e-10
-    linear_maxiter: int = 5000
     check_stability: bool = True
 
     def __post_init__(self):
@@ -131,22 +140,6 @@ def _gradient(values, grid):
     return np.moveaxis(np.stack(grads, axis=-1), 0, -2)
 
 
-def _second_difference(values, grid, axis):
-    """Per-axis second difference, zero on the two faces of that axis."""
-    h = grid.spacing[axis]
-    out = np.zeros_like(values)
-    inner = [slice(None)] * values.ndim
-    inner[1 + axis] = slice(1, -1)
-    hi = list(inner)
-    hi[1 + axis] = slice(2, None)
-    lo = list(inner)
-    lo[1 + axis] = slice(None, -2)
-    out[tuple(inner)] = (
-        values[tuple(hi)] - 2.0 * values[tuple(inner)] + values[tuple(lo)]
-    ) / h**2
-    return out
-
-
 def _mixed_difference(values, grid, i, j):
     """Cross second difference on doubly interior nodes, zero elsewhere."""
     hi_, hj = grid.spacing[i], grid.spacing[j]
@@ -183,7 +176,7 @@ def _explicit_diffusion(a, values, grid, diagonal=True, mixed=True):
     n = grid.dimension
     if diagonal:
         for ax in range(n):
-            d2 = _second_difference(values, grid, ax)
+            d2 = second_difference(values, grid, ax)
             out += np.moveaxis(a[..., :, ax, ax], -1, 0) * d2
     if mixed and n > 1:
         for i in range(n):
@@ -324,7 +317,7 @@ def _assemble_2d(axx, ayy, hx, hy, lam):
     return mat, diag
 
 
-def _solve_2d_iterative(mat, diag, rhs, x0, config, counter):
+def _solve_2d_iterative(mat, diag, rhs, x0, counter):
     if not np.any(rhs):
         return np.zeros_like(rhs)
     precond = LinearOperator(mat.shape, matvec=lambda v: v / diag)
@@ -332,15 +325,14 @@ def _solve_2d_iterative(mat, diag, rhs, x0, config, counter):
     def count(_xk):
         counter[0] += 1
 
-    x, info = bicgstab(mat, rhs, x0=x0, rtol=config.linear_rtol, atol=0.0,
-                       maxiter=config.linear_maxiter, M=precond, callback=count)
+    x, info = bicgstab(mat, rhs, x0=x0, rtol=LINEAR_RTOL, atol=0.0,
+                       maxiter=LINEAR_MAXITER, M=precond, callback=count)
     if info != 0:
         raise SolverError(f"linear solve failed to converge (info={info})")
     return x
 
 
-def _implicit_diffusion_solve(grid, a, lam, rhs, previous, config, counter,
-                              direct=None):
+def _implicit_diffusion_solve(grid, a, lam, rhs, previous, counter, direct=None):
     """Solve (I - lam * sum_i a_ii d_ii) w = rhs componentwise on the interior.
 
     ``direct`` holds prebuilt per-component solvers for constant diffusion;
@@ -361,7 +353,7 @@ def _implicit_diffusion_solve(grid, a, lam, rhs, previous, config, counter,
             ayy = _diag_coefficient(a, k, 1)[interior]
             mat, diag = _assemble_2d(axx, ayy, grid.spacing[0], grid.spacing[1], lam)
             x0 = previous[(k,) + interior].ravel()
-            sol = _solve_2d_iterative(mat, diag, rhs_int.ravel(), x0, config,
+            sol = _solve_2d_iterative(mat, diag, rhs_int.ravel(), x0,
                                       counter).reshape(rhs_int.shape)
         else:
             raise SpecError("implicit diffusion solves support one or two dimensions")
@@ -424,8 +416,7 @@ def _stepper(spec, grid, config, dt, t0, values0):
             half = _explicit_diffusion(a, values, grid, diagonal=True, mixed=False)
             rhs = values + 0.5 * dt * half + dt * explicit
         rhs[boundary] = 0.0
-        return _implicit_diffusion_solve(grid, a, lam, rhs, values, config,
-                                         counter, direct)
+        return _implicit_diffusion_solve(grid, a, lam, rhs, values, counter, direct)
 
     return advance
 
@@ -464,40 +455,20 @@ def _make_report(index, t, old, new, dt, clipped, iterations=0, source_evals=1):
     )
 
 
-def positivity_step_bound(spec, reference=None, samples=64, delta=1e-6):
+def positivity_step_bound(spec, reference=None):
     """Largest dt for which the explicit source map cannot cross zero.
 
-    Samples the diagonal source slopes d c_k / d u_k over states up to twice
-    the reference amplitude and returns 1 / (2 max(0, -min slope)).  Infinite
+    Reads the diagonal source slopes d c_k / d u_k from the shared Jacobian
+    samples of :func:`checker.source_jacobians`, over states up to twice the
+    reference amplitude, and returns 1 / (2 max(0, -min slope)).  Infinite
     when no sampled slope is negative.
     """
-    grid = spec.initial.grid
-    m = spec.components
     amp = 1.0
     if reference is not None:
         amp = max(amp, float(np.abs(reference).max()))
-    from .checker import halton_block  # local import to avoid a cycle at import time
-
-    raw = halton_block(samples, 1 + grid.dimension + m, seed=7)
-    ts = raw[:, 0] * spec.horizon
-    xs = np.empty((samples, grid.dimension))
-    for axis, (lo, hi) in enumerate(spec.domain.bounds):
-        xs[:, axis] = lo + raw[:, 1 + axis] * (hi - lo)
-    us = 2.0 * amp * raw[:, 1 + grid.dimension:]
-    worst = 0.0
-    p0 = np.zeros((m, grid.dimension))
-    src = spec.coefficients.source
-    for i in range(samples):
-        for k in range(m):
-            up = us[i].copy()
-            um = us[i].copy()
-            up[k] += delta
-            um[k] = max(um[k] - delta, 0.0)
-            c_hi = np.asarray(src(float(ts[i]), xs[i], up, p0), dtype=float)[k]
-            c_lo = np.asarray(src(float(ts[i]), xs[i], um, p0), dtype=float)[k]
-            slope = (c_hi - c_lo) / (up[k] - um[k])
-            worst = max(worst, -float(slope))
-    if worst <= 0.0:
+    slopes = np.diagonal(source_jacobians(spec, 2.0 * amp), axis1=1, axis2=2)
+    worst = -float(slopes.min())
+    if not worst > 0.0:
         return float("inf")
     return 1.0 / (2.0 * worst)
 

@@ -140,6 +140,26 @@ def _zero_boundary(values, grid):
         values[tuple(idx)] = 0.0
 
 
+def second_difference(values, grid, axis):
+    """3-point second difference of ``(m, *grid.shape)`` values along ``axis``.
+
+    The two face planes of that axis, which have no neighbour outside the
+    box, are left zero.
+    """
+    h = grid.spacing[axis]
+    out = np.zeros_like(values)
+    inner = [slice(None)] * values.ndim
+    inner[1 + axis] = slice(1, -1)
+    hi = list(inner)
+    hi[1 + axis] = slice(2, None)
+    lo = list(inner)
+    lo[1 + axis] = slice(None, -2)
+    out[tuple(inner)] = (
+        values[tuple(hi)] - 2.0 * values[tuple(inner)] + values[tuple(lo)]
+    ) / h**2
+    return out
+
+
 @dataclass
 class Field:
     """Componentwise state on a grid: ``values`` has shape ``(m, *grid.shape)``.

@@ -314,6 +314,29 @@ class TestCli:
         assert manifest["status"] == "error"
         assert manifest["error"]
 
+    def test_picard_non_contraction_exits_three(self, tmp_path, monkeypatch):
+        # a tolerance no sweep can reach within three sweeps
+        data = copy.deepcopy(REGISTRY["S7_logistic_flat"][1]())
+        data["analysis"]["picard"] = {"tol": 1e-300, "max_iter": 3}
+        path = tmp_path / "stalled.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.delenv("PARAPOS_OUT", raising=False)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+        manifest = json.loads(
+            (tmp_path / "S7_logistic_flat" / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("NonContraction")
+        assert manifest["verdicts"]["hypotheses"]["status"] == "verified"
+        assert manifest["verdicts"]["positivity"]["status"] == "verified"
+        assert "dual-route-match" not in manifest["verdicts"]
+
+    def test_validate_rejects_the_removed_linear_solver_options(self, tmp_path):
+        data = tiny_config()
+        data["scheme"]["linear_rtol"] = 1e-8
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+
 
 class TestPositivityVerdict:
     @staticmethod
@@ -343,22 +366,21 @@ class TestPositivityVerdict:
 
 
 class TestDeterminism:
-    def test_worker_counts_write_identical_artifacts(self, tmp_path, monkeypatch):
+    def test_batch_writes_the_bytes_of_single_runs(self, tmp_path, monkeypatch):
         monkeypatch.delenv("PARAPOS_OUT", raising=False)
         names = ["S2_maxbound", "S5_cauchy_nested"]
-        for workers in ("1", "2"):
-            code = main(["run", *names, "--out", str(tmp_path / workers),
-                         "--workers", workers])
-            assert code == 0
+        assert main(["run", *names, "--out", str(tmp_path / "batch")]) == 0
         for name in names:
-            one, two = tmp_path / "1" / name, tmp_path / "2" / name
-            files = sorted(str(p.relative_to(one)) for p in one.rglob("*")
+            assert main(["run", name, "--out", str(tmp_path / name)]) == 0
+        for name in names:
+            batch, single = tmp_path / "batch" / name, tmp_path / name / name
+            files = sorted(str(p.relative_to(batch)) for p in batch.rglob("*")
                            if p.is_file() and p.name != "manifest.json")
-            assert files == sorted(str(p.relative_to(two)) for p in two.rglob("*")
+            assert files == sorted(str(p.relative_to(single)) for p in single.rglob("*")
                                    if p.is_file() and p.name != "manifest.json")
             assert len(files) >= 3
             for rel in files:
-                assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+                assert (batch / rel).read_bytes() == (single / rel).read_bytes(), rel
 
     def test_repeat_runs_are_bitwise_identical(self, tmp_path):
         config = get_scenario("S5_cauchy_nested")

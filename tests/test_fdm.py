@@ -53,6 +53,28 @@ def logistic_problem(n=101, d=0.01, beta=1.0, gamma=1.0, amplitude=0.5, horizon=
     return build_lv_problem(lv, UNIT, init, horizon)
 
 
+def varying_diffusion_2d():
+    """Heat flow with space-varying diagonal diffusion, which BiCGSTAB solves."""
+    dom = SpatialDomain(((0.0, 1.0), (0.0, 1.5)))
+    g = Grid(dom, (21, 25))
+    pts = g.points
+
+    def diffusion(t, x, u):
+        a = np.zeros(np.asarray(x).shape[:-1] + (2, 2))
+        a[..., 0, 0] = 1.0 + x[..., 0]
+        a[..., 1, 1] = 0.5 + 0.25 * np.sin(np.pi * x[..., 1])
+        return a
+
+    coeffs = CoefficientSet(
+        diffusion=diffusion,
+        drift=lambda t, x, u, p: np.zeros(np.asarray(x).shape[:-1] + (2,)),
+        source=lambda t, x, u, p: np.zeros_like(u),
+    )
+    init = Field.from_arrays(
+        g, (np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1] / 1.5))[None])
+    return ProblemSpec(dom, coeffs, init, horizon=1.0)
+
+
 class TestSingleStep:
     def test_implicit_euler_damps_the_sine_mode_exactly(self):
         spec = heat_problem()
@@ -103,26 +125,11 @@ class TestSingleStep:
     def test_two_dimensional_varying_diffusion_solves_the_discrete_equation(self):
         # space-varying diffusion keeps the iterative solve; its answer must
         # satisfy the backward Euler equation written out stencil by stencil
-        dom = SpatialDomain(((0.0, 1.0), (0.0, 1.5)))
-        g = Grid(dom, (21, 25))
+        spec = varying_diffusion_2d()
+        init, g = spec.initial, spec.initial.grid
         pts = g.points
         axx = 1.0 + pts[..., 0]
         ayy = 0.5 + 0.25 * np.sin(np.pi * pts[..., 1])
-
-        def diffusion(t, x, u):
-            a = np.zeros(np.asarray(x).shape[:-1] + (2, 2))
-            a[..., 0, 0] = 1.0 + x[..., 0]
-            a[..., 1, 1] = 0.5 + 0.25 * np.sin(np.pi * x[..., 1])
-            return a
-
-        coeffs = CoefficientSet(
-            diffusion=diffusion,
-            drift=lambda t, x, u, p: np.zeros(np.asarray(x).shape[:-1] + (2,)),
-            source=lambda t, x, u, p: np.zeros_like(u),
-        )
-        init = Field.from_arrays(
-            g, (np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1] / 1.5))[None])
-        spec = ProblemSpec(dom, coeffs, init, horizon=1.0)
         dt = 1e-3
         new, report = step(init, 0.0, dt, spec, SchemeConfig(scheme="imex_be", dt=dt))
         assert report.solve_iterations >= 1
@@ -133,6 +140,11 @@ class TestSingleStep:
                + ayy[core] * (w[1:-1, 2:] - 2.0 * w[core] + w[1:-1, :-2]) / hy**2)
         residual = w[core] - dt * lap - init.values[0][core]
         assert np.abs(residual).max() <= 1e-8
+
+    def test_iterative_solve_out_of_iterations_raises(self, monkeypatch):
+        monkeypatch.setattr("parapos.fdm.LINEAR_MAXITER", 1)
+        with pytest.raises(SolverError, match="failed to converge"):
+            solve(varying_diffusion_2d(), SchemeConfig(scheme="imex_be", dt=1e-3))
 
     def test_bad_dt_rejected(self):
         spec = heat_problem()
@@ -371,6 +383,53 @@ class TestPositivityProperties:
     @settings(max_examples=25, deadline=None)
     @given(nx=st.integers(5, 17), ny=st.integers(5, 17), **LV)
     def test_two_dimensional_step_keeps_nonnegative_data_nonnegative(self, nx, ny, **lv):
+        self.check(Grid(SpatialDomain(((0.0, 1.0), (0.0, 2.0))), (nx, ny)), **lv)
+
+
+class TestOrderProperties:
+    """imex_be keeps ordered data of one species ordered.
+
+    Under dt <= positivity_step_bound the explicit map w -> w + dt c(w) is
+    non-decreasing over the sampled states, and the implicit solve is an
+    M-matrix inverse, so u0 <= v0 gives step(u0) <= step(v0).  Competing
+    species are not ordered componentwise, so the property has one species.
+    """
+
+    @staticmethod
+    def check(grid, seed, diffusion, growth, interaction, dt):
+        rng = np.random.default_rng(seed)
+        low = rng.uniform(0.0, 1.0, (1,) + grid.shape)
+        gap = rng.uniform(0.0, 1.0, low.shape)
+        low[rng.uniform(size=low.shape) < 0.3] = 0.0
+        gap[rng.uniform(size=gap.shape) < 0.3] = 0.0
+        lower = Field.from_arrays(grid, low)
+        upper = Field.from_arrays(grid, low + gap)
+        lv = LVCoefficients(np.array([diffusion]), (lambda t, x: growth,),
+                            ((lambda t, x: interaction,),))
+        spec = build_lv_problem(lv, grid.domain, upper, horizon=1.0)
+        dt = min(dt, positivity_step_bound(spec, reference=upper.values))
+        config = SchemeConfig(scheme="imex_be", dt=dt)
+        below, _ = step(lower, 0.0, dt, spec, config)
+        above, _ = step(upper, 0.0, dt, spec, config)
+        gap_after = above.values - below.values
+        assert gap_after.min() >= -1e-14 * np.abs(above.values).max()
+
+    LV = dict(
+        seed=st.integers(0, 2**32 - 1),
+        diffusion=st.floats(1e-3, 1.0),
+        growth=st.floats(-1.0, 2.0),
+        interaction=st.floats(0.0, 2.0),
+        dt=st.floats(1e-4, 1.0),
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(nodes=st.integers(5, 41), **LV)
+    def test_one_dimensional_step_keeps_ordered_data_ordered(self, nodes, **lv):
+        self.check(Grid(UNIT, (nodes,)), **lv)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nx=st.integers(5, 17), ny=st.integers(5, 17), **LV)
+    def test_two_dimensional_step_keeps_ordered_data_ordered(self, nx, ny, **lv):
         self.check(Grid(SpatialDomain(((0.0, 1.0), (0.0, 2.0))), (nx, ny)), **lv)
 
 
