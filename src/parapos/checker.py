@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import CoefficientError, SpecError
 from .model import Majorants, second_difference
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -165,7 +165,9 @@ def source_jacobians(spec, amp):
     and the state box [0, amp]^m, at zero gradient.  Each column is a
     central difference with step ``1e-6 * max(1, amp)``.  The Picard route
     sizes its contraction windows from the largest entry, and the positivity
-    step bound reads the most negative diagonal entry.
+    step bound reads the most negative diagonal entry.  A slope that is not
+    finite raises CoefficientError naming its sample, because either reader
+    would take it for "no constraint".
     """
     samples = 48
     n = spec.dimension
@@ -189,6 +191,10 @@ def source_jacobians(spec, amp):
             c_hi = np.asarray(src(float(ts[i]), xs[i], up, p0), dtype=float)
             c_lo = np.asarray(src(float(ts[i]), xs[i], um, p0), dtype=float)
             jac[i, :, l] = (c_hi - c_lo) / (2.0 * delta)
+        if not np.isfinite(jac[i]).all():
+            raise CoefficientError(
+                f"source slope is not finite at t={float(ts[i])!r}, "
+                f"x={xs[i].tolist()}, u={us[i].tolist()}")
     return jac
 
 

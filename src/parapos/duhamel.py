@@ -32,9 +32,12 @@ discrete Laplacian.
 Time quadrature of the integral term is composite trapezoid in the source
 time, except for the final panel, which is integrated by its midpoint: the
 kernel is evaluated at half a panel of lag and the source endpoint values
-are averaged.  Its one copy is ``_duhamel_integral``, which both
-``duhamel_apply`` and the Picard sweep call.  The source-Jacobian samples
-that size the Picard windows come from :func:`checker.source_jacobians`.
+are averaged.  Its one copy is ``_duhamel_quadrature``, which both
+``duhamel_apply`` and the Picard sweep call.  It is batched by lag: the
+source slices that share one lag operator go through it in one application,
+so a sweep over ``J`` steps makes ``J + 1`` applications per component, not
+``O(J^2)``.  The source-Jacobian samples that size the Picard windows come
+from :func:`checker.source_jacobians`.
 """
 
 from __future__ import annotations
@@ -129,6 +132,7 @@ def _second_diff_zero_extension(values, axis, h):
 
 
 def _apply_axis(op, values, axis, h):
+    """Apply one axis operator along ``axis``, counted from the front."""
     kind, payload = op
     if kind == "dense":
         moved = np.moveaxis(values, axis, -1)
@@ -141,7 +145,12 @@ def _apply_axis(op, values, axis, h):
 
 
 class KernelOperator:
-    """Separable zero-extension evolution operator: one component, one lag."""
+    """Separable zero-extension evolution operator: one component, one lag.
+
+    ``apply`` takes one array shaped like the grid or a stack of them: any
+    leading axes are batch axes and the grid's axes come last.  A stack goes
+    through each dense axis matrix as one matrix-matrix product.
+    """
 
     def __init__(self, grid, rate, tau, cfg=None):
         if tau < 0:
@@ -158,12 +167,13 @@ class KernelOperator:
             ]
 
     def apply(self, values):
-        """Evolve one component array shaped like the grid."""
+        """Evolve an array shaped ``(*batch, *grid.shape)``; batch may be empty."""
         if self.identity:
             return values.copy()
+        first = values.ndim - self.grid.dimension
         out = values
         for ax in range(self.grid.dimension):
-            out = _apply_axis(self.ops[ax], out, ax, self.grid.spacing[ax])
+            out = _apply_axis(self.ops[ax], out, first + ax, self.grid.spacing[ax])
         return out
 
 
@@ -204,44 +214,65 @@ def duhamel_apply(values, grid, rates, tau, source=None, source_times=None,
     if abs(stimes[0]) > 1e-12 or abs(stimes[-1] - tau) > 1e-9 * max(tau, 1.0):
         raise SpecError("source history must run from 0 to the requested lag")
     evolve = _lag_evolver(grid, rates, ds, config)
-    return hom + ds * _duhamel_integral(source, source.shape[0] - 1, evolve)
+    last = source.shape[0] - 1
+    return hom + ds * _duhamel_quadrature(source, evolve, first=last)[0]
 
 
 def _lag_evolver(grid, rates, dt, cfg):
     """``evolve(values, n)``: every component evolved over ``n`` half panels.
 
-    A half panel is ``dt / 2`` of lag, so the midpoint panel shares the
-    cache.  Operators are built on first use and kept per (component, n).
+    ``values`` is one state ``(m, *grid.shape)`` or a stack of states
+    ``(..., m, *grid.shape)``; each component's operator is applied once to
+    all of its slices.  A half panel is ``dt / 2`` of lag, so the midpoint
+    panel shares the cache.  Operators are built on first use and kept per
+    (component, n).
     """
     ops = {}
+    dim = grid.dimension
 
     def evolve(values, half_steps):
         out = np.empty_like(values)
+        lead = (slice(None),) * (values.ndim - dim - 1)
         for k in range(len(rates)):
             key = (k, half_steps)
             if key not in ops:
                 ops[key] = KernelOperator(grid, float(rates[k]),
                                           half_steps * dt / 2.0, cfg)
-            out[k] = ops[key].apply(values[k])
+            out[lead + (k,)] = ops[key].apply(values[lead + (k,)])
         return out
 
     return evolve
 
 
-def _duhamel_integral(history, j, evolve):
-    """Integral over [0, s_j] of the source history evolved to time s_j.
+def _duhamel_quadrature(history, evolve, first=1):
+    """Integrals over [0, s_j] of the source history evolved to s_j, j >= first.
 
-    ``history[l]`` is the source at s_l = l dt.  Composite trapezoid over the
-    first j - 1 panels and midpoint on the last: the kernel lagged by half a
-    panel acts on the average of its two endpoint values.  Returns the sum
-    of the weighted terms, to be scaled by dt.
+    ``history[l]`` is the source at s_l = l dt for l = 0..J.  Row j of the
+    result (shape ``(J - first + 1, m, *grid.shape)``) is composite trapezoid
+    over the first j - 1 panels and midpoint on the last: the kernel lagged
+    by half a panel acts on the average of its two endpoint values.  The
+    trapezoid weights are 1/2 on s_0 and s_{j-1} and 1 in between.  Returns
+    the weighted sums, to be scaled by dt.
+
+    All rows are filled at once.  The midpoint terms are one application at
+    half a panel; then, for each lag d = J..1, the slices that lag d carries
+    to a requested row go through that lag's operator together.  Each row
+    therefore sums its midpoint term first, then its terms from the longest
+    lag to the shortest.
     """
-    acc = evolve(0.5 * (history[j - 1] + history[j]), 1)
-    if j >= 2:
-        acc += 0.5 * evolve(history[0], 2 * j)
-        for l in range(1, j - 1):
-            acc += evolve(history[l], 2 * (j - l))
-        acc += 0.5 * evolve(history[j - 1], 2)
+    last = len(history) - 1
+    acc = evolve(0.5 * (history[first - 1:last] + history[first:]), 1)
+    for lag in range(last, 0, -1):
+        # row j takes s_{j-lag}; row 1 has only its midpoint panel
+        lo = max(first, lag, 2)
+        if lo > last:
+            continue
+        term = evolve(history[lo - lag:last - lag + 1], 2 * lag)
+        if lag == 1:
+            term *= 0.5          # s_{j-1}, every row
+        elif lo == lag:
+            term[0] *= 0.5       # s_0, row j = lag
+        acc[lo - first:] += term
     return acc
 
 
@@ -324,14 +355,16 @@ def _source_at(spec, t, grid, values):
 def picard_solve(spec, config=None):
     """Fixed-point solve of the integral formulation on contraction windows.
 
-    The window length is chosen so that (sampled source-Jacobian sup) times
-    (window length) stays at or under one half, then rounded down to a whole
-    number of dt steps.  Within each window the sweep is iterated until the
-    sup change falls under ``tol`` (relative to the state size); three
-    consecutive growths of the change raise NonContraction, as does running
-    out of sweeps.  The integral term is ``_duhamel_integral``, the
-    quadrature ``duhamel_apply`` uses: composite trapezoid with a midpoint
-    final panel.
+    The step is ``config.dt`` rounded so that a whole number of steps spans
+    the horizon.  The window length is chosen so that (sampled
+    source-Jacobian sup) times (window length) stays at or under one half,
+    then rounded down to a whole number of those steps (at least one).
+    Within each window the sweep is iterated until the sup change falls
+    under ``tol`` (relative to the state size); three consecutive growths of
+    the change raise NonContraction, as does running out of sweeps.  The
+    integral term is ``_duhamel_quadrature``, the quadrature
+    ``duhamel_apply`` uses: composite trapezoid with a midpoint final panel,
+    batched by lag over the whole window.
     """
     config = config or PicardConfig()
     grid = spec.initial.grid
@@ -340,20 +373,19 @@ def picard_solve(spec, config=None):
 
     amp = 2.0 * max(1.0, float(np.abs(spec.initial.values).max()))
     j_hat = float(np.abs(source_jacobians(spec, amp)).max())
-    dt = config.dt
+    total_steps = max(1, int(round(spec.horizon / config.dt)))
+    dt = spec.horizon / total_steps
     if j_hat > 0:
         window_steps = max(1, int(math.floor(0.5 / (j_hat * dt))))
     else:
-        window_steps = max(1, int(round(spec.horizon / dt)))
-    total_steps = max(1, int(round(spec.horizon / dt)))
-    dt = spec.horizon / total_steps
+        window_steps = total_steps
 
     evolve = _lag_evolver(grid, rates, dt, config.kernel)
 
     u0 = spec.initial.values.copy()
     t0 = 0.0
     times = [0.0]
-    states = [u0.copy()]
+    states = [u0[None].copy()]
     window_edges = [0.0]
     iterations = []
     ratios_all = []
@@ -361,20 +393,24 @@ def picard_solve(spec, config=None):
     steps_done = 0
     while steps_done < total_steps:
         span = min(window_steps, total_steps - steps_done)
-        hom = [evolve(u0, 2 * j) for j in range(span + 1)]
-        v = [h.copy() for h in hom]
+        # (span + 1, m, *grid) arrays, row j at time t0 + j dt
+        hom = np.empty((span + 1,) + u0.shape)
+        for j in range(span + 1):
+            hom[j] = evolve(u0, 2 * j)
+        v = hom
+        gam = np.empty_like(hom)
         prev_change = None
         streak = 0
         ratios = []
         sweeps = 0
         for sweep in range(config.max_iter):
             sweeps = sweep + 1
-            gam = [_source_at(spec, t0 + j * dt, grid, v[j]) for j in range(span + 1)]
-            new = [u0.copy()] + [hom[j] + dt * _duhamel_integral(gam, j, evolve)
-                                 for j in range(1, span + 1)]
-            change = max(
-                float(np.abs(new[j] - v[j]).max()) for j in range(1, span + 1))
-            scale = 1.0 + max(float(np.abs(new[j]).max()) for j in range(span + 1))
+            for j in range(span + 1):
+                gam[j] = _source_at(spec, t0 + j * dt, grid, v[j])
+            new = hom.copy()
+            new[1:] += dt * _duhamel_quadrature(gam, evolve)
+            change = float(np.abs(new[1:] - v[1:]).max())
+            scale = 1.0 + float(np.abs(new).max())
             v = new
             if prev_change is not None:
                 if prev_change > 0:
@@ -394,9 +430,8 @@ def picard_solve(spec, config=None):
                 f"no fixed point within {config.max_iter} sweeps near t={t0:g}")
         iterations.append(sweeps)
         ratios_all.append(ratios)
-        for j in range(1, span + 1):
-            times.append(t0 + j * dt)
-            states.append(v[j].copy())
+        times.extend(t0 + j * dt for j in range(1, span + 1))
+        states.append(v[1:])
         u0 = v[span]
         t0 += span * dt
         steps_done += span
@@ -405,7 +440,7 @@ def picard_solve(spec, config=None):
     return PicardResult(
         grid=grid,
         times=np.asarray(times),
-        values=np.asarray(states),
+        values=np.concatenate(states),
         window_edges=window_edges,
         iterations=iterations,
         contraction_ratios=ratios_all,

@@ -154,7 +154,10 @@ def _dual_route(problem, trajectory, analysis, out, formats):
                    data={"rel_sup_diff": diff, "tolerance": tol,
                          "crosscheck_time": tc, "contracting": contracting,
                          "sweep_ratios_max": max(ratios) if ratios else None,
-                         "jacobian_sup": result.jacobian_sup})
+                         "jacobian_sup": result.jacobian_sup,
+                         "window_edges": result.window_edges,
+                         "sweeps": result.iterations,
+                         "sweep_ratios": result.contraction_ratios})
 
 
 def _nested(problem, scheme, analysis):

@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from parapos.runner import run_scenario
@@ -23,3 +26,20 @@ def scenario_run(tmp_path_factory):
         return cache[key]
 
     return _run
+
+
+@pytest.fixture
+def nan_above():
+    """``(spec, level) -> spec`` whose source returns NaN where any u > level."""
+
+    def _wrap(spec, level):
+        inner = spec.coefficients.source
+
+        def source(t, x, u, p):
+            c = np.asarray(inner(t, x, u, p), dtype=float)
+            broken = (np.asarray(u) > level).any(axis=-1, keepdims=True)
+            return np.where(broken, np.nan, c)
+
+        return replace(spec, coefficients=replace(spec.coefficients, source=source))
+
+    return _wrap

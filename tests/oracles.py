@@ -125,3 +125,36 @@ def trajectory_csv_reference(times, values, source="fdm"):
                 lines.append(",".join([repr(float(t)), *(str(i) for i in node),
                                        str(k), repr(float(value)), source]))
     return "\n".join(lines) + "\n"
+
+
+def duhamel_rows_reference(history, operator):
+    """Duhamel quadrature row by row, one source slice at a time.
+
+    ``history[l]`` is the source at s_l = l dt, shape ``(J + 1, m, *grid)``;
+    ``operator(k, n)`` returns an object whose ``apply`` evolves one
+    component array over ``n`` half panels of lag.  Row j (j = 1..J) is
+    composite trapezoid over the panels [s_l, s_{l+1}], l < j - 1, and the
+    midpoint rule on the last panel [s_{j-1}, s_j]: the kernel lagged by half
+    a panel acting on the average of the panel's endpoint values.  The
+    trapezoid puts weight 1/2 on s_0 and s_{j-1} and weight 1 in between.
+
+    Each row adds its midpoint term first, then the trapezoid nodes from
+    s_0 to s_{j-1}.  Returns the unscaled sums, shape ``(J, m, *grid)``; the
+    integral is dt times a row.
+    """
+    history = np.asarray(history, dtype=float)
+    last = history.shape[0] - 1
+    comps = history.shape[1]
+    rows = np.empty_like(history[1:])
+    for j in range(1, last + 1):
+        mid = 0.5 * (history[j - 1] + history[j])
+        for k in range(comps):
+            acc = operator(k, 1).apply(mid[k])
+            if j >= 2:
+                for l in range(j):
+                    term = operator(k, 2 * (j - l)).apply(history[l, k])
+                    if l == 0 or l == j - 1:
+                        term = 0.5 * term
+                    acc = acc + term
+            rows[j - 1, k] = acc
+    return rows

@@ -17,8 +17,9 @@ from parapos.checker import (
     discrete_laplacian,
     halton_block,
     run_checks,
+    source_jacobians,
 )
-from parapos.errors import SpecError
+from parapos.errors import CoefficientError, SpecError
 from parapos.model import (
     CoefficientSet,
     Field,
@@ -363,6 +364,28 @@ class TestInitialMonotonicity:
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
         with pytest.raises(SpecError):
             check_initial_monotonicity(lv, np.zeros(11), np.zeros(11), g)
+
+
+class TestSourceJacobians:
+    def test_logistic_slopes_are_sampled_over_the_state_box(self):
+        # d/du u (1 - u) = 1 - 2u with u in [0, 2]
+        jac = source_jacobians(logistic_problem(), 2.0)
+        assert jac.shape == (48, 1, 1)
+        assert jac.max() <= 1.0
+        assert jac.min() >= -3.0
+        assert jac.max() - jac.min() > 3.0
+
+    def test_a_non_finite_slope_is_an_error_naming_its_sample(self, nan_above):
+        spec = nan_above(logistic_problem(), 1.5)
+        with pytest.raises(CoefficientError) as err:
+            source_jacobians(spec, 2.0)
+        message = str(err.value)
+        assert "not finite" in message
+        for name in ("t=", "x=", "u="):
+            assert name in message
+        # the named state lies where the source is broken
+        u = float(message.split("u=[")[1].split("]")[0])
+        assert u + 2e-6 > 1.5
 
 
 def test_discrete_laplacian_matches_modal_eigenvalue():

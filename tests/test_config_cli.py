@@ -330,6 +330,41 @@ class TestCli:
         assert manifest["verdicts"]["positivity"]["status"] == "verified"
         assert "dual-route-match" not in manifest["verdicts"]
 
+    def test_non_finite_source_slope_exits_three(self, tmp_path, monkeypatch):
+        # the growth table is NaN for x > 0.5; A1 never evaluates the source,
+        # so the first reader is the positivity step bound of the march
+        table = tmp_path / "growth.csv"
+        table.write_text(
+            "t,x,value\n0,0,1\n0,0.5,1\n0,1,nan\n1,0,1\n1,0.5,1\n1,1,nan\n")
+        data = tiny_config()
+        data["name"] = "nan_slope"
+        data["problem"]["coefficients"]["growth"] = [
+            {"family": "table", "path": str(table)}]
+        path = tmp_path / "nan_slope.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.delenv("PARAPOS_OUT", raising=False)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+        manifest = json.loads(
+            (tmp_path / "nan_slope" / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("CoefficientError: source slope is not finite")
+        x = float(manifest["error"].split("x=[")[1].split("]")[0])
+        assert x > 0.5
+
+    def test_manifest_carries_the_picard_counters(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PARAPOS_OUT", raising=False)
+        assert main(["run", "S7_logistic_flat", "--out", str(tmp_path)]) == 0
+        manifest = json.loads(
+            (tmp_path / "S7_logistic_flat" / "manifest.json").read_text())
+        data = manifest["verdicts"]["dual-route-match"]["data"]
+        edges, sweeps, ratios = data["window_edges"], data["sweeps"], data["sweep_ratios"]
+        assert len(sweeps) == len(edges) - 1
+        assert len(ratios) == len(sweeps)
+        assert edges[0] == 0.0
+        assert edges[-1] == pytest.approx(1.0)
+        assert all(n >= 1 for n in sweeps)
+        assert max(r for window in ratios for r in window) == data["sweep_ratios_max"]
+
     def test_validate_rejects_the_removed_linear_solver_options(self, tmp_path):
         data = tiny_config()
         data["scheme"]["linear_rtol"] = 1e-8

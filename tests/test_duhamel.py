@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import heat_gaussian, logistic_exact
+from oracles import duhamel_rows_reference, heat_gaussian, logistic_exact
+from parapos.checker import source_jacobians
 from parapos.coefficients import build_initial_field
 from parapos.duhamel import (
     KernelConfig,
     KernelOperator,
     PicardConfig,
+    _duhamel_quadrature,
+    _lag_evolver,
     duhamel_apply,
     heat_kernel,
     picard_solve,
 )
-from parapos.errors import DomainError, NonContraction, SolverError, SpecError
+from parapos.errors import (CoefficientError, DomainError, NonContraction,
+                            SolverError, SpecError)
 from parapos.model import (
     CoefficientSet,
     Field,
@@ -27,6 +31,20 @@ from parapos.model import (
 
 WIDE = SpatialDomain(((-8.0, 8.0),))
 UNIT = SpatialDomain(((0.0, 1.0),))
+WIDE_SQUARE = SpatialDomain(((-8.0, 8.0), (-8.0, 8.0)))
+UNIT_SQUARE = SpatialDomain(((0.0, 1.0), (0.0, 1.0)))
+
+# Operator families for the batched-quadrature tests.  "taylor": every lag of
+# a 24-step window stays under the Taylor threshold, so the kernel route is
+# elementwise arithmetic and must match bit for bit.  "dense": long lags get
+# dense quadrature matrices, where a matrix-matrix product may round
+# differently from matrix-vector products.
+BRANCHES = {
+    "taylor": {1: (UNIT, (101,)), 2: (UNIT_SQUARE, (41, 41)),
+               "rates": (2e-4, 1e-4)},
+    "dense": {1: (WIDE, (129,)), 2: (WIDE_SQUARE, (65, 65)),
+              "rates": (1.0, 0.8)},
+}
 
 
 def wide_grid(n=513):
@@ -108,6 +126,80 @@ class TestKernelOperator:
             KernelConfig(truncation_sigmas=4.0)
         with pytest.raises(SpecError):
             KernelConfig(taylor_threshold=0.0)
+
+
+def _branch_case(branch, dim, comps, span):
+    domain, nodes = BRANCHES[branch][dim]
+    grid = Grid(domain, nodes)
+    rates = np.asarray(BRANCHES[branch]["rates"][:comps])
+    dt = 0.01 if branch == "taylor" else min(0.2, 0.96 / span)
+    history = np.random.default_rng(5).random((span + 1, comps) + grid.shape)
+    return grid, rates, dt, history
+
+
+def _assert_kernel_match(branch, got, want):
+    if branch == "taylor":
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+class TestBatchedQuadrature:
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("comps", [1, 2])
+    @pytest.mark.parametrize("span", [1, 2, 3, 24])
+    def test_all_rows_match_the_row_by_row_reference(self, branch, dim, comps, span):
+        grid, rates, dt, history = _branch_case(branch, dim, comps, span)
+
+        def operator(k, half_steps):
+            return KernelOperator(grid, float(rates[k]), half_steps * dt / 2.0)
+
+        want = duhamel_rows_reference(history, operator)
+        evolve = _lag_evolver(grid, rates, dt, KernelConfig())
+        got = _duhamel_quadrature(history, evolve)
+        assert got.shape == want.shape
+        _assert_kernel_match(branch, got, want)
+        # the single-row form duhamel_apply uses
+        _assert_kernel_match(branch, _duhamel_quadrature(history, evolve, first=span),
+                             want[-1:])
+
+    def test_dense_family_reaches_the_dense_branch(self):
+        grid, rates, dt, _ = _branch_case("dense", 2, 2, 24)
+        op = KernelOperator(grid, float(rates[0]), 24 * dt)
+        assert [kind for kind, _ in op.ops] == ["dense", "dense"]
+        grid, rates, dt, _ = _branch_case("taylor", 2, 2, 24)
+        op = KernelOperator(grid, float(rates[0]), 24 * dt)
+        assert [kind for kind, _ in op.ops] == ["taylor", "taylor"]
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_stack_matches_slice_by_slice_application(self, branch, dim):
+        grid, rates, dt, history = _branch_case(branch, dim, 2, 3)
+        op = KernelOperator(grid, float(rates[0]), 3 * dt)
+        got = op.apply(history)
+        want = np.empty_like(history)
+        for idx in np.ndindex(history.shape[:2]):
+            want[idx] = op.apply(history[idx])
+        _assert_kernel_match(branch, got, want)
+
+    def test_duhamel_apply_evolves_each_slice_once(self, monkeypatch):
+        # only the requested row: one slice per lag and component, plus the
+        # midpoint panel and the homogeneous part
+        g = wide_grid(65)
+        slices = []
+        original = KernelOperator.apply
+
+        def counting(self, values):
+            slices.append(values.size // g.shape[0])
+            return original(self, values)
+
+        monkeypatch.setattr(KernelOperator, "apply", counting)
+        tau, steps = 0.5, 10
+        src = np.ones((steps + 1, 2) + g.shape)
+        duhamel_apply(np.zeros((2,) + g.shape), g, [1.0, 0.5], tau,
+                      source=src, source_times=np.linspace(0.0, tau, steps + 1))
+        assert sum(slices) == 2 * (steps + 2)
 
 
 class TestDuhamelApply:
@@ -260,6 +352,32 @@ class TestPicard:
         spec = ProblemSpec(UNIT, coeffs, Field.zeros(g, 1), horizon=0.1)
         with pytest.raises(SpecError):
             picard_solve(spec)
+
+    def test_non_finite_source_slopes_are_an_error(self, nan_above):
+        # a NaN Jacobian sup would fail j_hat > 0 and make one window of
+        # the whole horizon
+        spec = nan_above(flat_logistic(), 1.5)
+        with pytest.raises(CoefficientError):
+            picard_solve(spec, PicardConfig(dt=0.01))
+
+    def test_windows_are_sized_from_the_step_actually_used(self):
+        # dt = 0.099 / j_hat and a horizon of 10.4 dt: the step is rounded
+        # up by 4 %, so windows sized from the requested dt (5 steps) would
+        # give j_hat * window = 0.515
+        spec = flat_logistic(horizon=1.0)
+        amp = 2.0 * max(1.0, float(np.abs(spec.initial.values).max()))
+        j_hat = float(np.abs(source_jacobians(spec, amp)).max())
+        dt = 0.099 / j_hat
+        spec = flat_logistic(horizon=10.4 * dt)
+        res = picard_solve(spec, PicardConfig(dt=dt))
+        used = res.times[1] - res.times[0]
+        assert used == pytest.approx(1.04 * dt)
+        assert res.jacobian_sup == j_hat
+        lengths = np.diff(res.window_edges)
+        multi = lengths[lengths > 1.5 * used]
+        assert len(multi) >= 2
+        assert (res.jacobian_sup * multi).max() <= 0.5
+        assert lengths.max() == pytest.approx(4 * used)
 
     def test_config_validation(self):
         with pytest.raises(SpecError):

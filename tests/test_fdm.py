@@ -15,7 +15,8 @@ from oracles import (
     heun_scalar,
 )
 from parapos.coefficients import build_initial_field
-from parapos.errors import DegenerateRefinement, NonConvergence, SolverError, SpecError
+from parapos.errors import (CoefficientError, DegenerateRefinement, NonConvergence,
+                            SolverError, SpecError)
 from parapos.fdm import (
     SchemeConfig,
     _assemble_2d,
@@ -446,6 +447,13 @@ def test_positivity_step_bound_matches_the_logistic_slope():
 def test_positivity_step_bound_infinite_without_negative_slopes():
     spec = heat_problem()
     assert positivity_step_bound(spec) == float("inf")
+
+
+def test_positivity_step_bound_rejects_non_finite_slopes(nan_above):
+    # a NaN slope is not "no negative slope": it must not read as dt = inf
+    spec = nan_above(logistic_problem(), 1.5)
+    with pytest.raises(CoefficientError):
+        positivity_step_bound(spec, reference=spec.initial.values)
 
 
 class TestEstimateOrder:
