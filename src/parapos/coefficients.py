@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -191,8 +192,11 @@ def _parse_time(spec, pointer):
     raise ConfigError(f"unknown time family {fam!r}", pointer)
 
 
-def parse_coefficient(spec, pointer=""):
-    """Build a coefficient evaluator from its JSON description."""
+def parse_coefficient(spec, pointer="", base_dir="."):
+    """Build a coefficient evaluator from its JSON description.
+
+    A table's ``path`` is resolved against ``base_dir``.
+    """
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         return Coefficient(ConstantInTime(float(spec)), ConstantInSpace())
     if not isinstance(spec, dict):
@@ -212,13 +216,13 @@ def parse_coefficient(spec, pointer=""):
             raise ConfigError(f"unknown space kind {kind!r}", pointer + "/space")
         return Coefficient(time_part, space)
     if fam == "table":
-        return TabulatedCoefficient.from_csv(spec["path"])
+        return TabulatedCoefficient.from_csv(Path(base_dir) / spec["path"])
     raise ConfigError(f"unknown coefficient family {fam!r}", pointer)
 
 
 # --------------------------------------------------------- initial profiles
 
-def _profile_values(grid, spec, pointer):
+def _profile_values(grid, spec, pointer, base_dir):
     pts = grid.points
     kind = spec.get("kind")
     if kind == "zero":
@@ -252,19 +256,21 @@ def _profile_values(grid, spec, pointer):
         xi = (pts[..., 0] - lo) / (hi - lo)
         return 2.0 * spec["amplitude"] * np.minimum(xi, 1.0 - xi)
     if kind == "table":
-        arr = np.loadtxt(spec["path"], delimiter=",")
+        arr = np.loadtxt(Path(base_dir) / spec["path"], delimiter=",")
         arr = np.asarray(arr, dtype=float).reshape(grid.shape)
         return arr
     if kind == "product":
         out = np.ones(grid.shape)
         for j, sub in enumerate(spec["profiles"]):
-            out = out * _profile_values(grid, sub, f"{pointer}/profiles/{j}")
+            out = out * _profile_values(grid, sub, f"{pointer}/profiles/{j}", base_dir)
         return out
     raise ConfigError(f"unknown initial profile {kind!r}", pointer)
 
 
-def build_initial_field(grid, specs, pointer="/problem/initial"):
+def build_initial_field(grid, specs, pointer="/problem/initial", base_dir="."):
+    """Stack one profile per component; table paths resolve against ``base_dir``."""
     arrays = [
-        _profile_values(grid, spec, f"{pointer}/{k}") for k, spec in enumerate(specs)
+        _profile_values(grid, spec, f"{pointer}/{k}", base_dir)
+        for k, spec in enumerate(specs)
     ]
     return Field.from_arrays(grid, np.stack(arrays))

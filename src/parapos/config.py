@@ -107,10 +107,11 @@ class ScenarioConfig:
     def lv(self):
         coeffs = self.problem_data["coefficients"]
         growth = tuple(
-            parse_coefficient(raw, f"/problem/coefficients/growth/{k}")
+            parse_coefficient(raw, f"/problem/coefficients/growth/{k}", self.base_dir)
             for k, raw in enumerate(coeffs["growth"]))
         interaction = tuple(
-            tuple(parse_coefficient(raw, f"/problem/coefficients/interaction/{k}/{i}")
+            tuple(parse_coefficient(raw, f"/problem/coefficients/interaction/{k}/{i}",
+                                    self.base_dir)
                   for i, raw in enumerate(row))
             for k, row in enumerate(coeffs["interaction"]))
         return LVCoefficients(
@@ -121,7 +122,8 @@ class ScenarioConfig:
 
     def build_problem(self):
         grid = self.grid()
-        initial = build_initial_field(grid, self.problem_data["initial"])
+        initial = build_initial_field(grid, self.problem_data["initial"],
+                                      base_dir=self.base_dir)
         spec = build_lv_problem(self.lv(), grid.domain, initial,
                                 float(self.problem_data["horizon"]))
         shift = self.problem_data["coefficients"].get("source_shift")

@@ -24,15 +24,15 @@ componentwise order whenever the explicit part does.  It also preserves
 exact zeros bitwise (a zero state with a zero source stays identically
 zero), which the degeneracy tests rely on.
 
-Implicit solves.  When the coefficients declare ``constant_diffusion``, the
-diffusion is evaluated once per march and each component's implicit operator
-is built once per time step length: a LAPACK tridiagonal LU factor
-(``dgttrf``, applied by ``dgttrs``) in 1D, and in 2D the eigenvalues of the
-5-point Dirichlet operator, which the DST-I diagonalizes (Buzbee, Golub &
-Nielson, SIAM J. Numer. Anal. 7, 1970).  Diffusion that varies in space,
-time or state is re-evaluated every step and solved by a banded solve in 1D
-and by Jacobi-preconditioned BiCGSTAB in 2D, to the fixed relative
-tolerance ``LINEAR_RTOL`` within ``LINEAR_MAXITER`` iterations.
+Implicit solves.  One builder gives each component its implicit solver.  In
+1D that is always a LAPACK tridiagonal LU factor (``dgttrf``, applied by
+``dgttrs``).  In 2D, diffusion declared ``constant_diffusion`` is solved by
+the DST-I, which diagonalizes the 5-point Dirichlet operator (Buzbee, Golub &
+Nielson, SIAM J. Numer. Anal. 7, 1970); diffusion that varies in space, time
+or state by Jacobi-preconditioned BiCGSTAB, to the fixed relative tolerance
+``LINEAR_RTOL`` within ``LINEAR_MAXITER`` iterations.  Constant diffusion is
+evaluated, and its solvers built, once per march; varying diffusion is
+re-evaluated, and its solvers rebuilt, every step.
 
 The positivity step bound reads the source slopes from the Jacobian samples
 of :func:`checker.source_jacobians`, the same samples that size the Picard
@@ -47,7 +47,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.fft import dstn, idstn
-from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import LinearOperator, bicgstab
@@ -119,16 +118,9 @@ class Trajectory:
     def final_values(self):
         return self.values[-1]
 
-    def final_field(self):
-        return Field(self.grid, self.final_values.copy())
-
     @property
     def min_value(self):
         return min((r.min_value for r in self.reports), default=float(self.values.min()))
-
-    @property
-    def negativity_detected(self):
-        return self.min_value < 0.0
 
 
 # --------------------------------------------------------------- difference
@@ -164,11 +156,6 @@ def _frozen_diffusion(spec, t, grid, values):
     """Diffusion matrices at every node, shape (*grid.shape, m, n, n)."""
     u = np.moveaxis(values, 0, -1)
     return spec.coefficients.diffusion_matrices(t, grid.points, u, spec.components)
-
-
-def _diag_coefficient(a, k, axis):
-    """a_axis,axis for component k as an array shaped like the grid."""
-    return a[..., k, axis, axis]
 
 
 def _explicit_diffusion(a, values, grid, diagonal=True, mixed=True):
@@ -225,28 +212,20 @@ def _reaction_drift(spec, grid, components):
 
 # ----------------------------------------------------------- implicit solve
 
-def _solve_1d_banded(a_node, h, lam, rhs_int):
-    r = lam / h**2
-    m = rhs_int.shape[0]
-    ab = np.zeros((3, m))
-    ab[1] = 1.0 + 2.0 * r * a_node
-    ab[0, 1:] = -r * a_node[:-1]
-    ab[2, :-1] = -r * a_node[1:]
-    return solve_banded((1, 1), ab, rhs_int)
-
-
 def _tridiagonal_solver(a_node, h, lam):
     """Factor the 1D operator once; the solver applies it with ``dgttrs``.
 
-    The bands are those of :func:`_solve_1d_banded`, and factor-then-solve
-    gives the same bits as its ``solve_banded`` call.  The LAPACK wrapper
-    needs three unknowns or more, so smaller systems keep the banded solve.
+    Factor-then-solve gives the same bits as ``solve_banded`` on the same
+    bands.  The LAPACK wrapper needs three unknowns or more, so smaller
+    systems keep the banded solve.
     """
-    if a_node.size < 3:
-        return lambda rhs_int: _solve_1d_banded(a_node, h, lam, rhs_int)
     r = lam / h**2
-    dl, d, du, du2, ipiv, info = dgttrf(
-        -r * a_node[1:], 1.0 + 2.0 * r * a_node, -r * a_node[:-1])
+    lower, diag, upper = -r * a_node[1:], 1.0 + 2.0 * r * a_node, -r * a_node[:-1]
+    if a_node.size < 3:
+        ab = np.zeros((3, a_node.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+        return lambda rhs_int: solve_banded((1, 1), ab, rhs_int)
+    dl, d, du, du2, ipiv, info = dgttrf(lower, diag, upper)
     if info != 0:
         raise SolverError(f"tridiagonal factorization failed (info={info})")
 
@@ -281,20 +260,6 @@ def _dst_solver(axx, ayy, hx, hy, lam, shape):
     return apply
 
 
-def _direct_solvers(grid, a, lam):
-    """One implicit solver per component for diffusion constant in t, x and u."""
-    interior = grid.interior_slices
-    m = a.shape[-3]
-    if grid.dimension == 1:
-        return [_tridiagonal_solver(a[interior + (k, 0, 0)], grid.spacing[0], lam)
-                for k in range(m)]
-    node = (1, 1)  # any node: the coefficients are the same everywhere
-    shape = tuple(n - 2 for n in grid.shape)
-    return [_dst_solver(a[node + (k, 0, 0)], a[node + (k, 1, 1)],
-                        grid.spacing[0], grid.spacing[1], lam, shape)
-            for k in range(m)]
-
-
 def _assemble_2d(axx, ayy, hx, hy, lam):
     mx, my = axx.shape
     size = mx * my
@@ -317,48 +282,49 @@ def _assemble_2d(axx, ayy, hx, hy, lam):
     return mat, diag
 
 
-def _solve_2d_iterative(mat, diag, rhs, x0, counter):
-    if not np.any(rhs):
-        return np.zeros_like(rhs)
+def _bicgstab_solver(axx, ayy, hx, hy, lam, guess, counter):
+    """Jacobi-preconditioned BiCGSTAB on the 2D operator, warm-started at ``guess``.
+
+    Each iteration adds one to ``counter[0]``.
+    """
+    mat, diag = _assemble_2d(axx, ayy, hx, hy, lam)
     precond = LinearOperator(mat.shape, matvec=lambda v: v / diag)
 
     def count(_xk):
         counter[0] += 1
 
-    x, info = bicgstab(mat, rhs, x0=x0, rtol=LINEAR_RTOL, atol=0.0,
-                       maxiter=LINEAR_MAXITER, M=precond, callback=count)
-    if info != 0:
-        raise SolverError(f"linear solve failed to converge (info={info})")
-    return x
+    def apply(rhs_int):
+        if not np.any(rhs_int):
+            return np.zeros_like(rhs_int)
+        x, info = bicgstab(mat, rhs_int.ravel(), x0=guess.ravel(), rtol=LINEAR_RTOL,
+                           atol=0.0, maxiter=LINEAR_MAXITER, M=precond, callback=count)
+        if info != 0:
+            raise SolverError(f"linear solve failed to converge (info={info})")
+        return x.reshape(rhs_int.shape)
+
+    return apply
 
 
-def _implicit_diffusion_solve(grid, a, lam, rhs, previous, counter, direct=None):
-    """Solve (I - lam * sum_i a_ii d_ii) w = rhs componentwise on the interior.
+def _implicit_solvers(grid, a, lam, constant, guess=None, counter=None):
+    """One solver of (I - lam * sum_i a_ii d_ii) w = rhs per component, on the interior.
 
-    ``direct`` holds prebuilt per-component solvers for constant diffusion;
-    without it the operator is assembled from ``a`` for this step.
+    In 1D every diffusion gets the tridiagonal factor.  In 2D ``constant``
+    diffusion gets the DST solve, read at any one node; otherwise BiCGSTAB,
+    warm-started at the interior of ``guess`` and counting into ``counter``.
     """
-    n = grid.dimension
-    out = np.zeros_like(rhs)
     interior = grid.interior_slices
-    for k in range(rhs.shape[0]):
-        rhs_int = rhs[(k,) + interior]
-        if direct is not None:
-            sol = direct[k](rhs_int)
-        elif n == 1:
-            a_node = _diag_coefficient(a, k, 0)[interior]
-            sol = _solve_1d_banded(a_node, grid.spacing[0], lam, rhs_int)
-        elif n == 2:
-            axx = _diag_coefficient(a, k, 0)[interior]
-            ayy = _diag_coefficient(a, k, 1)[interior]
-            mat, diag = _assemble_2d(axx, ayy, grid.spacing[0], grid.spacing[1], lam)
-            x0 = previous[(k,) + interior].ravel()
-            sol = _solve_2d_iterative(mat, diag, rhs_int.ravel(), x0,
-                                      counter).reshape(rhs_int.shape)
-        else:
-            raise SpecError("implicit diffusion solves support one or two dimensions")
-        out[(k,) + interior] = sol
-    return out
+    m = a.shape[-3]
+    if grid.dimension == 1:
+        return [_tridiagonal_solver(a[interior + (k, 0, 0)], grid.spacing[0], lam)
+                for k in range(m)]
+    hx, hy = grid.spacing
+    if constant:
+        shape = tuple(n - 2 for n in grid.shape)
+        return [_dst_solver(a[1, 1, k, 0, 0], a[1, 1, k, 1, 1], hx, hy, lam, shape)
+                for k in range(m)]
+    return [_bicgstab_solver(a[interior + (k, 0, 0)], a[interior + (k, 1, 1)],
+                             hx, hy, lam, guess[(k,) + interior], counter)
+            for k in range(m)]
 
 
 # ------------------------------------------------------------------- stepping
@@ -369,9 +335,9 @@ def _stepper(spec, grid, config, dt, t0, values0):
     Both imex modes freeze the diffusion coefficient at the step start.  With
     ``constant_diffusion`` it is evaluated once, at ``(t0, values0)``, and the
     implicit solvers are built once for every step of this ``dt``; they live
-    only as long as the returned function.
+    only as long as the returned function.  Otherwise both are rebuilt every
+    step.
     """
-    boundary = (slice(None),) + np.nonzero(~grid.interior_mask)
     reaction = _reaction_drift(spec, grid, values0.shape[0])
     frozen = None
     if spec.coefficients.constant_diffusion:
@@ -383,6 +349,8 @@ def _stepper(spec, grid, config, dt, t0, values0):
         return _frozen_diffusion(spec, t, grid, values)
 
     if config.scheme == "erk2":
+        boundary = (slice(None),) + np.nonzero(~grid.interior_mask)
+
         def full_rhs(t, values):
             out = (_explicit_diffusion(diffusion(t, values), values, grid)
                    + reaction(t, values))
@@ -398,7 +366,8 @@ def _stepper(spec, grid, config, dt, t0, values0):
         return advance
 
     lam = dt if config.scheme == "imex_be" else 0.5 * dt
-    direct = _direct_solvers(grid, frozen, lam) if frozen is not None else None
+    interior = grid.interior_slices
+    solvers = _implicit_solvers(grid, frozen, lam, True) if frozen is not None else None
     # mixed second derivatives need two axes, and frozen diffusion shows once
     # whether it has any off-diagonal entry
     off_diagonal = ~np.eye(grid.dimension, dtype=bool)
@@ -415,8 +384,11 @@ def _stepper(spec, grid, config, dt, t0, values0):
         else:
             half = _explicit_diffusion(a, values, grid, diagonal=True, mixed=False)
             rhs = values + 0.5 * dt * half + dt * explicit
-        rhs[boundary] = 0.0
-        return _implicit_diffusion_solve(grid, a, lam, rhs, values, counter, direct)
+        step_solvers = solvers or _implicit_solvers(grid, a, lam, False, values, counter)
+        out = np.zeros_like(rhs)
+        for k, solve_k in enumerate(step_solvers):
+            out[(k,) + interior] = solve_k(rhs[(k,) + interior])
+        return out
 
     return advance
 
@@ -563,35 +535,14 @@ def _restrict(values, factor):
     return values[sl]
 
 
-def _interp_initial(field, grid):
-    """Re-discretize initial data onto ``grid`` by piecewise-linear interpolation."""
-    src = field.grid
-    if (src.nodes_per_axis == grid.nodes_per_axis
-            and src.domain.bounds == grid.domain.bounds):
-        return Field.from_arrays(grid, field.values.copy())
-    out = np.empty((field.components,) + grid.shape)
-    if grid.dimension == 1:
-        for k in range(field.components):
-            out[k] = np.interp(grid.axes[0], src.axes[0], field.values[k])
-    else:
-        pts = grid.points.reshape(-1, grid.dimension)
-        for k in range(field.components):
-            itp = RegularGridInterpolator(src.axes, field.values[k],
-                                          method="linear", bounds_error=False,
-                                          fill_value=None)
-            out[k] = itp(pts).reshape(grid.shape)
-    return Field.from_arrays(grid, out)
-
-
-def estimate_order(spec, config, grids, rebuild_initial=None):
+def estimate_order(spec, config, grids, rebuild_initial):
     """Observed convergence order from a ladder of node-doubling grids.
 
     ``grids`` must contain at least three grids over the problem's domain,
     each refining the previous one exactly (2N - 1 nodes per axis), so that
     coarse nodes are a subset of fine nodes.  ``rebuild_initial(grid)``
-    re-discretizes the initial data on each level; without it the base
-    initial data is interpolated piecewise-linearly, which caps the
-    observable order for smooth problems.  Each halving of h divides dt by
+    discretizes the initial data on each level, so the observed order is
+    not capped by interpolating coarse data.  Each halving of h divides dt by
     four so that first-order-in-time schemes expose their spatial order too.
     Differences between consecutive finals are measured in the sup norm on
     the coarsest grid's nodes.
@@ -612,8 +563,7 @@ def estimate_order(spec, config, grids, rebuild_initial=None):
     finals = []
     dt = config.dt
     for g in grids:
-        init = rebuild_initial(g) if rebuild_initial else _interp_initial(spec.initial, g)
-        level_spec = replace(spec, initial=init)
+        level_spec = replace(spec, initial=rebuild_initial(g))
         traj = solve(level_spec, replace(config, dt=dt))
         finals.append(traj.final_values)
         dt /= 4.0

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CoefficientError, DomainError, SpecError
+from .errors import CoefficientError, SpecError
 
 BOUNDARY_KINDS = ("dirichlet_zero", "cauchy_nested")
 
@@ -58,13 +58,6 @@ class SpatialDomain:
     @property
     def lengths(self):
         return tuple(hi - lo for lo, hi in self.bounds)
-
-    def contains(self, x, slack=0.0):
-        x = np.asarray(x, dtype=float)
-        ok = np.ones(x.shape[:-1], dtype=bool)
-        for axis, (lo, hi) in enumerate(self.bounds):
-            ok &= (x[..., axis] >= lo - slack) & (x[..., axis] <= hi + slack)
-        return ok
 
 
 @dataclass(frozen=True)
@@ -231,7 +224,7 @@ class Field:
         return self
 
 
-def _symmetrize(a_raw, n):
+def _symmetrize(a_raw):
     a_t = np.swapaxes(a_raw, -1, -2)
     scale = max(float(np.abs(a_raw).max(initial=0.0)), 1.0)
     asym = float(np.abs(a_raw - a_t).max(initial=0.0)) / scale
@@ -277,7 +270,7 @@ class CoefficientSet:
             a_raw = np.broadcast_to(a_raw, want)
         except ValueError as exc:
             raise CoefficientError(f"diffusion shape {a_raw.shape} not broadcastable to {want}") from exc
-        a_sym = _symmetrize(a_raw, n)
+        a_sym = _symmetrize(a_raw)
         if not self.per_component_diffusion:
             a_sym = np.broadcast_to(a_sym[..., None, :, :], batch + (components, n, n))
         return a_sym
@@ -487,39 +480,6 @@ class ProblemSpec:
     @property
     def dimension(self):
         return self.domain.dimension
-
-
-def evaluate_coefficients(spec, t, x, u, p):
-    """Evaluate ``(A, b, c)`` at one point, with shape and symmetry checks.
-
-    Returns the per-component diffusion stack ``A`` of shape ``(m, n, n)``
-    (a shared matrix is broadcast), the drift ``b`` of shape ``(n,)`` and the
-    source ``c`` of shape ``(m,)``.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    p = np.asarray(p, dtype=float)
-    n = spec.dimension
-    m = spec.components
-    if x.shape != (n,):
-        raise SpecError(f"x must have shape ({n},)")
-    if u.shape != (m,):
-        raise SpecError(f"u must have shape ({m},)")
-    if p.shape != (m, n):
-        raise SpecError(f"p must have shape ({m}, {n})")
-    if not spec.domain.contains(x, slack=1e-12):
-        raise DomainError(f"point {x.tolist()} outside domain")
-
-    coeffs = spec.coefficients
-    a = coeffs.diffusion_matrices(t, x, u, m)
-    b = np.asarray(coeffs.drift(t, x, u, p), dtype=float)
-    c = np.asarray(coeffs.source(t, x, u, p), dtype=float)
-    b = np.broadcast_to(b, (n,)).astype(float)
-    c = np.broadcast_to(c, (m,)).astype(float)
-    for name, arr in (("drift", b), ("source", c)):
-        if not np.isfinite(arr).all():
-            raise CoefficientError(f"{name} evaluator returned non-finite entries")
-    return a, b, c
 
 
 def build_lv_problem(lv, domain, initial, horizon):

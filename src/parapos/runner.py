@@ -23,7 +23,8 @@ from . import __version__
 from .analysis import (component_bound_mk, default_battery, detect_monotone,
                        elliptic_weak_residual, extinction_check,
                        extract_steady_state, gronwall_extinction_bound,
-                       lv_limit_coefficients, max_principle_bound)
+                       lv_limit_coefficients, max_principle_bound,
+                       sup_norm_series)
 from .checker import run_checks
 from .duhamel import PicardConfig, picard_solve
 from .errors import NonConvergence, ParaposError, SpecError
@@ -89,11 +90,6 @@ class RunManifest:
 
 def _now():
     return datetime.now(timezone.utc).isoformat()
-
-
-def _component_sups(trajectory, component):
-    flat = trajectory.values[:, component].reshape(len(trajectory.times), -1)
-    return np.abs(flat).max(axis=1)
 
 
 def _positivity_verdict(trajectory):
@@ -221,7 +217,7 @@ def _run_analysis(config, problem, scheme, trajectory, verdicts, out, formats,
         beta = problem.lv.growth[k]
         bound = gronwall_extinction_bound(problem.initial.values[k], beta,
                                           domain=problem.domain)
-        sups = _component_sups(trajectory, k)
+        _, sups = sup_norm_series(trajectory, k)
         ok = bool(np.all(sups <= bound + BOUND_SLACK))
         verdicts["sup-bound"] = Verdict(
             "verified" if ok else "violated",
@@ -278,7 +274,7 @@ def _run_analysis(config, problem, scheme, trajectory, verdicts, out, formats,
         gamma = problem.lv.interaction[k][k]
         bound = component_bound_mk(trajectory, beta, gamma,
                                    float(analysis["t_split"]), component=k)
-        sups = _component_sups(trajectory, k)
+        _, sups = sup_norm_series(trajectory, k)
         ok = bool(np.all(sups <= bound + BOUND_SLACK))
         verdicts["component-bound"] = Verdict(
             "verified" if ok else "violated",

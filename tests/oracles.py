@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 
 def logistic_exact(t, u0, beta=1.0, gamma=1.0):
@@ -51,6 +52,20 @@ def crank_nicolson_heat_factor(h, dt, d=1.0, mode=1, length=1.0):
     """Per-step damping of a discrete sine mode under the trapezoidal rule."""
     lam = dirichlet_laplacian_eigenvalue(h, mode, length)
     return (1.0 - 0.5 * dt * d * lam) / (1.0 + 0.5 * dt * d * lam)
+
+
+def banded_implicit_solve(a_node, h, lam, rhs):
+    """Solve (I - lam a(x) d_xx) w = rhs on the interior of a zero-Dirichlet line.
+
+    Row i of the operator is -r a_i w_{i-1} + (1 + 2 r a_i) w_i - r a_i w_{i+1}
+    with r = lam / h^2; its bands are written out for ``solve_banded``.
+    """
+    r = lam / h**2
+    ab = np.zeros((3, len(a_node)))
+    ab[0, 1:] = -r * a_node[:-1]    # A[i, i+1] = -r a_i
+    ab[1] = 1.0 + 2.0 * r * a_node  # A[i, i]
+    ab[2, :-1] = -r * a_node[1:]    # A[i+1, i] = -r a_{i+1}
+    return solve_banded((1, 1), ab, rhs)
 
 
 def heat_gaussian(x, t, d, width, amplitude=1.0, center=0.0):

@@ -351,6 +351,35 @@ class TestCli:
         x = float(manifest["error"].split("x=[")[1].split("]")[0])
         assert x > 0.5
 
+    def test_relative_table_paths_resolve_against_the_config_file(self, tmp_path,
+                                                                  monkeypatch):
+        # validation resolves a table path against the file's directory, and
+        # so must the run, from whatever directory it is started in
+        scenario = tmp_path / "scenario"
+        scenario.mkdir()
+        (scenario / "growth.csv").write_text("t,x,value\n0,0,1\n0,1,1\n1,0,1\n1,1,1\n")
+        profile = 0.3 * np.sin(np.pi * np.linspace(0.0, 1.0, 21))
+        profile[[0, -1]] = 0.0
+        (scenario / "initial.csv").write_text(",".join(repr(float(v)) for v in profile))
+        data = tiny_config()
+        data["name"] = "relative_tables"
+        data["problem"]["coefficients"]["growth"] = [
+            {"family": "table", "path": "growth.csv"}]
+        data["problem"]["initial"] = [{"kind": "table", "path": "initial.csv"}]
+        path = scenario / "relative_tables.json"
+        path.write_text(json.dumps(data))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        monkeypatch.delenv("PARAPOS_OUT", raising=False)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "relative_tables" / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        (scenario / "growth.csv").unlink()
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path), "--out", str(out)]) == 2
+
     def test_manifest_carries_the_picard_counters(self, tmp_path, monkeypatch):
         monkeypatch.delenv("PARAPOS_OUT", raising=False)
         assert main(["run", "S7_logistic_flat", "--out", str(tmp_path)]) == 0

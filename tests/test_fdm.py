@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.sparse.linalg import spsolve
 
+import parapos
 from oracles import (
     backward_euler_heat_factor,
+    banded_implicit_solve,
     crank_nicolson_heat_factor,
     dirichlet_laplacian_eigenvalue,
     heun_scalar,
@@ -20,7 +25,7 @@ from parapos.errors import (CoefficientError, DegenerateRefinement, NonConvergen
 from parapos.fdm import (
     SchemeConfig,
     _assemble_2d,
-    _direct_solvers,
+    _implicit_solvers,
     estimate_order,
     positivity_step_bound,
     solve,
@@ -306,7 +311,7 @@ class TestDirectSolvers:
         mat, _ = _assemble_2d(np.full(rhs.shape, axx), np.full(rhs.shape, ayy),
                               hx, hy, lam)
         ref = spsolve(mat.tocsc(), rhs.ravel()).reshape(rhs.shape)
-        got = _direct_solvers(g, a, lam)[0](rhs)
+        got = _implicit_solvers(g, a, lam, True)[0](rhs)
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("nodes", (4, 5, 101))
@@ -319,6 +324,28 @@ class TestDirectSolvers:
                                                      constant_diffusion=False))
         config = SchemeConfig(scheme=scheme, dt=0.01)
         assert np.array_equal(solve(spec, config).values, solve(varying, config).values)
+
+    @pytest.mark.parametrize("nodes", (4, 5, 101))
+    def test_varying_1d_step_is_bitwise_the_banded_solve(self, nodes):
+        # space-varying diffusion is rebuilt every step on the same LAPACK
+        # factor as constant diffusion; four nodes leave two unknowns, below
+        # what that factor accepts
+        g = Grid(UNIT, (nodes,))
+        coeffs = CoefficientSet(
+            diffusion=lambda t, x, u: (0.05 * (1.0 + 3.0 * x[..., 0]))[..., None, None],
+            drift=lambda t, x, u, p: np.zeros(np.asarray(x).shape),
+            source=lambda t, x, u, p: np.zeros_like(u),
+        )
+        values = np.random.default_rng(nodes).uniform(0.0, 1.0, (1, nodes))
+        values[:, [0, -1]] = 0.0
+        init = Field.from_arrays(g, values)
+        spec = ProblemSpec(UNIT, coeffs, init, horizon=1.0)
+        dt = 0.01
+        new, _ = step(init, 0.0, dt, spec, SchemeConfig(scheme="imex_be", dt=dt))
+        a_node = 0.05 * (1.0 + 3.0 * g.axes[0][1:-1])
+        want = np.zeros_like(values)
+        want[0, 1:-1] = banded_implicit_solve(a_node, g.spacing[0], dt, values[0, 1:-1])
+        assert np.array_equal(new.values.view(np.uint64), want.view(np.uint64))
 
     def test_direct_and_iterative_2d_marches_agree(self):
         g = Grid(SpatialDomain(((0.0, 1.0), (0.0, 1.0))), (25, 31))
@@ -434,6 +461,15 @@ class TestOrderProperties:
         self.check(Grid(SpatialDomain(((0.0, 1.0), (0.0, 2.0))), (nx, ny)), **lv)
 
 
+def test_importing_fdm_leaves_scipy_interpolate_unloaded():
+    src = str(Path(parapos.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import parapos.fdm; "
+            "print('scipy.interpolate' in sys.modules)")
+    run = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
+
+
 def test_positivity_step_bound_matches_the_logistic_slope():
     # slope of u(1-u) over [0, 2 amp] bottoms out at 1 - 2 * (2 amp) = -3;
     # the sampled extremum sits slightly inside the box, so the bound runs
@@ -508,20 +544,23 @@ class TestEstimateOrder:
     def test_short_ladders_rejected(self):
         spec = heat_problem(n=21, horizon=0.05)
         with pytest.raises(SpecError):
-            estimate_order(spec, SchemeConfig(dt=1e-3), self.GRIDS[:2])
+            estimate_order(spec, SchemeConfig(dt=1e-3), self.GRIDS[:2],
+                           rebuild_initial=self.sine_initial)
 
     def test_sloppy_refinement_rejected(self):
         spec = heat_problem(n=21, horizon=0.05)
         bad = (self.GRIDS[0], Grid(UNIT, (40,)), self.GRIDS[2])
         with pytest.raises(SpecError):
-            estimate_order(spec, SchemeConfig(dt=1e-3), bad)
+            estimate_order(spec, SchemeConfig(dt=1e-3), bad,
+                           rebuild_initial=self.sine_initial)
 
     def test_foreign_domain_rejected(self):
         spec = heat_problem(n=21, horizon=0.05)
         other = SpatialDomain(((0.0, 2.0),))
         bad = (Grid(other, (21,)), Grid(other, (41,)), Grid(other, (81,)))
         with pytest.raises(SpecError):
-            estimate_order(spec, SchemeConfig(dt=1e-3), bad)
+            estimate_order(spec, SchemeConfig(dt=1e-3), bad,
+                           rebuild_initial=self.sine_initial)
 
 
 class TestNestedBoxes:

@@ -24,7 +24,6 @@ from parapos.model import (
     SpatialDomain,
     build_cutoff,
     build_lv_problem,
-    evaluate_coefficients,
 )
 
 
@@ -264,7 +263,11 @@ def test_build_lv_problem_wires_diagonal_diffusion():
     )
     spec = build_lv_problem(lv, g.domain, initial, horizon=1.0)
     assert not spec.coefficients.depends_on_gradient
-    a, b, c = evaluate_coefficients(spec, 0.0, np.array([0.5]), np.array([0.2, 0.1]), np.zeros((2, 1)))
+    coeffs = spec.coefficients
+    x, u, p = np.array([0.5]), np.array([0.2, 0.1]), np.zeros((2, 1))
+    a = coeffs.diffusion_matrices(0.0, x, u, 2)
+    b = coeffs.drift(0.0, x, u, p)
+    c = coeffs.source(0.0, x, u, p)
     assert_allclose(a, [[[0.3]], [[0.7]]])
     assert_allclose(b, [0.0])
     assert_allclose(c, [0.2 * (1 - 0.2), 0.1 * (1 - 0.1)], rtol=1e-14)
@@ -299,7 +302,7 @@ def test_asymmetric_diffusion_rejected():
     g2 = Grid(SpatialDomain(((0.0, 1.0), (0.0, 1.0))), (5, 5))
     spec = ProblemSpec(g2.domain, coeffs, Field.zeros(g2, 1), horizon=1.0)
     with pytest.raises(CoefficientError):
-        evaluate_coefficients(spec, 0.0, np.array([0.5, 0.5]), np.zeros(1), np.zeros((1, 2)))
+        spec.coefficients.diffusion_matrices(0.0, np.array([0.5, 0.5]), np.zeros(1), 1)
 
 
 def test_majorants_shape_constraints():
