@@ -23,11 +23,13 @@ callers that cross-check it against the difference schemes pick their data
 accordingly.
 
 Spatial convolutions are separable per axis.  Each axis operator is either a
-dense quadrature matrix (trapezoid weights, kernel tails truncated beyond
+trapezoid quadrature matrix (kernel tails truncated beyond
 ``truncation_sigmas`` standard deviations) or, when the kernel width falls
 under ``taylor_threshold`` grid spacings and trapezoid quadrature would
 alias, a second-order Taylor expansion of the evolution operator in the
-discrete Laplacian.
+discrete Laplacian.  On a uniform axis the quadrature matrix is Toeplitz, so
+an operator keeps only its profile over the ``2n - 1`` node offsets and
+builds the ``n x n`` matrix for the one product that applies it.
 
 Time quadrature of the integral term is composite trapezoid in the source
 time, except for the final panel, which is integrated by its midpoint: the
@@ -46,6 +48,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .checker import source_jacobians
 from .errors import DomainError, NonContraction, SolverError, SpecError
@@ -100,26 +103,32 @@ def _gauss_profile(z, sigma, cutoff):
     return out
 
 
-def _axis_operator(axis_pts, h, variance, cfg):
+def _axis_operator(n, h, variance, cfg):
     """One-axis evolution operator for a kernel of the given variance.
 
     Returns ``("taylor", a)`` with ``a = variance / 2`` when the kernel is too
-    narrow for trapezoid quadrature, otherwise ``("dense", K)``.  The dense
-    matrix acts on node values extended by zero outside the axis range.
+    narrow for trapezoid quadrature, otherwise ``("toeplitz", p)``.  On the
+    uniform axis of ``n`` nodes the quadrature matrix ``h g(x_i - x_j)``
+    depends on ``i - j`` alone, so ``p`` holds its ``2n - 1`` entries
+    ``h g(d h)`` for ``d = n - 1`` down to ``-(n - 1)``; ``_apply_axis``
+    expands it to the matrix, which acts on node values extended by zero
+    outside the axis range.  The offsets are ``d h``, not differences of node
+    coordinates, so ``p`` is exactly symmetric and a node at the cutoff is in
+    or out of the band on both sides alike.
     """
     sigma = math.sqrt(variance)
     if sigma < cfg.taylor_threshold * h:
         return ("taylor", variance / 2.0)
     cutoff = cfg.truncation_sigmas * sigma
-    z = axis_pts[:, None] - axis_pts[None, :]
-    mat = h * _gauss_profile(z, sigma, cutoff)
-    center = len(axis_pts) // 2
-    mass = float(mat[center].sum())
+    profile = h * _gauss_profile(np.arange(n - 1, -n, -1) * h, sigma, cutoff)
+    center = n // 2
+    # the centre row of the matrix: offsets center down to center - (n - 1)
+    mass = float(profile[n - 1 - center:2 * n - 1 - center].sum())
     if abs(mass - 1.0) > cfg.mass_tol:
         raise SolverError(
             f"kernel quadrature mass {mass!r} is off by more than "
             f"{cfg.mass_tol:g}; the grid cannot resolve this kernel")
-    return ("dense", mat)
+    return ("toeplitz", profile)
 
 
 def _second_diff_zero_extension(values, axis, h):
@@ -134,10 +143,12 @@ def _second_diff_zero_extension(values, axis, h):
 def _apply_axis(op, values, axis, h):
     """Apply one axis operator along ``axis``, counted from the front."""
     kind, payload = op
-    if kind == "dense":
+    if kind == "toeplitz":
+        # mat[i, j] = payload[n - 1 - (i - j)], alive only for this product
+        n = values.shape[axis]
+        mat = np.ascontiguousarray(sliding_window_view(payload, n)[::-1])
         moved = np.moveaxis(values, axis, -1)
-        out = moved @ payload.T
-        return np.moveaxis(out, -1, axis)
+        return np.moveaxis(moved @ mat.T, -1, axis)
     a = payload
     d1 = _second_diff_zero_extension(values, axis, h)
     d2 = _second_diff_zero_extension(d1, axis, h)
@@ -148,8 +159,9 @@ class KernelOperator:
     """Separable zero-extension evolution operator: one component, one lag.
 
     ``apply`` takes one array shaped like the grid or a stack of them: any
-    leading axes are batch axes and the grid's axes come last.  A stack goes
-    through each dense axis matrix as one matrix-matrix product.
+    leading axes are batch axes and the grid's axes come last.  Each
+    quadrature axis is held as its Toeplitz profile (``2n - 1`` floats); a
+    stack goes through the matrix built from it as one matrix-matrix product.
     """
 
     def __init__(self, grid, rate, tau, cfg=None):
@@ -161,8 +173,7 @@ class KernelOperator:
         if not self.identity:
             variance = rate * tau
             self.ops = [
-                _axis_operator(np.asarray(grid.axes[ax]), grid.spacing[ax],
-                               variance, cfg)
+                _axis_operator(grid.shape[ax], grid.spacing[ax], variance, cfg)
                 for ax in range(grid.dimension)
             ]
 

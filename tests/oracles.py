@@ -80,6 +80,20 @@ def heat_gaussian(x, t, d, width, amplitude=1.0, center=0.0):
     return amplitude * width / math.sqrt(var) * np.exp(-((x - center) ** 2) / (2.0 * var))
 
 
+def dense_axis_matrix(axis_pts, h, variance, cutoff):
+    """Trapezoid quadrature matrix ``h g(x_i - x_j)`` of a truncated Gaussian.
+
+    ``g`` is the normal density of the given variance, set to zero where
+    ``|x_i - x_j| > cutoff``; the matrix acts on node values extended by zero
+    outside the axis.  Built entry by entry from the node coordinates.
+    """
+    x = np.asarray(axis_pts, dtype=float)
+    z = x[:, None] - x[None, :]
+    g = np.exp(-z * z / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
+    g[np.abs(z) > cutoff] = 0.0
+    return h * g
+
+
 def bump_mass_1d(radius):
     """Integral of (1 - (x/r)^2)^2 over [-r, r]: substitute s = x/r."""
     return 16.0 * radius / 15.0

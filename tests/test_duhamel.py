@@ -1,12 +1,21 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from oracles import duhamel_rows_reference, heat_gaussian, logistic_exact
+import parapos
+from oracles import (dense_axis_matrix, duhamel_rows_reference, heat_gaussian,
+                     logistic_exact)
 from parapos.checker import source_jacobians
 from parapos.coefficients import build_initial_field
+from parapos.config import load_config_data
 from parapos.duhamel import (
     KernelConfig,
     KernelOperator,
@@ -28,6 +37,7 @@ from parapos.model import (
     SpatialDomain,
     build_lv_problem,
 )
+from parapos.scenarios import s6_oracle_crosscheck
 
 WIDE = SpatialDomain(((-8.0, 8.0),))
 UNIT = SpatialDomain(((0.0, 1.0),))
@@ -36,9 +46,10 @@ UNIT_SQUARE = SpatialDomain(((0.0, 1.0), (0.0, 1.0)))
 
 # Operator families for the batched-quadrature tests.  "taylor": every lag of
 # a 24-step window stays under the Taylor threshold, so the kernel route is
-# elementwise arithmetic and must match bit for bit.  "dense": long lags get
-# dense quadrature matrices, where a matrix-matrix product may round
-# differently from matrix-vector products.
+# elementwise arithmetic and must match bit for bit.  "dense": long lags take
+# the Toeplitz branch, one profile per lag expanded to a full matrix for each
+# application, where a matrix-matrix product may round differently from
+# matrix-vector products.
 BRANCHES = {
     "taylor": {1: (UNIT, (101,)), 2: (UNIT_SQUARE, (41, 41)),
                "rates": (2e-4, 1e-4)},
@@ -128,6 +139,157 @@ class TestKernelOperator:
             KernelConfig(taylor_threshold=0.0)
 
 
+OFF_TIE_SQUARE = SpatialDomain(((-8.0, 8.0), (-5.0, 5.0)))
+
+
+def _cutoff(variance):
+    return KernelConfig().truncation_sigmas * math.sqrt(variance)
+
+
+def _assert_off_tie(grid, variance):
+    # the cutoff falls between two node offsets, so rounding of x_i - x_j
+    # cannot move an entry across it
+    for h in grid.spacing:
+        ratio = _cutoff(variance) / h
+        assert abs(ratio - round(ratio)) > 0.04
+
+
+class TestToeplitzAxes:
+    @pytest.mark.parametrize("tau", [0.37, 0.8, 1.3])
+    def test_one_dimensional_apply_matches_the_dense_matrix(self, tau):
+        g = wide_grid(129)
+        _assert_off_tie(g, tau)
+        op = KernelOperator(g, 1.0, tau)
+        assert [kind for kind, _ in op.ops] == ["toeplitz"]
+        mat = dense_axis_matrix(g.axes[0], g.spacing[0], tau, _cutoff(tau))
+        values = np.random.default_rng(11).random((3,) + g.shape)
+        want = values @ mat.T
+        assert np.abs(op.apply(values) - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("tau", [0.37, 0.5])
+    def test_two_dimensional_apply_matches_the_dense_matrices(self, tau):
+        # hx = 1/8 and hy = 1/6 on 129 x 61 nodes
+        g = Grid(OFF_TIE_SQUARE, (129, 61))
+        _assert_off_tie(g, tau)
+        op = KernelOperator(g, 1.0, tau)
+        assert [kind for kind, _ in op.ops] == ["toeplitz", "toeplitz"]
+        assert [p.nbytes for _, p in op.ops] == [8 * (2 * n - 1) for n in g.shape]
+        mx, my = (dense_axis_matrix(g.axes[ax], g.spacing[ax], tau, _cutoff(tau))
+                  for ax in range(2))
+        values = np.random.default_rng(12).random((2, 3) + g.shape)
+        want = mx @ values @ my.T
+        assert np.abs(op.apply(values) - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_a_tie_at_the_cutoff_keeps_the_band_symmetric(self):
+        # variance 1e-4 on 401 nodes of [0, 2]: 7 sigma = 14 h.  The node
+        # differences x_i - x_j round to either side of the cutoff, so the
+        # matrix h g(x_i - x_j) has a ragged band; the offsets d h do not.
+        n = 401
+        g = Grid(SpatialDomain(((0.0, 2.0),)), (n,))
+        op = KernelOperator(g, 1.0, 1e-4)
+        [(kind, profile)] = op.ops
+        assert kind == "toeplitz"
+        assert profile.shape == (2 * n - 1,)
+        offsets = np.arange(n - 1, -n, -1)
+        assert np.array_equal(profile, profile[::-1])
+        assert np.array_equal(profile != 0, np.abs(offsets) <= 14)
+        lag = np.subtract.outer(np.arange(n), np.arange(n))
+        band = np.abs(lag) <= 14
+        old = dense_axis_matrix(g.axes[0], g.spacing[0], 1e-4, _cutoff(1e-4))
+        assert np.count_nonzero((old != 0) != band) > 0
+        # the matrix applied is M[i, j] = profile[n - 1 - (i - j)]
+        mat = op.apply(np.eye(n)).T
+        assert np.array_equal(mat, profile[n - 1 - lag])
+
+    def test_picard_caches_profiles_not_matrices(self, monkeypatch):
+        # S6 at 401 nodes: the evolver keeps one operator per (component,
+        # half-panel lag), 49 of them, which held 63 MB as n x n matrices
+        evolvers = []
+
+        def recording(*args):
+            evolvers.append(_lag_evolver(*args))
+            return evolvers[-1]
+
+        monkeypatch.setattr("parapos.duhamel._lag_evolver", recording)
+        data = s6_oracle_crosscheck()
+        data["problem"]["grid"]["nodes"] = [401]
+        config = load_config_data(data)
+        picard_solve(config.build_problem(),
+                     PicardConfig(**config.analysis_data["picard"]))
+        [evolve] = evolvers
+        cells = dict(zip(evolve.__code__.co_freevars,
+                         (c.cell_contents for c in evolve.__closure__)))
+        axis_ops = [axis for op in cells["ops"].values() if not op.identity
+                    for axis in op.ops]
+        toeplitz = [payload for kind, payload in axis_ops if kind == "toeplitz"]
+        assert len(toeplitz) >= 40
+        assert all(p.nbytes == 8 * (2 * 401 - 1) for p in toeplitz)
+        stored = sum(np.asarray(payload).nbytes for _, payload in axis_ops)
+        assert stored < 1_000_000
+
+
+def _toeplitz_case(data, grid):
+    """A Toeplitz-branch operator on ``grid`` and a stack of non-negative data."""
+    lo = KernelConfig().taylor_threshold * max(grid.spacing)
+    hi = min(((n - 1) // 2) * h for n, h in zip(grid.shape, grid.spacing)) / 7.0
+    sigma = data.draw(st.floats(lo, hi), label="sigma")
+    variance = sigma * sigma
+    op = KernelOperator(grid, 1.0, variance)
+    assert all(kind == "toeplitz" for kind, _ in op.ops)
+    batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="batch"))
+    values = data.draw(arrays(float, batch + grid.shape,
+                              elements=st.floats(0.0, 1e6), fill=st.just(0.0)),
+                       label="values")
+    return op, values, _cutoff(variance)
+
+
+def _reach(mask, axis, width):
+    """Nodes within ``width`` of a True entry of ``mask`` along ``axis``."""
+    m = np.moveaxis(mask, axis, 0)
+    out = m.copy()
+    for s in range(1, width + 1):
+        out[s:] |= m[:-s]
+        out[:-s] |= m[s:]
+    return np.moveaxis(out, 0, axis)
+
+
+class TestToeplitzSignAndSupport:
+    """Non-negative data evolves to non-negative data, and nodes farther than
+    the band half-width from every nonzero input stay exactly zero."""
+
+    @staticmethod
+    def check(op, values, cutoff):
+        out = op.apply(values)
+        assert not np.signbit(out).any()
+        reach = values != 0
+        first = values.ndim - op.grid.dimension
+        for ax, (_, profile) in enumerate(op.ops):
+            n, h = op.grid.shape[ax], op.grid.spacing[ax]
+            width = int(np.abs(np.flatnonzero(profile) - (n - 1)).max())
+            assert width * h <= cutoff < (width + 1) * h
+            reach = _reach(reach, first + ax, width)
+        assert np.all(out[~reach] == 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), nodes=st.integers(21, 81))
+    def test_one_dimensional(self, data, nodes):
+        self.check(*_toeplitz_case(data, Grid(UNIT, (nodes,))))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), nx=st.integers(21, 41), ny=st.integers(21, 41))
+    def test_two_dimensional(self, data, nx, ny):
+        self.check(*_toeplitz_case(data, Grid(UNIT_SQUARE, (nx, ny))))
+
+
+def test_importing_the_cli_leaves_scipy_ndimage_and_signal_unloaded():
+    src = str(Path(parapos.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import parapos.cli; "
+            "print([m for m in ('scipy.ndimage', 'scipy.signal') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
 def _branch_case(branch, dim, comps, span):
     domain, nodes = BRANCHES[branch][dim]
     grid = Grid(domain, nodes)
@@ -167,7 +329,7 @@ class TestBatchedQuadrature:
     def test_dense_family_reaches_the_dense_branch(self):
         grid, rates, dt, _ = _branch_case("dense", 2, 2, 24)
         op = KernelOperator(grid, float(rates[0]), 24 * dt)
-        assert [kind for kind, _ in op.ops] == ["dense", "dense"]
+        assert [kind for kind, _ in op.ops] == ["toeplitz", "toeplitz"]
         grid, rates, dt, _ = _branch_case("taylor", 2, 2, 24)
         op = KernelOperator(grid, float(rates[0]), 24 * dt)
         assert [kind for kind, _ in op.ops] == ["taylor", "taylor"]
