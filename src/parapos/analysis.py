@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DivisionDomainError, IntegrabilityError, SpecError
 
@@ -197,6 +196,7 @@ def integrated_growth(coefficient, domain, tail_tol=1e-10, max_doublings=60,
     contributions are shrinking.  If the contributions refuse to die out the
     integral is declared non-integrable.
     """
+    from scipy.integrate import simpson  # deferred: README "Set-up cost"
     axes = [np.linspace(lo, hi, space_samples) for lo, hi in domain.bounds]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import ConfigError, SpecError
 from .model import Field, build_cutoff
@@ -133,6 +132,7 @@ class TabulatedCoefficient:
     """
 
     def __init__(self, t_values, axes, table):
+        from scipy.interpolate import RegularGridInterpolator  # deferred: README "Set-up cost"
         self.t_values = np.asarray(t_values, dtype=float)
         self.axes = tuple(np.asarray(a, dtype=float) for a in axes)
         self.table = np.asarray(table, dtype=float)

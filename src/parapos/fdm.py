@@ -45,11 +45,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dstn, idstn
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .checker import source_jacobians
 from .errors import DegenerateRefinement, NonConvergence, SolverError, SpecError
@@ -261,6 +259,7 @@ def _dst_solver(axx, ayy, hx, hy, lam, shape):
 
 
 def _assemble_2d(axx, ayy, hx, hy, lam):
+    import scipy.sparse as sp  # deferred: README "Set-up cost"
     mx, my = axx.shape
     size = mx * my
     rx = lam / hx**2
@@ -287,6 +286,7 @@ def _bicgstab_solver(axx, ayy, hx, hy, lam, guess, counter):
 
     Each iteration adds one to ``counter[0]``.
     """
+    from scipy.sparse.linalg import LinearOperator, bicgstab  # deferred: README "Set-up cost"
     mat, diag = _assemble_2d(axx, ayy, hx, hy, lam)
     precond = LinearOperator(mat.shape, matvec=lambda v: v / diag)
 

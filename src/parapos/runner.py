@@ -99,14 +99,28 @@ def _positivity_verdict(trajectory):
         worst = max(worst, rep.negpart_norm - slack)
     status = "verified" if worst <= 0.0 else "violated"
     bound = trajectory.positivity_dt_bound
-    return Verdict(status, data={
+    data = {
         "worst_excess": worst,
         "steps": len(trajectory.reports),
         # strict JSON has no Infinity: an unbounded step is written as null
         "dt_bound": float(bound) if math.isfinite(bound) else None,
         "dt_ok": bool(trajectory.positivity_dt_ok),
         "dt_adjusted": bool(trajectory.dt_adjusted),
-    })
+    }
+    if status == "violated":
+        data["witness"] = _lowest_stored_value(trajectory)
+    return Verdict(status, data=data)
+
+
+def _lowest_stored_value(trajectory):
+    """Time, component, node and value of the trajectory's lowest stored value."""
+    values = trajectory.values
+    at = np.unravel_index(int(np.argmin(values)), values.shape)
+    node = at[2:]
+    return {"t": float(trajectory.times[at[0]]), "component": int(at[1]),
+            "node": [int(i) for i in node],
+            "x": [float(c) for c in trajectory.grid.points[node]],
+            "value": float(values[at])}
 
 
 def _sup_bound_verdict(trajectory, bound, label):

@@ -427,6 +427,35 @@ class TestPositivityVerdict:
         manifest = json.loads((base / "S5_cauchy_nested" / "manifest.json").read_text())
         data = manifest["verdicts"]["positivity"]["data"]
         assert {"dt_bound", "dt_ok", "dt_adjusted"} <= data.keys()
+        assert "witness" not in data
+
+    def test_explicit_step_over_the_bound_violates_positivity_under_the_hypotheses(
+            self, tmp_path, monkeypatch):
+        # S2 with Heun at a step over the positivity bound and the stability
+        # gate off: every hypothesis holds, so the violation is the scheme's
+        data = copy.deepcopy(REGISTRY["S2_maxbound"][1]())
+        data["scheme"].update(scheme="erk2", dt=0.3, check_stability=False)
+        path = tmp_path / "s2_erk2.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.delenv("PARAPOS_OUT", raising=False)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+        out = tmp_path / "S2_maxbound"
+        verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
+        assert verdicts["hypotheses"]["status"] == "verified"
+        assert verdicts["sup-bound"]["status"] == "violated"
+        positivity = verdicts["positivity"]
+        assert positivity["status"] == "violated"
+        assert positivity["data"]["dt_ok"] is False
+        assert positivity["data"]["dt_bound"] < 0.3
+        witness = positivity["data"]["witness"]
+        rows = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True,
+                             dtype=None, encoding=None)
+        at_node = rows[(rows["t"] == witness["t"]) & (rows["i"] == witness["node"][0])
+                       & (rows["component"] == witness["component"])]
+        assert at_node["value"].tolist() == [witness["value"]]
+        assert witness["value"] < 0.0
+        assert witness["value"] == rows["value"].min()
+        assert witness["x"] == [pytest.approx(witness["node"][0] / 200, abs=1e-15)]
 
 
 class TestDeterminism:
