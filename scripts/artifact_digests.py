@@ -14,9 +14,26 @@ With ``--compare FILE`` the script lists every path whose digest differs
 from FILE, or that only one side has, and exits 1 if there is any.  A run
 that ends in a configuration or runtime error (exit code 2 or 3) makes the
 script exit with that code.
+
+With ``--keep DIR`` the runs are written under DIR, which must be empty or
+absent, instead of a temporary directory, and stay there.  Keeping both
+trees' runs lets a file whose digest differs be compared value by value:
+
+    PYTHONPATH=old/src python scripts/artifact_digests.py S6_oracle_crosscheck \
+        --keep old_runs > old.txt
+    PYTHONPATH=src python scripts/artifact_digests.py S6_oracle_crosscheck \
+        --keep new_runs --compare old.txt
+    python -c "import numpy as np, sys; \
+        a, b = (np.genfromtxt(f, delimiter=',', names=True)['value'] for f in sys.argv[1:]); \
+        print(np.abs(a - b).max() / np.abs(a).max(), a.min(), b.min())" \
+        {old,new}_runs/S6_oracle_crosscheck/trajectory_duhamel.csv
+
+which prints the largest difference relative to the old file's sup, then
+each file's lowest value.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 import tempfile
@@ -55,12 +72,18 @@ def main(argv=None):
                         help="built-in scenario names or config file paths")
     parser.add_argument("--compare", metavar="FILE", default=None,
                         help="a table printed earlier; list the paths that differ")
+    parser.add_argument("--keep", metavar="DIR", type=Path, default=None,
+                        help="write the runs under DIR (empty or absent) and keep them")
     args = parser.parse_args(argv)
+    if args.keep is not None and args.keep.is_dir() and any(args.keep.iterdir()):
+        parser.error(f"--keep directory {args.keep} is not empty")
 
     os.environ.pop("PARAPOS_OUT", None)  # it would override --out
-    with tempfile.TemporaryDirectory() as tmp:
-        code = parapos_main(["run", *args.targets, "--out", tmp])
-        table = digest_table(tmp)
+    where = (tempfile.TemporaryDirectory() if args.keep is None
+             else contextlib.nullcontext(str(args.keep)))
+    with where as out:
+        code = parapos_main(["run", *args.targets, "--out", out])
+        table = digest_table(out)
 
     for name, digest in table.items():
         print(f"{name} {digest}")

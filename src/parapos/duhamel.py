@@ -28,8 +28,10 @@ trapezoid quadrature matrix (kernel tails truncated beyond
 under ``taylor_threshold`` grid spacings and trapezoid quadrature would
 alias, a second-order Taylor expansion of the evolution operator in the
 discrete Laplacian.  On a uniform axis the quadrature matrix is Toeplitz, so
-an operator keeps only its profile over the ``2n - 1`` node offsets and
-builds the ``n x n`` matrix for the one product that applies it.
+an operator keeps only its profile over the ``2n - 1`` node offsets, and
+applies only the band where the profile is nonzero: every block of rows of
+the matrix is the same small block, so one product with it covers the axis
+and no ``n x n`` matrix is built.
 
 Time quadrature of the integral term is composite trapezoid in the source
 time, except for the final panel, which is integrated by its midpoint: the
@@ -48,7 +50,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .checker import source_jacobians
 from .errors import DomainError, NonContraction, SolverError, SpecError
@@ -111,10 +113,10 @@ def _axis_operator(n, h, variance, cfg):
     uniform axis of ``n`` nodes the quadrature matrix ``h g(x_i - x_j)``
     depends on ``i - j`` alone, so ``p`` holds its ``2n - 1`` entries
     ``h g(d h)`` for ``d = n - 1`` down to ``-(n - 1)``; ``_apply_axis``
-    expands it to the matrix, which acts on node values extended by zero
-    outside the axis range.  The offsets are ``d h``, not differences of node
-    coordinates, so ``p`` is exactly symmetric and a node at the cutoff is in
-    or out of the band on both sides alike.
+    applies the matrix it defines, which acts on node values extended by
+    zero outside the axis range.  The offsets are ``d h``, not differences of
+    node coordinates, so ``p`` is exactly symmetric and a node at the cutoff
+    is in or out of the band on both sides alike.
     """
     sigma = math.sqrt(variance)
     if sigma < cfg.taylor_threshold * h:
@@ -132,23 +134,54 @@ def _axis_operator(n, h, variance, cfg):
 
 
 def _second_diff_zero_extension(values, axis, h):
-    v = np.moveaxis(values, axis, 0)
-    out = -2.0 * v
-    out[1:] += v[:-1]
-    out[:-1] += v[1:]
+    lead = (slice(None),) * axis
+    inner, outer = lead + (slice(1, None),), lead + (slice(None, -1),)
+    out = -2.0 * values
+    out[inner] += values[outer]
+    out[outer] += values[inner]
     out /= h * h
-    return np.moveaxis(out, 0, axis)
+    return out
+
+
+def _toeplitz_block(band, s):
+    """``(s + 2w) x s`` block ``K[c, r] = band[c - r]``, zero off the band."""
+    span = len(band) + s - 1
+    # rows of s + 2w + 1 read back as rows of s + 2w: each row is the band
+    # shifted one node further right, which is column r of K
+    rows = np.zeros((s, span + 1))
+    rows[:, :len(band)] = band
+    return rows.ravel()[:s * span].reshape(s, span).T
 
 
 def _apply_axis(op, values, axis, h):
-    """Apply one axis operator along ``axis``, counted from the front."""
+    """Apply one axis operator along ``axis``, counted from the front.
+
+    A Toeplitz operator acts as ``M[i, j] = p[n - 1 - (i - j)]``, which is
+    zero for ``|i - j| > w``, the band half-width read from the profile's
+    nonzeros.  The axis is padded with ``w`` zeros on each side and cut into
+    blocks of ``s = max(w, 16)`` rows (``n`` on a shorter axis); every block
+    of ``M`` is the same ``(s + 2w) x s`` matrix acting on an input window of
+    ``s + 2w`` nodes, so the whole application is one product of the stacked
+    windows with that block, ``B n (s + 2w)`` multiply-adds for ``B``
+    slices.
+    """
     kind, payload = op
     if kind == "toeplitz":
-        # mat[i, j] = payload[n - 1 - (i - j)], alive only for this product
         n = values.shape[axis]
-        mat = np.ascontiguousarray(sliding_window_view(payload, n)[::-1])
-        moved = np.moveaxis(values, axis, -1)
-        return np.moveaxis(moved @ mat.T, -1, axis)
+        w = int(np.abs(np.flatnonzero(payload) - (n - 1)).max())
+        s = min(max(w, 16), n)
+        blocks = -(-n // s)
+        moved = values.swapaxes(axis, -1)
+        lead = moved.shape[:-1]
+        padded = np.zeros(lead + (blocks * s + 2 * w,))
+        padded[..., w:w + n] = moved
+        windows = as_strided(padded, lead + (blocks, s + 2 * w),
+                             padded.strides[:-1] + (s * padded.itemsize,
+                                                    padded.itemsize),
+                             writeable=False)
+        block = _toeplitz_block(payload[n - 1 - w:n + w], s)
+        out = windows.reshape(-1, s + 2 * w) @ block
+        return out.reshape(lead + (blocks * s,))[..., :n].swapaxes(axis, -1)
     a = payload
     d1 = _second_diff_zero_extension(values, axis, h)
     d2 = _second_diff_zero_extension(d1, axis, h)
@@ -161,7 +194,7 @@ class KernelOperator:
     ``apply`` takes one array shaped like the grid or a stack of them: any
     leading axes are batch axes and the grid's axes come last.  Each
     quadrature axis is held as its Toeplitz profile (``2n - 1`` floats); a
-    stack goes through the matrix built from it as one matrix-matrix product.
+    stack goes through its band as one block-banded product.
     """
 
     def __init__(self, grid, rate, tau, cfg=None):

@@ -160,14 +160,27 @@ def _dual_route(problem, trajectory, analysis, out, formats):
     ok = diff <= tol and contracting
     note = "" if ok else ("kernel route disagrees" if diff > tol
                           else "picard sweeps failed to contract")
-    return Verdict("verified" if ok else "violated", note=note,
-                   data={"rel_sup_diff": diff, "tolerance": tol,
-                         "crosscheck_time": tc, "contracting": contracting,
-                         "sweep_ratios_max": max(ratios) if ratios else None,
-                         "jacobian_sup": result.jacobian_sup,
-                         "window_edges": result.window_edges,
-                         "sweeps": result.iterations,
-                         "sweep_ratios": result.contraction_ratios})
+    data = {"rel_sup_diff": diff, "tolerance": tol,
+            "crosscheck_time": tc, "contracting": contracting,
+            "sweep_ratios_max": max(ratios) if ratios else None,
+            "jacobian_sup": result.jacobian_sup,
+            "window_edges": result.window_edges,
+            "sweeps": result.iterations,
+            "sweep_ratios": result.contraction_ratios}
+    if not ok:
+        data["witness"] = _largest_gap(trajectory.grid, a, b)
+    return Verdict("verified" if ok else "violated", note=note, data=data)
+
+
+def _largest_gap(grid, grid_values, kernel_values):
+    """Component, node and both routes' values where they differ the most."""
+    at = np.unravel_index(int(np.argmax(np.abs(grid_values - kernel_values))),
+                          grid_values.shape)
+    node = at[1:]
+    return {"component": int(at[0]), "node": [int(i) for i in node],
+            "x": [float(c) for c in grid.points[node]],
+            "grid_value": float(grid_values[at]),
+            "kernel_value": float(kernel_values[at])}
 
 
 def _nested(problem, scheme, analysis):

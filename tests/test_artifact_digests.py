@@ -53,3 +53,21 @@ def test_compare_exits_zero_on_its_own_table_and_one_on_a_changed_digest(
     changed.write_text("\n".join(lines) + "\n")
     assert digests.main(["S5_cauchy_nested", "--compare", str(changed)]) == 1
     assert f"differs: {name}" in capsys.readouterr().err
+
+
+def test_keep_leaves_the_runs_that_the_table_lists(digests, tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.delenv("PARAPOS_OUT", raising=False)
+    kept = tmp_path / "runs"
+    assert digests.main(["S5_cauchy_nested", "--keep", str(kept)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines
+    for line in lines:
+        name, digest = line.rsplit(" ", 1)
+        assert digests.sha256_file(kept / name) == digest
+    assert (kept / "S5_cauchy_nested" / "manifest.json").is_file()
+    # a second run into the same directory would mix in stale files
+    with pytest.raises(SystemExit) as exit_info:
+        digests.main(["S5_cauchy_nested", "--keep", str(kept)])
+    assert exit_info.value.code == 2
+    assert "not empty" in capsys.readouterr().err

@@ -393,6 +393,10 @@ class TestCli:
         assert edges[-1] == pytest.approx(1.0)
         assert all(n >= 1 for n in sweeps)
         assert max(r for window in ratios for r in window) == data["sweep_ratios_max"]
+        assert data.keys() == {
+            "rel_sup_diff", "tolerance", "crosscheck_time", "contracting",
+            "sweep_ratios_max", "jacobian_sup", "window_edges", "sweeps",
+            "sweep_ratios"}
 
     def test_validate_rejects_the_removed_linear_solver_options(self, tmp_path):
         data = tiny_config()
@@ -456,6 +460,55 @@ class TestPositivityVerdict:
         assert witness["value"] < 0.0
         assert witness["value"] == rows["value"].min()
         assert witness["x"] == [pytest.approx(witness["node"][0] / 200, abs=1e-15)]
+
+
+def _csv_rows(path):
+    return np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding=None)
+
+
+class TestDualRouteVerdict:
+    def test_bumps_at_the_face_violate_the_match_under_the_hypotheses(
+            self, tmp_path, monkeypatch):
+        # S6 with both bumps centred at x = 0.35, so they reach to 0.05 of
+        # the Dirichlet face at 0: every hypothesis holds, but the kernel
+        # route extends the state by zero across the face and ignores it
+        data = copy.deepcopy(REGISTRY["S6_oracle_crosscheck"][1]())
+        for bump in data["problem"]["initial"]:
+            bump["center"] = [0.35]
+        path = tmp_path / "s6_face.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.delenv("PARAPOS_OUT", raising=False)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+        out = tmp_path / "S6_oracle_crosscheck"
+        verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
+        assert verdicts["hypotheses"]["status"] == "verified"
+        assert verdicts["positivity"]["status"] == "verified"
+        match = verdicts["dual-route-match"]
+        assert match["status"] == "violated"
+        assert match["note"] == "kernel route disagrees"
+        data = match["data"]
+        assert data["contracting"] is True
+        assert data["rel_sup_diff"] > 5 * data["tolerance"]
+
+        witness = data["witness"]
+        assert witness["node"] == [0]
+        assert witness["x"] == [0.0]
+        tc = data["crosscheck_time"]
+        # each route's stored time nearest the cross-check time, as the runner picks
+        grid_rows, kernel_rows = (
+            rows[np.abs(rows["t"] - tc) <= 1e-9]
+            for rows in (_csv_rows(out / "trajectory.csv"),
+                         _csv_rows(out / "trajectory_duhamel.csv")))
+        for column in ("i", "component"):
+            assert np.array_equal(grid_rows[column], kernel_rows[column])
+        gap = np.abs(grid_rows["value"] - kernel_rows["value"])
+        at = int(np.argmax(gap))
+        assert grid_rows["i"][at] == witness["node"][0]
+        assert grid_rows["component"][at] == witness["component"]
+        assert grid_rows["value"][at] == witness["grid_value"] == 0.0
+        assert kernel_rows["value"][at] == witness["kernel_value"] > 0.0
+        scale = np.abs(grid_rows["value"]).max()
+        assert gap[at] / scale == data["rel_sup_diff"]
 
 
 class TestDeterminism:

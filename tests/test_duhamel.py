@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from parapos.duhamel import (
     KernelConfig,
     KernelOperator,
     PicardConfig,
+    _apply_axis,
+    _axis_operator,
     _duhamel_quadrature,
     _lag_evolver,
     duhamel_apply,
@@ -47,9 +50,8 @@ UNIT_SQUARE = SpatialDomain(((0.0, 1.0), (0.0, 1.0)))
 # Operator families for the batched-quadrature tests.  "taylor": every lag of
 # a 24-step window stays under the Taylor threshold, so the kernel route is
 # elementwise arithmetic and must match bit for bit.  "dense": long lags take
-# the Toeplitz branch, one profile per lag expanded to a full matrix for each
-# application, where a matrix-matrix product may round differently from
-# matrix-vector products.
+# the Toeplitz branch, one profile per lag applied as a block-banded product,
+# where a stack of slices may round differently from one slice at a time.
 BRANCHES = {
     "taylor": {1: (UNIT, (101,)), 2: (UNIT_SQUARE, (41, 41)),
                "rates": (2e-4, 1e-4)},
@@ -279,6 +281,73 @@ class TestToeplitzSignAndSupport:
     @given(data=st.data(), nx=st.integers(21, 41), ny=st.integers(21, 41))
     def test_two_dimensional(self, data, nx, ny):
         self.check(*_toeplitz_case(data, Grid(UNIT_SQUARE, (nx, ny))))
+
+
+def _assert_matches_the_matrix(profile, values, axis):
+    """``_apply_axis`` against ``M[i, j] = profile[n - 1 - (i - j)]`` in full."""
+    n = (len(profile) + 1) // 2
+    mat = profile[n - 1 - np.subtract.outer(np.arange(n), np.arange(n))]
+    moved = np.moveaxis(values, axis, -1)
+    want = np.moveaxis(moved @ mat.T, -1, axis)
+    scale = (np.abs(moved) @ np.abs(mat).T).max(initial=0.0)
+    got = _apply_axis(("toeplitz", profile), values, axis, None)
+    assert got.shape == values.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-14 * scale
+
+
+class TestBandedProduct:
+    """The Toeplitz branch applies the band in blocks; the result is the
+    product with the full matrix of the profile."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(17, 161), dim=st.sampled_from([1, 2]),
+           last=st.booleans())
+    def test_kernel_profiles(self, data, n, dim, last):
+        # half-width w from 8 (the Taylor threshold) up to (n - 1) / 2, the
+        # widest band the mass check admits; sigma puts the cutoff off a node
+        h = 1.0 / (n - 1)
+        w = data.draw(st.integers(8, (n - 1) // 2), label="w")
+        lo = max(KernelConfig().taylor_threshold, (w + 0.05) / 7.0)
+        sigma = h * data.draw(st.floats(lo, (w + 0.95) / 7.0), label="sigma/h")
+        kind, profile = _axis_operator(n, h, sigma * sigma, KernelConfig())
+        assert kind == "toeplitz"
+        assert np.flatnonzero(profile).tolist() == list(range(n - 1 - w, n + w))
+        other = data.draw(st.integers(1, 5), label="other axis")
+        nodes = (n,) if dim == 1 else ((other, n) if last else (n, other))
+        batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="batch"))
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        values = np.random.default_rng(seed).standard_normal(batch + nodes)
+        axis = len(batch) + (dim - 1 if last else 0)
+        _assert_matches_the_matrix(profile, values, axis)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40))
+    def test_any_band(self, data, n):
+        # every half-width, the zero band and one block of all n rows included
+        w = data.draw(st.integers(0, n - 1), label="w")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        profile = np.zeros(2 * n - 1)
+        profile[n - 1 - w:n + w] = rng.uniform(0.5, 1.0, 2 * w + 1)
+        batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="batch"))
+        values = rng.standard_normal(batch + (n,))
+        _assert_matches_the_matrix(profile, values, len(batch))
+
+    def test_no_application_allocates_an_n_by_n_matrix(self):
+        # 401 nodes, w = 14, a batch of 11 slices: one float matrix over the
+        # axis would take 8 n^2 = 1.29 MB
+        n = 401
+        op = KernelOperator(Grid(SpatialDomain(((0.0, 2.0),)), (n,)), 1.0, 1e-4)
+        [(kind, profile)] = op.ops
+        assert kind == "toeplitz" and np.count_nonzero(profile) == 29
+        values = np.random.default_rng(3).random((11, n))
+        tracemalloc.start()
+        try:
+            op.apply(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4
 
 
 def test_importing_the_cli_leaves_scipy_ndimage_and_signal_unloaded():
