@@ -47,3 +47,7 @@ class ConfigError(ParaposError):
     def __init__(self, message, pointer=""):
         super().__init__(f"{pointer or '/'}: {message}" if pointer else message)
         self.pointer = pointer
+
+
+class WriterError(ParaposError):
+    """An artifact writer failed; the message names the writer's own error."""

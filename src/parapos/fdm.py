@@ -457,8 +457,14 @@ def _stability_bound(spec, grid, values):
     return 1.0 / (2.0 * worst * sum(1.0 / h**2 for h in grid.spacing))
 
 
-def solve(spec, config):
-    """Integrate the system to its horizon and collect the trajectory."""
+def solve(spec, config, on_store=None):
+    """Integrate the system to its horizon and collect the trajectory.
+
+    ``on_store(t, values)``, when given, is called with the initial state
+    and with each snapshot as it is stored (every ``store_every`` steps and
+    at the horizon), so a consumer can work on it while the march goes on.
+    ``values`` is the stored array itself; it must not be modified.
+    """
     grid = spec.initial.grid
     spec.initial.validate()
     steps = max(1, int(round(spec.horizon / config.dt)))
@@ -479,6 +485,8 @@ def solve(spec, config):
     source_evals = 2 if config.scheme == "erk2" else 1
     stored = [w.copy()]
     stored_t = [0.0]
+    if on_store is not None:
+        on_store(0.0, stored[0])
     reports = []
     clipped_total = 0
     t = 0.0
@@ -502,6 +510,8 @@ def solve(spec, config):
         if (i + 1) % config.store_every == 0 or i + 1 == steps:
             stored.append(w.copy())
             stored_t.append(t)
+            if on_store is not None:
+                on_store(t, stored[-1])
     return Trajectory(
         grid=grid,
         scheme=config.scheme,

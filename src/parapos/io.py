@@ -5,6 +5,13 @@ snapshot container, and JSON helpers.  All writers format floats with
 ``repr``, which round-trips doubles exactly and keeps repeated runs bitwise
 identical, and end the file with a trailing newline.
 
+The trajectory CSV has one row formatter, ``_snapshot_rows``, and two ways
+to feed it.  ``write_trajectory_csv`` formats a finished trajectory
+in-process.  ``TrajectoryCsvStream`` forks a child (POSIX only) that
+formats each snapshot as the march stores it, sent through a pipe as one
+fixed-size frame, so the grid route's march and its CSV run on two CPUs
+at once.  Both write the same bytes.
+
 Binary snapshot layout (all integers unsigned 32-bit little-endian, all
 floats 64-bit little-endian):
 
@@ -21,11 +28,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
+import signal
 import struct
+from pathlib import Path
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import SpecError, WriterError
 
 MAGIC = b"PPOS1"
 
@@ -36,33 +47,163 @@ def _fmt(value):
     return repr(float(value))
 
 
-def write_trajectory_csv(path, trajectory, source="fdm"):
-    """Long-format snapshot table: one row per (time, node, component).
+def _snapshot_rows(shape, m, source):
+    """The trajectory CSV's header line and the formatter of one snapshot.
 
-    Rows are formatted one (time, component) block at a time: the index
-    columns are built once per node and component, and only that block's
-    values become Python floats, so the writer never holds the whole array
-    as Python objects nor the whole file as text.
+    ``rows(t, values)`` yields the rows of one stored time, ``values`` of
+    shape ``(m, *shape)``, one component block per string: the index columns
+    are built once per node and component, and only that block's values
+    become Python floats, so neither the whole array as Python objects nor
+    the whole file as text is ever held.
     """
-    values = np.asarray(trajectory.values)
-    times = np.asarray(trajectory.times)
-    nt, m = values.shape[0], values.shape[1]
-    shape = values.shape[2:]
-    n = len(shape)
-    if n > len(_INDEX_NAMES):
+    if len(shape) > len(_INDEX_NAMES):
         raise SpecError("trajectory export supports up to three dimensions")
-    header = ["t", *_INDEX_NAMES[:n], "component", "value", "source"]
+    header = ["t", *_INDEX_NAMES[:len(shape)], "component", "value", "source"]
     nodes = [",".join(map(str, ix)) for ix in np.ndindex(shape)]
     middles = [[f",{node},{k}," for node in nodes] for k in range(m)]
     tail = f",{source}\n"
+
+    def rows(t, values):
+        t_str = _fmt(t)
+        for k in range(m):
+            block = np.asarray(values[k], dtype=float).ravel().tolist()
+            yield "".join([f"{t_str}{mid}{v!r}{tail}"
+                           for mid, v in zip(middles[k], block)])
+
+    return ",".join(header) + "\n", rows
+
+
+def write_trajectory_csv(path, trajectory, source="fdm"):
+    """Long-format snapshot table: one row per (time, node, component).
+
+    Formats in-process with the row formatter that ``TrajectoryCsvStream``'s
+    child runs, so both write the same bytes for the same snapshots.
+    """
+    values = np.asarray(trajectory.values)
+    header, rows = _snapshot_rows(values.shape[2:], values.shape[1], source)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for it in range(nt):
-            t_str = _fmt(times[it])
-            for k in range(m):
-                block = np.asarray(values[it, k], dtype=float).ravel().tolist()
-                fh.write("".join([f"{t_str}{mid}{v!r}{tail}"
-                                  for mid, v in zip(middles[k], block)]))
+        fh.write(header)
+        for t, snapshot in zip(np.asarray(trajectory.times), values):
+            fh.writelines(rows(t, snapshot))
+
+
+class TrajectoryCsvStream:
+    """The grid route's trajectory CSV, formatted by a forked child.
+
+    The constructor forks a child that owns ``path``.  Each ``send(t,
+    values)`` writes one fixed-size frame to a pipe: ``t``, then the
+    snapshot's ``shape = (m, *grid)`` doubles.  The child formats every
+    frame with the same row formatter as ``write_trajectory_csv``, so the
+    file has the same bytes, on another CPU.  Used as a context manager:
+
+    - a clean exit closes the pipe, the child writes the last rows and
+      exits, and the parent reaps it;
+    - an exception kills and reaps the child and removes the partial file;
+    - a failure in the child (it exits with status 1 and writes
+      ``Type: message`` to a second pipe) is raised as ``WriterError``,
+      from ``send`` or from the clean exit, whichever sees it first.
+
+    Needs POSIX ``fork``.  The child does no logging and leaves by
+    ``os._exit``, so it never flushes the parent's stdio buffers.
+    """
+
+    def __init__(self, path, shape):
+        self._path = Path(path)
+        header, rows = _snapshot_rows(shape[1:], shape[0], "fdm")
+        self._frame = np.empty(1 + math.prod(shape))
+        frames_r, self._frames = os.pipe()
+        self._status, status_w = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            for fd in (frames_r, self._frames, self._status, status_w):
+                os.close(fd)
+            raise
+        if self._pid == 0:
+            os.close(self._frames)
+            os.close(self._status)
+            _format_frames(frames_r, status_w, self._path, header, rows, shape)
+        os.close(frames_r)
+        os.close(status_w)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None:
+            self._discard()
+            return
+        try:
+            os.close(self._frames)
+            self._frames = None
+            self._reap()
+        except BaseException:
+            self._discard()
+            raise
+
+    def send(self, t, values):
+        """Send the snapshot ``values`` (of the stream's shape) at time ``t``.
+
+        Blocks while the pipe is full, that is while the child is a pipe's
+        worth of frames behind.
+        """
+        self._frame[0] = t
+        self._frame[1:] = np.ravel(values)
+        view = memoryview(self._frame).cast("B")
+        try:
+            while view:
+                view = view[os.write(self._frames, view):]
+        except BrokenPipeError:
+            self._reap()
+            raise
+
+    def _reap(self):
+        """Wait for the child; raise ``WriterError`` unless it exited with 0."""
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        with open(self._status, "rb") as fh:
+            self._status = None
+            cause = fh.read().decode("utf-8", "replace")
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise WriterError(f"trajectory writer for {self._path.name} failed: "
+                              + (cause or f"exit code {code}"))
+
+    def _discard(self):
+        """Kill and reap the child if it still runs; remove the partial file."""
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        for fd in (self._frames, self._status):
+            if fd is not None:
+                os.close(fd)
+        self._frames = self._status = None
+        if self._path.is_file():
+            self._path.unlink()
+
+
+def _format_frames(frames_fd, status_fd, path, header, rows, shape):
+    """Child side of ``TrajectoryCsvStream``: format each frame into ``path``.
+
+    Never returns: it leaves by ``os._exit``, with status 0 after the pipe's
+    end of file, or status 1 after writing the cause of a failure to
+    ``status_fd``.
+    """
+    code = 1
+    try:
+        size = 8 * (1 + math.prod(shape))
+        with open(frames_fd, "rb") as frames, \
+                open(path, "w", encoding="utf-8") as fh:
+            fh.write(header)
+            while frame := frames.read(size):
+                data = np.frombuffer(frame)
+                fh.writelines(rows(data[0], data[1:].reshape(shape)))
+        code = 0
+    except Exception as exc:  # noqa: BLE001 - the parent reports the cause
+        os.write(status_fd, f"{type(exc).__name__}: {exc}".encode())
+    finally:
+        os._exit(code)
 
 
 def write_diagnostics_csv(path, trajectory):

@@ -29,8 +29,9 @@ from .checker import run_checks
 from .duhamel import PicardConfig, picard_solve
 from .errors import NonConvergence, ParaposError, SpecError
 from .fdm import solve, solve_cauchy_nested
-from .io import (sha256_file, write_diagnostics_csv, write_json,
-                 write_residuals_csv, write_snapshots, write_trajectory_csv)
+from .io import (TrajectoryCsvStream, sha256_file, write_diagnostics_csv,
+                 write_json, write_residuals_csv, write_snapshots,
+                 write_trajectory_csv)
 
 logger = logging.getLogger("parapos")
 
@@ -88,6 +89,34 @@ class RunManifest:
         }
 
 
+class _Artifacts:
+    """A run's output directory and the artifacts this run wrote into it.
+
+    The manifest lists only these: a file an earlier run left in the
+    directory is not this run's, even when it has an artifact's name.
+    """
+
+    def __init__(self, root):
+        self.root = root
+        self._names = set()
+
+    def write(self, name, writer, *args, **kwargs):
+        """Write artifact ``name`` with ``writer(path, *args, **kwargs)``."""
+        writer(self.root / name, *args, **kwargs)
+        self._names.add(name)
+
+    def add(self, name):
+        """Record artifact ``name``, written completely by other means."""
+        self._names.add(name)
+
+    def listing(self):
+        """The manifest's ``files``: every artifact with its sha256, by path."""
+        entries = [{"path": name, "sha256": sha256_file(self.root / name)}
+                   for name in sorted(self._names)]
+        entries.append({"path": "manifest.json", "sha256": None})
+        return entries
+
+
 def _now():
     return datetime.now(timezone.utc).isoformat()
 
@@ -132,7 +161,7 @@ def _sup_bound_verdict(trajectory, bound, label):
                    data={"bound": bound, "observed_sup": observed})
 
 
-def _dual_route(problem, trajectory, analysis, out, formats):
+def _dual_route(problem, trajectory, analysis, artifacts, formats):
     pic_conf = PicardConfig(**analysis.get("picard", {}))
     result = picard_solve(problem, pic_conf)
 
@@ -154,8 +183,8 @@ def _dual_route(problem, trajectory, analysis, out, formats):
     contracting = all(r < 1.0 for r in ratios)
 
     if "csv" in formats:
-        write_trajectory_csv(out / "trajectory_duhamel.csv", result,
-                             source="duhamel")
+        artifacts.write("trajectory_duhamel.csv", write_trajectory_csv, result,
+                        source="duhamel")
 
     ok = diff <= tol and contracting
     note = "" if ok else ("kernel route disagrees" if diff > tol
@@ -202,7 +231,7 @@ def _nested(problem, scheme, analysis):
                          "tolerance": report.tol})
 
 
-def _weak_residuals(config, problem, steady, out, formats):
+def _weak_residuals(config, problem, steady, artifacts, formats):
     analysis = config.analysis_data
     limits = analysis.get("limits")
     if limits is None:
@@ -214,7 +243,7 @@ def _weak_residuals(config, problem, steady, out, formats):
         tuple(problem.lv.diffusion), grid=grid)
     steady.attach_residuals(residuals)
     if "csv" in formats:
-        write_residuals_csv(out / "residuals.csv", residuals)
+        artifacts.write("residuals.csv", write_residuals_csv, residuals)
     worst = float(np.abs(residuals).max())
     ok = worst <= RESIDUAL_TOL
     return Verdict("verified" if ok else "violated",
@@ -223,8 +252,8 @@ def _weak_residuals(config, problem, steady, out, formats):
                          "coverage": "finite battery only"})
 
 
-def _run_analysis(config, problem, scheme, trajectory, verdicts, out, formats,
-                  d_hats):
+def _run_analysis(config, problem, scheme, trajectory, verdicts, artifacts,
+                  formats, d_hats):
     analysis = config.analysis_data
     ops = analysis.get("ops", [])
     steady = None
@@ -290,10 +319,10 @@ def _run_analysis(config, problem, scheme, trajectory, verdicts, out, formats,
 
     if "weak_residuals" in ops:
         verdicts["weak-residuals"] = _weak_residuals(
-            config, problem, steady, out, formats)
+            config, problem, steady, artifacts, formats)
 
     if steady is not None and "json" in formats:
-        write_json(out / "steady_state.json", steady.to_json())
+        artifacts.write("steady_state.json", write_json, steady.to_json())
 
     if "component_bound" in ops:
         k = int(analysis.get("bound_component", 0))
@@ -309,7 +338,7 @@ def _run_analysis(config, problem, scheme, trajectory, verdicts, out, formats,
 
     if "dual_route" in ops:
         verdicts["dual-route-match"] = _dual_route(
-            problem, trajectory, analysis, out, formats)
+            problem, trajectory, analysis, artifacts, formats)
 
     if "nested" in ops:
         verdicts["nested-boxes"] = _nested(problem, scheme, analysis)
@@ -326,16 +355,6 @@ def _downgrade(verdicts):
         verdict.note = (verdict.note + "; " if verdict.note else "") + _CONCLUSION_NOTE
 
 
-def _sweep_files(out):
-    entries = []
-    for path in sorted(out.rglob("*")):
-        if path.is_file() and path.name != "manifest.json":
-            entries.append({"path": str(path.relative_to(out)),
-                            "sha256": sha256_file(path)})
-    entries.append({"path": "manifest.json", "sha256": None})
-    return entries
-
-
 def run_scenario(config, out_dir=None, seed=None):
     """Execute one validated scenario and write its artifacts.
 
@@ -346,6 +365,7 @@ def run_scenario(config, out_dir=None, seed=None):
     started = _now()
     out = Path(out_dir) if out_dir is not None else Path("parapos_out") / config.name
     out.mkdir(parents=True, exist_ok=True)
+    artifacts = _Artifacts(out)
     formats = tuple(config.outputs_data.get("formats", ("csv", "binary", "json")))
 
     verdicts = {}
@@ -362,7 +382,7 @@ def run_scenario(config, out_dir=None, seed=None):
                             majorants=config.majorants(),
                             tolerances=config.tolerances())
         if "json" in formats:
-            write_json(out / "checks.json", report.to_json())
+            artifacts.write("checks.json", write_json, report.to_json())
         failed = [e.assumption for e in report.entries if e.status == "fail"]
         verdicts["hypotheses"] = Verdict(
             "verified" if not failed else "violated",
@@ -372,16 +392,22 @@ def run_scenario(config, out_dir=None, seed=None):
                   "d1_hat": report.d1_hat, "d2_hat": report.d2_hat})
 
         logger.info("%s: solving (%s, dt=%g)", config.name, scheme.scheme, scheme.dt)
-        trajectory = solve(problem, scheme)
+        if "csv" in formats:
+            # a forked child formats trajectory.csv while the march runs
+            with TrajectoryCsvStream(out / "trajectory.csv",
+                                     problem.initial.values.shape) as stream:
+                trajectory = solve(problem, scheme, on_store=stream.send)
+            artifacts.add("trajectory.csv")
+        else:
+            trajectory = solve(problem, scheme)
         verdicts["positivity"] = _positivity_verdict(trajectory)
 
         if "csv" in formats:
-            write_trajectory_csv(out / "trajectory.csv", trajectory)
-            write_diagnostics_csv(out / "diagnostics.csv", trajectory)
+            artifacts.write("diagnostics.csv", write_diagnostics_csv, trajectory)
         if "binary" in formats:
-            write_snapshots(out / "snapshots.bin", trajectory)
+            artifacts.write("snapshots.bin", write_snapshots, trajectory)
 
-        _run_analysis(config, problem, scheme, trajectory, verdicts, out,
+        _run_analysis(config, problem, scheme, trajectory, verdicts, artifacts,
                       formats, d_hats=(report.d1_hat, report.d2_hat))
     except ParaposError as exc:
         status, error = "error", f"{type(exc).__name__}: {exc}"
@@ -402,7 +428,7 @@ def run_scenario(config, out_dir=None, seed=None):
         started=started,
         finished=_now(),
         verdicts=verdicts,
-        files=_sweep_files(out),
+        files=artifacts.listing(),
         error=error,
     )
     write_json(out / "manifest.json", manifest.to_json())

@@ -5,11 +5,12 @@ import os
 import numpy as np
 import pytest
 
+from oracles import trajectory_csv_reference
 from parapos.cli import main
 from parapos.config import DEFAULT_ASSUMPTIONS, load_config, load_config_data
 from parapos.errors import ConfigError
 from parapos.fdm import Trajectory
-from parapos.io import sha256_file
+from parapos.io import read_snapshots, sha256_file
 from parapos.model import Grid, SpatialDomain
 from parapos.runner import _positivity_verdict, run_scenario
 from parapos.scenarios import REGISTRY, get_scenario, list_scenarios
@@ -252,6 +253,23 @@ class TestCli:
             else:
                 assert row["sha256"] == sha256_file(out / row["path"])
 
+    def test_a_rerun_lists_only_the_files_it_wrote(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PARAPOS_OUT", raising=False)
+        assert main(["run", "S1_positivity", "--out", str(tmp_path)]) == 0
+        data = copy.deepcopy(REGISTRY["S1_positivity"][1]())
+        data["outputs"] = {"formats": ["json"]}
+        path = tmp_path / "s1_json.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+        out = tmp_path / "S1_positivity"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == [
+            {"path": "checks.json", "sha256": sha256_file(out / "checks.json")},
+            {"path": "manifest.json", "sha256": None}]
+        # the first run's files are still on disk, but they are not this run's
+        for stale in ("diagnostics.csv", "snapshots.bin", "trajectory.csv"):
+            assert (out / stale).is_file()
+
     def test_list_names_the_library(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
@@ -460,6 +478,62 @@ class TestPositivityVerdict:
         assert witness["value"] < 0.0
         assert witness["value"] == rows["value"].min()
         assert witness["x"] == [pytest.approx(witness["node"][0] / 200, abs=1e-15)]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestStreamedTrajectory:
+    """trajectory.csv is formatted by a forked child while the march runs."""
+
+    def test_the_2d_trajectory_has_the_rows_of_the_snapshots(self, tmp_path,
+                                                             monkeypatch):
+        # 2 x 61 x 61 doubles make 59.5 kB frames, so the 64 KiB pipe holds
+        # at most one and the child reads most frames in more than one piece
+        monkeypatch.delenv("PARAPOS_OUT", raising=False)
+        assert main(["run", "S8_competition_2d", "--out", str(tmp_path)]) == 0
+        out = tmp_path / "S8_competition_2d"
+        times, values, _ = read_snapshots(out / "snapshots.bin")
+        assert values.shape[1:] == (2, 61, 61)
+        expected = trajectory_csv_reference(times, values)
+        assert (out / "trajectory.csv").read_bytes() == expected.encode("utf-8")
+        _assert_no_child_left()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failed_march_leaves_no_writer_and_no_partial_file(self, tmp_path,
+                                                                monkeypatch):
+        # Heun over the stability bound, with the gate off, overflows
+        data = copy.deepcopy(REGISTRY["S4_asymptotics"][1]())
+        data["scheme"].update(scheme="erk2", dt=0.01, check_stability=False)
+        path = tmp_path / "s4_erk2.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.delenv("PARAPOS_OUT", raising=False)
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+        out = tmp_path / "S4_asymptotics"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith(
+            "SolverError: solution lost finiteness at step 7")
+        assert [row["path"] for row in manifest["files"]] == [
+            "checks.json", "manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == ["checks.json", "manifest.json"]
+        _assert_no_child_left()
+
+    def test_a_writer_failure_exits_three_with_its_cause(self, tmp_path, monkeypatch):
+        out = tmp_path / "S1_positivity"
+        (out / "trajectory.csv").mkdir(parents=True)
+        monkeypatch.delenv("PARAPOS_OUT", raising=False)
+        assert main(["run", "S1_positivity", "--out", str(tmp_path)]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"].startswith("WriterError: ")
+        assert "IsADirectoryError" in manifest["error"]
+        assert [row["path"] for row in manifest["files"]] == [
+            "checks.json", "manifest.json"]
+        assert "positivity" not in manifest["verdicts"]
+        _assert_no_child_left()
 
 
 def _csv_rows(path):

@@ -1,13 +1,15 @@
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from oracles import trajectory_csv_reference
-from parapos.errors import SpecError
+from parapos.errors import SpecError, WriterError
 from parapos.fdm import StepReport, Trajectory
 from parapos.io import (
     MAGIC,
+    TrajectoryCsvStream,
     read_snapshots,
     sha256_file,
     write_diagnostics_csv,
@@ -36,6 +38,23 @@ def small_trajectory(dim=1):
     ]
     return Trajectory(grid, "imex_be", 0.5, times, values, reports,
                       positivity_dt_bound=np.inf, positivity_dt_ok=True)
+
+
+def special_values_case(shape, m):
+    """Times and values with every float repr corner at both ends."""
+    rng = np.random.default_rng(len(shape) * 10 + m)
+    times = np.array([0.0, 1.0 / 3.0, 0.5, 1e16])
+    values = rng.normal(size=(len(times), m) + shape)
+    flat = values.reshape(-1)
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 1.0 / 3.0]
+    flat[:len(special)] = special
+    flat[-len(special):] = special[::-1]
+    return times, values
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestTrajectoryCsv:
@@ -77,13 +96,7 @@ class TestTrajectoryCsv:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("source", ["fdm", "duhamel"])
     def test_bytes_match_the_row_by_row_reference(self, tmp_path, shape, m, source):
-        rng = np.random.default_rng(len(shape) * 10 + m)
-        times = np.array([0.0, 1.0 / 3.0, 0.5, 1e16])
-        values = rng.normal(size=(len(times), m) + shape)
-        flat = values.reshape(-1)
-        special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 1.0 / 3.0]
-        flat[:len(special)] = special
-        flat[-len(special):] = special[::-1]
+        times, values = special_values_case(shape, m)
         traj = SimpleNamespace(times=times, values=values)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, traj, source=source)
@@ -94,6 +107,84 @@ class TestTrajectoryCsv:
         traj = SimpleNamespace(times=np.zeros(1), values=np.zeros((1, 1, 2, 2, 2, 2)))
         with pytest.raises(SpecError):
             write_trajectory_csv(tmp_path / "traj.csv", traj)
+
+
+class TestTrajectoryCsvStream:
+    @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 2)])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bytes_match_the_row_by_row_reference(self, tmp_path, shape, m):
+        times, values = special_values_case(shape, m)
+        path = tmp_path / "traj.csv"
+        with TrajectoryCsvStream(path, values.shape[1:]) as stream:
+            for t, snapshot in zip(times, values):
+                stream.send(t, snapshot)
+        assert_no_child_left()
+        expected = trajectory_csv_reference(times, values)
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_frames_larger_than_the_pipe_buffer(self, tmp_path):
+        # 2 x 80 x 60 doubles: each 76.8 kB frame overflows a 64 KiB pipe,
+        # so the child reads every frame in more than one piece
+        times, values = special_values_case((80, 60), 2)
+        path = tmp_path / "traj.csv"
+        with TrajectoryCsvStream(path, values.shape[1:]) as stream:
+            for t, snapshot in zip(times, values):
+                stream.send(t, snapshot)
+        assert path.read_bytes() == trajectory_csv_reference(times, values).encode()
+
+    def test_short_writes_are_completed(self, tmp_path, monkeypatch):
+        # a pipe write may take only part of a frame; the rest must follow
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:1000]))
+        times, values = special_values_case((3, 4), 2)
+        path = tmp_path / "traj.csv"
+        with TrajectoryCsvStream(path, values.shape[1:]) as stream:
+            for t, snapshot in zip(times, values):
+                stream.send(t, snapshot)
+        assert path.read_bytes() == trajectory_csv_reference(times, values).encode()
+
+    def test_a_stream_with_no_frame_writes_the_header(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        with TrajectoryCsvStream(path, (2, 3, 4)):
+            pass
+        assert path.read_text() == "t,i,j,component,value,source\n"
+
+    def test_an_exception_kills_the_child_and_removes_the_file(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        with pytest.raises(RuntimeError, match="march failed"):
+            with TrajectoryCsvStream(path, (2, 50)) as stream:
+                for t in range(100):
+                    stream.send(float(t), np.ones((2, 50)))
+                raise RuntimeError("march failed")
+        assert not path.exists()
+        assert_no_child_left()
+
+    def test_a_snapshot_of_another_shape_is_refused(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        with pytest.raises(ValueError):
+            with TrajectoryCsvStream(path, (2, 5)) as stream:
+                stream.send(0.0, np.ones((2, 6)))
+        assert not path.exists()
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("frames", [1, 500])
+    def test_a_child_failure_names_its_cause(self, tmp_path, frames):
+        # one frame fits the pipe, so the clean exit sees the failure; 500
+        # frames of 8 kB do not, so a send meets the closed pipe first
+        path = tmp_path / "traj.csv"
+        path.mkdir()
+        with pytest.raises(WriterError, match="IsADirectoryError"):
+            with TrajectoryCsvStream(path, (1, 1000)) as stream:
+                for t in range(frames):
+                    stream.send(float(t), np.zeros((1, 1000)))
+        assert path.is_dir()
+        assert_no_child_left()
+
+    def test_more_than_three_dimensions_rejected_before_forking(self, tmp_path):
+        with pytest.raises(SpecError):
+            TrajectoryCsvStream(tmp_path / "traj.csv", (1, 2, 2, 2, 2))
+        assert not (tmp_path / "traj.csv").exists()
+        assert_no_child_left()
 
 
 class TestDiagnosticsCsv:
