@@ -1,8 +1,8 @@
 """Sampled verification of the structural assumptions behind the theory.
 
 Each check evaluates an assumption on a deterministic low-discrepancy sample
-of its quantifier region and reports pass/fail with the worst margin and a
-witness point.  A pass is evidence, not proof: every report carries the
+of its quantifier region, in one evaluator call per coefficient over the whole
+sample, and reports pass/fail with the worst margin and a witness point.  A pass is evidence, not proof: every report carries the
 provenance flag ``sampled, not proven``.
 
 Checked assumptions, by id:
@@ -158,12 +158,19 @@ def halton_block(count, dim, seed):
     return (pts + shift) % 1.0
 
 
+def _box_points(raw, bounds):
+    """Map unit-cube columns ``raw[:, axis]`` onto the box ``bounds``."""
+    lo, hi = np.asarray(bounds, dtype=float).T
+    return lo + raw * (hi - lo)
+
+
 def source_jacobians(spec, amp):
     """Sampled source Jacobians, ``jac[i, k, l] = d c_k / d u_l``, shape (48, m, m).
 
     The 48 samples (seeded Halton, seed 11) cover the horizon, the domain
     and the state box [0, amp]^m, at zero gradient.  Each column is a
-    central difference with step ``1e-6 * max(1, amp)``.  The Picard route
+    central difference with step ``1e-6 * max(1, amp)``; all 48 * m states on
+    each side of the differences go to ``source`` in one call.  The Picard route
     sizes its contraction windows from the largest entry, and the positivity
     step bound reads the most negative diagonal entry.  A slope that is not
     finite raises CoefficientError naming its sample, because either reader
@@ -175,26 +182,27 @@ def source_jacobians(spec, amp):
     delta = 1e-6 * max(1.0, amp)
     raw = halton_block(samples, 1 + n + m, seed=11)
     ts = raw[:, 0] * spec.horizon
-    xs = np.empty((samples, n))
-    for axis, (lo, hi) in enumerate(spec.domain.bounds):
-        xs[:, axis] = lo + raw[:, 1 + axis] * (hi - lo)
+    xs = _box_points(raw[:, 1:1 + n], spec.domain.bounds)
     us = amp * raw[:, 1 + n:]
-    p0 = np.zeros((m, n))
+    # row [i, l] is sample i with component l moved by +-delta
+    up = np.repeat(us[:, None, :], m, axis=1)
+    um = up.copy()
+    diag = np.arange(m)
+    up[:, diag, diag] += delta
+    um[:, diag, diag] -= delta
+    t = np.broadcast_to(ts[:, None], (samples, m))
+    x = np.broadcast_to(xs[:, None, :], (samples, m, n))
+    p0 = np.zeros((samples, m, m, n))
     src = spec.coefficients.source
-    jac = np.empty((samples, m, m))
-    for i in range(samples):
-        for l in range(m):
-            up = us[i].copy()
-            um = us[i].copy()
-            up[l] += delta
-            um[l] -= delta
-            c_hi = np.asarray(src(float(ts[i]), xs[i], up, p0), dtype=float)
-            c_lo = np.asarray(src(float(ts[i]), xs[i], um, p0), dtype=float)
-            jac[i, :, l] = (c_hi - c_lo) / (2.0 * delta)
-        if not np.isfinite(jac[i]).all():
-            raise CoefficientError(
-                f"source slope is not finite at t={float(ts[i])!r}, "
-                f"x={xs[i].tolist()}, u={us[i].tolist()}")
+    c_hi = np.asarray(src(t, x, up, p0), dtype=float)
+    c_lo = np.asarray(src(t, x, um, p0), dtype=float)
+    jac = np.swapaxes(c_hi - c_lo, 1, 2) / (2.0 * delta)
+    bad = ~np.isfinite(jac).all(axis=(1, 2))
+    if bad.any():
+        i = int(bad.argmax())
+        raise CoefficientError(
+            f"source slope is not finite at t={float(ts[i])!r}, "
+            f"x={xs[i].tolist()}, u={us[i].tolist()}")
     return jac
 
 
@@ -213,9 +221,7 @@ def _region_samples(spec, budget, with_p, orthant=False, extra_cube=False):
     raw = halton_block(total, dim, budget.seed)
 
     t = raw[:, 0] * spec.horizon
-    x = np.empty((total, n))
-    for axis, (lo, hi) in enumerate(spec.domain.bounds):
-        x[:, axis] = lo + raw[:, 1 + axis] * (hi - lo)
+    x = _box_points(raw[:, 1:1 + n], spec.domain.bounds)
     uraw = raw[:, 1 + n:1 + n + m]
     u = np.empty((total, m))
     u[:count] = budget.c1 * uraw[:count] if orthant else budget.c1 * (2.0 * uraw[:count] - 1.0)
@@ -242,37 +248,16 @@ def _witness(t=None, x=None, u=None, p=None):
     return out
 
 
-def _batch_eval_source(spec, t, x, u, p):
-    """Source values row by row (t varies per sample)."""
-    out = np.empty(u.shape)
-    src = spec.coefficients.source
-    for i in range(len(t)):
-        out[i] = np.asarray(src(float(t[i]), x[i], u[i], p[i]), dtype=float)
-    return out
-
-
-def _batch_eval_drift(spec, t, x, u, p):
-    out = np.empty((len(t), spec.dimension))
-    drift = spec.coefficients.drift
-    for i in range(len(t)):
-        out[i] = np.asarray(drift(float(t[i]), x[i], u[i], p[i]), dtype=float)
-    return out
-
-
 # ------------------------------------------------------------------- checks
 
 def check_parabolicity(spec, budget, majorants=None, tolerances=None):
     """A1: the diffusion eigenvalues stay positive over the sampled region."""
     tol = tolerances or CheckTolerances()
     t, x, u, _ = _region_samples(spec, budget, with_p=False)
-    m = spec.components
-    lam_min = np.empty((len(t), m))
-    lam_max = np.empty((len(t), m))
-    for i in range(len(t)):
-        a = spec.coefficients.diffusion_matrices(float(t[i]), x[i], u[i], m)
-        eig = np.linalg.eigvalsh(a)
-        lam_min[i] = eig[..., 0]
-        lam_max[i] = eig[..., -1]
+    a = spec.coefficients.diffusion_matrices(t, x, u, spec.components)
+    eig = np.linalg.eigvalsh(a)
+    lam_min = eig[..., 0]
+    lam_max = eig[..., -1]
     kappa_hat = float(lam_min.min())
     i_min, k_min = np.unravel_index(int(lam_min.argmin()), lam_min.shape)
     margin = kappa_hat
@@ -321,7 +306,7 @@ def check_dissipativity(spec, budget, mode="A2_prime", majorants=None, tolerance
     t, x, u, p = _region_samples(
         spec, budget, with_p=True, orthant=True, extra_cube=not orthant
     )
-    c = _batch_eval_source(spec, t, x, u, p)
+    c = np.asarray(spec.coefficients.source(t, x, u, p), dtype=float)
     cu = (c * u).sum(axis=1)
     usq = (u * u).sum(axis=1)
 
@@ -382,7 +367,7 @@ def check_growth(spec, budget, majorants=None, tolerances=None):
     q = np.sqrt((p * p).sum(axis=(1, 2)))
 
     if majorants.theta1 is not None:
-        b = _batch_eval_drift(spec, t, x, u, p)
+        b = np.asarray(spec.coefficients.drift(t, x, u, p), dtype=float)
         bound = np.asarray([majorants.theta1(v) for v in s], dtype=float) * (1.0 + q)
         margin_arr = bound - np.abs(b).max(axis=1)
         i = int(margin_arr.argmin())
@@ -396,7 +381,7 @@ def check_growth(spec, budget, majorants=None, tolerances=None):
         entries.append(CheckEntry("A4a", "not_applicable", note="theta1 not supplied"))
 
     if majorants.theta2 is not None:
-        c = _batch_eval_source(spec, t, x, u, p)
+        c = np.asarray(spec.coefficients.source(t, x, u, p), dtype=float)
         bound = np.asarray([majorants.theta2(si, qi) for si, qi in zip(s, q)], dtype=float)
         margin_arr = bound * (1.0 + q) ** 2 - np.sqrt((c * c).sum(axis=1))
         i = int(margin_arr.argmin())
@@ -501,7 +486,8 @@ def check_compatibility(spec, grid=None, tolerances=None):
 
     At every boundary node the data must vanish and the full right-hand side,
     evaluated at u = 0 with one-sided second-order differences of the data,
-    must be below ``compat_factor * (1 + coefficient scale)``.
+    must be below ``compat_factor * (1 + coefficient scale)``.  Each
+    evaluator is called once, over all boundary nodes.
     """
     tol = tolerances or CheckTolerances()
     grid = grid or spec.initial.grid
@@ -509,41 +495,30 @@ def check_compatibility(spec, grid=None, tolerances=None):
     m = spec.components
     n = grid.dimension
     grad, hess = _derivative_arrays(phi, grid)
-    boundary_idx = np.argwhere(~grid.interior_mask)
-
-    worst = -np.inf
-    worst_node = None
-    scale = 1.0
-    bad_value = 0.0
-    for flat in boundary_idx:
-        node = tuple(int(v) for v in flat)
-        x = grid.points[node]
-        u0 = np.zeros(m)
-        p0 = grad[(slice(None),) + node]
-        a = spec.coefficients.diffusion_matrices(0.0, x, u0, m)
-        b = np.broadcast_to(
-            np.asarray(spec.coefficients.drift(0.0, x, u0, p0), dtype=float), (n,)
-        )
-        c = np.broadcast_to(
-            np.asarray(spec.coefficients.source(0.0, x, u0, p0), dtype=float), (m,)
-        )
-        scale = max(scale, float(np.abs(a).max()), float(np.abs(b).max()), float(np.abs(c).max()))
-        h2 = hess[(slice(None),) + node]
-        resid = np.einsum("kij,kij->k", a, h2) + p0 @ b + c
-        local = float(np.abs(resid).max())
-        value = float(np.abs(phi[(slice(None),) + node]).max())
-        bad_value = max(bad_value, value)
-        if local > worst:
-            worst = local
-            worst_node = node
+    boundary = ~grid.interior_mask
+    x = grid.points[boundary]
+    count = len(x)
+    u0 = np.zeros((count, m))
+    p0 = np.moveaxis(grad[:, boundary], 0, 1)
+    h2 = np.moveaxis(hess[:, boundary], 0, 1)
+    coeffs = spec.coefficients
+    a = coeffs.diffusion_matrices(0.0, x, u0, m)
+    b = np.broadcast_to(np.asarray(coeffs.drift(0.0, x, u0, p0), dtype=float), (count, n))
+    c = np.broadcast_to(np.asarray(coeffs.source(0.0, x, u0, p0), dtype=float), (count, m))
+    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()), float(np.abs(c).max()))
+    resid = (np.einsum("...kij,...kij->...k", a, h2)
+             + np.einsum("...kj,...j->...k", p0, b) + c)
+    local = np.abs(resid).max(axis=1)
+    i = int(local.argmax())
+    worst = float(local[i])
+    bad_value = float(np.abs(phi[:, boundary]).max())
     threshold = tol.compat_factor * (1.0 + scale)
     ok = bad_value <= tol.tol_zero and worst <= threshold
-    x_w = grid.points[worst_node] if worst_node is not None else None
     return CheckEntry(
         assumption="A6",
         status="pass" if ok else "fail",
         margin=float(threshold - worst),
-        witness=_witness(t=0.0, x=x_w),
+        witness=_witness(t=0.0, x=x[i]),
         details={"worst_residual": float(worst), "threshold": threshold,
                  "boundary_value_max": bad_value},
     )
@@ -571,7 +546,7 @@ def check_positivity_source(spec, budget, tolerances=None):
     for k in range(m):
         u_k = u.copy()
         u_k[:, k] = 0.0
-        c = _batch_eval_source(spec, t, x, u_k, p)
+        c = np.asarray(spec.coefficients.source(t, x, u_k, p), dtype=float)
         vals = c[:, k]
         i = int(vals.argmin())
         if vals[i] < worst:
@@ -616,20 +591,16 @@ def check_monotone_coefficients(lv, budget, domain, horizon, tolerances=None):
     count = budget.t * budget.x
     raw = halton_block(count, 1 + n, budget.seed)
     t = dt + raw[:, 0] * max(horizon - 2.0 * dt, dt)
-    x = np.empty((count, n))
-    for axis, (lo, hi) in enumerate(domain.bounds):
-        x[:, axis] = lo + raw[:, 1 + axis] * (hi - lo)
+    x = _box_points(raw[:, 1:], domain.bounds)
 
     worst = np.inf
     worst_info = None
     per_symbol = {}
     for label, pick, sign in _MONOTONE_PLAN:
         coeff = pick(lv)
-        slopes = np.empty(count)
-        for i in range(count):
-            hi = np.asarray(coeff(float(t[i] + dt), x[i]), dtype=float)
-            lo = np.asarray(coeff(float(t[i] - dt), x[i]), dtype=float)
-            slopes[i] = float(np.min(sign * (hi - lo) / (2.0 * dt)))
+        hi = np.broadcast_to(np.asarray(coeff(t + dt, x), dtype=float), (count,))
+        lo = np.broadcast_to(np.asarray(coeff(t - dt, x), dtype=float), (count,))
+        slopes = sign * (hi - lo) / (2.0 * dt)
         i = int(slopes.argmin())
         per_symbol[label] = {"required": _SIGN_WORDS[sign], "worst_margin": float(slopes[i])}
         if slopes[i] < worst:

@@ -63,7 +63,9 @@ class PowerInTime:
             raise SpecError("power family needs exponent > 0")
 
     def __call__(self, t):
-        return self.scale / (1.0 + t) ** self.exponent
+        # np.power, not ``**``: a Python float power can differ in the last
+        # bit from numpy's, and scalar and array ``t`` must give the same bits
+        return self.scale / np.power(1.0 + t, self.exponent)
 
     @property
     def limit(self):
@@ -103,14 +105,17 @@ class BumpInSpace:
 
 @dataclass(frozen=True)
 class Coefficient:
-    """Separable coefficient value(t, x) = time_part(t) * space_part(x)."""
+    """Separable coefficient value(t, x) = time_part(t) * space_part(x).
+
+    ``t`` is a scalar or an array of ``x``'s batch shape.
+    """
 
     time_part: object
     space_part: object
 
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
-        return float(self.time_part(t)) * np.asarray(self.space_part(x), dtype=float)
+        return self.time_part(t) * np.asarray(self.space_part(x), dtype=float)
 
     @property
     def limit(self):
@@ -127,8 +132,8 @@ class TabulatedCoefficient:
     """Multilinear interpolation of a (t, x) lattice loaded from CSV.
 
     The file carries columns ``t, x1[, x2], value`` covering a full lattice.
-    Queries are clamped to the lattice hull; the declared limit is the value
-    row at the largest tabulated time.
+    Queries are clamped to the lattice hull, each row's ``t`` on its own;
+    the declared limit is the value row at the largest tabulated time.
     """
 
     def __init__(self, t_values, axes, table):
@@ -146,10 +151,7 @@ class TabulatedCoefficient:
             rows = list(csv.reader(fh))
         if not rows:
             raise ConfigError("empty coefficient table", pointer="")
-        header = [h.strip().lower() for h in rows[0]]
-        if header[0] != "t" or header[-1] != "value":
-            raise ConfigError("table header must be t, x1[, x2], value")
-        dim = len(header) - 2
+        dim = table_dimension(rows[0])
         data = np.asarray([[float(v) for v in r] for r in rows[1:]], dtype=float)
         t_values = np.unique(data[:, 0])
         axes = tuple(np.unique(data[:, 1 + d]) for d in range(dim))
@@ -163,9 +165,9 @@ class TabulatedCoefficient:
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
         batch = x.shape[:-1]
-        flat = x.reshape(-1, x.shape[-1])
-        t_clamped = min(max(float(t), self.t_values[0]), self.t_values[-1])
-        q = np.column_stack([np.full(len(flat), t_clamped), flat])
+        rows = np.broadcast_to(np.asarray(t, dtype=float), batch).ravel()
+        t_clamped = np.clip(rows, self.t_values[0], self.t_values[-1])
+        q = np.column_stack([t_clamped, x.reshape(-1, x.shape[-1])])
         return self._interp(q).reshape(batch)
 
     @property
@@ -174,6 +176,19 @@ class TabulatedCoefficient:
 
     def limit_profile(self, x):
         return self.__call__(self.t_values[-1], x)
+
+
+def table_dimension(header, pointer=""):
+    """Space dimension of a coefficient table from its header row alone."""
+    names = [h.strip().lower() for h in header]
+    if len(names) < 3 or names[0] != "t" or names[-1] != "value":
+        raise ConfigError("table header must be t, x1[, x2], value", pointer)
+    return len(names) - 2
+
+
+def read_profile_table(path):
+    """The values of an initial ``table`` profile, flattened in file order."""
+    return np.loadtxt(path, delimiter=",", ndmin=1).ravel()
 
 
 # --------------------------------------------------------------- parsing
@@ -256,9 +271,7 @@ def _profile_values(grid, spec, pointer, base_dir):
         xi = (pts[..., 0] - lo) / (hi - lo)
         return 2.0 * spec["amplitude"] * np.minimum(xi, 1.0 - xi)
     if kind == "table":
-        arr = np.loadtxt(Path(base_dir) / spec["path"], delimiter=",")
-        arr = np.asarray(arr, dtype=float).reshape(grid.shape)
-        return arr
+        return read_profile_table(Path(base_dir) / spec["path"]).reshape(grid.shape)
     if kind == "product":
         out = np.ones(grid.shape)
         for j, sub in enumerate(spec["profiles"]):

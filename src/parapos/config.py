@@ -10,6 +10,7 @@ Both stages report a JSON-pointer to the offending element.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import dataclass, replace
@@ -21,7 +22,8 @@ import jsonschema
 
 from .analysis import TestFunction, bump_battery
 from .checker import CheckTolerances, SampleBudget
-from .coefficients import build_initial_field, parse_coefficient
+from .coefficients import (build_initial_field, parse_coefficient,
+                           read_profile_table, table_dimension)
 from .errors import ConfigError
 from .fdm import SchemeConfig
 from .model import (Grid, LVCoefficients, Majorants, SpatialDomain,
@@ -199,13 +201,31 @@ def _check_cross_rules(data, base_dir):
     if len(problem["initial"]) != m:
         raise ConfigError(f"expected {m} initial profiles", "/problem/initial")
 
+    n_nodes = int(np.prod(problem["grid"]["nodes"]))
+
     def check_tables(node, pointer):
+        # the header of a coefficient table, the value count of a profile table
         if isinstance(node, dict):
             if node.get("family") == "table" or node.get("kind") == "table":
                 path = (base_dir / node["path"]).resolve()
+                where = pointer + "/path"
                 if not path.is_file():
-                    raise ConfigError(f"table file {node['path']!r} not found",
-                                      pointer + "/path")
+                    raise ConfigError(f"table file {node['path']!r} not found", where)
+                if node.get("family") == "table":
+                    with open(path, newline="") as fh:
+                        dim = table_dimension(next(csv.reader(fh), []), where)
+                    if dim != n:
+                        raise ConfigError(f"table {node['path']!r} has {dim} space "
+                                          f"axes for a {n}-dimensional domain", where)
+                else:
+                    try:
+                        count = read_profile_table(path).size
+                    except ValueError as exc:
+                        raise ConfigError(f"table {node['path']!r} is not a list of "
+                                          f"numbers: {exc}", where) from exc
+                    if count != n_nodes:
+                        raise ConfigError(f"table {node['path']!r} holds {count} values "
+                                          f"for a grid of {n_nodes} nodes", where)
             for key, sub in node.items():
                 check_tables(sub, f"{pointer}/{key}")
         elif isinstance(node, list):

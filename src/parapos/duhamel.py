@@ -358,16 +358,14 @@ def _extract_rates(spec):
     n = spec.dimension
     lo = np.asarray([b[0] for b in spec.domain.bounds])
     hi = np.asarray([b[1] for b in spec.domain.bounds])
-    probes = [
-        (0.0, lo + 0.5 * (hi - lo), np.zeros(m)),
-        (spec.horizon / 2.0, lo + 0.3 * (hi - lo), np.ones(m)),
-        (spec.horizon, lo + 0.7 * (hi - lo), np.full(m, 0.5)),
-    ]
-    mats = [spec.coefficients.diffusion_matrices(t, x, u, m) for t, x, u in probes]
+    # three probes (t, x, u), one row each
+    t = np.array([0.0, spec.horizon / 2.0, spec.horizon])
+    x = lo + np.array([[0.5], [0.3], [0.7]]) * (hi - lo)
+    u = np.array([np.zeros(m), np.ones(m), np.full(m, 0.5)])
+    mats = spec.coefficients.diffusion_matrices(t, x, u, m)
     base = mats[0]
-    for other in mats[1:]:
-        if np.abs(other - base).max() > 1e-10 * (1.0 + np.abs(base).max()):
-            raise SpecError("kernel route needs diffusion constant in time and state")
+    if np.abs(mats[1:] - base).max() > 1e-10 * (1.0 + np.abs(base).max()):
+        raise SpecError("kernel route needs diffusion constant in time and state")
     rates = np.empty(m)
     for k in range(m):
         a = base[k]
@@ -380,11 +378,9 @@ def _extract_rates(spec):
         if d[0] <= 0:
             raise SpecError("kernel route needs positive diffusion")
         rates[k] = 2.0 * float(d[0])
-    p0 = np.zeros((m, n))
-    for t, x, u in probes:
-        b = np.asarray(spec.coefficients.drift(t, x, u, p0), dtype=float)
-        if np.abs(b).max() > 1e-14:
-            raise SpecError("kernel route does not support drift terms")
+    b = np.asarray(spec.coefficients.drift(t, x, u, np.zeros((3, m, n))), dtype=float)
+    if np.abs(b).max() > 1e-14:
+        raise SpecError("kernel route does not support drift terms")
     return rates
 
 

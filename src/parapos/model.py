@@ -11,10 +11,13 @@ nested-box approximation of the whole-space problem.  Competition systems
 specialized case carried by :class:`LVCoefficients`.
 
 Evaluator convention: coefficient callables are vectorized over a leading
-batch shape.  With ``t`` a scalar, ``x`` has shape ``(..., n)``, ``u`` has
-``(..., m)``, and the gradient ``p`` has ``(..., m, n)``.  Diffusion returns
-``(..., n, n)`` (shared across components) or ``(..., m, n, n)``
-(per component); drift returns ``(..., n)``; the source returns ``(..., m)``.
+batch shape.  ``x`` has shape ``(..., n)``, ``u`` has ``(..., m)``, and the
+gradient ``p`` has ``(..., m, n)``; ``t`` is a scalar or an array of the
+batch shape ``...``, one time per point.  Diffusion returns ``(..., n, n)``
+(shared across components) or ``(..., m, n, n)`` (per component); drift
+returns ``(..., n)``; the source returns ``(..., m)``.  A call with an array
+``t`` gives the same bits as one call per point with that point's scalar
+``t``, so a sampled check can evaluate all its samples at once.
 """
 
 from __future__ import annotations
@@ -225,9 +228,11 @@ class Field:
 
 
 def _symmetrize(a_raw):
+    # each matrix against its own scale, so a batch rejects what one call per
+    # point would reject
     a_t = np.swapaxes(a_raw, -1, -2)
-    scale = max(float(np.abs(a_raw).max(initial=0.0)), 1.0)
-    asym = float(np.abs(a_raw - a_t).max(initial=0.0)) / scale
+    scale = np.maximum(np.abs(a_raw).max(axis=(-2, -1), initial=0.0), 1.0)
+    asym = float((np.abs(a_raw - a_t).max(axis=(-2, -1), initial=0.0) / scale).max(initial=0.0))
     if asym > ASYMMETRY_TOL:
         raise CoefficientError(f"diffusion matrix asymmetric beyond tolerance ({asym:.3e})")
     return 0.5 * (a_raw + a_t)
@@ -281,7 +286,8 @@ class LVCoefficients:
     """Competition-system coefficients: per-species diffusion, growth, interaction.
 
     ``growth[k]`` and ``interaction[k][i]`` are callables ``(t, x) -> array``
-    broadcasting over the batch shape of ``x[..., :n]``.  The source is
+    broadcasting over the batch shape of ``x[..., :n]``, with ``t`` a scalar
+    or an array of that batch shape.  The source is
 
         c^k(t, x, u) = u^k * (growth_k(t,x) - sum_i interaction_ki(t,x) u^i).
 
@@ -386,7 +392,7 @@ class LVCoefficients:
         # the product Coefficient.__call__ computes, with the space part reused
         if prof is None:
             return f(t, x)
-        return float(f.time_part(t)) * prof
+        return f.time_part(t) * prof
 
     def growth_values(self, t, x):
         batch = np.asarray(x).shape[:-1]
@@ -417,31 +423,22 @@ class Majorants:
     """User-supplied envelopes and constants used by the sampled assumption checks.
 
     All function-valued entries take the state magnitude ``s = |u|`` (and the
-    gradient magnitude ``q = |p|`` for ``theta2``).  Only the pieces a given
-    check needs have to be present.
+    gradient magnitude ``q = |p|`` for ``theta2``) as one scalar.  Only the
+    pieces a given check needs have to be present.
     """
 
-    kappa: float | None = None
     mu: object | None = None
     mu_hat: object | None = None
     theta1: object | None = None
     theta2: object | None = None
     d1: float | None = None
     d2: float | None = None
-    c1: float | None = None
-    c2: float | None = None
 
     def __post_init__(self):
-        if self.kappa is not None and not self.kappa > 0:
-            raise SpecError("kappa must be positive")
         for name in ("d1", "d2"):
             val = getattr(self, name)
             if val is not None and val < 0:
                 raise SpecError(f"{name} must be non-negative")
-        for name in ("c1", "c2"):
-            val = getattr(self, name)
-            if val is not None and not val > 0:
-                raise SpecError(f"{name} must be positive when given")
         # sampled shape constraints: mu non-decreasing, mu_hat non-increasing
         s = np.linspace(0.0, 10.0, 41)
         if self.mu is not None:

@@ -1,3 +1,6 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from parapos.checker import (
+    ASSUMPTION_IDS,
     CheckTolerances,
     SampleBudget,
     check_compatibility,
@@ -30,6 +34,7 @@ from parapos.model import (
     SpatialDomain,
     build_lv_problem,
 )
+from parapos.config import load_config_data
 from parapos.scenarios import get_scenario
 
 BUDGET = SampleBudget(t=3, x=3, u=3, p=2, seed=0)
@@ -64,6 +69,22 @@ def generic_problem(source, drift=None, diffusion=1.0, depends_on_gradient=False
         depends_on_gradient=depends_on_gradient,
     )
     return ProblemSpec(g.domain, coeffs, Field.zeros(g, 1), horizon=1.0)
+
+
+def counted(spec):
+    """``spec`` with its three evaluators wrapped in call counters."""
+    calls = {"diffusion": 0, "drift": 0, "source": 0}
+
+    def wrap(name):
+        evaluate = getattr(spec.coefficients, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return evaluate(*args)
+        return counting
+
+    coeffs = replace(spec.coefficients, **{name: wrap(name) for name in calls})
+    return replace(spec, coefficients=coeffs), calls
 
 
 class TestHalton:
@@ -172,8 +193,8 @@ class TestGrowth:
 
     def test_linear_in_gradient_drift_breaks_unit_envelope(self):
         def drift(t, x, u, p):
-            q = np.sqrt((np.asarray(p) ** 2).sum())
-            return np.array([2.0 * q])
+            q = np.sqrt((np.asarray(p) ** 2).sum(axis=(-2, -1)))
+            return (2.0 * q)[..., None]
 
         spec = generic_problem(
             source=lambda t, x, u, p: np.zeros_like(u),
@@ -387,6 +408,12 @@ class TestSourceJacobians:
         u = float(message.split("u=[")[1].split("]")[0])
         assert u + 2e-6 > 1.5
 
+    def test_two_source_calls_cover_every_sample(self):
+        spec, calls = counted(get_scenario("S8_competition_2d").build_problem())
+        jac = source_jacobians(spec, 2.0)
+        assert jac.shape == (48, 2, 2)
+        assert calls == {"diffusion": 0, "drift": 0, "source": 2}
+
 
 def test_discrete_laplacian_matches_modal_eigenvalue():
     g = Grid(SpatialDomain(((0.0, 1.0),)), (51,))
@@ -436,6 +463,24 @@ class TestRunChecks:
         for e1, e2 in zip(r1.entries, r2.entries):
             assert e1.margin == e2.margin
             assert e1.witness == e2.witness
+
+    def test_evaluator_calls_do_not_grow_with_the_budget_or_the_grid(self):
+        coarse = get_scenario("S8_competition_2d").data
+        fine = copy.deepcopy(coarse)
+        fine["problem"]["grid"]["nodes"] = [121, 121]
+        majorants = Majorants(theta1=lambda s: 1.0, theta2=lambda s, q: 10.0)
+
+        def calls_for(data, budget):
+            spec, calls = counted(load_config_data(data).build_problem())
+            run_checks(spec, budget, ASSUMPTION_IDS, majorants)
+            return calls
+
+        base = calls_for(coarse, SampleBudget())
+        # A1 and A6 read the diffusion, A4a and A6 the drift; A2, A2', A4b
+        # and A6 the source once each, and A7b once per species
+        assert base == {"diffusion": 2, "drift": 2, "source": 6}
+        assert calls_for(coarse, SampleBudget(t=10, x=10, u=8, p=6)) == base
+        assert calls_for(fine, SampleBudget()) == base
 
     def test_seed_changes_the_sample_set(self):
         spec = logistic_problem()

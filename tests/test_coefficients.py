@@ -14,7 +14,7 @@ from parapos.coefficients import (
     parse_coefficient,
 )
 from parapos.errors import ConfigError, SpecError
-from parapos.model import Grid, SpatialDomain
+from parapos.model import Grid, LVCoefficients, SpatialDomain
 
 X1 = np.array([[0.25], [0.5], [0.75]])
 
@@ -90,6 +90,62 @@ def test_tabulated_interpolation_and_clamping(tmp_path):
     assert_allclose(c(5.0, np.array([[0.5]])), 1.5)
     assert c.limit is None
     assert_allclose(c.limit_profile(np.array([[0.0]])), 1.0)
+
+
+_BUMP_2D = {"kind": "bump", "center": [0.4, 0.6], "radius": 0.3, "width": 0.2,
+            "amplitude": 0.5}
+_CONTRACT_CASES = {
+    "constant": {"family": "constant", "value": 1.5},
+    "exp": {"family": "exp", "base": 0.5, "amplitude": 1.5, "rate": 0.7},
+    "power": {"family": "power", "scale": 2.0, "exponent": 1.7},
+    "bump": {"family": "separable", "space": _BUMP_2D,
+             "time": {"family": "exp", "base": 1.0, "amplitude": -0.5, "rate": 1.3}},
+    "table": {"family": "table", "path": "table.csv"},
+}
+
+
+def _contract_samples(count=256):
+    # times run past both ends of the table's [0, 2] so each row clamps alone
+    rng = np.random.default_rng(3)
+    return rng.uniform(-0.5, 3.0, count), rng.random((count, 2))
+
+
+def _write_table(base):
+    rows = ["t,x1,x2,value"]
+    for t in (0.0, 0.5, 2.0):
+        for x1 in (0.0, 0.3, 1.0):
+            for x2 in (0.0, 0.6, 1.0):
+                rows.append(f"{t},{x1},{x2},{math.sin(1.0 + t + 2.0 * x1 - x2)!r}")
+    (base / "table.csv").write_text("\n".join(rows) + "\n")
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_CONTRACT_CASES))
+def test_an_array_t_gives_the_bits_of_per_sample_scalar_calls(tmp_path, case):
+    _write_table(tmp_path)
+    coeff = parse_coefficient(_CONTRACT_CASES[case], base_dir=tmp_path)
+    t, x = _contract_samples()
+    per_sample = np.array([coeff(float(ti), xi) for ti, xi in zip(t, x)])
+    batched = coeff(t, x)
+    assert batched.shape == t.shape
+    assert _bits(batched) == _bits(per_sample)
+    # any batch shape, not only a flat one
+    assert _bits(coeff(t.reshape(16, 16), x.reshape(16, 16, 2)).ravel()) == _bits(per_sample)
+
+
+def test_lv_source_with_an_array_t_gives_the_bits_of_per_sample_calls(tmp_path):
+    _write_table(tmp_path)
+    c = {name: parse_coefficient(spec, base_dir=tmp_path)
+         for name, spec in _CONTRACT_CASES.items()}
+    lv = LVCoefficients(np.array([0.1, 0.2]), (c["exp"], c["bump"]),
+                        ((c["constant"], c["power"]), (c["table"], c["bump"])))
+    t, x = _contract_samples()
+    u = np.random.default_rng(4).random((len(t), 2))
+    per_sample = np.array([lv.source(float(ti), xi, ui) for ti, xi, ui in zip(t, x, u)])
+    assert _bits(lv.source(t, x, u)) == _bits(per_sample)
 
 
 def test_tabulated_rejects_incomplete_lattice(tmp_path):

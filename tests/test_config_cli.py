@@ -116,6 +116,29 @@ class TestCrossRules:
             {"family": "table", "path": "gone.csv"}]
         reject(data, "/problem/coefficients/growth/0/path", base_dir=tmp_path)
 
+    def test_coefficient_table_axes_must_match_the_domain(self, tmp_path):
+        # a one-axis table on a 2D domain, caught before any run
+        (tmp_path / "growth.csv").write_text("t,x,value\n0,0,1\n0,1,1\n1,0,1\n1,1,1\n")
+        data = tiny_config()
+        data["problem"]["domain"]["bounds"] = [[0.0, 1.0], [0.0, 1.0]]
+        data["problem"]["grid"]["nodes"] = [5, 5]
+        data["problem"]["coefficients"]["growth"] = [
+            {"family": "table", "path": "growth.csv"}]
+        reject(data, "/problem/coefficients/growth/0/path", base_dir=tmp_path)
+        path = tmp_path / "axes.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+
+    def test_initial_table_must_hold_one_value_per_node(self, tmp_path):
+        (tmp_path / "initial.csv").write_text(",".join(["0.0"] * 10))
+        data = tiny_config()
+        data["problem"]["grid"]["nodes"] = [11]
+        data["problem"]["initial"] = [{"kind": "table", "path": "initial.csv"}]
+        reject(data, "/problem/initial/0/path", base_dir=tmp_path)
+        path = tmp_path / "count.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+
     def test_component_bound_needs_t_split(self):
         data = tiny_config()
         data["analysis"] = {"ops": ["component_bound"]}
@@ -420,6 +443,19 @@ class TestCli:
         data = tiny_config()
         data["scheme"]["linear_rtol"] = 1e-8
         path = tmp_path / "linear.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("block,key", [
+        ("majorants", "kappa"), ("majorants", "c1"), ("majorants", "c2"),
+        ("outputs", "directory")])
+    def test_validate_rejects_the_removed_unread_keys(self, tmp_path, block, key):
+        data = tiny_config()
+        if block == "majorants":
+            data["checks"]["majorants"] = {key: 1.0}
+        else:
+            data["outputs"] = {key: "elsewhere"}
+        path = tmp_path / "unread.json"
         path.write_text(json.dumps(data))
         assert main(["validate", str(path)]) == 2
 

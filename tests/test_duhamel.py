@@ -576,7 +576,8 @@ class TestPicard:
         g = Grid(UNIT, (101,))
         coeffs = CoefficientSet(
             diffusion=lambda t, x, u: np.broadcast_to(
-                (0.01 + t) * np.eye(1), np.asarray(x).shape[:-1] + (1, 1)),
+                (0.01 + np.asarray(t))[..., None, None] * np.eye(1),
+                np.asarray(x).shape[:-1] + (1, 1)),
             drift=lambda t, x, u, p: np.zeros(np.asarray(x).shape[:-1] + (1,)),
             source=lambda t, x, u, p: np.zeros_like(u),
         )

@@ -312,6 +312,21 @@ def test_majorants_shape_constraints():
     with pytest.raises(SpecError):
         Majorants(mu_hat=lambda s: s)  # increasing
     with pytest.raises(SpecError):
-        Majorants(kappa=0.0)
-    with pytest.raises(SpecError):
         Majorants(d1=-1.0)
+
+
+def test_asymmetry_is_judged_per_matrix_in_a_batch():
+    # 1e-11 off is asymmetric next to unit entries, however large the
+    # other matrices of the batch are
+    def diffusion(t, x, u):
+        x = np.asarray(x)
+        a = np.zeros(x.shape[:-1] + (2, 2))
+        a[..., 0, 0] = a[..., 1, 1] = np.where(x[..., 0] > 0.5, 1e3, 1.0)
+        a[..., 0, 1] = 1e-11
+        return a
+
+    coeffs = CoefficientSet(diffusion=diffusion, drift=None, source=None)
+    x = np.array([[0.2, 0.3], [0.8, 0.3]])
+    for batch in (x[:1], x):
+        with pytest.raises(CoefficientError):
+            coeffs.diffusion_matrices(0.0, batch, np.zeros((len(batch), 1)), 1)
