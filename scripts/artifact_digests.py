@@ -10,6 +10,13 @@ compare line by line:
     PYTHONPATH=old/src python scripts/artifact_digests.py S4_asymptotics > old.txt
     PYTHONPATH=src python scripts/artifact_digests.py S4_asymptotics --compare old.txt
 
+``--standard`` adds the standard gate set: the ten built-ins, every
+``perfbench/configs/*.json`` file, and the perfbench ``competition_2d``
+config from generator seed 7, 14 scenarios and 62 artifacts in all:
+
+    PYTHONPATH=old/src python scripts/artifact_digests.py --standard > old.txt
+    PYTHONPATH=src python scripts/artifact_digests.py --standard --compare old.txt
+
 With ``--compare FILE`` the script lists every path whose digest differs
 from FILE, or that only one side has, and exits 1 if there is any.  A run
 that ends in a configuration or runtime error (exit code 2 or 3) makes the
@@ -34,6 +41,7 @@ each file's lowest value.
 
 import argparse
 import contextlib
+import importlib.util
 import os
 import sys
 import tempfile
@@ -41,6 +49,20 @@ from pathlib import Path
 
 from parapos.cli import main as parapos_main
 from parapos.io import sha256_file
+from parapos.scenarios import list_scenarios
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def standard_targets(directory):
+    """The ``--standard`` targets; the generated config is written under ``directory``."""
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    generated, _, _ = workloads.generate("competition_2d", 7, directory)
+    return ([name for name, _ in list_scenarios()]
+            + [str(p) for p in sorted((PERFBENCH / "configs").glob("*.json"))]
+            + generated)
 
 
 def digest_table(base):
@@ -68,21 +90,26 @@ def differences(ours, theirs):
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("targets", nargs="+",
+    parser.add_argument("targets", nargs="*",
                         help="built-in scenario names or config file paths")
+    parser.add_argument("--standard", action="store_true",
+                        help="add the standard 14-scenario gate set")
     parser.add_argument("--compare", metavar="FILE", default=None,
                         help="a table printed earlier; list the paths that differ")
     parser.add_argument("--keep", metavar="DIR", type=Path, default=None,
                         help="write the runs under DIR (empty or absent) and keep them")
     args = parser.parse_args(argv)
+    if not (args.targets or args.standard):
+        parser.error("name at least one target, or pass --standard")
     if args.keep is not None and args.keep.is_dir() and any(args.keep.iterdir()):
         parser.error(f"--keep directory {args.keep} is not empty")
 
     os.environ.pop("PARAPOS_OUT", None)  # it would override --out
     where = (tempfile.TemporaryDirectory() if args.keep is None
              else contextlib.nullcontext(str(args.keep)))
-    with where as out:
-        code = parapos_main(["run", *args.targets, "--out", out])
+    with where as out, tempfile.TemporaryDirectory() as inputs:
+        targets = args.targets + (standard_targets(inputs) if args.standard else [])
+        code = parapos_main(["run", *targets, "--out", out])
         table = digest_table(out)
 
     for name, digest in table.items():

@@ -146,21 +146,8 @@ class TabulatedCoefficient:
                                                bounds_error=False, fill_value=None)
 
     @classmethod
-    def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            raise ConfigError("empty coefficient table", pointer="")
-        dim = table_dimension(rows[0])
-        data = np.asarray([[float(v) for v in r] for r in rows[1:]], dtype=float)
-        t_values = np.unique(data[:, 0])
-        axes = tuple(np.unique(data[:, 1 + d]) for d in range(dim))
-        shape = (len(t_values),) + tuple(len(a) for a in axes)
-        if int(np.prod(shape)) != len(data):
-            raise ConfigError("table rows do not form a complete lattice")
-        order = np.lexsort([data[:, d] for d in range(dim, -1, -1)])
-        table = data[order, -1].reshape(shape)
-        return cls(t_values, axes, table)
+    def from_csv(cls, path, pointer=""):
+        return cls(*read_table_lattice(path, pointer))
 
     def __call__(self, t, x):
         x = np.asarray(x, dtype=float)
@@ -184,6 +171,38 @@ def table_dimension(header, pointer=""):
     if len(names) < 3 or names[0] != "t" or names[-1] != "value":
         raise ConfigError("table header must be t, x1[, x2], value", pointer)
     return len(names) - 2
+
+
+def read_table_lattice(path, pointer=""):
+    """A coefficient table's ``(t_values, axes, table)`` from its CSV file.
+
+    Every cell must parse as a float, the ``t`` and ``x`` cells must be
+    finite, and the rows must cover the product of their distinct ``t`` and
+    ``x`` values once each, in any order.  Faults raise ConfigError at
+    ``pointer``.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise ConfigError("empty coefficient table", pointer)
+    dim = table_dimension(rows[0], pointer)
+    for j, row in enumerate(rows[1:], start=2):
+        if len(row) != dim + 2:
+            raise ConfigError(f"table line {j} has {len(row)} cells, not {dim + 2}", pointer)
+    try:
+        data = np.array([[float(v) for v in row] for row in rows[1:]]).reshape(-1, dim + 2)
+    except ValueError as exc:
+        raise ConfigError(f"table cell is not a number: {exc}", pointer) from exc
+    coords = data[:, :-1]
+    if not np.isfinite(coords).all():
+        raise ConfigError("table t and x cells must be finite", pointer)
+    t_values, *axes = (np.unique(c) for c in coords.T)
+    shape = (len(t_values),) + tuple(len(a) for a in axes)
+    if not data.size or len(np.unique(coords, axis=0)) != len(data) \
+            or int(np.prod(shape)) != len(data):
+        raise ConfigError("table rows do not form a complete lattice", pointer)
+    order = np.lexsort(coords.T[::-1])
+    return t_values, tuple(axes), data[order, -1].reshape(shape)
 
 
 def read_profile_table(path):
@@ -231,7 +250,7 @@ def parse_coefficient(spec, pointer="", base_dir="."):
             raise ConfigError(f"unknown space kind {kind!r}", pointer + "/space")
         return Coefficient(time_part, space)
     if fam == "table":
-        return TabulatedCoefficient.from_csv(Path(base_dir) / spec["path"])
+        return TabulatedCoefficient.from_csv(Path(base_dir) / spec["path"], pointer + "/path")
     raise ConfigError(f"unknown coefficient family {fam!r}", pointer)
 
 

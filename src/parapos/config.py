@@ -10,7 +10,6 @@ Both stages report a JSON-pointer to the offending element.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, replace
@@ -23,7 +22,7 @@ import jsonschema
 from .analysis import TestFunction, bump_battery
 from .checker import CheckTolerances, SampleBudget
 from .coefficients import (build_initial_field, parse_coefficient,
-                           read_profile_table, table_dimension)
+                           read_profile_table, read_table_lattice)
 from .errors import ConfigError
 from .fdm import SchemeConfig
 from .model import (Grid, LVCoefficients, Majorants, SpatialDomain,
@@ -204,7 +203,7 @@ def _check_cross_rules(data, base_dir):
     n_nodes = int(np.prod(problem["grid"]["nodes"]))
 
     def check_tables(node, pointer):
-        # the header of a coefficient table, the value count of a profile table
+        # the lattice of a coefficient table, the value count of a profile table
         if isinstance(node, dict):
             if node.get("family") == "table" or node.get("kind") == "table":
                 path = (base_dir / node["path"]).resolve()
@@ -212,8 +211,7 @@ def _check_cross_rules(data, base_dir):
                 if not path.is_file():
                     raise ConfigError(f"table file {node['path']!r} not found", where)
                 if node.get("family") == "table":
-                    with open(path, newline="") as fh:
-                        dim = table_dimension(next(csv.reader(fh), []), where)
+                    dim = len(read_table_lattice(path, where)[1])
                     if dim != n:
                         raise ConfigError(f"table {node['path']!r} has {dim} space "
                                           f"axes for a {n}-dimensional domain", where)

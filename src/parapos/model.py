@@ -281,6 +281,16 @@ class CoefficientSet:
         return a_sym
 
 
+def _broadcast_shape(values):
+    """Broadcast shape of numbers and arrays; a number is shape ``()``.
+
+    Reads ``.shape`` rather than wrapping each number in an array, since the
+    tables of a small grid are built thousands of times per run.
+    """
+    shapes = {getattr(v, "shape", ()) for v in values}
+    return shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+
+
 @dataclass
 class LVCoefficients:
     """Competition-system coefficients: per-species diffusion, growth, interaction.
@@ -290,6 +300,12 @@ class LVCoefficients:
     or an array of that batch shape.  The source is
 
         c^k(t, x, u) = u^k * (growth_k(t,x) - sum_i interaction_ki(t,x) u^i).
+
+    The growth and interaction tables have the broadcast shape of their
+    entries, not the batch shape: space-constant coefficients at a scalar
+    ``t`` give an ``(m,)`` and an ``(m, m)`` table, which the source
+    broadcasts against ``u``.  An array ``t`` or a varying space profile
+    gives batch-shape tables.
 
     For two species the classical symbols map onto the arrays as
     beta, gamma, delta, rho, sigma, theta =
@@ -395,27 +411,33 @@ class LVCoefficients:
         return f.time_part(t) * prof
 
     def growth_values(self, t, x):
-        batch = np.asarray(x).shape[:-1]
-        out = np.empty(batch + (self.species,))
-        for k, (g, prof) in enumerate(zip(self.growth, self._profiles(x)[0])):
-            out[..., k] = self._value(g, prof, t, x)
+        """The growth table, ``shape + (m,)`` for the broadcast ``shape`` of its entries."""
+        values = [self._value(g, prof, t, x)
+                  for g, prof in zip(self.growth, self._profiles(x)[0])]
+        out = np.empty(_broadcast_shape(values) + (self.species,))
+        for k, v in enumerate(values):
+            out[..., k] = v
         return out
 
     def interaction_values(self, t, x):
-        batch = np.asarray(x).shape[:-1]
+        """The interaction table, ``shape + (m, m)`` as for :meth:`growth_values`."""
         m = self.species
-        out = np.empty(batch + (m, m))
-        profs = self._profiles(x)[1]
+        values = [[self._value(f, prof, t, x) for f, prof in zip(row, profs)]
+                  for row, profs in zip(self.interaction, self._profiles(x)[1])]
+        out = np.empty(_broadcast_shape([v for row in values for v in row]) + (m, m))
         for k in range(m):
             for i in range(m):
-                out[..., k, i] = self._value(self.interaction[k][i], profs[k][i], t, x)
+                out[..., k, i] = values[k][i]
         return out
 
     def source(self, t, x, u):
         u = np.asarray(u, dtype=float)
         beta = self.growth_values(t, x)
         gam = self.interaction_values(t, x)
-        return u * (beta - np.einsum("...ki,...i->...k", gam, u))
+        # u * (beta - gam u), operands in that order, in the einsum's own output
+        out = np.einsum("...ki,...i->...k", gam, u)
+        np.subtract(beta, out, out=out)
+        return np.multiply(u, out, out=out)
 
 
 @dataclass
@@ -482,8 +504,9 @@ class ProblemSpec:
 def build_lv_problem(lv, domain, initial, horizon):
     """Wrap competition coefficients as a full problem spec.
 
-    The drift vanishes, diffusion is the per-species constant diagonal, and
-    the source never reads the gradient.
+    The drift vanishes (a read-only zero view, so no call allocates),
+    diffusion is the per-species constant diagonal, and the source never
+    reads the gradient.
     """
     if initial.components != lv.species:
         raise SpecError(
@@ -500,7 +523,7 @@ def build_lv_problem(lv, domain, initial, horizon):
         return np.broadcast_to(_diag, batch + (m, n, n))
 
     def drift(t, x, u, p):
-        return np.zeros(np.asarray(x).shape[:-1] + (n,))
+        return np.broadcast_to(0.0, np.asarray(x).shape[:-1] + (n,))
 
     def source(t, x, u, p, _lv=lv):
         return _lv.source(t, x, u)

@@ -187,3 +187,37 @@ def duhamel_rows_reference(history, operator):
                     acc = acc + term
             rows[j - 1, k] = acc
     return rows
+
+
+def lv_source_reference(growth, interaction, t, x, u):
+    """The LV source through full batch-shape tables, every entry called as f(t, x).
+
+    Growth fills a ``(*batch, m)`` table and interaction a
+    ``(*batch, m, m)`` table, each entry broadcast to the batch of ``x``;
+    then c^k = u^k (beta_k - sum_i gamma_ki u^i) by ``einsum``.
+    """
+    x = np.asarray(x, dtype=float)
+    batch = x.shape[:-1]
+    m = len(growth)
+    beta = np.empty(batch + (m,))
+    gam = np.empty(batch + (m, m))
+    for k in range(m):
+        beta[..., k] = np.broadcast_to(np.asarray(growth[k](t, x), dtype=float), batch)
+        for i in range(m):
+            gam[..., k, i] = np.broadcast_to(
+                np.asarray(interaction[k][i](t, x), dtype=float), batch)
+    return u * (beta - np.einsum("...ki,...i->...k", gam, u))
+
+
+def step_report_reference(old, new, dt):
+    """``(min, du/dt min, dv/dt max, sup)`` of one step, over the mapped grids.
+
+    Each rate is the extreme of the whole grid of ``(new - old) / dt``, and
+    the sup the largest of the grid of pointwise Euclidean norms; ``nan``
+    stands for a rate of a component that does not exist.
+    """
+    m = new.shape[0]
+    dudt_min = float(((new[0] - old[0]) / dt).min())
+    dvdt_max = float(((new[1] - old[1]) / dt).max()) if m >= 2 else float("nan")
+    sup = float(np.sqrt((new * new).sum(axis=0)).max())
+    return float(new.min()), dudt_min, dvdt_max, sup

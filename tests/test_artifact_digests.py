@@ -1,6 +1,7 @@
 """The byte-identity gate ``scripts/artifact_digests.py``, loaded by path."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,34 @@ def test_keep_leaves_the_runs_that_the_table_lists(digests, tmp_path, capsys,
         digests.main(["S5_cauchy_nested", "--keep", str(kept)])
     assert exit_info.value.code == 2
     assert "not empty" in capsys.readouterr().err
+
+
+def test_standard_lists_the_fourteen_scenarios_of_the_gate(digests, tmp_path):
+    targets = digests.standard_targets(tmp_path)
+    configs = digests.PERFBENCH / "configs"
+    assert targets == [
+        "S1_positivity", "S2_maxbound", "S3_extinction", "S4_asymptotics",
+        "S5_cauchy_nested", "S6_oracle_crosscheck", "S7_logistic_flat",
+        "S8_competition_2d", "N1_negative_source", "N2_decaying_growth",
+        str(configs / "S4_asymptotics_fine.json"),
+        str(configs / "S6_oracle_crosscheck_fine.json"),
+        str(configs / "S7_logistic_flat_fine.json"),
+        str(tmp_path / "competition_2d.json"),
+    ]
+    # the generated config is the perfbench one for generator seed 7
+    spec = importlib.util.spec_from_file_location(
+        "workloads", digests.PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    (tmp_path / "seed7").mkdir()
+    workloads.generate("competition_2d", 7, tmp_path / "seed7")
+    generated = (tmp_path / "competition_2d.json").read_bytes()
+    assert generated == (tmp_path / "seed7" / "competition_2d.json").read_bytes()
+    assert json.loads(generated)["problem"]["grid"]["nodes"] == [201, 201]
+
+
+def test_no_target_and_no_standard_is_a_usage_error(digests, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        digests.main([])
+    assert exit_info.value.code == 2
+    assert "--standard" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from parapos.coefficients import (
     TabulatedCoefficient,
     build_initial_field,
     parse_coefficient,
+    read_table_lattice,
 )
 from parapos.errors import ConfigError, SpecError
 from parapos.model import Grid, LVCoefficients, SpatialDomain
@@ -153,6 +154,31 @@ def test_tabulated_rejects_incomplete_lattice(tmp_path):
     path.write_text("t,x1,value\n0,0,1\n0,1,2\n1,0,3\n")
     with pytest.raises(ConfigError):
         TabulatedCoefficient.from_csv(path)
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,0,1\n0,0,2\n1,1,3\n0,1,4\n", "complete lattice"),  # (1, 0) missing, (0, 0) twice
+    ("0,0,1\n0,1\n", "has 2 cells"),
+    ("0,0,1\n0,1,x\n", "not a number"),
+    ("0,0,1\nnan,1,2\n", "finite"),
+    ("", "complete lattice"),
+])
+def test_the_lattice_reader_names_each_fault(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,x,value\n" + body)
+    with pytest.raises(ConfigError, match=message) as err:
+        read_table_lattice(path, "/growth/0/path")
+    assert err.value.pointer == "/growth/0/path"
+
+
+def test_the_lattice_reader_sorts_rows_in_any_order(tmp_path):
+    path = tmp_path / "shuffled.csv"
+    path.write_text("t,x1,x2,value\n1,0,1,6\n0,1,0,3\n0,0,0,1\n1,1,1,8\n"
+                    "0,0,1,2\n1,0,0,5\n0,1,1,4\n1,1,0,7\n")
+    t_values, axes, table = read_table_lattice(path)
+    assert t_values.tolist() == [0.0, 1.0]
+    assert [a.tolist() for a in axes] == [[0.0, 1.0], [0.0, 1.0]]
+    assert table.tolist() == [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]
 
 
 def test_sine_profile_matches_formula_and_boundary():

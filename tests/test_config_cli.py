@@ -129,6 +129,26 @@ class TestCrossRules:
         path.write_text(json.dumps(data))
         assert main(["validate", str(path)]) == 2
 
+    @pytest.mark.parametrize("rows, message", [
+        ("0,0,1\n0,1,2\n1,0,3\n", "complete lattice"),
+        ("0,0,1\n0,1,two\n1,0,3\n1,1,4\n", "not a number"),
+    ])
+    def test_a_bad_coefficient_table_fails_validate_not_run(self, tmp_path, capsys,
+                                                            rows, message):
+        # before the lattice was read at validation, both passed validate (exit
+        # 0) and the run ended in an error manifest with exit 3
+        (tmp_path / "growth.csv").write_text("t,x,value\n" + rows)
+        data = get_scenario("S1_positivity").data
+        data["problem"]["coefficients"]["growth"][0] = {"family": "table",
+                                                         "path": "growth.csv"}
+        err = reject(data, "/problem/coefficients/growth/0/path", base_dir=tmp_path)
+        assert message in str(err)
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 2
+        assert "/problem/coefficients/growth/0/path" in capsys.readouterr().err
+
     def test_initial_table_must_hold_one_value_per_node(self, tmp_path):
         (tmp_path / "initial.csv").write_text(",".join(["0.0"] * 10))
         data = tiny_config()

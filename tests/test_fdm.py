@@ -18,6 +18,7 @@ from oracles import (
     crank_nicolson_heat_factor,
     dirichlet_laplacian_eigenvalue,
     heun_scalar,
+    step_report_reference,
 )
 from parapos.coefficients import build_initial_field
 from parapos.errors import (CoefficientError, DegenerateRefinement, NonConvergence,
@@ -26,6 +27,7 @@ from parapos.fdm import (
     SchemeConfig,
     _assemble_2d,
     _implicit_solvers,
+    _make_report,
     estimate_order,
     positivity_step_bound,
     solve,
@@ -295,6 +297,40 @@ class TestSolve:
             finals.append(solve(spec, SchemeConfig(scheme="imex_be", dt=1e-3)).final_values)
         scale = np.abs(finals[0]).max()
         assert np.abs(finals[1] - finals[0]).max() <= 1e-8 * scale
+
+
+SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                    1e308, -1e308, 1.0, -0.3])
+
+
+def _report_values(report):
+    return np.array([report.min_value, report.dudt_min, report.dvdt_max, report.sup_norm])
+
+
+class TestStepReport:
+    """The report reduces before it divides or takes the root."""
+
+    @pytest.mark.parametrize("dt", [0.01, 0.5, 1.9])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_bitwise_the_mapped_grid_extremes_on_special_values(self, m, dt):
+        rng = np.random.default_rng(m)
+        with np.errstate(all="ignore"):
+            for _ in range(300):
+                shape = (m, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+                old, new = rng.choice(SPECIAL, shape), rng.choice(SPECIAL, shape)
+                got = _report_values(_make_report(0, dt, old, new, dt, clipped=0))
+                want = np.array(step_report_reference(old, new, dt))
+                assert got.tobytes() == want.tobytes()
+
+    def test_an_underflowing_rate_keeps_the_sign_of_the_true_extreme(self):
+        # for dt >= 2 a least difference of -5e-324 rounds to -0.0, which ties
+        # with the +0.0 of a zero difference; the report divides the true
+        # minimum, so it reads -0.0, and +0.0 for the maximum
+        old = np.zeros((2, 1, 2))
+        new = np.array([[[-5e-324, 0.0]], [[0.0, -5e-324]]])
+        report = _make_report(0, 4.0, old, new, 4.0, clipped=0)
+        assert math.copysign(1.0, report.dudt_min) == -1.0
+        assert math.copysign(1.0, report.dvdt_max) == 1.0
 
 
 class TestDirectSolvers:

@@ -73,20 +73,29 @@ print(json.dumps([before, 'scipy.interpolate' in sys.modules,
     assert value == [pytest.approx(3.5, rel=1e-15)]
 
 
-def test_validating_a_table_coefficient_leaves_scipy_interpolate_unloaded(tmp_path):
-    # validation reads a table's header only; building it is the run's job
-    (tmp_path / "growth.csv").write_text("t,x,value\n0,0,1\n0,1,3\n2,0,5\n2,1,7\n")
+def _validate_with_a_growth_table(tmp_path, body):
+    """Exit code of ``parapos validate`` on S1 with a growth table, and
+    whether ``scipy.interpolate`` got loaded."""
+    (tmp_path / "growth.csv").write_text("t,x,value\n" + body)
     data = get_scenario("S1_positivity").data
     data["problem"]["coefficients"]["growth"][0] = {"family": "table", "path": "growth.csv"}
     path = tmp_path / "table.json"
     path.write_text(json.dumps(data))
-    code, loaded = after_cli_import("""
+    return tuple(after_cli_import("""
 import contextlib
 with contextlib.redirect_stdout(sys.stderr):
     code = parapos.cli.main(['validate', sys.argv[2]])
 print(json.dumps([code, 'scipy.interpolate' in sys.modules]))
-""", str(path))
-    assert (code, loaded) == (0, False)
+""", str(path)))
+
+
+def test_validating_a_table_coefficient_leaves_scipy_interpolate_unloaded(tmp_path):
+    # validation reads a table's lattice with numpy; interpolating is the run's job
+    assert _validate_with_a_growth_table(tmp_path, "0,0,1\n0,1,3\n2,0,5\n2,1,7\n") == (0, False)
+
+
+def test_rejecting_an_incomplete_table_leaves_scipy_interpolate_unloaded(tmp_path):
+    assert _validate_with_a_growth_table(tmp_path, "0,0,1\n0,1,3\n2,0,5\n") == (2, False)
 
 
 def test_a_varying_diffusion_step_in_2d_loads_scipy_sparse_linalg():

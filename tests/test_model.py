@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import lv_source_reference
 from parapos.coefficients import (
     BumpInSpace,
     Coefficient,
@@ -194,20 +196,6 @@ def _memo_test_coefficients():
     )
 
 
-def _direct_source(growth, interaction, t, x, u):
-    """The LV source with every coefficient called as f(t, x) on every call."""
-    batch = x.shape[:-1]
-    m = len(growth)
-    beta = np.stack([np.broadcast_to(np.asarray(g(t, x), dtype=float), batch)
-                     for g in growth], axis=-1)
-    gam = np.empty(batch + (m, m))
-    for k in range(m):
-        for i in range(m):
-            gam[..., k, i] = np.broadcast_to(
-                np.asarray(interaction[k][i](t, x), dtype=float), batch)
-    return u * (beta - np.einsum("...ki,...i->...k", gam, u))
-
-
 class TestLVSourceMemo:
     def test_bitwise_equal_to_direct_evaluation_across_two_grids(self):
         growth, interaction = _memo_test_coefficients()
@@ -220,7 +208,7 @@ class TestLVSourceMemo:
             x, u = grids[which], states[which]
             got = lv.source(t, x, u)
             fresh = LVCoefficients(np.array([0.05, 0.5]), growth, interaction)
-            want = _direct_source(growth, interaction, t, x, u)
+            want = lv_source_reference(growth, interaction, t, x, u)
             assert got.tobytes() == want.tobytes()
             assert got.tobytes() == fresh.source(t, x, u).tobytes()
 
@@ -230,7 +218,7 @@ class TestLVSourceMemo:
         for xv in (0.1, 0.45, 0.45, 0.9):
             x = np.array([xv])
             u = np.array([0.3, 1.1])
-            want = _direct_source(growth, interaction, 1.5, x, u)
+            want = lv_source_reference(growth, interaction, 1.5, x, u)
             assert lv.source(1.5, x, u).tobytes() == want.tobytes()
 
     def test_space_part_is_evaluated_once_per_grid(self):
@@ -249,6 +237,80 @@ class TestLVSourceMemo:
         assert len(calls) == 2  # one growth and one interaction profile
         lv.source(0.0, unit_grid(13).points, np.full((13, 1), 0.5))
         assert len(calls) == 4
+
+
+def _table_case(m, dim, profiles):
+    """An m-species LV set whose entries are space-constant, bumps, or both."""
+    bump = BumpInSpace(center=(0.45,) * dim, radius=0.3, width=0.1, amplitude=0.5)
+    entries = []
+    for j in range(m + m * m):
+        time_part = ExpInTime(1.0 + 0.1 * j, 0.5 - 0.2 * j, 0.3 + 0.1 * j)
+        if profiles == "constant" or (profiles == "mixed" and j % 2 == 0):
+            entries.append(Coefficient(time_part, ConstantInSpace(1.0 / (3.0 + j)))
+                           if j % 3 else parse_coefficient(0.7 + j))
+        else:
+            entries.append(Coefficient(time_part, bump))
+    growth = tuple(entries[:m])
+    interaction = tuple(tuple(entries[m + k * m:m + (k + 1) * m]) for k in range(m))
+    return growth, interaction
+
+
+def _table_samples(m, dim, t_kind):
+    nodes = (17,) if dim == 1 else (9, 11)
+    x = Grid(SpatialDomain(((0.0, 1.0),) * dim), nodes).points
+    rng = np.random.default_rng(10 * m + dim)
+    u = rng.uniform(0.0, 3.0, size=nodes + (m,))
+    u.flat[:4] = [0.0, -0.0, 5e-324, 1e150]
+    t = 0.8 if t_kind == "scalar" else rng.uniform(0.0, 2.0, size=nodes)
+    return t, x, u
+
+
+class TestLVTablesAtEntryShape:
+    """Tables at the broadcast shape of their entries give the full-table bits."""
+
+    @pytest.mark.parametrize("profiles", ["constant", "bump", "mixed"])
+    @pytest.mark.parametrize("t_kind", ["scalar", "array"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_source_is_bitwise_the_full_table_formula(self, m, dim, t_kind, profiles):
+        growth, interaction = _table_case(m, dim, profiles)
+        lv = LVCoefficients(np.full(m, 0.1), growth, interaction)
+        t, x, u = _table_samples(m, dim, t_kind)
+        want = lv_source_reference(growth, interaction, t, x, u)
+        for _ in range(2):  # the second call reads the memoised profiles
+            got = lv.source(t, x, u)
+            assert got.shape == u.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_table_shapes_follow_their_entries(self, m):
+        t, x, _ = _table_samples(m, 2, "scalar")
+        batch = x.shape[:-1]
+        constant = LVCoefficients(np.full(m, 0.1), *_table_case(m, 2, "constant"))
+        assert constant.growth_values(t, x).shape == (m,)
+        assert constant.interaction_values(t, x).shape == (m, m)
+        # an array t spreads every time-varying entry over the batch; the one
+        # growth entry of m = 1 is a bare number, which ignores t
+        t_array = np.full(batch, t)
+        assert constant.growth_values(t_array, x).shape == (batch if m > 1 else ()) + (m,)
+        assert constant.interaction_values(t_array, x).shape == batch + (m, m)
+        mixed = LVCoefficients(np.full(m, 0.1), *_table_case(m, 2, "mixed"))
+        assert mixed.interaction_values(t, x).shape == batch + (m, m)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_a_constant_source_call_holds_less_than_one_full_table(self, m):
+        growth, interaction = _table_case(m, 2, "constant")
+        lv = LVCoefficients(np.full(m, 0.1), growth, interaction)
+        x = Grid(SpatialDomain(((0.0, 1.0), (0.0, 1.0))), (201, 201)).points
+        u = np.random.default_rng(2).uniform(0.0, 2.0, size=(201, 201, m))
+        lv.source(0.0, x, u)  # build the memoised profiles outside the trace
+        tracemalloc.start()
+        try:
+            lv.source(0.5, x, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 201 * 201 * m * m
 
 
 def test_build_lv_problem_wires_diagonal_diffusion():
@@ -271,6 +333,23 @@ def test_build_lv_problem_wires_diagonal_diffusion():
     assert_allclose(a, [[[0.3]], [[0.7]]])
     assert_allclose(b, [0.0])
     assert_allclose(c, [0.2 * (1 - 0.2), 0.1 * (1 - 0.1)], rtol=1e-14)
+
+
+def test_the_lv_drift_is_a_zero_view_that_allocates_no_grid():
+    g = Grid(SpatialDomain(((0.0, 1.0), (0.0, 1.0))), (201, 201))
+    lv = LVCoefficients(np.array([0.1]), (parse_coefficient(1.0),),
+                        ((parse_coefficient(1.0),),))
+    spec = build_lv_problem(lv, g.domain, Field.zeros(g, 1), horizon=1.0)
+    x = g.points
+    tracemalloc.start()
+    try:
+        b = spec.coefficients.drift(0.0, x, None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.shape == (201, 201, 2)
+    assert not b.flags.writeable and not np.any(b)
+    assert peak < 8 * 201 * 201
 
 
 def test_problem_spec_rejects_bad_horizon_and_domain_mismatch():
