@@ -3,16 +3,19 @@
 
 Runs the named built-in scenarios and config files through ``parapos run``
 into a fresh temporary directory and prints a sorted ``path sha256`` table
-of every artifact except ``manifest.json`` (which carries timestamps).
-Paths are relative to that directory, so tables from two source trees
-compare line by line:
+of every artifact.  A ``manifest.json`` carries timestamps, so its line,
+``<scenario>/manifest.json[status,verdicts,files,error]``, is the sha256 of
+those four fields alone: a verdict datum or a Picard counter that moves
+shows there.  Paths are relative to that directory, so tables from two
+source trees compare line by line:
 
     PYTHONPATH=old/src python scripts/artifact_digests.py S4_asymptotics > old.txt
     PYTHONPATH=src python scripts/artifact_digests.py S4_asymptotics --compare old.txt
 
 ``--standard`` adds the standard gate set: the ten built-ins, every
 ``perfbench/configs/*.json`` file, and the perfbench ``competition_2d``
-config from generator seed 7, 14 scenarios and 62 artifacts in all:
+config from generator seed 7: 14 scenarios, with 62 artifacts and 14
+manifest lines in all:
 
     PYTHONPATH=old/src python scripts/artifact_digests.py --standard > old.txt
     PYTHONPATH=src python scripts/artifact_digests.py --standard --compare old.txt
@@ -41,7 +44,9 @@ each file's lowest value.
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
+import json
 import os
 import sys
 import tempfile
@@ -52,6 +57,9 @@ from parapos.io import sha256_file
 from parapos.scenarios import list_scenarios
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+#: the manifest fields the gate compares; ``started`` and ``finished`` vary
+MANIFEST_FIELDS = ("status", "verdicts", "files", "error")
+MANIFEST_KEY = f"manifest.json[{','.join(MANIFEST_FIELDS)}]"
 
 
 def standard_targets(directory):
@@ -65,11 +73,28 @@ def standard_targets(directory):
             + generated)
 
 
+def manifest_digest(path):
+    """sha256 of a manifest's ``MANIFEST_FIELDS``, as sorted-key JSON."""
+    data = json.loads(Path(path).read_text())
+    fields = {key: data.get(key) for key in MANIFEST_FIELDS}
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+
+
 def digest_table(base):
-    """``{relative path: sha256}`` for every file under ``base`` but manifests."""
-    return {str(p.relative_to(base)): sha256_file(p)
-            for p in sorted(Path(base).rglob("*"))
-            if p.is_file() and p.name != "manifest.json"}
+    """``{relative path: sha256}`` for every file under ``base``.
+
+    A manifest is keyed by ``MANIFEST_KEY`` in its directory and digested by
+    :func:`manifest_digest`.
+    """
+    table = {}
+    for p in sorted(Path(base).rglob("*")):
+        if not p.is_file():
+            continue
+        if p.name == "manifest.json":
+            table[str(p.parent.relative_to(base) / MANIFEST_KEY)] = manifest_digest(p)
+        else:
+            table[str(p.relative_to(base))] = sha256_file(p)
+    return table
 
 
 def read_table(path):
@@ -121,7 +146,10 @@ def main(argv=None):
         diff = differences(table, read_table(args.compare))
         for name in diff:
             print(f"differs: {name}", file=sys.stderr)
-        print(f"{len(diff)} of {len(table)} artifacts differ from {args.compare}",
+        manifests = sum(name.endswith(MANIFEST_KEY) for name in table)
+        changed = sum(name.endswith(MANIFEST_KEY) for name in diff)
+        print(f"{len(diff) - changed} of {len(table) - manifests} artifacts and "
+              f"{changed} of {manifests} manifests differ from {args.compare}",
               file=sys.stderr)
         return 1 if diff else 0
     return 0

@@ -107,7 +107,7 @@ class BumpInSpace:
 class Coefficient:
     """Separable coefficient value(t, x) = time_part(t) * space_part(x).
 
-    ``t`` is a scalar or an array of ``x``'s batch shape.
+    ``t`` is a scalar or an array that broadcasts to ``x``'s batch shape.
     """
 
     time_part: object

@@ -42,12 +42,19 @@ source slices that share one lag operator go through it in one application,
 so a sweep over ``J`` steps makes ``J + 1`` applications per component, not
 ``O(J^2)``.  The source-Jacobian samples that size the Picard windows come
 from :func:`checker.source_jacobians`.
+
+The source is evaluated once per Picard sweep, over every time slice of the
+window: ``t`` is the window's times shaped to broadcast against the grid,
+and ``x`` the grid's points broadcast to the window, built once per window.
+It receives a zero gradient, so a coefficient set whose source reads the
+gradient (``depends_on_gradient``) is refused, like one with a drift.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -105,18 +112,39 @@ def _gauss_profile(z, sigma, cutoff):
     return out
 
 
+class _Band(NamedTuple):
+    """A Toeplitz axis operator: its profile, band half-width and block height."""
+
+    profile: np.ndarray
+    w: int
+    s: int
+
+
+def _toeplitz_band(profile):
+    """The band of a profile over the ``2n - 1`` offsets ``n - 1 .. -(n - 1)``.
+
+    ``w`` is the largest offset with a nonzero entry, and ``s = max(w, 16)``
+    rows (``n`` on a shorter axis) the height of the blocks ``_apply_axis``
+    cuts the axis into.
+    """
+    n = (len(profile) + 1) // 2
+    w = int(np.abs(np.flatnonzero(profile) - (n - 1)).max())
+    return _Band(profile, w, min(max(w, 16), n))
+
+
 def _axis_operator(n, h, variance, cfg):
     """One-axis evolution operator for a kernel of the given variance.
 
     Returns ``("taylor", a)`` with ``a = variance / 2`` when the kernel is too
-    narrow for trapezoid quadrature, otherwise ``("toeplitz", p)``.  On the
-    uniform axis of ``n`` nodes the quadrature matrix ``h g(x_i - x_j)``
-    depends on ``i - j`` alone, so ``p`` holds its ``2n - 1`` entries
-    ``h g(d h)`` for ``d = n - 1`` down to ``-(n - 1)``; ``_apply_axis``
-    applies the matrix it defines, which acts on node values extended by
-    zero outside the axis range.  The offsets are ``d h``, not differences of
-    node coordinates, so ``p`` is exactly symmetric and a node at the cutoff
-    is in or out of the band on both sides alike.
+    narrow for trapezoid quadrature, otherwise ``("toeplitz", band)``.  On
+    the uniform axis of ``n`` nodes the quadrature matrix ``h g(x_i - x_j)``
+    depends on ``i - j`` alone, so ``band.profile`` holds its ``2n - 1``
+    entries ``h g(d h)`` for ``d = n - 1`` down to ``-(n - 1)``;
+    ``_apply_axis`` applies the matrix it defines, which acts on node values
+    extended by zero outside the axis range.  The offsets are ``d h``, not
+    differences of node coordinates, so the profile is exactly symmetric and
+    a node at the cutoff is in or out of the band on both sides alike.  The
+    band's half-width and block height are found here, once per operator.
     """
     sigma = math.sqrt(variance)
     if sigma < cfg.taylor_threshold * h:
@@ -130,7 +158,7 @@ def _axis_operator(n, h, variance, cfg):
         raise SolverError(
             f"kernel quadrature mass {mass!r} is off by more than "
             f"{cfg.mass_tol:g}; the grid cannot resolve this kernel")
-    return ("toeplitz", profile)
+    return ("toeplitz", _toeplitz_band(profile))
 
 
 def _second_diff_zero_extension(values, axis, h):
@@ -157,9 +185,8 @@ def _apply_axis(op, values, axis, h):
     """Apply one axis operator along ``axis``, counted from the front.
 
     A Toeplitz operator acts as ``M[i, j] = p[n - 1 - (i - j)]``, which is
-    zero for ``|i - j| > w``, the band half-width read from the profile's
-    nonzeros.  The axis is padded with ``w`` zeros on each side and cut into
-    blocks of ``s = max(w, 16)`` rows (``n`` on a shorter axis); every block
+    zero for ``|i - j| > w``, the band half-width.  The axis is padded with
+    ``w`` zeros on each side and cut into blocks of ``s`` rows; every block
     of ``M`` is the same ``(s + 2w) x s`` matrix acting on an input window of
     ``s + 2w`` nodes, so the whole application is one product of the stacked
     windows with that block, ``B n (s + 2w)`` multiply-adds for ``B``
@@ -167,9 +194,8 @@ def _apply_axis(op, values, axis, h):
     """
     kind, payload = op
     if kind == "toeplitz":
+        profile, w, s = payload
         n = values.shape[axis]
-        w = int(np.abs(np.flatnonzero(payload) - (n - 1)).max())
-        s = min(max(w, 16), n)
         blocks = -(-n // s)
         moved = values.swapaxes(axis, -1)
         lead = moved.shape[:-1]
@@ -179,7 +205,7 @@ def _apply_axis(op, values, axis, h):
                              padded.strides[:-1] + (s * padded.itemsize,
                                                     padded.itemsize),
                              writeable=False)
-        block = _toeplitz_block(payload[n - 1 - w:n + w], s)
+        block = _toeplitz_block(profile[n - 1 - w:n + w], s)
         out = windows.reshape(-1, s + 2 * w) @ block
         return out.reshape(lead + (blocks * s,))[..., :n].swapaxes(axis, -1)
     a = payload
@@ -381,15 +407,22 @@ def _extract_rates(spec):
     b = np.asarray(spec.coefficients.drift(t, x, u, np.zeros((3, m, n))), dtype=float)
     if np.abs(b).max() > 1e-14:
         raise SpecError("kernel route does not support drift terms")
+    if spec.coefficients.depends_on_gradient:
+        raise SpecError("kernel route needs a source that does not read the gradient")
     return rates
 
 
-def _source_at(spec, t, grid, values):
-    """Source on the grid, evaluated at the absolute value of the state."""
-    u = np.moveaxis(np.abs(values), 0, -1)
-    p = np.zeros(u.shape + (grid.dimension,))
-    c = np.asarray(spec.coefficients.source(t, grid.points, u, p), dtype=float)
-    return np.moveaxis(np.broadcast_to(c, u.shape), -1, 0)
+def _source_at(spec, t, x, values):
+    """Source at the absolute value of a stack of states ``(J + 1, m, *grid)``.
+
+    ``t`` and ``x`` broadcast to the batch ``(J + 1, *grid)``, so one call
+    covers every time slice.  The gradient passed is a read-only zero view:
+    ``_extract_rates`` admits only sources that do not read it.
+    """
+    u = np.moveaxis(np.abs(values), 1, -1)
+    p = np.broadcast_to(0.0, u.shape + (x.shape[-1],))
+    c = np.asarray(spec.coefficients.source(t, x, u, p), dtype=float)
+    return np.moveaxis(np.broadcast_to(c, u.shape), -1, 1)
 
 
 def picard_solve(spec, config=None):
@@ -438,15 +471,17 @@ def picard_solve(spec, config=None):
         for j in range(span + 1):
             hom[j] = evolve(u0, 2 * j)
         v = hom
-        gam = np.empty_like(hom)
+        # the window's times and points, broadcast to its (span + 1, *grid) batch
+        stimes = t0 + np.arange(span + 1) * dt
+        t = stimes.reshape((span + 1,) + (1,) * grid.dimension)
+        x = np.broadcast_to(grid.points, (span + 1,) + grid.points.shape)
         prev_change = None
         streak = 0
         ratios = []
         sweeps = 0
         for sweep in range(config.max_iter):
             sweeps = sweep + 1
-            for j in range(span + 1):
-                gam[j] = _source_at(spec, t0 + j * dt, grid, v[j])
+            gam = _source_at(spec, t, x, v)
             new = hom.copy()
             new[1:] += dt * _duhamel_quadrature(gam, evolve)
             change = float(np.abs(new[1:] - v[1:]).max())
@@ -470,7 +505,7 @@ def picard_solve(spec, config=None):
                 f"no fixed point within {config.max_iter} sweeps near t={t0:g}")
         iterations.append(sweeps)
         ratios_all.append(ratios)
-        times.extend(t0 + j * dt for j in range(1, span + 1))
+        times.extend(stimes[1:].tolist())
         states.append(v[1:])
         u0 = v[span]
         t0 += span * dt

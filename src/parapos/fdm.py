@@ -51,7 +51,8 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .checker import source_jacobians
 from .errors import DegenerateRefinement, NonConvergence, SolverError, SpecError
-from .model import Field, Grid, SpatialDomain, build_cutoff, second_difference
+from .model import (Field, Grid, SpatialDomain, build_cutoff, distinct_entries,
+                    second_difference)
 
 SCHEMES = ("imex_be", "imex_cn", "erk2")
 POSITIVITY_MODES = ("monitor_only", "clip_and_flag")
@@ -166,7 +167,7 @@ def _explicit_diffusion(a, values, grid, diagonal=True, mixed=True):
     if mixed and n > 1:
         for i in range(n):
             for j in range(i + 1, n):
-                if not np.any(a[..., :, i, j]):
+                if not np.any(distinct_entries(a[..., :, i, j])):
                     continue
                 dij = _mixed_difference(values, grid, i, j)
                 out += 2.0 * np.moveaxis(a[..., :, i, j], -1, 0) * dij
@@ -199,7 +200,7 @@ def _reaction_drift(spec, grid, components):
         p = _gradient(values, grid) if coeffs.depends_on_gradient else zero_p
         b = _as_shape(coeffs.drift(t, pts, u, p), pts.shape)
         c = _as_shape(coeffs.source(t, pts, u, p), u.shape)
-        if np.any(b):
+        if np.any(distinct_entries(b)):
             if not coeffs.depends_on_gradient:
                 p = _gradient(values, grid)
             c = c + np.einsum("...i,...ki->...k", b, p)
@@ -372,7 +373,7 @@ def _stepper(spec, grid, config, dt, t0, values0):
     # whether it has any off-diagonal entry
     off_diagonal = ~np.eye(grid.dimension, dtype=bool)
     mixed = grid.dimension > 1 and (
-        frozen is None or bool(np.any(frozen[..., off_diagonal])))
+        frozen is None or bool(np.any(distinct_entries(frozen)[..., off_diagonal])))
 
     def advance(values, t, counter):
         a = diffusion(t, values)

@@ -12,12 +12,13 @@ specialized case carried by :class:`LVCoefficients`.
 
 Evaluator convention: coefficient callables are vectorized over a leading
 batch shape.  ``x`` has shape ``(..., n)``, ``u`` has ``(..., m)``, and the
-gradient ``p`` has ``(..., m, n)``; ``t`` is a scalar or an array of the
-batch shape ``...``, one time per point.  Diffusion returns ``(..., n, n)``
-(shared across components) or ``(..., m, n, n)`` (per component); drift
-returns ``(..., n)``; the source returns ``(..., m)``.  A call with an array
-``t`` gives the same bits as one call per point with that point's scalar
-``t``, so a sampled check can evaluate all its samples at once.
+gradient ``p`` has ``(..., m, n)``; ``t`` is a scalar or an array that
+broadcasts to the batch shape ``...``, one time per point.  Diffusion
+returns ``(..., n, n)`` (shared across components) or ``(..., m, n, n)``
+(per component); drift returns ``(..., n)``; the source returns
+``(..., m)``.  A call with an array ``t`` gives the same bits as one call
+per point with that point's scalar ``t``, so a sampled check can evaluate
+all its samples at once.
 """
 
 from __future__ import annotations
@@ -206,10 +207,6 @@ class Field:
     def copy(self):
         return Field(self.grid, self.values.copy())
 
-    def sup_norm(self):
-        """Largest pointwise Euclidean norm over components."""
-        return float(np.sqrt((self.values**2).sum(axis=0)).max())
-
     def max_abs(self):
         return float(np.abs(self.values).max())
 
@@ -225,6 +222,15 @@ class Field:
             if worst != 0.0:
                 raise SpecError(f"boundary values must be exactly 0, found {worst}")
         return self
+
+
+def distinct_entries(a):
+    """``a`` with every stride-0 axis cut to length 1, as a view.
+
+    A broadcast array repeats its entries along such axes, so a check or an
+    elementwise map over the view covers every distinct entry once.
+    """
+    return a[tuple(slice(0, 1) if step == 0 else slice(None) for step in a.strides)]
 
 
 def _symmetrize(a_raw):
@@ -260,25 +266,30 @@ class CoefficientSet:
     constant_diffusion: bool = False
 
     def diffusion_matrices(self, t, x, u, components):
-        """Evaluate and normalize diffusion to shape ``(..., m, n, n)``."""
+        """Evaluate and normalize diffusion to shape ``(..., m, n, n)``.
+
+        The checks and the symmetrization run once per distinct matrix of
+        the evaluator's result (:func:`distinct_entries`); the result is a
+        read-only view broadcast to the batch.
+        """
         x = np.asarray(x, dtype=float)
         n = x.shape[-1]
         batch = x.shape[:-1]
         a_raw = np.asarray(self.diffusion(t, x, u), dtype=float)
-        if not np.isfinite(a_raw).all():
+        if not np.isfinite(distinct_entries(a_raw)).all():
             raise CoefficientError("diffusion evaluator returned non-finite entries")
         if self.per_component_diffusion:
             want = batch + (components, n, n)
         else:
             want = batch + (n, n)
         try:
-            a_raw = np.broadcast_to(a_raw, want)
+            a_full = np.broadcast_to(a_raw, want)
         except ValueError as exc:
             raise CoefficientError(f"diffusion shape {a_raw.shape} not broadcastable to {want}") from exc
-        a_sym = _symmetrize(a_raw)
+        a_sym = _symmetrize(distinct_entries(a_full))
         if not self.per_component_diffusion:
-            a_sym = np.broadcast_to(a_sym[..., None, :, :], batch + (components, n, n))
-        return a_sym
+            a_sym = a_sym[..., None, :, :]
+        return np.broadcast_to(a_sym, batch + (components, n, n))
 
 
 def _broadcast_shape(values):
@@ -297,7 +308,7 @@ class LVCoefficients:
 
     ``growth[k]`` and ``interaction[k][i]`` are callables ``(t, x) -> array``
     broadcasting over the batch shape of ``x[..., :n]``, with ``t`` a scalar
-    or an array of that batch shape.  The source is
+    or an array that broadcasts to that batch shape.  The source is
 
         c^k(t, x, u) = u^k * (growth_k(t,x) - sum_i interaction_ki(t,x) u^i).
 
@@ -305,7 +316,8 @@ class LVCoefficients:
     entries, not the batch shape: space-constant coefficients at a scalar
     ``t`` give an ``(m,)`` and an ``(m, m)`` table, which the source
     broadcasts against ``u``.  An array ``t`` or a varying space profile
-    gives batch-shape tables.
+    gives tables of its shape: the kernel route's ``(J + 1, 1, ...)`` times
+    give ``(J + 1, 1, ..., m, m)`` tables on space-constant entries.
 
     For two species the classical symbols map onto the arrays as
     beta, gamma, delta, rho, sigma, theta =

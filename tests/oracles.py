@@ -221,3 +221,19 @@ def step_report_reference(old, new, dt):
     dvdt_max = float(((new[1] - old[1]) / dt).max()) if m >= 2 else float("nan")
     sup = float(np.sqrt((new * new).sum(axis=0)).max())
     return float(new.min()), dudt_min, dvdt_max, sup
+
+
+def picard_source_reference(source, times, points, window):
+    """The kernel route's source over a window, one time slice per call.
+
+    Slice j is ``source(times[j], points, |window[j]|, 0)`` with the state's
+    components moved last and a zero gradient array, broadcast to the state
+    and moved back to ``(m, *grid)``.
+    """
+    out = np.empty_like(window)
+    for j, t in enumerate(times):
+        u = np.moveaxis(np.abs(window[j]), 0, -1)
+        p = np.zeros(u.shape + (points.shape[-1],))
+        c = np.asarray(source(t, points, u, p), dtype=float)
+        out[j] = np.moveaxis(np.broadcast_to(c, u.shape), -1, 0)
+    return out

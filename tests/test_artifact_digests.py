@@ -24,7 +24,9 @@ def test_read_table_round_trips_digest_table(digests, tmp_path):
     (base / "a" / "deep" / "snapshots.bin").write_bytes(b"\x00\x01")
     (base / "a" / "manifest.json").write_text("{}")
     table = digests.digest_table(base)
-    assert sorted(table) == ["a/deep/snapshots.bin", "a/trajectory.csv"]
+    assert sorted(table) == ["a/deep/snapshots.bin",
+                             "a/manifest.json[status,verdicts,files,error]",
+                             "a/trajectory.csv"]
     listing = tmp_path / "table.txt"
     listing.write_text("".join(f"{name} {digest}\n" for name, digest in table.items()))
     assert digests.read_table(listing) == table
@@ -63,15 +65,57 @@ def test_keep_leaves_the_runs_that_the_table_lists(digests, tmp_path, capsys,
     assert digests.main(["S5_cauchy_nested", "--keep", str(kept)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines
+    manifest = kept / "S5_cauchy_nested" / "manifest.json"
     for line in lines:
         name, digest = line.rsplit(" ", 1)
-        assert digests.sha256_file(kept / name) == digest
-    assert (kept / "S5_cauchy_nested" / "manifest.json").is_file()
+        if name.endswith(digests.MANIFEST_KEY):
+            assert digests.manifest_digest(manifest) == digest
+        else:
+            assert digests.sha256_file(kept / name) == digest
+    assert manifest.is_file()
     # a second run into the same directory would mix in stale files
     with pytest.raises(SystemExit) as exit_info:
         digests.main(["S5_cauchy_nested", "--keep", str(kept)])
     assert exit_info.value.code == 2
     assert "not empty" in capsys.readouterr().err
+
+
+def test_two_runs_of_one_tree_print_the_same_table_with_its_manifest(
+        digests, tmp_path, capsys, monkeypatch):
+    # S7 runs the kernel route, so its verdicts carry the Picard counters
+    monkeypatch.delenv("PARAPOS_OUT", raising=False)
+    tables = []
+    for run in ("first", "second"):
+        assert digests.main(["S7_logistic_flat", "--keep", str(tmp_path / run)]) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+    assert f"S7_logistic_flat/{digests.MANIFEST_KEY} " in tables[0]
+    stamps = [json.loads((tmp_path / run / "S7_logistic_flat" / "manifest.json").read_text())
+              for run in ("first", "second")]
+    assert (stamps[0]["started"], stamps[0]["finished"]) != (
+        stamps[1]["started"], stamps[1]["finished"])
+
+
+def test_the_manifest_digest_skips_timestamps_and_sees_every_verdict_datum(
+        digests, tmp_path):
+    manifest = {"status": "ok", "error": None, "started": "a", "finished": "b",
+                "files": [{"path": "checks.json", "sha256": "0" * 64}],
+                "verdicts": [{"name": "dual-route-match",
+                              "data": {"sweeps": [6, 5], "sweep_ratios": [[0.1, 0.2]]}}]}
+    path = tmp_path / "manifest.json"
+
+    def digest(**changes):
+        path.write_text(json.dumps({**manifest, **changes}))
+        return digests.manifest_digest(path)
+
+    base = digest()
+    assert digest(started="c", finished="d") == base
+    moved = json.loads(json.dumps(manifest["verdicts"]))
+    moved[0]["data"]["sweep_ratios"][0][1] = 0.2000000000000001
+    assert digest(verdicts=moved) != base
+    assert digest(status="error") != base
+    assert digest(error="SolverError: x") != base
+    assert digest(files=[]) != base
 
 
 def test_standard_lists_the_fourteen_scenarios_of_the_gate(digests, tmp_path):

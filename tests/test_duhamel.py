@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,11 @@ from numpy.testing import assert_allclose
 
 import parapos
 from oracles import (dense_axis_matrix, duhamel_rows_reference, heat_gaussian,
-                     logistic_exact)
+                     logistic_exact, picard_source_reference)
 from parapos.checker import source_jacobians
-from parapos.coefficients import build_initial_field
+from parapos.coefficients import (BumpInSpace, Coefficient, ConstantInSpace,
+                                  ConstantInTime, ExpInTime, PowerInTime,
+                                  TabulatedCoefficient, build_initial_field)
 from parapos.config import load_config_data
 from parapos.duhamel import (
     KernelConfig,
@@ -25,6 +28,8 @@ from parapos.duhamel import (
     _axis_operator,
     _duhamel_quadrature,
     _lag_evolver,
+    _source_at,
+    _toeplitz_band,
     duhamel_apply,
     heat_kernel,
     picard_solve,
@@ -175,7 +180,7 @@ class TestToeplitzAxes:
         _assert_off_tie(g, tau)
         op = KernelOperator(g, 1.0, tau)
         assert [kind for kind, _ in op.ops] == ["toeplitz", "toeplitz"]
-        assert [p.nbytes for _, p in op.ops] == [8 * (2 * n - 1) for n in g.shape]
+        assert [band.profile.nbytes for _, band in op.ops] == [8 * (2 * n - 1) for n in g.shape]
         mx, my = (dense_axis_matrix(g.axes[ax], g.spacing[ax], tau, _cutoff(tau))
                   for ax in range(2))
         values = np.random.default_rng(12).random((2, 3) + g.shape)
@@ -189,8 +194,8 @@ class TestToeplitzAxes:
         n = 401
         g = Grid(SpatialDomain(((0.0, 2.0),)), (n,))
         op = KernelOperator(g, 1.0, 1e-4)
-        [(kind, profile)] = op.ops
-        assert kind == "toeplitz"
+        [(kind, (profile, w, s))] = op.ops
+        assert kind == "toeplitz" and (w, s) == (14, 16)
         assert profile.shape == (2 * n - 1,)
         offsets = np.arange(n - 1, -n, -1)
         assert np.array_equal(profile, profile[::-1])
@@ -223,10 +228,11 @@ class TestToeplitzAxes:
                          (c.cell_contents for c in evolve.__closure__)))
         axis_ops = [axis for op in cells["ops"].values() if not op.identity
                     for axis in op.ops]
-        toeplitz = [payload for kind, payload in axis_ops if kind == "toeplitz"]
+        toeplitz = [band for kind, band in axis_ops if kind == "toeplitz"]
         assert len(toeplitz) >= 40
-        assert all(p.nbytes == 8 * (2 * 401 - 1) for p in toeplitz)
-        stored = sum(np.asarray(payload).nbytes for _, payload in axis_ops)
+        assert all(band.profile.nbytes == 8 * (2 * 401 - 1) for band in toeplitz)
+        stored = sum(payload.profile.nbytes if kind == "toeplitz"
+                     else np.asarray(payload).nbytes for kind, payload in axis_ops)
         assert stored < 1_000_000
 
 
@@ -265,9 +271,10 @@ class TestToeplitzSignAndSupport:
         assert not np.signbit(out).any()
         reach = values != 0
         first = values.ndim - op.grid.dimension
-        for ax, (_, profile) in enumerate(op.ops):
+        for ax, (_, band) in enumerate(op.ops):
             n, h = op.grid.shape[ax], op.grid.spacing[ax]
-            width = int(np.abs(np.flatnonzero(profile) - (n - 1)).max())
+            width = int(np.abs(np.flatnonzero(band.profile) - (n - 1)).max())
+            assert band.w == width
             assert width * h <= cutoff < (width + 1) * h
             reach = _reach(reach, first + ax, width)
         assert np.all(out[~reach] == 0.0)
@@ -290,7 +297,7 @@ def _assert_matches_the_matrix(profile, values, axis):
     moved = np.moveaxis(values, axis, -1)
     want = np.moveaxis(moved @ mat.T, -1, axis)
     scale = (np.abs(moved) @ np.abs(mat).T).max(initial=0.0)
-    got = _apply_axis(("toeplitz", profile), values, axis, None)
+    got = _apply_axis(("toeplitz", _toeplitz_band(profile)), values, axis, None)
     assert got.shape == values.shape
     assert np.abs(got - want).max(initial=0.0) <= 1e-14 * scale
 
@@ -309,9 +316,10 @@ class TestBandedProduct:
         w = data.draw(st.integers(8, (n - 1) // 2), label="w")
         lo = max(KernelConfig().taylor_threshold, (w + 0.05) / 7.0)
         sigma = h * data.draw(st.floats(lo, (w + 0.95) / 7.0), label="sigma/h")
-        kind, profile = _axis_operator(n, h, sigma * sigma, KernelConfig())
+        kind, (profile, band_w, s) = _axis_operator(n, h, sigma * sigma, KernelConfig())
         assert kind == "toeplitz"
         assert np.flatnonzero(profile).tolist() == list(range(n - 1 - w, n + w))
+        assert (band_w, s) == (w, min(max(w, 16), n))
         other = data.draw(st.integers(1, 5), label="other axis")
         nodes = (n,) if dim == 1 else ((other, n) if last else (n, other))
         batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="batch"))
@@ -338,8 +346,8 @@ class TestBandedProduct:
         # axis would take 8 n^2 = 1.29 MB
         n = 401
         op = KernelOperator(Grid(SpatialDomain(((0.0, 2.0),)), (n,)), 1.0, 1e-4)
-        [(kind, profile)] = op.ops
-        assert kind == "toeplitz" and np.count_nonzero(profile) == 29
+        [(kind, band)] = op.ops
+        assert kind == "toeplitz" and np.count_nonzero(band.profile) == 29
         values = np.random.default_rng(3).random((11, n))
         tracemalloc.start()
         try:
@@ -572,6 +580,19 @@ class TestPicard:
         with pytest.raises(SpecError):
             picard_solve(spec)
 
+    def test_a_source_that_reads_the_gradient_is_rejected(self):
+        # the route hands every source a zero gradient, so it would solve a
+        # different problem than the grid march it is compared with
+        spec = flat_logistic()
+        inner = spec.coefficients.source
+
+        def source(t, x, u, p):
+            return inner(t, x, u, p) + 0.5 * np.asarray(p).sum(axis=-1)
+
+        coeffs = replace(spec.coefficients, source=source, depends_on_gradient=True)
+        with pytest.raises(SpecError, match="does not read the gradient"):
+            picard_solve(replace(spec, coefficients=coeffs), PicardConfig(dt=0.01))
+
     def test_state_dependent_diffusion_rejected(self):
         g = Grid(UNIT, (101,))
         coeffs = CoefficientSet(
@@ -616,3 +637,103 @@ class TestPicard:
             PicardConfig(dt=0.0)
         with pytest.raises(SpecError):
             PicardConfig(max_iter=2)
+
+
+def _family_entries(family, dim, count):
+    """``count`` coefficients of one family, each with its own parameters."""
+    bump = BumpInSpace(center=(0.45,) * dim, radius=0.3, width=0.1, amplitude=0.5)
+    t_values = np.array([0.0, 0.35, 2.0])
+    axes = tuple(np.linspace(0.0, 1.0, 4 + ax) for ax in range(dim))
+    out = []
+    for j in range(count):
+        if family == "constant":
+            out.append(Coefficient(ConstantInTime(0.7 + j), ConstantInSpace(1.0 / (3.0 + j))))
+        elif family == "exp":
+            out.append(Coefficient(ExpInTime(1.0 + 0.1 * j, 0.5 - 0.2 * j, 0.3 + 0.4 * j),
+                                   ConstantInSpace()))
+        elif family == "power":
+            out.append(Coefficient(PowerInTime(1.0 + j, 1.3 + 0.2 * j), ConstantInSpace()))
+        elif family == "bump":
+            out.append(Coefficient(ExpInTime(1.0, -0.5, 1.3 + j), bump))
+        else:
+            grids = np.meshgrid(t_values, *axes, indexing="ij")
+            table = np.sin(1.0 + j + sum((k + 1.0) * g for k, g in enumerate(grids)))
+            out.append(TabulatedCoefficient(t_values, axes, table))
+    return out
+
+
+def _window_case(family, m, dim, span=4):
+    """An LV problem of one coefficient family, and a window of signed states."""
+    domain = UNIT if dim == 1 else UNIT_SQUARE
+    grid = Grid(domain, (21,) if dim == 1 else (9, 7))
+    entries = _family_entries(family, dim, m + m * m)
+    lv = LVCoefficients(np.full(m, 0.01), tuple(entries[:m]),
+                        tuple(tuple(entries[m + k * m:m + (k + 1) * m]) for k in range(m)))
+    spec = build_lv_problem(lv, domain, Field.zeros(grid, m), horizon=1.0)
+    window = np.random.default_rng(7 * m + dim).uniform(-2.0, 3.0, (span + 1, m) + grid.shape)
+    window.flat[:3] = [-0.0, 5e-324, -5e-324]
+    return spec, grid, window
+
+
+def _window_points(grid, t0, dt, span):
+    """The broadcast ``t`` and ``x`` ``picard_solve`` builds for one window."""
+    t = (t0 + np.arange(span + 1) * dt).reshape((span + 1,) + (1,) * grid.dimension)
+    return t, np.broadcast_to(grid.points, (span + 1,) + grid.points.shape)
+
+
+class TestWindowSource:
+    """One source call covers a whole Picard window."""
+
+    @pytest.mark.parametrize("family", ["constant", "exp", "power", "bump", "table"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_one_call_gives_the_bits_of_one_call_per_slice(self, family, m, dim):
+        spec, grid, window = _window_case(family, m, dim)
+        t0, dt, span = 0.3, 0.05, window.shape[0] - 1
+        t, x = _window_points(grid, t0, dt, span)
+        want = picard_source_reference(spec.coefficients.source,
+                                       [t0 + j * dt for j in range(span + 1)],
+                                       grid.points, window)
+        for _ in range(2):  # the second call reads the memoised space profiles
+            got = _source_at(spec, t, x, window)
+            assert got.shape == window.shape
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dt", [0.01, 0.004])
+    def test_one_source_call_per_sweep_whatever_the_window(self, dt):
+        spec = flat_logistic(horizon=0.3)
+        inner = spec.coefficients.source
+        calls = []
+
+        def source(t, x, u, p):
+            calls.append(np.shape(u))
+            assert not np.any(p)
+            return inner(t, x, u, p)
+
+        spec = replace(spec, coefficients=replace(spec.coefficients, source=source))
+        res = picard_solve(spec, PicardConfig(dt=dt))
+        steps = np.diff(res.window_edges) / (res.times[1] - res.times[0])
+        assert steps.max() > 5
+        # source_jacobians makes two calls, one on each side of its differences
+        assert len(calls) == sum(res.iterations) + 2
+        assert sorted({shape[0] for shape in calls[2:]}) == sorted(
+            {int(round(n)) + 1 for n in steps})
+
+    def test_a_space_constant_window_call_holds_less_than_one_full_table(self):
+        # (span + 1, *grid, m, m) tables would take 3.8 MB here
+        m, span = 3, 8
+        grid = Grid(UNIT_SQUARE, (81, 81))
+        entries = _family_entries("exp", 2, m + m * m)
+        lv = LVCoefficients(np.full(m, 0.01), tuple(entries[:m]),
+                            tuple(tuple(entries[m + k * m:m + (k + 1) * m]) for k in range(m)))
+        spec = build_lv_problem(lv, UNIT_SQUARE, Field.zeros(grid, m), horizon=1.0)
+        window = np.random.default_rng(1).uniform(0.0, 2.0, (span + 1, m) + grid.shape)
+        t, x = _window_points(grid, 0.0, 0.01, span)
+        _source_at(spec, t, x, window)  # build the memoised profiles outside the trace
+        tracemalloc.start()
+        try:
+            _source_at(spec, t, x, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (span + 1) * grid.n_nodes * m * m

@@ -87,14 +87,12 @@ class TestField:
         with pytest.raises(SpecError):
             Field(unit_grid(5), np.zeros((1, 6)))
 
-    def test_sup_norm_is_euclidean_over_components(self):
+    def test_max_abs_is_over_every_component(self):
         g = unit_grid(5)
         vals = np.zeros((2, 5))
         vals[0, 2] = 3.0
-        vals[1, 2] = 4.0
-        fld = Field(g, vals)
-        assert fld.sup_norm() == pytest.approx(5.0)
-        assert fld.max_abs() == pytest.approx(4.0)
+        vals[1, 2] = -4.0
+        assert Field(g, vals).max_abs() == pytest.approx(4.0)
 
 
 class TestCutoff:
@@ -382,6 +380,82 @@ def test_asymmetric_diffusion_rejected():
     spec = ProblemSpec(g2.domain, coeffs, Field.zeros(g2, 1), horizon=1.0)
     with pytest.raises(CoefficientError):
         spec.coefficients.diffusion_matrices(0.0, np.array([0.5, 0.5]), np.zeros(1), 1)
+
+
+def _matrix_set(matrix, full=False):
+    """Shared 2 x 2 diffusion: ``matrix`` broadcast to the batch, or a full copy."""
+    def diffusion(t, x, u):
+        a = np.broadcast_to(matrix, np.asarray(x).shape[:-1] + (2, 2))
+        return np.array(a) if full else a
+
+    return CoefficientSet(diffusion=diffusion, drift=None, source=None)
+
+
+SQUARE_POINTS = Grid(SpatialDomain(((0.0, 1.0), (0.0, 1.0))), (7, 5)).points
+
+
+class TestDiffusionOncePerDistinctEntry:
+    """The checks see each distinct matrix once and still reject every fault."""
+
+    def test_a_broadcast_nan_still_raises(self):
+        coeffs = _matrix_set(np.array([[1.0, 0.0], [0.0, np.nan]]))
+        with pytest.raises(CoefficientError, match="non-finite"):
+            coeffs.diffusion_matrices(0.0, SQUARE_POINTS, None, 2)
+
+    @pytest.mark.parametrize("full", [False, True])
+    def test_an_asymmetric_matrix_still_raises(self, full):
+        coeffs = _matrix_set(np.array([[1.0, 0.5], [0.0, 1.0]]), full)
+        with pytest.raises(CoefficientError, match="asymmetric"):
+            coeffs.diffusion_matrices(0.0, SQUARE_POINTS, None, 2)
+
+    def test_one_asymmetric_node_in_a_full_stack_still_raises(self):
+        def diffusion(t, x, u):
+            a = np.array(np.broadcast_to(np.eye(2), np.asarray(x).shape[:-1] + (2, 2)))
+            a[3, 2, 0, 1] = 1e-6
+            return a
+
+        coeffs = CoefficientSet(diffusion=diffusion, drift=None, source=None)
+        with pytest.raises(CoefficientError, match="asymmetric"):
+            coeffs.diffusion_matrices(0.0, SQUARE_POINTS, None, 2)
+
+    def test_the_shape_error_names_the_evaluators_own_shape(self):
+        coeffs = CoefficientSet(
+            diffusion=lambda t, x, u: np.broadcast_to(np.eye(2), (1, 3, 2, 2)),
+            drift=None, source=None)
+        with pytest.raises(CoefficientError, match=r"diffusion shape \(1, 3, 2, 2\) not"):
+            coeffs.diffusion_matrices(0.0, SQUARE_POINTS, None, 2)
+
+    @pytest.mark.parametrize("per_component", [False, True])
+    def test_the_result_is_the_symmetric_part_broadcast_to_the_batch(self, per_component):
+        raw = np.array([[2.0, 0.25], [0.25, 3.0]])
+        if per_component:
+            raw = np.stack([raw, 2.0 * raw])
+        coeffs = CoefficientSet(
+            diffusion=lambda t, x, u: np.broadcast_to(
+                raw, np.asarray(x).shape[:-1] + raw.shape),
+            drift=None, source=None, per_component_diffusion=per_component)
+        a = coeffs.diffusion_matrices(0.0, SQUARE_POINTS, None, 2)
+        assert a.shape == (7, 5, 2, 2, 2)
+        assert not a.flags.writeable
+        want = raw if per_component else np.stack([raw, raw])
+        assert np.array_equal(a, np.broadcast_to(want, a.shape))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_lv_diffusion_on_a_large_grid_holds_less_than_one_full_stack(self, m):
+        g = Grid(SpatialDomain(((0.0, 1.0), (0.0, 1.0))), (201, 201))
+        lv = LVCoefficients(np.full(m, 0.1), (parse_coefficient(1.0),) * m,
+                            ((parse_coefficient(1.0),) * m,) * m)
+        spec = build_lv_problem(lv, g.domain, Field.zeros(g, m), horizon=1.0)
+        x = g.points
+        tracemalloc.start()
+        try:
+            a = spec.coefficients.diffusion_matrices(0.0, x, None, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.shape == (201, 201, m, 2, 2)
+        assert np.array_equal(a[100, 100], 0.1 * np.broadcast_to(np.eye(2), (m, 2, 2)))
+        assert peak < 8 * 201 * 201 * m * 2 * 2
 
 
 def test_majorants_shape_constraints():
