@@ -5,12 +5,13 @@ snapshot container, and JSON helpers.  All writers format floats with
 ``repr``, which round-trips doubles exactly and keeps repeated runs bitwise
 identical, and end the file with a trailing newline.
 
-The trajectory CSV has one row formatter, ``_snapshot_rows``, and two ways
-to feed it.  ``write_trajectory_csv`` formats a finished trajectory
-in-process.  ``TrajectoryCsvStream`` forks a child (POSIX only) that
-formats each snapshot as the march stores it, sent through a pipe as one
-fixed-size frame, so the grid route's march and its CSV run on two CPUs
-at once.  Both write the same bytes.
+The trajectory CSV has one row formatter, ``_snapshot_rows``, and two
+writers that run it.  ``write_trajectory_csv`` formats a finished trajectory
+in-process.  ``TrajectoryCsvStream`` forks a child (POSIX only) that formats
+the file on another CPU, fed one of two ways: frame by frame, each snapshot
+sent through a pipe as the grid route's march stores it; or from a finished
+trajectory the child holds from the fork, as the kernel route's CSV is
+written while the march runs.  All three write the same bytes.
 
 Binary snapshot layout (all integers unsigned 32-bit little-endian, all
 floats 64-bit little-endian):
@@ -81,65 +82,81 @@ def write_trajectory_csv(path, trajectory, source="fdm"):
     """
     values = np.asarray(trajectory.values)
     header, rows = _snapshot_rows(values.shape[2:], values.shape[1], source)
+    _write_rows(path, header, rows, zip(np.asarray(trajectory.times), values))
+
+
+def _write_rows(path, header, rows, snapshots):
+    """Write ``header``, then the rows of each ``(t, values)`` of ``snapshots``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
-        for t, snapshot in zip(np.asarray(trajectory.times), values):
-            fh.writelines(rows(t, snapshot))
+        for t, values in snapshots:
+            fh.writelines(rows(t, values))
+
+
+def _close(*fds):
+    for fd in fds:
+        if fd is not None:
+            os.close(fd)
 
 
 class TrajectoryCsvStream:
-    """The grid route's trajectory CSV, formatted by a forked child.
+    """A trajectory CSV, formatted by a forked child.
 
-    The constructor forks a child that owns ``path``.  Each ``send(t,
-    values)`` writes one fixed-size frame to a pipe: ``t``, then the
-    snapshot's ``shape = (m, *grid)`` doubles.  The child formats every
-    frame with the same row formatter as ``write_trajectory_csv``, so the
-    file has the same bytes, on another CPU.  Used as a context manager:
+    The constructor forks a child that owns ``path`` and formats snapshots
+    of ``shape = (m, *grid)`` with the row formatter of
+    ``write_trajectory_csv``, so the file has the same bytes, on another
+    CPU.  The child gets its snapshots one of two ways:
 
-    - a clean exit closes the pipe, the child writes the last rows and
-      exits, and the parent reaps it;
-    - an exception kills and reaps the child and removes the partial file;
+    - by frames: each ``send(t, values)`` writes one fixed-size frame to a
+      pipe, ``t`` and then the snapshot's doubles;
+    - held: ``held``, a finished trajectory (``times`` and ``values``), is
+      the child's own copy from the fork, and no frame is sent.  The caller
+      may drop its reference to the values at once.
+
+    Used as a context manager, or closed by ``close``:
+
+    - ``close`` (or a clean exit) ends the frames, lets the child write the
+      last rows and reaps it; the file is then complete, and a later
+      exception leaves it in place;
+    - an exception before that kills and reaps the child and removes the
+      partial file;
     - a failure in the child (it exits with status 1 and writes
       ``Type: message`` to a second pipe) is raised as ``WriterError``,
-      from ``send`` or from the clean exit, whichever sees it first.
+      from ``send`` or from ``close``, whichever sees it first.
 
     Needs POSIX ``fork``.  The child does no logging and leaves by
     ``os._exit``, so it never flushes the parent's stdio buffers.
     """
 
-    def __init__(self, path, shape):
+    def __init__(self, path, shape, source="fdm", held=None):
         self._path = Path(path)
-        header, rows = _snapshot_rows(shape[1:], shape[0], "fdm")
-        self._frame = np.empty(1 + math.prod(shape))
-        frames_r, self._frames = os.pipe()
+        self._closed = False
+        header, rows = _snapshot_rows(shape[1:], shape[0], source)
+        frames_r = self._frames = None
+        if held is None:
+            self._frame = np.empty(1 + math.prod(shape))
+            frames_r, self._frames = os.pipe()
         self._status, status_w = os.pipe()
         try:
             self._pid = os.fork()
         except OSError:
-            for fd in (frames_r, self._frames, self._status, status_w):
-                os.close(fd)
+            _close(frames_r, self._frames, self._status, status_w)
             raise
         if self._pid == 0:
-            os.close(self._frames)
-            os.close(self._status)
-            _format_frames(frames_r, status_w, self._path, header, rows, shape)
-        os.close(frames_r)
-        os.close(status_w)
+            _close(self._frames, self._status)
+            snapshots = (_read_frames(frames_r, shape) if held is None
+                         else zip(np.asarray(held.times), np.asarray(held.values)))
+            _format_in_child(status_w, self._path, header, rows, snapshots)
+        _close(frames_r, status_w)
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is not None:
+        if exc_type is None:
+            self.close()
+        elif not self._closed:
             self._discard()
-            return
-        try:
-            os.close(self._frames)
-            self._frames = None
-            self._reap()
-        except BaseException:
-            self._discard()
-            raise
 
     def send(self, t, values):
         """Send the snapshot ``values`` (of the stream's shape) at time ``t``.
@@ -156,6 +173,22 @@ class TrajectoryCsvStream:
         except BrokenPipeError:
             self._reap()
             raise
+
+    def close(self):
+        """Wait for the child to finish the file; ``WriterError`` if it failed.
+
+        Does nothing once the file is complete.
+        """
+        if self._closed:
+            return
+        try:
+            _close(self._frames)
+            self._frames = None
+            self._reap()
+        except BaseException:
+            self._discard()
+            raise
+        self._closed = True
 
     def _reap(self):
         """Wait for the child; raise ``WriterError`` unless it exited with 0."""
@@ -175,30 +208,31 @@ class TrajectoryCsvStream:
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
             self._pid = None
-        for fd in (self._frames, self._status):
-            if fd is not None:
-                os.close(fd)
+        _close(self._frames, self._status)
         self._frames = self._status = None
         if self._path.is_file():
             self._path.unlink()
 
 
-def _format_frames(frames_fd, status_fd, path, header, rows, shape):
-    """Child side of ``TrajectoryCsvStream``: format each frame into ``path``.
+def _read_frames(frames_fd, shape):
+    """Yield ``(t, values)`` from each frame of the pipe, up to its end of file."""
+    size = 8 * (1 + math.prod(shape))
+    with open(frames_fd, "rb") as frames:
+        while frame := frames.read(size):
+            data = np.frombuffer(frame)
+            yield data[0], data[1:].reshape(shape)
 
-    Never returns: it leaves by ``os._exit``, with status 0 after the pipe's
-    end of file, or status 1 after writing the cause of a failure to
-    ``status_fd``.
+
+def _format_in_child(status_fd, path, header, rows, snapshots):
+    """Child side of ``TrajectoryCsvStream``: write ``snapshots`` into ``path``.
+
+    Never returns: it leaves by ``os._exit``, with status 0 once every
+    snapshot is written, or status 1 after writing the cause of a failure
+    to ``status_fd``.
     """
     code = 1
     try:
-        size = 8 * (1 + math.prod(shape))
-        with open(frames_fd, "rb") as frames, \
-                open(path, "w", encoding="utf-8") as fh:
-            fh.write(header)
-            while frame := frames.read(size):
-                data = np.frombuffer(frame)
-                fh.writelines(rows(data[0], data[1:].reshape(shape)))
+        _write_rows(path, header, rows, snapshots)
         code = 0
     except Exception as exc:  # noqa: BLE001 - the parent reports the cause
         os.write(status_fd, f"{type(exc).__name__}: {exc}".encode())

@@ -1,8 +1,13 @@
 """Scenario execution: checks, solvers, analysis, and the run manifest.
 
-A run works through four stages: hypothesis checks, the grid solver, the
-optional kernel-based cross-check, and the requested analysis operations.
-Every stage contributes a verdict under a named tag.  Verdicts are
+A run works through its stages in this order: hypothesis checks; the
+kernel route, when ``dual_route`` is requested; the grid march; the
+requested analysis operations, the kernel-route cross-check among them.
+The kernel route runs before the march and alone, because its BLAS products
+take both CPUs; a forked child then formats its CSV while the march runs.
+A kernel-route failure is raised at the cross-check, so a failed run has
+the verdicts, files and error it would have if the route ran there.  Every
+stage contributes a verdict under a named tag.  Verdicts are
 conditional in one direction only: when the hypothesis checks fail, failing
 conclusion checks are reported "inconclusive" rather than "violated",
 because nothing was promised for inputs outside the hypotheses.
@@ -10,10 +15,11 @@ because nothing was promised for inputs outside the hypotheses.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -30,8 +36,7 @@ from .duhamel import PicardConfig, picard_solve
 from .errors import NonConvergence, ParaposError, SpecError
 from .fdm import solve, solve_cauchy_nested
 from .io import (TrajectoryCsvStream, sha256_file, write_diagnostics_csv,
-                 write_json, write_residuals_csv, write_snapshots,
-                 write_trajectory_csv)
+                 write_json, write_residuals_csv, write_snapshots)
 
 logger = logging.getLogger("parapos")
 
@@ -161,19 +166,54 @@ def _sup_bound_verdict(trajectory, bound, label):
                    data={"bound": bound, "observed_sup": observed})
 
 
-def _dual_route(problem, trajectory, analysis, artifacts, formats):
-    pic_conf = PicardConfig(**analysis.get("picard", {}))
-    result = picard_solve(problem, pic_conf)
+class _KernelRoute:
+    """The kernel route of a run that requests ``dual_route``, solved early.
 
-    tc = float(analysis.get("crosscheck_time", problem.horizon))
+    ``picard_solve`` runs while no other process of the run is alive.  Then,
+    if ``csv_path`` is given, a forked ``TrajectoryCsvStream`` formats the
+    solution it holds from the fork into that file while the parent
+    marches.  The parent keeps only what the verdict reads: the result cut
+    to its stored time nearest the cross-check time, with the counters.  A
+    Picard failure is held in ``error`` for ``_dual_route`` to raise.  Used
+    as a context manager: an exception before ``_dual_route`` closes the
+    writer kills it and removes its file.
+    """
+
+    def __init__(self, problem, analysis, csv_path):
+        self.crosscheck_time = float(analysis.get("crosscheck_time", problem.horizon))
+        self.result = self.error = self.writer = None
+        try:
+            result = picard_solve(problem, PicardConfig(**analysis.get("picard", {})))
+        except Exception as exc:  # noqa: BLE001 - raised where the verdict is made
+            self.error = exc
+            return
+        ip = int(np.argmin(np.abs(result.times - self.crosscheck_time)))
+        self.result = replace(result, times=result.times[ip:ip + 1],
+                              values=result.values[ip:ip + 1].copy())
+        if csv_path is not None:
+            self.writer = TrajectoryCsvStream(csv_path, result.values.shape[1:],
+                                              source="duhamel", held=result)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.writer is not None:
+            self.writer.__exit__(*exc)
+
+
+def _dual_route(trajectory, analysis, kernel, artifacts):
+    if kernel.error is not None:
+        raise kernel.error
+    result = kernel.result
+    tc = kernel.crosscheck_time
     c_const = float(analysis.get("crosscheck_constant", 2.0))
     it = int(np.argmin(np.abs(trajectory.times - tc)))
-    ip = int(np.argmin(np.abs(result.times - tc)))
-    if abs(trajectory.times[it] - tc) > 1e-9 or abs(result.times[ip] - tc) > 1e-9:
+    if abs(trajectory.times[it] - tc) > 1e-9 or abs(result.times[0] - tc) > 1e-9:
         raise SpecError(f"crosscheck time {tc} is not on both stored time lattices")
 
     a = trajectory.values[it]
-    b = result.values[ip]
+    b = result.values[0]
     scale = float(np.abs(a).max())
     diff = float(np.abs(a - b).max()) / (scale if scale > 0 else 1.0)
     h = max(trajectory.grid.spacing)
@@ -182,9 +222,9 @@ def _dual_route(problem, trajectory, analysis, artifacts, formats):
     ratios = [r for window in result.contraction_ratios for r in window]
     contracting = all(r < 1.0 for r in ratios)
 
-    if "csv" in formats:
-        artifacts.write("trajectory_duhamel.csv", write_trajectory_csv, result,
-                        source="duhamel")
+    if kernel.writer is not None:
+        kernel.writer.close()
+        artifacts.add("trajectory_duhamel.csv")
 
     ok = diff <= tol and contracting
     note = "" if ok else ("kernel route disagrees" if diff > tol
@@ -253,7 +293,7 @@ def _weak_residuals(config, problem, steady, artifacts, formats):
 
 
 def _run_analysis(config, problem, scheme, trajectory, verdicts, artifacts,
-                  formats, d_hats):
+                  formats, d_hats, kernel):
     analysis = config.analysis_data
     ops = analysis.get("ops", [])
     steady = None
@@ -338,7 +378,7 @@ def _run_analysis(config, problem, scheme, trajectory, verdicts, artifacts,
 
     if "dual_route" in ops:
         verdicts["dual-route-match"] = _dual_route(
-            problem, trajectory, analysis, artifacts, formats)
+            trajectory, analysis, kernel, artifacts)
 
     if "nested" in ops:
         verdicts["nested-boxes"] = _nested(problem, scheme, analysis)
@@ -391,24 +431,33 @@ def run_scenario(config, out_dir=None, seed=None):
                   "kappa_hat": report.kappa_hat,
                   "d1_hat": report.d1_hat, "d2_hat": report.d2_hat})
 
-        logger.info("%s: solving (%s, dt=%g)", config.name, scheme.scheme, scheme.dt)
-        if "csv" in formats:
-            # a forked child formats trajectory.csv while the march runs
-            with TrajectoryCsvStream(out / "trajectory.csv",
-                                     problem.initial.values.shape) as stream:
-                trajectory = solve(problem, scheme, on_store=stream.send)
-            artifacts.add("trajectory.csv")
-        else:
-            trajectory = solve(problem, scheme)
-        verdicts["positivity"] = _positivity_verdict(trajectory)
+        kernel = None
+        if "dual_route" in config.analysis_data.get("ops", []):
+            logger.info("%s: solving the kernel route", config.name)
+            csv_path = out / "trajectory_duhamel.csv" if "csv" in formats else None
+            kernel = _KernelRoute(problem, config.analysis_data, csv_path)
 
-        if "csv" in formats:
-            artifacts.write("diagnostics.csv", write_diagnostics_csv, trajectory)
-        if "binary" in formats:
-            artifacts.write("snapshots.bin", write_snapshots, trajectory)
+        with kernel or contextlib.nullcontext():
+            logger.info("%s: solving (%s, dt=%g)", config.name, scheme.scheme,
+                        scheme.dt)
+            if "csv" in formats:
+                # a forked child formats trajectory.csv while the march runs
+                with TrajectoryCsvStream(out / "trajectory.csv",
+                                         problem.initial.values.shape) as stream:
+                    trajectory = solve(problem, scheme, on_store=stream.send)
+                artifacts.add("trajectory.csv")
+            else:
+                trajectory = solve(problem, scheme)
+            verdicts["positivity"] = _positivity_verdict(trajectory)
 
-        _run_analysis(config, problem, scheme, trajectory, verdicts, artifacts,
-                      formats, d_hats=(report.d1_hat, report.d2_hat))
+            if "csv" in formats:
+                artifacts.write("diagnostics.csv", write_diagnostics_csv, trajectory)
+            if "binary" in formats:
+                artifacts.write("snapshots.bin", write_snapshots, trajectory)
+
+            _run_analysis(config, problem, scheme, trajectory, verdicts, artifacts,
+                          formats, d_hats=(report.d1_hat, report.d2_hat),
+                          kernel=kernel)
     except ParaposError as exc:
         status, error = "error", f"{type(exc).__name__}: {exc}"
         logger.error("%s: %s", config.name, error)

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,22 @@ import pytest
 
 from parapos.runner import run_scenario
 from parapos.scenarios import get_scenario
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process, running or unreaped.
+
+    ``os.waitpid(-1, os.WNOHANG)`` raises ``ChildProcessError`` only when the
+    process has no child at all; it reaps a finished one.
+    """
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process"
+                + (f" (reaped {pid} here)" if pid else " that still runs"))
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import pytest
 from oracles import trajectory_csv_reference
 from parapos.cli import main
 from parapos.config import DEFAULT_ASSUMPTIONS, load_config, load_config_data
+from parapos.duhamel import PicardConfig, picard_solve
 from parapos.errors import ConfigError
 from parapos.fdm import Trajectory
 from parapos.io import read_snapshots, sha256_file
@@ -390,6 +391,14 @@ class TestCli:
         assert manifest["verdicts"]["hypotheses"]["status"] == "verified"
         assert manifest["verdicts"]["positivity"]["status"] == "verified"
         assert "dual-route-match" not in manifest["verdicts"]
+        # the kernel route now runs before the march; its failure still ends
+        # the run where the cross-check is made, with the march's files
+        out = tmp_path / "S7_logistic_flat"
+        assert [row["path"] for row in manifest["files"]] == [
+            "checks.json", "diagnostics.csv", "snapshots.bin", "trajectory.csv",
+            "manifest.json"]
+        assert not (out / "trajectory_duhamel.csv").exists()
+        _assert_no_child_left()
 
     def test_non_finite_source_slope_exits_three(self, tmp_path, monkeypatch):
         # the growth table is NaN for x > 0.5; A1 never evaluates the source,
@@ -592,6 +601,79 @@ class TestStreamedTrajectory:
         _assert_no_child_left()
 
 
+class TestKernelRouteWriter:
+    """trajectory_duhamel.csv is formatted by a forked child during the march."""
+
+    @staticmethod
+    def run(tmp_path, monkeypatch, data):
+        path = tmp_path / "s6.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.delenv("PARAPOS_OUT", raising=False)
+        code = main(["run", str(path), "--out", str(tmp_path)])
+        out = tmp_path / "S6_oracle_crosscheck"
+        return code, json.loads((out / "manifest.json").read_text()), out
+
+    def test_the_kernel_csv_has_the_rows_of_the_picard_solution(self, tmp_path,
+                                                                monkeypatch):
+        data = REGISTRY["S6_oracle_crosscheck"][1]()
+        code, manifest, out = self.run(tmp_path, monkeypatch, data)
+        assert code == 0
+        assert "trajectory_duhamel.csv" in [row["path"] for row in manifest["files"]]
+        config = load_config_data(data)
+        analysis = config.analysis_data
+        result = picard_solve(config.build_problem(),
+                              PicardConfig(**analysis["picard"]))
+        expected = trajectory_csv_reference(result.times, result.values,
+                                            source="duhamel")
+        assert (out / "trajectory_duhamel.csv").read_bytes() == expected.encode()
+        _assert_no_child_left()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failed_march_kills_the_kernel_writer(self, tmp_path, monkeypatch):
+        # Heun at ten times its step, with the stability gate off, overflows
+        data = copy.deepcopy(REGISTRY["S6_oracle_crosscheck"][1]())
+        data["scheme"].update(dt=0.025, check_stability=False)
+        code, manifest, out = self.run(tmp_path, monkeypatch, data)
+        assert code == 3
+        assert manifest["error"].startswith(
+            "SolverError: solution lost finiteness at step 9")
+        assert [row["path"] for row in manifest["files"]] == [
+            "checks.json", "manifest.json"]
+        assert sorted(p.name for p in out.iterdir()) == ["checks.json", "manifest.json"]
+        _assert_no_child_left()
+
+    def test_a_crosscheck_time_off_the_lattices_kills_the_kernel_writer(
+            self, tmp_path, monkeypatch):
+        # the Picard step is 0.005, and the march stores every 0.05
+        data = copy.deepcopy(REGISTRY["S6_oracle_crosscheck"][1]())
+        data["analysis"]["crosscheck_time"] = 0.2525
+        code, manifest, out = self.run(tmp_path, monkeypatch, data)
+        assert code == 3
+        assert manifest["error"].startswith(
+            "SpecError: crosscheck time 0.2525 is not on both stored time lattices")
+        assert [row["path"] for row in manifest["files"]] == [
+            "checks.json", "diagnostics.csv", "snapshots.bin", "trajectory.csv",
+            "manifest.json"]
+        assert not (out / "trajectory_duhamel.csv").exists()
+        _assert_no_child_left()
+
+    def test_a_kernel_writer_failure_exits_three_with_its_cause(self, tmp_path,
+                                                                monkeypatch):
+        out = tmp_path / "S6_oracle_crosscheck"
+        (out / "trajectory_duhamel.csv").mkdir(parents=True)
+        data = REGISTRY["S6_oracle_crosscheck"][1]()
+        code, manifest, out = self.run(tmp_path, monkeypatch, data)
+        assert code == 3
+        assert manifest["error"].startswith("WriterError: ")
+        assert "IsADirectoryError" in manifest["error"]
+        assert [row["path"] for row in manifest["files"]] == [
+            "checks.json", "diagnostics.csv", "snapshots.bin", "trajectory.csv",
+            "manifest.json"]
+        assert "dual-route-match" not in manifest["verdicts"]
+        assert (out / "trajectory_duhamel.csv").is_dir()
+        _assert_no_child_left()
+
+
 def _csv_rows(path):
     return np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding=None)
 
@@ -644,7 +726,9 @@ class TestDualRouteVerdict:
 class TestDeterminism:
     def test_batch_writes_the_bytes_of_single_runs(self, tmp_path, monkeypatch):
         monkeypatch.delenv("PARAPOS_OUT", raising=False)
-        names = ["S2_maxbound", "S5_cauchy_nested"]
+        # S6 and S7 fork a kernel-route writer each, back to back
+        names = ["S2_maxbound", "S5_cauchy_nested", "S6_oracle_crosscheck",
+                 "S7_logistic_flat"]
         assert main(["run", *names, "--out", str(tmp_path / "batch")]) == 0
         for name in names:
             assert main(["run", name, "--out", str(tmp_path / name)]) == 0

@@ -187,6 +187,67 @@ class TestTrajectoryCsvStream:
         assert_no_child_left()
 
 
+class TestTrajectoryCsvStreamHeld:
+    """The stream's child formats a finished trajectory it holds from the fork."""
+
+    @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 2)])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bytes_match_the_row_by_row_reference(self, tmp_path, shape, m):
+        times, values = special_values_case(shape, m)
+        path = tmp_path / "traj.csv"
+        held = SimpleNamespace(times=times, values=values)
+        with TrajectoryCsvStream(path, values.shape[1:], source="duhamel", held=held):
+            pass
+        assert_no_child_left()
+        expected = trajectory_csv_reference(times, values, source="duhamel")
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_the_caller_may_overwrite_its_values_after_the_fork(self, tmp_path):
+        times, values = special_values_case((3, 4), 2)
+        expected = trajectory_csv_reference(times, values, source="duhamel")
+        path = tmp_path / "traj.csv"
+        held = SimpleNamespace(times=times, values=values)
+        with TrajectoryCsvStream(path, values.shape[1:], source="duhamel", held=held):
+            values[:] = 0.0
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("snapshots", [1, 400])
+    def test_an_exception_kills_the_child_and_removes_the_file(self, tmp_path,
+                                                               snapshots):
+        # 400 snapshots of 2 x 500 values keep the child formatting for a
+        # while; one is written before the exception is raised
+        path = tmp_path / "traj.csv"
+        held = SimpleNamespace(times=np.arange(float(snapshots)),
+                               values=np.ones((snapshots, 2, 500)))
+        with pytest.raises(RuntimeError, match="march failed"):
+            with TrajectoryCsvStream(path, (2, 500), source="duhamel", held=held):
+                raise RuntimeError("march failed")
+        assert not path.exists()
+        assert_no_child_left()
+
+    def test_an_exception_after_close_keeps_the_complete_file(self, tmp_path):
+        times, values = special_values_case((7,), 2)
+        path = tmp_path / "traj.csv"
+        held = SimpleNamespace(times=times, values=values)
+        with pytest.raises(RuntimeError, match="later stage failed"):
+            with TrajectoryCsvStream(path, values.shape[1:], held=held) as stream:
+                stream.close()
+                stream.close()
+                raise RuntimeError("later stage failed")
+        assert path.read_bytes() == trajectory_csv_reference(times, values).encode()
+        assert_no_child_left()
+
+    def test_a_child_failure_names_its_cause(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.mkdir()
+        held = SimpleNamespace(times=np.zeros(1), values=np.zeros((1, 1, 3)))
+        with pytest.raises(WriterError, match="IsADirectoryError"):
+            with TrajectoryCsvStream(path, (1, 3), held=held):
+                pass
+        assert path.is_dir()
+        assert_no_child_left()
+
+
 class TestDiagnosticsCsv:
     def test_one_row_per_step_report(self, tmp_path):
         traj = small_trajectory()
