@@ -1,4 +1,4 @@
-"""Integral-equation solver built on the Gaussian heat kernel.
+"""Integral-equation solver built on the Dirichlet heat kernel.
 
 This is the second, independent route to the solution: instead of stepping a
 difference scheme, it iterates the variation-of-constants map
@@ -16,32 +16,61 @@ generates ``(d / 2) * laplacian``.  Callers who want the evolution of
 ``u_t = D * laplacian(u)`` must hand in ``rate = 2 * D``; ``picard_solve``
 does this internally from the problem's diffusion matrices.
 
-States are extended by zero outside the box, everywhere.  No boundary
-correction is applied, so on a zero-Dirichlet box this route is only
-accurate while the state stays concentrated away from the boundary; the
-callers that cross-check it against the difference schemes pick their data
-accordingly.
+The route solves problem (P) on a box with ``u = 0`` on its faces, and only
+that: ``picard_solve`` refuses any other boundary kind.  Each axis of ``n``
+nodes is extended oddly about its two wall nodes, which is the odd
+``2 (n - 1)``-periodic extension and the method of images for the Dirichlet
+heat kernel (Carslaw & Jaeger 1959).  On that extension every lag operator
+is diagonal in the DST-I basis of the interior nodes, the transform that
+``fdm`` uses for its 2D solves (Buzbee, Golub & Nielson 1970).  With
+``theta_k = pi k / (n - 1)``, k = 1..n - 2, an axis of spacing ``h``
+evolved over variance ``s^2`` has the multiplier
 
-Spatial convolutions are separable per axis.  Each axis operator is either a
-trapezoid quadrature matrix (kernel tails truncated beyond
-``truncation_sigmas`` standard deviations) or, when the kernel width falls
-under ``taylor_threshold`` grid spacings and trapezoid quadrature would
-alias, a second-order Taylor expansion of the evolution operator in the
-discrete Laplacian.  On a uniform axis the quadrature matrix is Toeplitz, so
-an operator keeps only its profile over the ``2n - 1`` node offsets, and
-applies only the band where the profile is nonzero: every block of rows of
-the matrix is the same small block, so one product with it covers the axis
-and no ``n x n`` matrix is built.
+* in the quadrature branch, ``lambda_k = sum over |z| <= w of
+  p(z) cos(theta_k z)``, where
+  ``p(z) = h g(z h)`` is the trapezoid profile of the Gaussian ``g``, cut
+  beyond ``_TRUNCATION_SIGMAS`` standard deviations.  ``w`` is not capped
+  at the axis, so a kernel wider than the box wraps through its images.
+  The free-space profile's mass must be within ``_MASS_TOL`` of one.
+* in the Taylor branch, taken when ``s`` falls under
+  ``_TAYLOR_THRESHOLD`` spacings and trapezoid quadrature would alias,
+  ``1 - a mu_k + (a mu_k)^2 / 2`` with ``a = s^2 / 2`` and
+  ``mu_k = 4 sin^2(theta_k / 2) / h^2``: the second-order Taylor expansion
+  of the evolution in the 3-point Laplacian, whose odd ghost node is the
+  zero wall.
+
+A 2D operator's multiplier is the outer product of its two axis
+multipliers.  ``KernelOperator`` is one component's operator over one lag,
+held as that multiplier; its ``apply`` multiplies a stack of coefficient
+arrays by it.  Wall nodes of every result are exactly 0.
+
+Sign.  When a quadrature-branch cutoff is at most half the axis
+(``w <= (n - 1) / 2``), the image matrix has no negative entry: for
+interior nodes i and j only the direct offset ``i - j`` and at most one
+odd image lie within the cutoff, and the image is the farther of the two.  So
+non-negative data evolve to non-negative values up to the rounding of the
+transforms.  Taking the radix-2 bound of FFT error analysis (Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, Thm 24.2), each of
+the forward transform, the inverse transform and the multiplier's own
+``rfft`` (whose input, the profile, has mass one) is off by at most about
+``6.7 u log2(2 (n - 1))`` per axis, relative to the 2-norm of the data,
+with ``u`` the unit roundoff.  So every value of a
+result is at least ``-20 u (sum over axes of log2(2 (n - 1)) + 1)`` times
+the 2-norm of the data plus ``N`` times the smallest normal number, for the
+``N`` nodes (the second term covers intermediates that underflow).  Off the
+walls, exact zeros do not stay exact.
 
 Time quadrature of the integral term is composite trapezoid in the source
 time, except for the final panel, which is integrated by its midpoint: the
 kernel is evaluated at half a panel of lag and the source endpoint values
-are averaged.  Its one copy is ``_duhamel_quadrature``, which both
-``duhamel_apply`` and the Picard sweep call.  It is batched by lag: the
-source slices that share one lag operator go through it in one application,
-so a sweep over ``J`` steps makes ``J + 1`` applications per component, not
-``O(J^2)``.  The source-Jacobian samples that size the Picard windows come
-from :func:`checker.source_jacobians`.
+are averaged.  Its one copy is ``_duhamel_quadrature``.  It runs in mode
+space: one forward transform of the source history, then, for each lag,
+one multiply-add over the slices that share that lag's operator, then one
+inverse transform of the rows.  A sweep over ``J`` steps thus makes two
+transforms and ``J + 1`` applications per component, not ``O(J^2)``.  The
+window's homogeneous rows come from one transform of its initial state.
+The source-Jacobian samples that size the Picard windows come from
+:func:`checker.source_jacobians`.
 
 The source is evaluated once per Picard sweep, over every time slice of the
 window: ``t`` is the window's times shaped to broadcast against the grid,
@@ -52,298 +81,153 @@ gradient (``depends_on_gradient``) is refused, like one with a drift.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from scipy.fft import dstn, idstn, rfft
 
 from .checker import source_jacobians
 from .errors import DomainError, NonContraction, SolverError, SpecError
-from .model import Grid
+from .model import Grid, dst_sine_squares
 
-__all__ = [
-    "KernelConfig", "KernelOperator", "PicardConfig", "PicardResult",
-    "duhamel_apply", "heat_kernel", "picard_solve",
-]
+__all__ = ["KernelOperator", "PicardConfig", "PicardResult", "picard_solve"]
 
-
-@dataclass(frozen=True)
-class KernelConfig:
-    truncation_sigmas: float = 7.0
-    taylor_threshold: float = 1.2
-    mass_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.truncation_sigmas < 6.0:
-            raise SpecError("kernel truncation must keep at least six standard deviations")
-        if self.taylor_threshold <= 0:
-            raise SpecError("taylor_threshold must be positive")
+#: the Gaussian profile is cut beyond this many standard deviations
+_TRUNCATION_SIGMAS = 7.0
+#: a kernel narrower than this many grid spacings takes the Taylor branch
+_TAYLOR_THRESHOLD = 1.2
+#: largest admitted distance of the truncated profile's mass from one
+_MASS_TOL = 1e-10
 
 
-def heat_kernel(t, x, rate, dim=None):
-    """Gaussian kernel with per-axis variance ``rate * t``.
+# --------------------------------------------------------------- operators
 
-    ``x`` is a point or an array of points whose last axis is the space
-    dimension; a scalar or zero-dimensional input is treated as one
-    dimensional.  ``t`` must be positive.
-    """
-    if not t > 0:
-        raise DomainError("heat kernel needs t > 0")
-    if not rate > 0:
-        raise DomainError("heat kernel needs a positive rate")
-    arr = np.asarray(x, dtype=float)
-    if dim is None:
-        dim = 1 if arr.ndim == 0 else arr.shape[-1]
-    if arr.ndim == 0:
-        sq = arr * arr
-    else:
-        sq = (arr * arr).sum(axis=-1)
-    var = rate * t
-    return (2.0 * math.pi * var) ** (-dim / 2.0) * np.exp(-sq / (2.0 * var))
-
-
-# --------------------------------------------------------------- axis ops
-
-def _gauss_profile(z, sigma, cutoff):
-    out = np.exp(-(z * z) / (2.0 * sigma * sigma)) / (sigma * math.sqrt(2.0 * math.pi))
-    out[np.abs(z) > cutoff] = 0.0
-    return out
-
-
-class _Band(NamedTuple):
-    """A Toeplitz axis operator: its profile, band half-width and block height."""
-
-    profile: np.ndarray
-    w: int
-    s: int
-
-
-def _toeplitz_band(profile):
-    """The band of a profile over the ``2n - 1`` offsets ``n - 1 .. -(n - 1)``.
-
-    ``w`` is the largest offset with a nonzero entry, and ``s = max(w, 16)``
-    rows (``n`` on a shorter axis) the height of the blocks ``_apply_axis``
-    cuts the axis into.
-    """
-    n = (len(profile) + 1) // 2
-    w = int(np.abs(np.flatnonzero(profile) - (n - 1)).max())
-    return _Band(profile, w, min(max(w, 16), n))
-
-
-def _axis_operator(n, h, variance, cfg):
-    """One-axis evolution operator for a kernel of the given variance.
-
-    Returns ``("taylor", a)`` with ``a = variance / 2`` when the kernel is too
-    narrow for trapezoid quadrature, otherwise ``("toeplitz", band)``.  On
-    the uniform axis of ``n`` nodes the quadrature matrix ``h g(x_i - x_j)``
-    depends on ``i - j`` alone, so ``band.profile`` holds its ``2n - 1``
-    entries ``h g(d h)`` for ``d = n - 1`` down to ``-(n - 1)``;
-    ``_apply_axis`` applies the matrix it defines, which acts on node values
-    extended by zero outside the axis range.  The offsets are ``d h``, not
-    differences of node coordinates, so the profile is exactly symmetric and
-    a node at the cutoff is in or out of the band on both sides alike.  The
-    band's half-width and block height are found here, once per operator.
-    """
+def _axis_multiplier(n, h, variance):
+    """DST-I multiplier, modes k = 1..n - 2, of one axis evolved over ``variance``."""
     sigma = math.sqrt(variance)
-    if sigma < cfg.taylor_threshold * h:
-        return ("taylor", variance / 2.0)
-    cutoff = cfg.truncation_sigmas * sigma
-    profile = h * _gauss_profile(np.arange(n - 1, -n, -1) * h, sigma, cutoff)
-    center = n // 2
-    # the centre row of the matrix: offsets center down to center - (n - 1)
-    mass = float(profile[n - 1 - center:2 * n - 1 - center].sum())
-    if abs(mass - 1.0) > cfg.mass_tol:
+    if sigma < _TAYLOR_THRESHOLD * h:
+        a_mu = (variance / 2.0) * (4.0 / h**2) * dst_sine_squares(n - 2)
+        return 1.0 - a_mu + 0.5 * a_mu * a_mu
+    cutoff = _TRUNCATION_SIGMAS * sigma
+    w = int(cutoff / h) + 1
+    z = np.arange(-w, w + 1)
+    d = z * h
+    # the offsets are z h, not differences of node coordinates, so the
+    # profile is exactly symmetric and an offset at the cutoff is in or out
+    # on both sides alike
+    profile = h * (np.exp(-(d * d) / (2.0 * sigma * sigma))
+                   / (sigma * math.sqrt(2.0 * math.pi)))
+    profile[np.abs(d) > cutoff] = 0.0
+    mass = float(profile.sum())
+    if abs(mass - 1.0) > _MASS_TOL:
         raise SolverError(
             f"kernel quadrature mass {mass!r} is off by more than "
-            f"{cfg.mass_tol:g}; the grid cannot resolve this kernel")
-    return ("toeplitz", _toeplitz_band(profile))
+            f"{_MASS_TOL:g}; the grid cannot resolve this kernel")
+    # folded onto one period 2 (n - 1), the profile's real DFT at k is the
+    # sum of p(z) cos(theta_k z)
+    period = 2 * (n - 1)
+    folded = np.bincount(z % period, weights=profile, minlength=period)
+    return rfft(folded).real[1:n - 1]
 
 
-def _second_diff_zero_extension(values, axis, h):
-    lead = (slice(None),) * axis
-    inner, outer = lead + (slice(1, None),), lead + (slice(None, -1),)
-    out = -2.0 * values
-    out[inner] += values[outer]
-    out[outer] += values[inner]
-    out /= h * h
+def _to_modes(values, dim):
+    """DST-I coefficients of the interior nodes of the last ``dim`` axes."""
+    interior = values[(Ellipsis,) + (slice(1, -1),) * dim]
+    return dstn(interior, type=1, axes=tuple(range(-dim, 0)))
+
+
+def _to_nodes(modes, dim):
+    """Node values of DST-I coefficients, with every wall node exactly 0."""
+    out = np.zeros(modes.shape[:-dim] + tuple(k + 2 for k in modes.shape[-dim:]))
+    out[(Ellipsis,) + (slice(1, -1),) * dim] = idstn(
+        modes, type=1, axes=tuple(range(-dim, 0)))
     return out
-
-
-def _toeplitz_block(band, s):
-    """``(s + 2w) x s`` block ``K[c, r] = band[c - r]``, zero off the band."""
-    span = len(band) + s - 1
-    # rows of s + 2w + 1 read back as rows of s + 2w: each row is the band
-    # shifted one node further right, which is column r of K
-    rows = np.zeros((s, span + 1))
-    rows[:, :len(band)] = band
-    return rows.ravel()[:s * span].reshape(s, span).T
-
-
-def _apply_axis(op, values, axis, h):
-    """Apply one axis operator along ``axis``, counted from the front.
-
-    A Toeplitz operator acts as ``M[i, j] = p[n - 1 - (i - j)]``, which is
-    zero for ``|i - j| > w``, the band half-width.  The axis is padded with
-    ``w`` zeros on each side and cut into blocks of ``s`` rows; every block
-    of ``M`` is the same ``(s + 2w) x s`` matrix acting on an input window of
-    ``s + 2w`` nodes, so the whole application is one product of the stacked
-    windows with that block, ``B n (s + 2w)`` multiply-adds for ``B``
-    slices.
-    """
-    kind, payload = op
-    if kind == "toeplitz":
-        profile, w, s = payload
-        n = values.shape[axis]
-        blocks = -(-n // s)
-        moved = values.swapaxes(axis, -1)
-        lead = moved.shape[:-1]
-        padded = np.zeros(lead + (blocks * s + 2 * w,))
-        padded[..., w:w + n] = moved
-        windows = as_strided(padded, lead + (blocks, s + 2 * w),
-                             padded.strides[:-1] + (s * padded.itemsize,
-                                                    padded.itemsize),
-                             writeable=False)
-        block = _toeplitz_block(profile[n - 1 - w:n + w], s)
-        out = windows.reshape(-1, s + 2 * w) @ block
-        return out.reshape(lead + (blocks * s,))[..., :n].swapaxes(axis, -1)
-    a = payload
-    d1 = _second_diff_zero_extension(values, axis, h)
-    d2 = _second_diff_zero_extension(d1, axis, h)
-    return values + a * d1 + 0.5 * a * a * d2
 
 
 class KernelOperator:
-    """Separable zero-extension evolution operator: one component, one lag.
+    """Dirichlet evolution of one component over one lag, as a DST-I multiplier.
 
-    ``apply`` takes one array shaped like the grid or a stack of them: any
-    leading axes are batch axes and the grid's axes come last.  Each
-    quadrature axis is held as its Toeplitz profile (``2n - 1`` floats); a
-    stack goes through its band as one block-banded product.
+    ``apply`` takes the DST-I coefficients of interior node values
+    (``_to_modes``), one array or a stack of them: any leading axes are
+    batch axes, and the ``(n - 2)`` mode axes of the grid come last.  The
+    operator holds one multiplier of that mode shape.
     """
 
-    def __init__(self, grid, rate, tau, cfg=None):
+    def __init__(self, grid, rate, tau):
         if tau < 0:
             raise DomainError("kernel lag must be non-negative")
-        cfg = cfg or KernelConfig()
         self.grid = grid
-        self.identity = tau == 0.0
-        if not self.identity:
-            variance = rate * tau
-            self.ops = [
-                _axis_operator(grid.shape[ax], grid.spacing[ax], variance, cfg)
-                for ax in range(grid.dimension)
-            ]
+        # at tau = 0 the Taylor branch gives a multiplier of exact ones
+        self.multiplier = functools.reduce(np.multiply.outer, [
+            _axis_multiplier(n, h, rate * tau)
+            for n, h in zip(grid.shape, grid.spacing)])
 
-    def apply(self, values):
-        """Evolve an array shaped ``(*batch, *grid.shape)``; batch may be empty."""
-        if self.identity:
-            return values.copy()
-        first = values.ndim - self.grid.dimension
-        out = values
-        for ax in range(self.grid.dimension):
-            out = _apply_axis(self.ops[ax], out, first + ax, self.grid.spacing[ax])
-        return out
+    def apply(self, modes):
+        """Evolve coefficients shaped ``(*batch, *modes)``; batch may be empty."""
+        return modes * self.multiplier
 
 
-def duhamel_apply(values, grid, rates, tau, source=None, source_times=None,
-                  config=None):
-    """Variation-of-constants map over one time lag.
+def _lag_evolver(grid, rates, dt):
+    """``evolve(modes, n)``: every component evolved over ``n`` half panels.
 
-    The homogeneous part convolves each component with the kernel of variance
-    ``rate * tau``; ``rates`` is a scalar or one rate per component.  With
-    ``tau = 0`` the input is returned unchanged (as a copy).
-
-    ``source``, when given, is a history of the inhomogeneity on a uniform
-    time lattice from 0 to ``tau``: shape ``(J + 1, m, *grid.shape)`` with
-    ``source_times`` the matching lattice.  The time integral uses composite
-    trapezoid weights on all but the final panel; the final panel is
-    integrated by its midpoint, with the kernel lagged by half a panel and
-    the two endpoint source values averaged.
-    """
-    values = np.asarray(values, dtype=float)
-    m = values.shape[0]
-    rates = np.broadcast_to(np.asarray(rates, dtype=float), (m,)).astype(float)
-    hom = np.empty_like(values)
-    for k in range(m):
-        hom[k] = KernelOperator(grid, float(rates[k]), tau, config).apply(values[k])
-    if source is None or tau == 0:
-        return hom
-    if source_times is None:
-        raise SpecError("a source history needs its matching time lattice")
-    source = np.asarray(source, dtype=float)
-    stimes = np.asarray(source_times, dtype=float)
-    if source.ndim != values.ndim + 1 or source.shape[1:] != values.shape:
-        raise SpecError("source history must stack state-shaped slices")
-    if stimes.shape != (source.shape[0],) or source.shape[0] < 2:
-        raise SpecError("source history needs one time per slice, at least two")
-    ds = stimes[1] - stimes[0]
-    if np.abs(np.diff(stimes) - ds).max() > 1e-9 * max(ds, 1.0):
-        raise SpecError("source history must be sampled uniformly in time")
-    if abs(stimes[0]) > 1e-12 or abs(stimes[-1] - tau) > 1e-9 * max(tau, 1.0):
-        raise SpecError("source history must run from 0 to the requested lag")
-    evolve = _lag_evolver(grid, rates, ds, config)
-    last = source.shape[0] - 1
-    return hom + ds * _duhamel_quadrature(source, evolve, first=last)[0]
-
-
-def _lag_evolver(grid, rates, dt, cfg):
-    """``evolve(values, n)``: every component evolved over ``n`` half panels.
-
-    ``values`` is one state ``(m, *grid.shape)`` or a stack of states
-    ``(..., m, *grid.shape)``; each component's operator is applied once to
-    all of its slices.  A half panel is ``dt / 2`` of lag, so the midpoint
-    panel shares the cache.  Operators are built on first use and kept per
-    (component, n).
+    ``modes`` holds the coefficients of one state ``(m, *modes)`` or of a
+    stack of states ``(..., m, *modes)``; each component's operator is
+    applied once to all of its slices.  A half panel is ``dt / 2`` of lag,
+    so the midpoint panel shares the cache.  Operators are built on first
+    use and kept per (component, n).
     """
     ops = {}
     dim = grid.dimension
 
-    def evolve(values, half_steps):
-        out = np.empty_like(values)
-        lead = (slice(None),) * (values.ndim - dim - 1)
+    def evolve(modes, half_steps):
+        out = np.empty_like(modes)
+        lead = (slice(None),) * (modes.ndim - dim - 1)
         for k in range(len(rates)):
             key = (k, half_steps)
             if key not in ops:
                 ops[key] = KernelOperator(grid, float(rates[k]),
-                                          half_steps * dt / 2.0, cfg)
-            out[lead + (k,)] = ops[key].apply(values[lead + (k,)])
+                                          half_steps * dt / 2.0)
+            out[lead + (k,)] = ops[key].apply(modes[lead + (k,)])
         return out
 
     return evolve
 
 
-def _duhamel_quadrature(history, evolve, first=1):
-    """Integrals over [0, s_j] of the source history evolved to s_j, j >= first.
+def _duhamel_quadrature(history, evolve):
+    """Integrals over [0, s_j] of the source history evolved to s_j, j = 1..J.
 
-    ``history[l]`` is the source at s_l = l dt for l = 0..J.  Row j of the
-    result (shape ``(J - first + 1, m, *grid.shape)``) is composite trapezoid
-    over the first j - 1 panels and midpoint on the last: the kernel lagged
-    by half a panel acts on the average of its two endpoint values.  The
-    trapezoid weights are 1/2 on s_0 and s_{j-1} and 1 in between.  Returns
-    the weighted sums, to be scaled by dt.
+    ``history[l]`` is the source at s_l = l dt for l = 0..J, shape
+    ``(J + 1, m, *grid.shape)``; its wall nodes are not read.  Row j of the
+    result (shape ``(J, m, *grid.shape)``) is composite trapezoid over the
+    first j - 1 panels and midpoint on the last: the kernel lagged by half
+    a panel acts on the average of its two endpoint values.  The trapezoid
+    weights are 1/2 on s_0 and s_{j-1} and 1 in between.  Returns the
+    weighted sums, to be scaled by dt.
 
-    All rows are filled at once.  The midpoint terms are one application at
-    half a panel; then, for each lag d = J..1, the slices that lag d carries
-    to a requested row go through that lag's operator together.  Each row
-    therefore sums its midpoint term first, then its terms from the longest
-    lag to the shortest.
+    All rows are filled at once, in mode space.  The midpoint terms are one
+    application at half a panel; then, for each lag d = J..1, the slices
+    that lag d carries to a row go through that lag's operator together.
+    Each row therefore sums its midpoint term first, then its terms from
+    the longest lag to the shortest.
     """
+    dim = history.ndim - 2
+    modes = _to_modes(history, dim)
     last = len(history) - 1
-    acc = evolve(0.5 * (history[first - 1:last] + history[first:]), 1)
+    acc = evolve(0.5 * (modes[:-1] + modes[1:]), 1)
+    # row j takes s_{j-lag}; row 1 has only its midpoint panel
     for lag in range(last, 0, -1):
-        # row j takes s_{j-lag}; row 1 has only its midpoint panel
-        lo = max(first, lag, 2)
+        lo = max(lag, 2)
         if lo > last:
             continue
-        term = evolve(history[lo - lag:last - lag + 1], 2 * lag)
+        term = evolve(modes[lo - lag:last - lag + 1], 2 * lag)
         if lag == 1:
             term *= 0.5          # s_{j-1}, every row
         elif lo == lag:
             term[0] *= 0.5       # s_0, row j = lag
-        acc[lo - first:] += term
-    return acc
+        acc[lo - 1:] += term
+    return _to_nodes(acc, dim)
 
 
 # ------------------------------------------------------------ picard route
@@ -354,7 +238,6 @@ class PicardConfig:
     tol: float = 1e-10
     max_iter: int = 60
     burn_in: int = 2
-    kernel: KernelConfig = field(default_factory=KernelConfig)
 
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -435,10 +318,14 @@ def picard_solve(spec, config=None):
     Within each window the sweep is iterated until the sup change falls
     under ``tol`` (relative to the state size); three consecutive growths of
     the change raise NonContraction, as does running out of sweeps.  The
-    integral term is ``_duhamel_quadrature``, the quadrature
-    ``duhamel_apply`` uses: composite trapezoid with a midpoint final panel,
-    batched by lag over the whole window.
+    integral term is ``_duhamel_quadrature``: composite trapezoid with a
+    midpoint final panel, batched by lag over the whole window.  Only the
+    zero-Dirichlet problem is solved; any other boundary kind is a
+    SpecError.
     """
+    if spec.domain.boundary_kind != "dirichlet_zero":
+        raise SpecError(f"kernel route solves the zero-Dirichlet problem only, "
+                        f"not boundary kind {spec.domain.boundary_kind!r}")
     config = config or PicardConfig()
     grid = spec.initial.grid
     spec.initial.validate()
@@ -453,7 +340,7 @@ def picard_solve(spec, config=None):
     else:
         window_steps = total_steps
 
-    evolve = _lag_evolver(grid, rates, dt, config.kernel)
+    evolve = _lag_evolver(grid, rates, dt)
 
     u0 = spec.initial.values.copy()
     t0 = 0.0
@@ -468,8 +355,10 @@ def picard_solve(spec, config=None):
         span = min(window_steps, total_steps - steps_done)
         # (span + 1, m, *grid) arrays, row j at time t0 + j dt
         hom = np.empty((span + 1,) + u0.shape)
-        for j in range(span + 1):
-            hom[j] = evolve(u0, 2 * j)
+        hom[0] = u0
+        start = _to_modes(u0, grid.dimension)
+        hom[1:] = _to_nodes(np.stack([evolve(start, 2 * j)
+                                      for j in range(1, span + 1)]), grid.dimension)
         v = hom
         # the window's times and points, broadcast to its (span + 1, *grid) batch
         stimes = t0 + np.arange(span + 1) * dt

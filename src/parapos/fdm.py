@@ -52,7 +52,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from .checker import source_jacobians
 from .errors import DegenerateRefinement, NonConvergence, SolverError, SpecError
 from .model import (Field, Grid, SpatialDomain, build_cutoff, distinct_entries,
-                    second_difference)
+                    dst_sine_squares, second_difference)
 
 SCHEMES = ("imex_be", "imex_cn", "erk2")
 POSITIVITY_MODES = ("monitor_only", "clip_and_flag")
@@ -238,13 +238,13 @@ def _dst_solver(axx, ayy, hx, hy, lam, shape):
     """Direct solver of the 2D 5-point operator with constant coefficients.
 
     The DST-I diagonalizes the Dirichlet second difference along each axis,
-    with eigenvalues -(4 / h^2) sin^2(pi j / (2 (m + 1))), j = 1..m, so a
+    with eigenvalues -(4 / h^2) sin^2(pi j / (2 (m + 1))), j = 1..m
+    (``model.dst_sine_squares``), so a
     solve is a forward transform, a division by the operator's eigenvalues,
     and the inverse transform.
     """
     mx, my = shape
-    sx = np.sin(0.5 * np.pi * np.arange(1, mx + 1) / (mx + 1)) ** 2
-    sy = np.sin(0.5 * np.pi * np.arange(1, my + 1) / (my + 1)) ** 2
+    sx, sy = dst_sine_squares(mx), dst_sine_squares(my)
     den = (1.0 + (4.0 * lam * axx / hx**2) * sx[:, None]
            + (4.0 * lam * ayy / hy**2) * sy[None, :])
 

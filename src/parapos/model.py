@@ -157,6 +157,16 @@ def second_difference(values, grid, axis):
     return out
 
 
+def dst_sine_squares(m):
+    """``sin^2(pi k / (2 (m + 1)))`` for k = 1..m: the DST-I mode table.
+
+    On an axis with ``m`` interior nodes and spacing ``h``, the 3-point
+    second difference with zero walls has the DST-I modes for eigenvectors,
+    with eigenvalues ``-(4 / h^2)`` times these entries.
+    """
+    return np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2
+
+
 @dataclass
 class Field:
     """Componentwise state on a grid: ``values`` has shape ``(m, *grid.shape)``.

@@ -80,18 +80,43 @@ def heat_gaussian(x, t, d, width, amplitude=1.0, center=0.0):
     return amplitude * width / math.sqrt(var) * np.exp(-((x - center) ** 2) / (2.0 * var))
 
 
-def dense_axis_matrix(axis_pts, h, variance, cutoff):
-    """Trapezoid quadrature matrix ``h g(x_i - x_j)`` of a truncated Gaussian.
+def dirichlet_image_matrix(n, h, variance, cutoff):
+    """Dirichlet heat-kernel quadrature on the interior nodes, summed by images.
 
-    ``g`` is the normal density of the given variance, set to zero where
-    ``|x_i - x_j| > cutoff``; the matrix acts on node values extended by zero
-    outside the axis.  Built entry by entry from the node coordinates.
+    ``p(z) = h g(z h)`` is the normal density ``g`` of the given variance at
+    the node offset ``z``, set to zero where ``|z h| > cutoff``.  Entry
+    ``(i, j)`` for interior nodes i, j = 1..n - 2 is
+    ``sum over r of p(i - j + 2 r (n - 1)) - p(i + j + 2 r (n - 1))``: the
+    free-space kernel and its images, reflected oddly in the two walls.
+    Every image inside the cutoff is summed, however wide the kernel.
     """
-    x = np.asarray(axis_pts, dtype=float)
-    z = x[:, None] - x[None, :]
-    g = np.exp(-z * z / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
-    g[np.abs(z) > cutoff] = 0.0
-    return h * g
+    period = 2 * (n - 1)
+    reach = int(cutoff / h) + 1
+    turns = reach // period + 2
+    r = np.arange(-turns, turns + 1)
+    i = np.arange(1, n - 1)
+
+    def p(z):
+        d = z * h
+        g = np.exp(-d * d / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
+        g[np.abs(d) > cutoff] = 0.0
+        return h * g
+
+    direct = i[:, None, None] - i[None, :, None] + period * r
+    mirror = i[:, None, None] + i[None, :, None] + period * r
+    return (p(direct) - p(mirror)).sum(axis=-1)
+
+
+def dirichlet_taylor_matrix(n, h, a):
+    """``I + a L + a^2 L^2 / 2`` on the interior nodes, ``L`` the Dirichlet 3-point Laplacian.
+
+    ``L`` is tridiagonal ``(1, -2, 1) / h^2`` over the ``n - 2`` interior
+    nodes of an axis with both wall values zero.
+    """
+    m = n - 2
+    lap = (np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
+           - 2.0 * np.eye(m)) / h**2
+    return np.eye(m) + a * lap + 0.5 * a * a * (lap @ lap)
 
 
 def bump_mass_1d(radius):

@@ -679,20 +679,67 @@ def _csv_rows(path):
 
 
 class TestDualRouteVerdict:
-    def test_bumps_at_the_face_violate_the_match_under_the_hypotheses(
-            self, tmp_path, monkeypatch):
+    @staticmethod
+    def run(tmp_path, monkeypatch, data):
+        path = tmp_path / "s6_variant.json"
+        path.write_text(json.dumps(data))
+        monkeypatch.delenv("PARAPOS_OUT", raising=False)
+        code = main(["run", str(path), "--out", str(tmp_path)])
+        out = tmp_path / "S6_oracle_crosscheck"
+        return code, json.loads((out / "manifest.json").read_text())["verdicts"], out
+
+    def test_bumps_near_the_face_match_under_the_hypotheses(self, tmp_path,
+                                                            monkeypatch):
         # S6 with both bumps centred at x = 0.35, so they reach to 0.05 of
-        # the Dirichlet face at 0: every hypothesis holds, but the kernel
-        # route extends the state by zero across the face and ignores it
+        # the Dirichlet face at 0; the kernel route's images keep u = 0
+        # there, so the routes agree to well inside the tolerance
         data = copy.deepcopy(REGISTRY["S6_oracle_crosscheck"][1]())
         for bump in data["problem"]["initial"]:
             bump["center"] = [0.35]
-        path = tmp_path / "s6_face.json"
-        path.write_text(json.dumps(data))
-        monkeypatch.delenv("PARAPOS_OUT", raising=False)
-        assert main(["run", str(path), "--out", str(tmp_path)]) == 1
-        out = tmp_path / "S6_oracle_crosscheck"
-        verdicts = json.loads((out / "manifest.json").read_text())["verdicts"]
+        code, verdicts, _ = self.run(tmp_path, monkeypatch, data)
+        assert code == 0
+        assert verdicts["hypotheses"]["status"] == "verified"
+        assert verdicts["positivity"]["status"] == "verified"
+        match = verdicts["dual-route-match"]
+        assert match["status"] == "verified"
+        assert match["data"]["contracting"] is True
+        assert match["data"]["rel_sup_diff"] < 0.1 * match["data"]["tolerance"]
+        assert "witness" not in match["data"]
+
+    @pytest.mark.parametrize("name, horizon", [
+        ("S1_positivity", 1.0), ("S2_maxbound", None), ("S3_extinction", 2.0),
+        ("S4_asymptotics", 2.0), ("S8_competition_2d", None)])
+    def test_the_bounded_builtins_match_the_grid_route(self, tmp_path, name, horizon):
+        # states that fill the box, on the paper's zero-Dirichlet domains, in
+        # 1D and 2D; the kernel route takes the march's step.  With zero
+        # extension S1 and S8 gave 0.108 and 0.020 against 0.020, and the
+        # kernels of S2-S4 reached past the box
+        data = copy.deepcopy(REGISTRY[name][1]())
+        if horizon is not None:
+            data["problem"]["horizon"] = horizon
+        analysis = data["analysis"]
+        analysis["ops"] = analysis["ops"] + ["dual_route"]
+        analysis["crosscheck_time"] = data["problem"]["horizon"]
+        analysis["picard"] = {"dt": data["scheme"]["dt"]}
+        result = run_scenario(load_config_data(data), out_dir=tmp_path)
+        match = result.verdicts["dual-route-match"]
+        assert match.status == "verified"
+        assert match.data["contracting"] is True
+        assert match.data["rel_sup_diff"] < 0.5 * match.data["tolerance"]
+
+    def test_bumps_the_grid_cannot_resolve_violate_the_match_under_the_hypotheses(
+            self, tmp_path, monkeypatch):
+        # S6 with both bumps of radius 0.02, two grid spacings, at x = 1.0,
+        # cross-checked at t = 0.025: every hypothesis holds, but the march
+        # and the kernel route resolve the bumps differently at the centre
+        data = copy.deepcopy(REGISTRY["S6_oracle_crosscheck"][1]())
+        for bump in data["problem"]["initial"]:
+            bump["radius"] = 0.02
+        data["problem"]["horizon"] = 0.025
+        data["analysis"]["crosscheck_time"] = 0.025
+        data["scheme"]["store_every"] = 10
+        code, verdicts, out = self.run(tmp_path, monkeypatch, data)
+        assert code == 1
         assert verdicts["hypotheses"]["status"] == "verified"
         assert verdicts["positivity"]["status"] == "verified"
         match = verdicts["dual-route-match"]
@@ -703,8 +750,9 @@ class TestDualRouteVerdict:
         assert data["rel_sup_diff"] > 5 * data["tolerance"]
 
         witness = data["witness"]
-        assert witness["node"] == [0]
-        assert witness["x"] == [0.0]
+        assert witness["component"] == 1
+        assert witness["node"] == [100]
+        assert witness["x"] == [1.0]
         tc = data["crosscheck_time"]
         # each route's stored time nearest the cross-check time, as the runner picks
         grid_rows, kernel_rows = (
@@ -717,7 +765,7 @@ class TestDualRouteVerdict:
         at = int(np.argmax(gap))
         assert grid_rows["i"][at] == witness["node"][0]
         assert grid_rows["component"][at] == witness["component"]
-        assert grid_rows["value"][at] == witness["grid_value"] == 0.0
+        assert grid_rows["value"][at] == witness["grid_value"] > 0.0
         assert kernel_rows["value"][at] == witness["kernel_value"] > 0.0
         scale = np.abs(grid_rows["value"]).max()
         assert gap[at] / scale == data["rel_sup_diff"]

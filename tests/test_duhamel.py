@@ -13,25 +13,24 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import parapos
-from oracles import (dense_axis_matrix, duhamel_rows_reference, heat_gaussian,
-                     logistic_exact, picard_source_reference)
+from oracles import (dirichlet_image_matrix, dirichlet_taylor_matrix,
+                     duhamel_rows_reference, heat_gaussian, logistic_exact,
+                     picard_source_reference)
 from parapos.checker import source_jacobians
 from parapos.coefficients import (BumpInSpace, Coefficient, ConstantInSpace,
                                   ConstantInTime, ExpInTime, PowerInTime,
                                   TabulatedCoefficient, build_initial_field)
 from parapos.config import load_config_data
 from parapos.duhamel import (
-    KernelConfig,
+    _TAYLOR_THRESHOLD,
+    _TRUNCATION_SIGMAS,
     KernelOperator,
     PicardConfig,
-    _apply_axis,
-    _axis_operator,
     _duhamel_quadrature,
     _lag_evolver,
     _source_at,
-    _toeplitz_band,
-    duhamel_apply,
-    heat_kernel,
+    _to_modes,
+    _to_nodes,
     picard_solve,
 )
 from parapos.errors import (CoefficientError, DomainError, NonContraction,
@@ -53,10 +52,8 @@ WIDE_SQUARE = SpatialDomain(((-8.0, 8.0), (-8.0, 8.0)))
 UNIT_SQUARE = SpatialDomain(((0.0, 1.0), (0.0, 1.0)))
 
 # Operator families for the batched-quadrature tests.  "taylor": every lag of
-# a 24-step window stays under the Taylor threshold, so the kernel route is
-# elementwise arithmetic and must match bit for bit.  "dense": long lags take
-# the Toeplitz branch, one profile per lag applied as a block-banded product,
-# where a stack of slices may round differently from one slice at a time.
+# a 24-step window stays under the Taylor threshold.  "dense": long lags take
+# the Toeplitz branch, so one window mixes both branches.
 BRANCHES = {
     "taylor": {1: (UNIT, (101,)), 2: (UNIT_SQUARE, (41, 41)),
                "rates": (2e-4, 1e-4)},
@@ -79,138 +76,188 @@ def flat_logistic(beta=1.0, gamma=1.0, d=1e-4, amplitude=0.5, horizon=1.0, n=201
     return build_lv_problem(lv, UNIT, init, horizon)
 
 
-class TestHeatKernel:
-    def test_one_dimensional_peak_value(self):
-        assert heat_kernel(1.0, 0.0, 1.0) == pytest.approx(0.3989422804014327, abs=1e-15)
+def evolve_nodes(op, values):
+    """``op`` applied to node values ``(*batch, *grid.shape)`` through the DST-I."""
+    dim = op.grid.dimension
+    return _to_nodes(op.apply(_to_modes(values, dim)), dim)
 
-    def test_two_dimensional_peak_value(self):
-        assert heat_kernel(1.0, np.zeros(2), 1.0) == pytest.approx(
-            0.15915494309189535, abs=1e-15)
 
-    def test_unit_mass(self):
-        x = np.linspace(-12.0, 12.0, 2001)
-        k = heat_kernel(0.5, x[:, None], 1.3)
-        assert abs(np.trapezoid(k, x) - 1.0) <= 1e-10
+def reference_axis_matrix(n, h, variance):
+    """One axis of the reference operator: the Taylor polynomial under the
+    switch, the image sum of the truncated profile above it."""
+    sigma = math.sqrt(variance)
+    if sigma < _TAYLOR_THRESHOLD * h:
+        return dirichlet_taylor_matrix(n, h, variance / 2.0)
+    return dirichlet_image_matrix(n, h, variance, _TRUNCATION_SIGMAS * sigma)
 
-    def test_rate_time_scaling_is_exact(self):
-        x = np.linspace(-3.0, 3.0, 41)[:, None]
-        a = heat_kernel(0.7, x, 2.5)
-        b = heat_kernel(2.5 * 0.7, x, 1.0)
-        assert np.array_equal(a, b)
 
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            heat_kernel(0.0, 0.0, 1.0)
-        with pytest.raises(DomainError):
-            heat_kernel(1.0, 0.0, -1.0)
+class DenseOperator:
+    """The evolution over one lag as dense matrices on the interior nodes."""
+
+    def __init__(self, grid, rate, tau):
+        self.dim = grid.dimension
+        self.mats = [reference_axis_matrix(n, h, rate * tau)
+                     for n, h in zip(grid.shape, grid.spacing)]
+
+    def apply(self, values):
+        inner = (Ellipsis,) + (slice(1, -1),) * self.dim
+        moved = values[inner]
+        for ax, mat in enumerate(self.mats):
+            axis = ax - self.dim
+            moved = np.moveaxis(np.moveaxis(moved, axis, -1) @ mat.T, -1, axis)
+        out = np.zeros(values.shape)
+        out[inner] = moved
+        return out
+
+
+def _assert_close(got, want, rel=1e-13):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def _walls_are_zero(values, dim):
+    for ax in range(dim):
+        moved = np.moveaxis(values, ax - dim, 0)
+        if np.any(moved[0] != 0.0) or np.any(moved[-1] != 0.0):
+            return False
+    return True
 
 
 class TestKernelOperator:
     def test_zero_lag_is_the_identity(self):
         g = wide_grid(65)
         op = KernelOperator(g, 1.0, 0.0)
-        v = np.sin(g.axes[0])
+        v = _to_modes(np.sin(g.axes[0]), 1)
         out = op.apply(v)
         assert np.array_equal(out, v)
         assert out is not v
 
     def test_narrow_kernel_uses_the_expansion_branch(self):
         # sigma below the threshold: the operator reduces to
-        # I + a L + a^2 L^2 / 2 with the discrete mode eigenvalue
+        # I + a L + a^2 L^2 / 2 with the discrete mode eigenvalue, on every
+        # interior node, since sin(pi x) is a mode of the Dirichlet axis
         g = Grid(UNIT, (101,))
         h = g.spacing[0]
         rate, tau = 2e-5, 1.0
         op = KernelOperator(g, rate, tau)
         v = np.sin(np.pi * g.axes[0])
-        out = op.apply(v)
+        v[[0, -1]] = 0.0
+        out = evolve_nodes(op, v)
         lam = 2.0 * (1.0 - math.cos(math.pi * h)) / h**2
         a = rate * tau / 2.0
         factor = 1.0 - a * lam + 0.5 * (a * lam) ** 2
-        assert_allclose(out[2:-2], factor * v[2:-2], rtol=1e-12)
+        assert_allclose(out, factor * v, rtol=0.0, atol=1e-14)
+        assert out[0] == out[-1] == 0.0
 
-    def test_unresolvable_kernel_rejected(self):
-        # sigma = 0.1 on the unit interval loses kernel mass past the walls
+    @pytest.mark.parametrize("constant, value, spacings", [
+        # three standard deviations leave 0.27 % of the kernel's mass out
+        ("_TRUNCATION_SIGMAS", 3.0, 6.0),
+        # trapezoid quadrature of a kernel half a spacing wide aliases by 1.4 %
+        ("_TAYLOR_THRESHOLD", 0.3, 0.5)])
+    def test_the_mass_check_refuses_an_unresolved_profile(self, monkeypatch, constant,
+                                                          value, spacings):
+        monkeypatch.setattr(f"parapos.duhamel.{constant}", value)
         g = Grid(UNIT, (201,))
+        sigma = spacings * g.spacing[0]
         with pytest.raises(SolverError) as err:
-            KernelOperator(g, 1.0, 0.01)
+            KernelOperator(g, 1.0, sigma * sigma)
         assert "mass" in str(err.value)
+
+    def test_a_kernel_wider_than_the_box_wraps_through_its_images(self):
+        # sigma = 0.2 on the unit interval: the 7 sigma cutoff is 1.4 lengths
+        g = Grid(UNIT, (201,))
+        op = KernelOperator(g, 1.0, 0.04)
+        mat = dirichlet_image_matrix(201, g.spacing[0], 0.04, _TRUNCATION_SIGMAS * 0.2)
+        values = np.random.default_rng(4).random((3,) + g.shape)
+        got = evolve_nodes(op, values)
+        _assert_close(got[:, 1:-1], values[:, 1:-1] @ mat.T)
+        assert _walls_are_zero(got, 1)
 
     def test_negative_lag_rejected(self):
         with pytest.raises(DomainError):
             KernelOperator(wide_grid(65), 1.0, -0.1)
 
-    def test_kernel_config_validated(self):
-        with pytest.raises(SpecError):
-            KernelConfig(truncation_sigmas=4.0)
-        with pytest.raises(SpecError):
-            KernelConfig(taylor_threshold=0.0)
+    def test_gaussian_widens_by_the_kernel_variance(self):
+        g = wide_grid()
+        x = g.axes[0]
+        sigma0, rate, tau = 0.7, 1.0, 0.5
+        out = evolve_nodes(KernelOperator(g, rate, tau), np.exp(-(x**2) / (2 * sigma0**2)))
+        assert_allclose(out, heat_gaussian(x, tau, rate, sigma0), atol=1e-10)
+
+    def test_semigroup_composition(self):
+        g = wide_grid()
+        modes = _to_modes(np.exp(-g.axes[0] ** 2), 1)
+        half = KernelOperator(g, 1.0, 0.3)
+        twice = _to_nodes(half.apply(half.apply(modes)), 1)
+        once = _to_nodes(KernelOperator(g, 1.0, 0.6).apply(modes), 1)
+        assert np.abs(twice - once).max() <= 1e-10
+
+    def test_per_component_rates(self):
+        # one lag of 0.25, a half panel of dt = 0.5; both states stay off
+        # the walls at +-8, where the image terms are below 1e-11
+        g = wide_grid()
+        x = g.axes[0]
+        init = np.stack([np.exp(-(x**2) / 0.5), np.exp(-(x**2) / 0.5)])
+        evolve = _lag_evolver(g, np.array([1.0, 4.0]), 0.5)
+        out = _to_nodes(evolve(_to_modes(init, 1), 1), 1)
+        assert_allclose(out[0], heat_gaussian(x, 0.25, 1.0, 0.5), atol=1e-10)
+        assert_allclose(out[1], heat_gaussian(x, 0.25, 4.0, 0.5), atol=1e-10)
+
+    def test_no_application_allocates_an_n_by_n_matrix(self):
+        # 401 nodes and a batch of 11 slices: one float matrix over the axis
+        # would take 8 n^2 = 1.29 MB
+        n = 401
+        g = Grid(SpatialDomain(((0.0, 2.0),)), (n,))
+        values = np.random.default_rng(3).random((11, n))
+        tracemalloc.start()
+        try:
+            evolve_nodes(KernelOperator(g, 1.0, 1e-4), values)
+            evolve_nodes(KernelOperator(g, 1.0, 4.0), values)  # wider than the box
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4
 
 
 OFF_TIE_SQUARE = SpatialDomain(((-8.0, 8.0), (-5.0, 5.0)))
 
 
-def _cutoff(variance):
-    return KernelConfig().truncation_sigmas * math.sqrt(variance)
-
-
-def _assert_off_tie(grid, variance):
-    # the cutoff falls between two node offsets, so rounding of x_i - x_j
-    # cannot move an entry across it
-    for h in grid.spacing:
-        ratio = _cutoff(variance) / h
-        assert abs(ratio - round(ratio)) > 0.04
-
-
 class TestToeplitzAxes:
     @pytest.mark.parametrize("tau", [0.37, 0.8, 1.3])
-    def test_one_dimensional_apply_matches_the_dense_matrix(self, tau):
+    def test_one_dimensional_apply_matches_the_image_matrix(self, tau):
         g = wide_grid(129)
-        _assert_off_tie(g, tau)
-        op = KernelOperator(g, 1.0, tau)
-        assert [kind for kind, _ in op.ops] == ["toeplitz"]
-        mat = dense_axis_matrix(g.axes[0], g.spacing[0], tau, _cutoff(tau))
+        assert math.sqrt(tau) >= _TAYLOR_THRESHOLD * g.spacing[0]
         values = np.random.default_rng(11).random((3,) + g.shape)
-        want = values @ mat.T
-        assert np.abs(op.apply(values) - want).max() <= 1e-13 * np.abs(want).max()
+        got = evolve_nodes(KernelOperator(g, 1.0, tau), values)
+        _assert_close(got, DenseOperator(g, 1.0, tau).apply(values))
+        assert _walls_are_zero(got, 1)
 
     @pytest.mark.parametrize("tau", [0.37, 0.5])
-    def test_two_dimensional_apply_matches_the_dense_matrices(self, tau):
+    def test_two_dimensional_apply_matches_the_image_matrices(self, tau):
         # hx = 1/8 and hy = 1/6 on 129 x 61 nodes
         g = Grid(OFF_TIE_SQUARE, (129, 61))
-        _assert_off_tie(g, tau)
         op = KernelOperator(g, 1.0, tau)
-        assert [kind for kind, _ in op.ops] == ["toeplitz", "toeplitz"]
-        assert [band.profile.nbytes for _, band in op.ops] == [8 * (2 * n - 1) for n in g.shape]
-        mx, my = (dense_axis_matrix(g.axes[ax], g.spacing[ax], tau, _cutoff(tau))
-                  for ax in range(2))
+        assert op.multiplier.shape == (127, 59)
         values = np.random.default_rng(12).random((2, 3) + g.shape)
-        want = mx @ values @ my.T
-        assert np.abs(op.apply(values) - want).max() <= 1e-13 * np.abs(want).max()
+        got = evolve_nodes(op, values)
+        _assert_close(got, DenseOperator(g, 1.0, tau).apply(values))
+        assert _walls_are_zero(got, 2)
 
-    def test_a_tie_at_the_cutoff_keeps_the_band_symmetric(self):
-        # variance 1e-4 on 401 nodes of [0, 2]: 7 sigma = 14 h.  The node
-        # differences x_i - x_j round to either side of the cutoff, so the
-        # matrix h g(x_i - x_j) has a ragged band; the offsets d h do not.
+    def test_a_tie_at_the_cutoff_is_in_on_both_sides(self):
+        # variance 1e-4 on 401 nodes of [0, 2]: 7 sigma = 14 h, and the
+        # offsets z h put z = +-14 on the same side of the cutoff
         n = 401
         g = Grid(SpatialDomain(((0.0, 2.0),)), (n,))
         op = KernelOperator(g, 1.0, 1e-4)
-        [(kind, (profile, w, s))] = op.ops
-        assert kind == "toeplitz" and (w, s) == (14, 16)
-        assert profile.shape == (2 * n - 1,)
-        offsets = np.arange(n - 1, -n, -1)
-        assert np.array_equal(profile, profile[::-1])
-        assert np.array_equal(profile != 0, np.abs(offsets) <= 14)
-        lag = np.subtract.outer(np.arange(n), np.arange(n))
-        band = np.abs(lag) <= 14
-        old = dense_axis_matrix(g.axes[0], g.spacing[0], 1e-4, _cutoff(1e-4))
-        assert np.count_nonzero((old != 0) != band) > 0
-        # the matrix applied is M[i, j] = profile[n - 1 - (i - j)]
-        mat = op.apply(np.eye(n)).T
-        assert np.array_equal(mat, profile[n - 1 - lag])
+        mat = evolve_nodes(op, np.eye(n)).T[1:-1, 1:-1]
+        want = dirichlet_image_matrix(n, g.spacing[0], 1e-4, _TRUNCATION_SIGMAS * 0.01)
+        assert np.abs(mat - want).max() <= 1e-13
+        assert np.abs(mat - mat.T).max() <= 1e-13
+        assert np.count_nonzero(np.abs(want[200]) > 0) == 29
 
-    def test_picard_caches_profiles_not_matrices(self, monkeypatch):
+    def test_picard_caches_one_multiplier_per_lag(self, monkeypatch):
         # S6 at 401 nodes: the evolver keeps one operator per (component,
-        # half-panel lag), 49 of them, which held 63 MB as n x n matrices
+        # half-panel lag), each one multiplier over the 399 interior modes
         evolvers = []
 
         def recording(*args):
@@ -226,58 +273,48 @@ class TestToeplitzAxes:
         [evolve] = evolvers
         cells = dict(zip(evolve.__code__.co_freevars,
                          (c.cell_contents for c in evolve.__closure__)))
-        axis_ops = [axis for op in cells["ops"].values() if not op.identity
-                    for axis in op.ops]
-        toeplitz = [band for kind, band in axis_ops if kind == "toeplitz"]
-        assert len(toeplitz) >= 40
-        assert all(band.profile.nbytes == 8 * (2 * 401 - 1) for band in toeplitz)
-        stored = sum(payload.profile.nbytes if kind == "toeplitz"
-                     else np.asarray(payload).nbytes for kind, payload in axis_ops)
-        assert stored < 1_000_000
+        ops = list(cells["ops"].values())
+        assert len(ops) >= 40
+        assert all(op.multiplier.shape == (399,) for op in ops)
+        assert sum(op.multiplier.nbytes for op in ops) < 1_000_000
+
+
+def _rounding_floor(values, grid):
+    """The documented sign floor of each slice of ``values``: ``20 u (sum of
+    log2(2 (n - 1)) + 1)`` times its 2-norm plus ``N`` smallest normals."""
+    logs = sum(math.log2(2 * (n - 1)) for n in grid.shape)
+    axes = tuple(range(-grid.dimension, 0))
+    # the 2-norm, scaled so that squaring cannot underflow
+    peak = np.abs(values).max(axis=axes, keepdims=True)
+    scaled = np.divide(values, peak, out=np.zeros(values.shape), where=peak > 0)
+    norm = peak * np.sqrt((scaled * scaled).sum(axis=axes, keepdims=True))
+    info = np.finfo(float)
+    return 20.0 * info.eps / 2.0 * (logs + 1.0) * (norm + grid.n_nodes * info.smallest_normal)
 
 
 def _toeplitz_case(data, grid):
-    """A Toeplitz-branch operator on ``grid`` and a stack of non-negative data."""
-    lo = KernelConfig().taylor_threshold * max(grid.spacing)
+    """A Toeplitz-branch operator, with its cutoff at most half of every
+    axis, and a stack of non-negative data."""
+    lo = _TAYLOR_THRESHOLD * max(grid.spacing)
     hi = min(((n - 1) // 2) * h for n, h in zip(grid.shape, grid.spacing)) / 7.0
     sigma = data.draw(st.floats(lo, hi), label="sigma")
-    variance = sigma * sigma
-    op = KernelOperator(grid, 1.0, variance)
-    assert all(kind == "toeplitz" for kind, _ in op.ops)
+    op = KernelOperator(grid, 1.0, sigma * sigma)
     batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="batch"))
     values = data.draw(arrays(float, batch + grid.shape,
                               elements=st.floats(0.0, 1e6), fill=st.just(0.0)),
                        label="values")
-    return op, values, _cutoff(variance)
+    return op, values
 
 
-def _reach(mask, axis, width):
-    """Nodes within ``width`` of a True entry of ``mask`` along ``axis``."""
-    m = np.moveaxis(mask, axis, 0)
-    out = m.copy()
-    for s in range(1, width + 1):
-        out[s:] |= m[:-s]
-        out[:-s] |= m[s:]
-    return np.moveaxis(out, 0, axis)
-
-
-class TestToeplitzSignAndSupport:
-    """Non-negative data evolves to non-negative data, and nodes farther than
-    the band half-width from every nonzero input stay exactly zero."""
+class TestToeplitzSign:
+    """Non-negative data evolve to values no lower than the rounding floor
+    the module docstring derives, with every wall node exactly zero."""
 
     @staticmethod
-    def check(op, values, cutoff):
-        out = op.apply(values)
-        assert not np.signbit(out).any()
-        reach = values != 0
-        first = values.ndim - op.grid.dimension
-        for ax, (_, band) in enumerate(op.ops):
-            n, h = op.grid.shape[ax], op.grid.spacing[ax]
-            width = int(np.abs(np.flatnonzero(band.profile) - (n - 1)).max())
-            assert band.w == width
-            assert width * h <= cutoff < (width + 1) * h
-            reach = _reach(reach, first + ax, width)
-        assert np.all(out[~reach] == 0.0)
+    def check(op, values):
+        out = evolve_nodes(op, values)
+        assert np.all(out >= -_rounding_floor(values, op.grid))
+        assert _walls_are_zero(out, op.grid.dimension)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), nodes=st.integers(21, 81))
@@ -288,74 +325,6 @@ class TestToeplitzSignAndSupport:
     @given(data=st.data(), nx=st.integers(21, 41), ny=st.integers(21, 41))
     def test_two_dimensional(self, data, nx, ny):
         self.check(*_toeplitz_case(data, Grid(UNIT_SQUARE, (nx, ny))))
-
-
-def _assert_matches_the_matrix(profile, values, axis):
-    """``_apply_axis`` against ``M[i, j] = profile[n - 1 - (i - j)]`` in full."""
-    n = (len(profile) + 1) // 2
-    mat = profile[n - 1 - np.subtract.outer(np.arange(n), np.arange(n))]
-    moved = np.moveaxis(values, axis, -1)
-    want = np.moveaxis(moved @ mat.T, -1, axis)
-    scale = (np.abs(moved) @ np.abs(mat).T).max(initial=0.0)
-    got = _apply_axis(("toeplitz", _toeplitz_band(profile)), values, axis, None)
-    assert got.shape == values.shape
-    assert np.abs(got - want).max(initial=0.0) <= 1e-14 * scale
-
-
-class TestBandedProduct:
-    """The Toeplitz branch applies the band in blocks; the result is the
-    product with the full matrix of the profile."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n=st.integers(17, 161), dim=st.sampled_from([1, 2]),
-           last=st.booleans())
-    def test_kernel_profiles(self, data, n, dim, last):
-        # half-width w from 8 (the Taylor threshold) up to (n - 1) / 2, the
-        # widest band the mass check admits; sigma puts the cutoff off a node
-        h = 1.0 / (n - 1)
-        w = data.draw(st.integers(8, (n - 1) // 2), label="w")
-        lo = max(KernelConfig().taylor_threshold, (w + 0.05) / 7.0)
-        sigma = h * data.draw(st.floats(lo, (w + 0.95) / 7.0), label="sigma/h")
-        kind, (profile, band_w, s) = _axis_operator(n, h, sigma * sigma, KernelConfig())
-        assert kind == "toeplitz"
-        assert np.flatnonzero(profile).tolist() == list(range(n - 1 - w, n + w))
-        assert (band_w, s) == (w, min(max(w, 16), n))
-        other = data.draw(st.integers(1, 5), label="other axis")
-        nodes = (n,) if dim == 1 else ((other, n) if last else (n, other))
-        batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="batch"))
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        values = np.random.default_rng(seed).standard_normal(batch + nodes)
-        axis = len(batch) + (dim - 1 if last else 0)
-        _assert_matches_the_matrix(profile, values, axis)
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 40))
-    def test_any_band(self, data, n):
-        # every half-width, the zero band and one block of all n rows included
-        w = data.draw(st.integers(0, n - 1), label="w")
-        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        rng = np.random.default_rng(seed)
-        profile = np.zeros(2 * n - 1)
-        profile[n - 1 - w:n + w] = rng.uniform(0.5, 1.0, 2 * w + 1)
-        batch = tuple(data.draw(st.lists(st.integers(1, 3), max_size=2), label="batch"))
-        values = rng.standard_normal(batch + (n,))
-        _assert_matches_the_matrix(profile, values, len(batch))
-
-    def test_no_application_allocates_an_n_by_n_matrix(self):
-        # 401 nodes, w = 14, a batch of 11 slices: one float matrix over the
-        # axis would take 8 n^2 = 1.29 MB
-        n = 401
-        op = KernelOperator(Grid(SpatialDomain(((0.0, 2.0),)), (n,)), 1.0, 1e-4)
-        [(kind, band)] = op.ops
-        assert kind == "toeplitz" and np.count_nonzero(band.profile) == 29
-        values = np.random.default_rng(3).random((11, n))
-        tracemalloc.start()
-        try:
-            op.apply(values)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * n * n / 4
 
 
 def test_importing_the_cli_leaves_scipy_ndimage_and_signal_unloaded():
@@ -376,13 +345,6 @@ def _branch_case(branch, dim, comps, span):
     return grid, rates, dt, history
 
 
-def _assert_kernel_match(branch, got, want):
-    if branch == "taylor":
-        assert np.array_equal(got, want)
-    else:
-        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-
-
 class TestBatchedQuadrature:
     @pytest.mark.parametrize("branch", sorted(BRANCHES))
     @pytest.mark.parametrize("dim", [1, 2])
@@ -392,111 +354,54 @@ class TestBatchedQuadrature:
         grid, rates, dt, history = _branch_case(branch, dim, comps, span)
 
         def operator(k, half_steps):
-            return KernelOperator(grid, float(rates[k]), half_steps * dt / 2.0)
+            return DenseOperator(grid, float(rates[k]), half_steps * dt / 2.0)
 
         want = duhamel_rows_reference(history, operator)
-        evolve = _lag_evolver(grid, rates, dt, KernelConfig())
-        got = _duhamel_quadrature(history, evolve)
-        assert got.shape == want.shape
-        _assert_kernel_match(branch, got, want)
-        # the single-row form duhamel_apply uses
-        _assert_kernel_match(branch, _duhamel_quadrature(history, evolve, first=span),
-                             want[-1:])
+        got = _duhamel_quadrature(history, _lag_evolver(grid, rates, dt))
+        _assert_close(got, want)
+        assert _walls_are_zero(got, dim)
 
-    def test_dense_family_reaches_the_dense_branch(self):
-        grid, rates, dt, _ = _branch_case("dense", 2, 2, 24)
-        op = KernelOperator(grid, float(rates[0]), 24 * dt)
-        assert [kind for kind, _ in op.ops] == ["toeplitz", "toeplitz"]
-        grid, rates, dt, _ = _branch_case("taylor", 2, 2, 24)
-        op = KernelOperator(grid, float(rates[0]), 24 * dt)
-        assert [kind for kind, _ in op.ops] == ["taylor", "taylor"]
+    def test_the_families_reach_their_branches(self):
+        # the longest lag of a 24-step window, against the Taylor switch
+        for branch, past in (("dense", True), ("taylor", False)):
+            grid, rates, dt, _ = _branch_case(branch, 2, 2, 24)
+            sigma = math.sqrt(rates[0] * 24 * dt)
+            assert (sigma >= _TAYLOR_THRESHOLD * max(grid.spacing)) is past
 
     @pytest.mark.parametrize("branch", sorted(BRANCHES))
     @pytest.mark.parametrize("dim", [1, 2])
     def test_a_stack_matches_slice_by_slice_application(self, branch, dim):
         grid, rates, dt, history = _branch_case(branch, dim, 2, 3)
         op = KernelOperator(grid, float(rates[0]), 3 * dt)
-        got = op.apply(history)
+        got = evolve_nodes(op, history)
         want = np.empty_like(history)
         for idx in np.ndindex(history.shape[:2]):
-            want[idx] = op.apply(history[idx])
-        _assert_kernel_match(branch, got, want)
+            want[idx] = evolve_nodes(op, history[idx])
+        _assert_close(got, want, rel=1e-15)
 
-    def test_duhamel_apply_evolves_each_slice_once(self, monkeypatch):
-        # only the requested row: one slice per lag and component, plus the
-        # midpoint panel and the homogeneous part
-        g = wide_grid(65)
-        slices = []
+    def test_each_sweep_applies_each_lag_once_per_component(self, monkeypatch):
+        # per window of J steps: J homogeneous rows, then per sweep the
+        # midpoint panel and J lags, each once per component
+        calls = []
         original = KernelOperator.apply
 
-        def counting(self, values):
-            slices.append(values.size // g.shape[0])
-            return original(self, values)
+        def counting(self, modes):
+            calls.append(modes.shape)
+            return original(self, modes)
 
         monkeypatch.setattr(KernelOperator, "apply", counting)
-        tau, steps = 0.5, 10
-        src = np.ones((steps + 1, 2) + g.shape)
-        duhamel_apply(np.zeros((2,) + g.shape), g, [1.0, 0.5], tau,
-                      source=src, source_times=np.linspace(0.0, tau, steps + 1))
-        assert sum(slices) == 2 * (steps + 2)
-
-
-class TestDuhamelApply:
-    def test_gaussian_widens_by_the_kernel_variance(self):
-        g = wide_grid()
-        x = g.axes[0]
-        sigma0, rate, tau = 0.7, 1.0, 0.5
-        init = np.exp(-(x**2) / (2 * sigma0**2))[None]
-        out = duhamel_apply(init, g, rate, tau)
-        assert_allclose(out[0], heat_gaussian(x, tau, rate, sigma0), atol=1e-10)
-
-    def test_zero_lag_returns_a_copy(self):
-        g = wide_grid(65)
-        init = np.exp(-g.axes[0] ** 2)[None]
-        out = duhamel_apply(init, g, 1.0, 0.0)
-        assert np.array_equal(out, init)
-        assert out is not init
+        res = picard_solve(flat_logistic(horizon=0.3), PicardConfig(dt=0.01))
+        spans = np.round(np.diff(res.window_edges) / 0.01).astype(int)
+        assert len(calls) == sum(j + s * (j + 1) for j, s in zip(spans, res.iterations))
 
     def test_constant_source_accumulates_linearly(self):
+        # far from the walls a unit source integrates to the lag
         g = wide_grid()
-        tau = 0.5
-        stimes = np.linspace(0.0, tau, 51)
-        src = np.ones((51, 1) + g.shape)
-        out = duhamel_apply(np.zeros((1,) + g.shape), g, 1.0, tau,
-                            source=src, source_times=stimes)
+        steps, tau = 50, 0.5
+        rows = _duhamel_quadrature(np.ones((steps + 1, 1) + g.shape),
+                                   _lag_evolver(g, np.array([1.0]), tau / steps))
         interior = np.abs(g.axes[0]) < 2.0
-        assert_allclose(out[0, interior], tau, atol=1e-10)
-
-    def test_semigroup_composition(self):
-        g = wide_grid()
-        init = np.exp(-g.axes[0] ** 2)[None]
-        twice = duhamel_apply(duhamel_apply(init, g, 1.0, 0.3), g, 1.0, 0.3)
-        once = duhamel_apply(init, g, 1.0, 0.6)
-        assert np.abs(twice - once).max() <= 1e-10
-
-    def test_per_component_rates(self):
-        g = wide_grid()
-        x = g.axes[0]
-        init = np.stack([np.exp(-(x**2) / 2.0), np.exp(-(x**2) / 2.0)])
-        out = duhamel_apply(init, g, [1.0, 4.0], 0.25)
-        assert_allclose(out[0], heat_gaussian(x, 0.25, 1.0, 1.0), atol=1e-10)
-        assert_allclose(out[1], heat_gaussian(x, 0.25, 4.0, 1.0), atol=1e-10)
-
-    def test_source_history_contract_enforced(self):
-        g = wide_grid(65)
-        zero = np.zeros((1,) + g.shape)
-        src = np.ones((11, 1) + g.shape)
-        with pytest.raises(SpecError):
-            duhamel_apply(zero, g, 1.0, 0.5, source=src)  # no lattice
-        with pytest.raises(SpecError):
-            duhamel_apply(zero, g, 1.0, 0.5, source=src,
-                          source_times=np.linspace(0.0, 0.4, 11))  # wrong endpoint
-        ragged = np.linspace(0.0, 0.5, 11) ** 1.2
-        with pytest.raises(SpecError):
-            duhamel_apply(zero, g, 1.0, 0.5, source=src, source_times=ragged)
-        with pytest.raises(SpecError):
-            duhamel_apply(zero, g, 1.0, 0.5, source=np.ones((1, 1) + g.shape),
-                          source_times=np.array([0.0]))
+        assert_allclose(tau / steps * rows[-1, 0, interior], tau, atol=1e-10)
 
 
 class TestPicard:
@@ -535,8 +440,19 @@ class TestPicard:
         spec = build_lv_problem(lv, UNIT, init, horizon=0.2)
         res = picard_solve(spec, PicardConfig(dt=0.01))
         assert res.iterations == [1]
-        hom = duhamel_apply(init.values, g, 0.02, 0.2)
-        assert np.array_equal(res.final_values, hom)
+        hom = evolve_nodes(KernelOperator(g, 0.02, 0.2), init.values[0])
+        _assert_close(res.final_values[0], hom, rel=1e-15)
+
+    def test_wall_nodes_of_every_stored_state_are_zero(self):
+        # a bump that reaches the wall at 0
+        g = Grid(UNIT, (201,))
+        lv = LVCoefficients(np.array([1e-3]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
+        init = build_initial_field(g, [{"kind": "bump", "amplitude": 0.5,
+                                        "center": [0.05], "radius": 0.1}])
+        spec = build_lv_problem(lv, UNIT, init, horizon=0.3)
+        res = picard_solve(spec, PicardConfig(dt=0.01))
+        assert np.abs(res.values[:, 0, 1]).min() > 1e-3
+        assert np.all(res.values[:, :, [0, -1]] == 0.0)
 
     def test_time_lattice_and_windows_cover_the_horizon(self):
         spec = flat_logistic(horizon=0.5)
@@ -631,6 +547,18 @@ class TestPicard:
         assert len(multi) >= 2
         assert (res.jacobian_sup * multi).max() <= 0.5
         assert lengths.max() == pytest.approx(4 * used)
+
+    def test_a_boundary_other_than_zero_dirichlet_is_refused(self):
+        # the image operator solves the zero-Dirichlet problem; on a
+        # whole-space problem it would answer a different question
+        cauchy = SpatialDomain(((0.0, 1.0),), boundary_kind="cauchy_nested")
+        g = Grid(cauchy, (101,))
+        lv = LVCoefficients(np.array([1e-4]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
+        init = build_initial_field(g, [{"kind": "bump", "amplitude": 0.5,
+                                        "center": [0.5], "radius": 0.2}])
+        spec = build_lv_problem(lv, cauchy, init, horizon=0.1)
+        with pytest.raises(SpecError, match="cauchy_nested"):
+            picard_solve(spec, PicardConfig(dt=0.01))
 
     def test_config_validation(self):
         with pytest.raises(SpecError):

@@ -26,6 +26,7 @@ from parapos.model import (
     SpatialDomain,
     build_cutoff,
     build_lv_problem,
+    dst_sine_squares,
 )
 
 
@@ -59,6 +60,16 @@ class TestDomainAndGrid:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(SpecError):
             Grid(SpatialDomain(((0.0, 1.0),)), (2,))
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 40])
+    def test_dst_mode_table_gives_the_dirichlet_second_difference(self, m):
+        # each DST-I mode sin(pi j k / (m + 1)) is an eigenvector of the
+        # tridiagonal (1, -2, 1) matrix, with eigenvalue -4 times its entry
+        lap = np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1) - 2.0 * np.eye(m)
+        k = np.arange(1, m + 1)
+        modes = np.sin(np.pi * np.outer(k, k) / (m + 1))
+        assert_allclose(lap @ modes, modes * (-4.0 * dst_sine_squares(m)),
+                        rtol=0.0, atol=1e-13)
 
 
 class TestField:
