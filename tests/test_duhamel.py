@@ -362,11 +362,34 @@ class TestBatchedQuadrature:
         assert _walls_are_zero(got, dim)
 
     def test_the_families_reach_their_branches(self):
-        # the longest lag of a 24-step window, against the Taylor switch
-        for branch, past in (("dense", True), ("taylor", False)):
+        # the longest lag of a 24-step window: each family's multiplier holds
+        # its own branch's eigenvalues on the DST-I modes, not the other's
+        def eigenvalues(mat):
+            n = len(mat) + 2
+            k = np.arange(1, n - 1)
+            modes = np.sin(np.pi * np.outer(k, k) / (n - 1))
+            return np.diag(modes @ mat @ modes) / np.diag(modes @ modes)
+
+        def axis_matrices(grid, variance, taylor):
+            if taylor:
+                return [dirichlet_taylor_matrix(n, h, variance / 2.0)
+                        for n, h in zip(grid.shape, grid.spacing)]
+            cutoff = _TRUNCATION_SIGMAS * math.sqrt(variance)
+            return [dirichlet_image_matrix(n, h, variance, cutoff)
+                    for n, h in zip(grid.shape, grid.spacing)]
+
+        for branch in ("dense", "taylor"):
             grid, rates, dt, _ = _branch_case(branch, 2, 2, 24)
-            sigma = math.sqrt(rates[0] * 24 * dt)
-            assert (sigma >= _TAYLOR_THRESHOLD * max(grid.spacing)) is past
+            variance = float(rates[0]) * 24 * dt
+            op = KernelOperator(grid, float(rates[0]), 24 * dt)
+            for taylor in (False, True):
+                mats = axis_matrices(grid, variance, taylor)
+                want = np.multiply.outer(*[eigenvalues(m) for m in mats])
+                gap = np.abs(op.multiplier - want).max()
+                if taylor == (branch == "taylor"):
+                    assert gap <= 1e-13 * np.abs(want).max()
+                else:
+                    assert gap > 1e-6 * np.abs(want).max()
 
     @pytest.mark.parametrize("branch", sorted(BRANCHES))
     @pytest.mark.parametrize("dim", [1, 2])
@@ -377,7 +400,7 @@ class TestBatchedQuadrature:
         want = np.empty_like(history)
         for idx in np.ndindex(history.shape[:2]):
             want[idx] = evolve_nodes(op, history[idx])
-        _assert_close(got, want, rel=1e-15)
+        assert np.array_equal(got, want)
 
     def test_each_sweep_applies_each_lag_once_per_component(self, monkeypatch):
         # per window of J steps: J homogeneous rows, then per sweep the
@@ -441,7 +464,7 @@ class TestPicard:
         res = picard_solve(spec, PicardConfig(dt=0.01))
         assert res.iterations == [1]
         hom = evolve_nodes(KernelOperator(g, 0.02, 0.2), init.values[0])
-        _assert_close(res.final_values[0], hom, rel=1e-15)
+        assert np.array_equal(res.final_values[0], hom)
 
     def test_wall_nodes_of_every_stored_state_are_zero(self):
         # a bump that reaches the wall at 0
