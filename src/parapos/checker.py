@@ -66,13 +66,16 @@ class SampleBudget:
             raise SpecError("region radii c1, c2 must be positive")
 
 
-@dataclass(frozen=True)
-class CheckTolerances:
-    tol_zero: float = 1e-12
-    tol_sign: float = 1e-10
-    compat_factor: float = 1e-6
-    fd_dt_factor: float = 1e-4
-    growth_flag_ratio: float = 1.25
+#: slack below zero of a data or source value that still counts as non-negative
+_TOL_ZERO = 1e-12
+#: slack below zero of a sign margin that still counts as a pass
+_TOL_SIGN = 1e-10
+#: default A6 threshold per unit of (1 + coefficient scale); scenarios may set it
+COMPAT_FACTOR = 1e-6
+#: MonotoneCoeffs difference step per unit of max(1, horizon)
+_FD_DT_FACTOR = 1e-4
+#: full-radius over half-radius d2 fit beyond which A2 / A2' flag superquadratic growth
+_GROWTH_FLAG_RATIO = 1.25
 
 
 @dataclass
@@ -250,9 +253,8 @@ def _witness(t=None, x=None, u=None, p=None):
 
 # ------------------------------------------------------------------- checks
 
-def check_parabolicity(spec, budget, majorants=None, tolerances=None):
+def check_parabolicity(spec, budget, majorants=None):
     """A1: the diffusion eigenvalues stay positive over the sampled region."""
-    tol = tolerances or CheckTolerances()
     t, x, u, _ = _region_samples(spec, budget, with_p=False)
     a = spec.coefficients.diffusion_matrices(t, x, u, spec.components)
     eig = np.linalg.eigvalsh(a)
@@ -276,7 +278,7 @@ def check_parabolicity(spec, budget, majorants=None, tolerances=None):
             env_lo = float((lam_min - lower[:, None]).min())
             details["lower_envelope_margin"] = env_lo
             margin = min(margin, env_lo)
-        if margin < -tol.tol_sign:
+        if margin < -_TOL_SIGN:
             status = "fail"
             note = "envelope violated"
     entry = CheckEntry(
@@ -290,7 +292,7 @@ def check_parabolicity(spec, budget, majorants=None, tolerances=None):
     return entry, kappa_hat
 
 
-def check_dissipativity(spec, budget, mode="A2_prime", majorants=None, tolerances=None):
+def check_dissipativity(spec, budget, mode="A2_prime", majorants=None):
     """A2 / A2': fit dissipativity constants and test the quadratic bound.
 
     Fits the smallest ``d2`` that dominates (c, u) with ``d1 = 0``, then the
@@ -299,7 +301,6 @@ def check_dissipativity(spec, budget, mode="A2_prime", majorants=None, tolerance
     the half-radius sample set is compared against the full-radius fit; a
     materially larger full-radius fit flags superquadratic growth (heuristic).
     """
-    tol = tolerances or CheckTolerances()
     if mode not in ("A2", "A2_prime"):
         raise SpecError(f"unknown dissipativity mode {mode!r}")
     orthant = mode == "A2_prime"
@@ -325,7 +326,7 @@ def check_dissipativity(spec, budget, mode="A2_prime", majorants=None, tolerance
         excess = cu - majorants.d2 * usq - majorants.d1
         margin = float(-excess.max())
         i_worst = int(excess.argmax())
-        status = "pass" if margin >= -tol.tol_sign else "fail"
+        status = "pass" if margin >= -_TOL_SIGN else "fail"
         note = "user constants dominate" if status == "pass" else "user constants violated"
     else:
         # heuristic growth probe on nested radii
@@ -333,7 +334,7 @@ def check_dissipativity(spec, budget, mode="A2_prime", majorants=None, tolerance
         ratio_half = ratio[half]
         d2_half = float(max(ratio_half.max(initial=-np.inf), 0.0)) if half.any() else 0.0
         details["d2_hat_half_radius"] = d2_half
-        grows = d2_hat > tol.growth_flag_ratio * max(d2_half, 1e-9) and d2_hat > 1e-9
+        grows = d2_hat > _GROWTH_FLAG_RATIO * max(d2_half, 1e-9) and d2_hat > 1e-9
         if grows:
             status = "fail"
             margin = float(-(cu - d2_half * usq).max())
@@ -353,9 +354,8 @@ def check_dissipativity(spec, budget, mode="A2_prime", majorants=None, tolerance
     return entry, d1_hat, d2_hat
 
 
-def check_growth(spec, budget, majorants=None, tolerances=None):
+def check_growth(spec, budget, majorants=None):
     """A4a / A4b: drift and source growth against the supplied envelopes."""
-    tol = tolerances or CheckTolerances()
     entries = []
     if majorants is None or (majorants.theta1 is None and majorants.theta2 is None):
         for name in ("A4a", "A4b"):
@@ -373,7 +373,7 @@ def check_growth(spec, budget, majorants=None, tolerances=None):
         i = int(margin_arr.argmin())
         entries.append(CheckEntry(
             "A4a",
-            "pass" if margin_arr[i] >= -tol.tol_sign else "fail",
+            "pass" if margin_arr[i] >= -_TOL_SIGN else "fail",
             margin=float(margin_arr[i]),
             witness=_witness(t[i], x[i], u[i], p[i]),
         ))
@@ -392,9 +392,9 @@ def check_growth(spec, budget, majorants=None, tolerances=None):
         for s_rep in (0.0, 0.5 * budget.c1, budget.c1):
             vals = np.asarray([majorants.theta2(s_rep, r) for r in ladder], dtype=float)
             ladder_vals[f"s={s_rep:g}"] = vals.tolist()
-            if np.any(np.diff(vals[-3:]) > tol.tol_sign):
+            if np.any(np.diff(vals[-3:]) > _TOL_SIGN):
                 ladder_ok = False
-        status = "pass" if (margin_arr[i] >= -tol.tol_sign and ladder_ok) else "fail"
+        status = "pass" if (margin_arr[i] >= -_TOL_SIGN and ladder_ok) else "fail"
         note = "decay ladder is a heuristic probe, not a limit statement"
         if not ladder_ok:
             note = "theta2 does not decay along the sampled |p| ladder; " + note
@@ -409,32 +409,6 @@ def check_growth(spec, budget, majorants=None, tolerances=None):
     else:
         entries.append(CheckEntry("A4b", "not_applicable", note="theta2 not supplied"))
     return entries
-
-
-def _axis_first_derivative(values, axis, h):
-    """Second-order first derivative along ``axis`` with one-sided edges."""
-    out = np.empty_like(values)
-    sl = [slice(None)] * values.ndim
-
-    def take(i):
-        sl2 = list(sl)
-        sl2[axis] = i
-        return values[tuple(sl2)]
-
-    inner = [slice(None)] * values.ndim
-    inner[axis] = slice(1, -1)
-    hi = [slice(None)] * values.ndim
-    hi[axis] = slice(2, None)
-    lo = [slice(None)] * values.ndim
-    lo[axis] = slice(None, -2)
-    out[tuple(inner)] = (values[tuple(hi)] - values[tuple(lo)]) / (2.0 * h)
-    first = list(sl)
-    first[axis] = 0
-    out[tuple(first)] = (-3.0 * take(0) + 4.0 * take(1) - take(2)) / (2.0 * h)
-    last = list(sl)
-    last[axis] = values.shape[axis] - 1
-    out[tuple(last)] = (3.0 * take(-1) - 4.0 * take(-2) + take(-3)) / (2.0 * h)
-    return out
 
 
 def _axis_second_derivative(values, grid, axis):
@@ -469,19 +443,19 @@ def _derivative_arrays(field_values, grid):
     hess = np.empty(shape + (n, n))
     firsts = []
     for axis in range(n):
-        d = _axis_first_derivative(field_values, 1 + axis, grid.spacing[axis])
+        d = np.gradient(field_values, grid.spacing[axis], axis=1 + axis, edge_order=2)
         firsts.append(d)
         grad[..., axis] = d
         hess[..., axis, axis] = _axis_second_derivative(field_values, grid, axis)
     for i in range(n):
         for j in range(i + 1, n):
-            mixed = _axis_first_derivative(firsts[j], 1 + i, grid.spacing[i])
+            mixed = np.gradient(firsts[j], grid.spacing[i], axis=1 + i, edge_order=2)
             hess[..., i, j] = mixed
             hess[..., j, i] = mixed
     return grad, hess
 
 
-def check_compatibility(spec, grid=None, tolerances=None):
+def check_compatibility(spec, grid=None, compat_factor=COMPAT_FACTOR):
     """A6: the initial data is flat and in balance on the boundary at t = 0.
 
     At every boundary node the data must vanish and the full right-hand side,
@@ -489,7 +463,6 @@ def check_compatibility(spec, grid=None, tolerances=None):
     must be below ``compat_factor * (1 + coefficient scale)``.  Each
     evaluator is called once, over all boundary nodes.
     """
-    tol = tolerances or CheckTolerances()
     grid = grid or spec.initial.grid
     phi = spec.initial.values
     m = spec.components
@@ -512,8 +485,8 @@ def check_compatibility(spec, grid=None, tolerances=None):
     i = int(local.argmax())
     worst = float(local[i])
     bad_value = float(np.abs(phi[:, boundary]).max())
-    threshold = tol.compat_factor * (1.0 + scale)
-    ok = bad_value <= tol.tol_zero and worst <= threshold
+    threshold = compat_factor * (1.0 + scale)
+    ok = bad_value <= _TOL_ZERO and worst <= threshold
     return CheckEntry(
         assumption="A6",
         status="pass" if ok else "fail",
@@ -524,9 +497,8 @@ def check_compatibility(spec, grid=None, tolerances=None):
     )
 
 
-def check_positivity_source(spec, budget, tolerances=None):
+def check_positivity_source(spec, budget):
     """A7a / A7b: non-negative data, and a source that never pushes through zero."""
-    tol = tolerances or CheckTolerances()
     m = spec.components
     phi = spec.initial.values
     mins = phi.reshape(m, -1).min(axis=1)
@@ -535,7 +507,7 @@ def check_positivity_source(spec, budget, tolerances=None):
     node = np.unravel_index(flat, spec.initial.grid.shape)
     a7a = CheckEntry(
         assumption="A7a",
-        status="pass" if mins.min() >= -tol.tol_zero else "fail",
+        status="pass" if mins.min() >= -_TOL_ZERO else "fail",
         margin=float(mins.min()),
         witness=_witness(t=0.0, x=spec.initial.grid.points[node]) | {"component": k_bad},
     )
@@ -557,7 +529,7 @@ def check_positivity_source(spec, budget, tolerances=None):
     u_w[i, k] = 0.0
     a7b = CheckEntry(
         assumption="A7b",
-        status="pass" if worst >= -tol.tol_zero else "fail",
+        status="pass" if worst >= -_TOL_ZERO else "fail",
         margin=worst,
         witness=_witness(t[i], x[i], u_w[i], p[i]) | {"component": k},
     )
@@ -577,16 +549,15 @@ _MONOTONE_PLAN = (
 )
 
 
-def check_monotone_coefficients(lv, budget, domain, horizon, tolerances=None):
+def check_monotone_coefficients(lv, budget, domain, horizon):
     """MonotoneCoeffs: central-difference time slopes of the six coefficients."""
-    tol = tolerances or CheckTolerances()
     if lv.species != 2:
         return CheckEntry(
             assumption="MonotoneCoeffs",
             status="not_applicable",
             note="sign pattern defined for two competing species only",
         )
-    dt = tol.fd_dt_factor * max(1.0, horizon)
+    dt = _FD_DT_FACTOR * max(1.0, horizon)
     n = domain.dimension
     count = budget.t * budget.x
     raw = halton_block(count, 1 + n, budget.seed)
@@ -606,7 +577,7 @@ def check_monotone_coefficients(lv, budget, domain, horizon, tolerances=None):
         if slopes[i] < worst:
             worst = float(slopes[i])
             worst_info = (label, t[i], x[i])
-    status = "pass" if worst >= -tol.tol_sign else "fail"
+    status = "pass" if worst >= -_TOL_SIGN else "fail"
     label, t_w, x_w = worst_info
     return CheckEntry(
         assumption="MonotoneCoeffs",
@@ -624,13 +595,12 @@ def discrete_laplacian(values, grid):
     return out
 
 
-def check_initial_monotonicity(lv, phi, psi, grid, tolerances=None):
+def check_initial_monotonicity(lv, phi, psi, grid):
     """InitMonotone: discrete initial slopes push u up and v down.
 
     Requires d1 lap(phi) + phi (beta - gamma phi - delta psi) >= 0 and the
     mirrored inequality <= 0 for psi at every interior node, at t = 0.
     """
-    tol = tolerances or CheckTolerances()
     if lv.species != 2:
         raise SpecError("initial monotonicity check is defined for two species")
     phi = np.asarray(phi, dtype=float)
@@ -659,18 +629,19 @@ def check_initial_monotonicity(lv, phi, psi, grid, tolerances=None):
     node = np.unravel_index(flat, grid.shape)
     return CheckEntry(
         assumption="InitMonotone",
-        status="pass" if margin >= -tol.tol_sign else "fail",
+        status="pass" if margin >= -_TOL_SIGN else "fail",
         margin=margin,
         witness=_witness(t=0.0, x=pts[node]) | {"condition": which},
         details={"first_species_margin": m1, "second_species_margin": m2},
     )
 
 
-def run_checks(spec, budget, requested, majorants=None, tolerances=None):
+def run_checks(spec, budget, requested, majorants=None, compat_factor=COMPAT_FACTOR):
     """Run the requested assumption checks and assemble the report.
 
     ``requested`` is an iterable of assumption ids.  Checks that need extras
-    the caller did not provide come back ``not_applicable``.
+    the caller did not provide come back ``not_applicable``.  ``compat_factor``
+    sets the A6 threshold (see :func:`check_compatibility`).
     """
     requested = list(requested)
     entries = []
@@ -678,16 +649,16 @@ def run_checks(spec, budget, requested, majorants=None, tolerances=None):
     want = set(requested)
 
     if "A1" in want:
-        e, kappa = check_parabolicity(spec, budget, majorants, tolerances)
+        e, kappa = check_parabolicity(spec, budget, majorants)
         entries.append(e)
     if "A2" in want:
-        e, _, _ = check_dissipativity(spec, budget, "A2", majorants, tolerances)
+        e, _, _ = check_dissipativity(spec, budget, "A2", majorants)
         entries.append(e)
     if "A2'" in want:
-        e, d1, d2 = check_dissipativity(spec, budget, "A2_prime", majorants, tolerances)
+        e, d1, d2 = check_dissipativity(spec, budget, "A2_prime", majorants)
         entries.append(e)
     if "A4a" in want or "A4b" in want:
-        for e in check_growth(spec, budget, majorants, tolerances):
+        for e in check_growth(spec, budget, majorants):
             if e.assumption in want:
                 entries.append(e)
     if "A5" in want:
@@ -696,9 +667,9 @@ def run_checks(spec, budget, requested, majorants=None, tolerances=None):
             note="regularity of coefficients is analytic and cannot be sampled",
         ))
     if "A6" in want:
-        entries.append(check_compatibility(spec, tolerances=tolerances))
+        entries.append(check_compatibility(spec, compat_factor=compat_factor))
     if "A7a" in want or "A7b" in want:
-        a7a, a7b = check_positivity_source(spec, budget, tolerances)
+        a7a, a7b = check_positivity_source(spec, budget)
         if "A7a" in want:
             entries.append(a7a)
         if "A7b" in want:
@@ -709,7 +680,7 @@ def run_checks(spec, budget, requested, majorants=None, tolerances=None):
                                       note="needs a two-species competition system"))
         else:
             entries.append(check_monotone_coefficients(
-                spec.lv, budget, spec.domain, spec.horizon, tolerances))
+                spec.lv, budget, spec.domain, spec.horizon))
     if "InitMonotone" in want:
         if spec.lv is None or spec.lv.species != 2:
             entries.append(CheckEntry("InitMonotone", "not_applicable",
@@ -717,6 +688,6 @@ def run_checks(spec, budget, requested, majorants=None, tolerances=None):
         else:
             entries.append(check_initial_monotonicity(
                 spec.lv, spec.initial.values[0], spec.initial.values[1],
-                spec.initial.grid, tolerances))
+                spec.initial.grid))
     return HypothesisReport(entries=entries, kappa_hat=kappa, d1_hat=d1, d2_hat=d2,
                             seed=budget.seed)

@@ -20,7 +20,7 @@ import numpy as np
 import jsonschema
 
 from .analysis import TestFunction, bump_battery
-from .checker import CheckTolerances, SampleBudget
+from .checker import COMPAT_FACTOR, SampleBudget
 from .coefficients import (build_initial_field, parse_coefficient,
                            read_profile_table, read_table_lattice)
 from .errors import ConfigError
@@ -99,10 +99,7 @@ class ScenarioConfig:
 
     def grid(self):
         dom = self.problem_data["domain"]
-        domain = SpatialDomain(
-            bounds=tuple(tuple(b) for b in dom["bounds"]),
-            boundary_kind=dom.get("boundary", "dirichlet_zero"),
-        )
+        domain = SpatialDomain(bounds=tuple(tuple(b) for b in dom["bounds"]))
         return Grid(domain, tuple(self.problem_data["grid"]["nodes"]))
 
     def lv(self):
@@ -153,9 +150,9 @@ class ScenarioConfig:
             raw["seed"] = int(seed_override)
         return SampleBudget(**raw)
 
-    def tolerances(self):
-        raw = self.data.get("checks", {}).get("tolerances")
-        return CheckTolerances(**raw) if raw else None
+    def compat_factor(self):
+        raw = self.data.get("checks", {}).get("tolerances", {})
+        return float(raw.get("compat_factor", COMPAT_FACTOR))
 
     def majorants(self):
         raw = self.data.get("checks", {}).get("majorants")

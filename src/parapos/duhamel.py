@@ -16,8 +16,8 @@ generates ``(d / 2) * laplacian``.  Callers who want the evolution of
 ``u_t = D * laplacian(u)`` must hand in ``rate = 2 * D``; ``picard_solve``
 does this internally from the problem's diffusion matrices.
 
-The route solves problem (P) on a box with ``u = 0`` on its faces, and only
-that: ``picard_solve`` refuses any other boundary kind.  Each axis of ``n``
+The route solves problem (P) on a box with ``u = 0`` on its faces, the only
+boundary a ``SpatialDomain`` has.  Each axis of ``n``
 nodes is extended oddly about its two wall nodes, which is the odd
 ``2 (n - 1)``-periodic extension and the method of images for the Dirichlet
 heat kernel (Carslaw & Jaeger 1959).  On that extension every lag operator
@@ -100,6 +100,8 @@ _TRUNCATION_SIGMAS = 7.0
 _TAYLOR_THRESHOLD = 1.2
 #: largest admitted distance of the truncated profile's mass from one
 _MASS_TOL = 1e-10
+#: sweeps at the start of each window whose change ratio is not recorded
+_BURN_IN = 2
 
 
 # --------------------------------------------------------------- operators
@@ -237,7 +239,6 @@ class PicardConfig:
     dt: float = 1e-2
     tol: float = 1e-10
     max_iter: int = 60
-    burn_in: int = 2
 
     def __post_init__(self):
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -319,13 +320,9 @@ def picard_solve(spec, config=None):
     under ``tol`` (relative to the state size); three consecutive growths of
     the change raise NonContraction, as does running out of sweeps.  The
     integral term is ``_duhamel_quadrature``: composite trapezoid with a
-    midpoint final panel, batched by lag over the whole window.  Only the
-    zero-Dirichlet problem is solved; any other boundary kind is a
-    SpecError.
+    midpoint final panel, batched by lag over the whole window.  The first
+    ``_BURN_IN`` sweeps of a window record no contraction ratio.
     """
-    if spec.domain.boundary_kind != "dirichlet_zero":
-        raise SpecError(f"kernel route solves the zero-Dirichlet problem only, "
-                        f"not boundary kind {spec.domain.boundary_kind!r}")
     config = config or PicardConfig()
     grid = spec.initial.grid
     spec.initial.validate()
@@ -379,7 +376,7 @@ def picard_solve(spec, config=None):
             if prev_change is not None:
                 if prev_change > 0:
                     ratio = change / prev_change
-                    if sweep >= config.burn_in:
+                    if sweep >= _BURN_IN:
                         ratios.append(ratio)
                 streak = streak + 1 if change > prev_change else 0
                 if streak >= 3:

@@ -7,14 +7,11 @@ shares), and the four-point cross stencil for mixed second derivatives.
 Zero Dirichlet data is enforced by construction: only interior nodes are
 unknowns and boundary nodes are pinned to zero.
 
-Three time steppers are provided:
+Two time steppers are provided:
 
 * ``imex_be``   backward Euler in the axis-aligned diffusion part, forward
                 Euler in drift, source, and mixed-derivative terms; the
                 diffusion coefficient is frozen at the step start state
-* ``imex_cn``   Crank-Nicolson in the axis-aligned diffusion part (again
-                frozen at the step start), forward Euler elsewhere; the
-                explicit source keeps the overall temporal order at one
 * ``erk2``      explicit Heun, fully explicit right-hand side, guarded by a
                 diffusion stability bound sampled before stepping begins
 
@@ -22,7 +19,9 @@ The ``imex_be`` map has a useful structure: it is the composition of
 ``w -> w + dt * f(w)`` with the inverse of an M-matrix, so it preserves
 componentwise order whenever the explicit part does.  It also preserves
 exact zeros bitwise (a zero state with a zero source stays identically
-zero), which the degeneracy tests rely on.
+zero), which the degeneracy tests rely on.  Neither stepper alters the
+state it computes: a negative value stays in the trajectory, where the
+positivity verdict sees it.
 
 Implicit solves.  One builder gives each component its implicit solver.  In
 1D that is always a LAPACK tridiagonal LU factor (``dgttrf``, applied by
@@ -54,8 +53,7 @@ from .errors import DegenerateRefinement, NonConvergence, SolverError, SpecError
 from .model import (Field, Grid, SpatialDomain, build_cutoff, distinct_entries,
                     dst_sine_squares, second_difference)
 
-SCHEMES = ("imex_be", "imex_cn", "erk2")
-POSITIVITY_MODES = ("monitor_only", "clip_and_flag")
+SCHEMES = ("imex_be", "erk2")
 
 #: BiCGSTAB tolerance and iteration cap of the 2D solve with varying diffusion
 LINEAR_RTOL = 1e-10
@@ -66,16 +64,12 @@ LINEAR_MAXITER = 5000
 class SchemeConfig:
     scheme: str = "imex_be"
     dt: float = 1e-2
-    positivity: str = "monitor_only"
     store_every: int = 10
     check_stability: bool = True
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise SpecError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
-        if self.positivity not in POSITIVITY_MODES:
-            raise SpecError(
-                f"unknown positivity mode {self.positivity!r}; pick one of {POSITIVITY_MODES}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
             raise SpecError("dt must be positive and finite")
         if self.store_every < 1:
@@ -91,7 +85,6 @@ class StepReport:
     negpart_norm: float
     dudt_min: float
     dvdt_max: float
-    clipped: int = 0
     solve_iterations: int = 0
     source_evaluations: int = 0
 
@@ -106,7 +99,6 @@ class Trajectory:
     reports: list
     positivity_dt_bound: float
     positivity_dt_ok: bool
-    clipped_total: int = 0
     dt_adjusted: bool = False
 
     @property
@@ -157,14 +149,14 @@ def _frozen_diffusion(spec, t, grid, values):
     return spec.coefficients.diffusion_matrices(t, grid.points, u, spec.components)
 
 
-def _explicit_diffusion(a, values, grid, diagonal=True, mixed=True):
+def _explicit_diffusion(a, values, grid, diagonal=True):
     out = np.zeros_like(values)
     n = grid.dimension
     if diagonal:
         for ax in range(n):
             d2 = second_difference(values, grid, ax)
             out += np.moveaxis(a[..., :, ax, ax], -1, 0) * d2
-    if mixed and n > 1:
+    if n > 1:
         for i in range(n):
             for j in range(i + 1, n):
                 if not np.any(distinct_entries(a[..., :, i, j])):
@@ -333,7 +325,7 @@ def _implicit_solvers(grid, a, lam, constant, guess=None, counter=None):
 def _stepper(spec, grid, config, dt, t0, values0):
     """The one-step map ``advance(values, t, counter)`` for a fixed ``dt``.
 
-    Both imex modes freeze the diffusion coefficient at the step start.  With
+    ``imex_be`` freezes the diffusion coefficient at the step start.  With
     ``constant_diffusion`` it is evaluated once, at ``(t0, values0)``, and the
     implicit solvers are built once for every step of this ``dt``; they live
     only as long as the returned function.  Otherwise both are rebuilt every
@@ -366,9 +358,8 @@ def _stepper(spec, grid, config, dt, t0, values0):
 
         return advance
 
-    lam = dt if config.scheme == "imex_be" else 0.5 * dt
     interior = grid.interior_slices
-    solvers = _implicit_solvers(grid, frozen, lam, True) if frozen is not None else None
+    solvers = _implicit_solvers(grid, frozen, dt, True) if frozen is not None else None
     # mixed second derivatives need two axes, and frozen diffusion shows once
     # whether it has any off-diagonal entry
     off_diagonal = ~np.eye(grid.dimension, dtype=bool)
@@ -380,12 +371,8 @@ def _stepper(spec, grid, config, dt, t0, values0):
         explicit = reaction(t, values)
         if mixed:
             explicit = explicit + _explicit_diffusion(a, values, grid, diagonal=False)
-        if config.scheme == "imex_be":
-            rhs = values + dt * explicit
-        else:
-            half = _explicit_diffusion(a, values, grid, diagonal=True, mixed=False)
-            rhs = values + 0.5 * dt * half + dt * explicit
-        step_solvers = solvers or _implicit_solvers(grid, a, lam, False, values, counter)
+        rhs = values + dt * explicit
+        step_solvers = solvers or _implicit_solvers(grid, a, dt, False, values, counter)
         out = np.zeros_like(rhs)
         for k, solve_k in enumerate(step_solvers):
             out[(k,) + interior] = solve_k(rhs[(k,) + interior])
@@ -402,13 +389,12 @@ def step(state, t, dt, spec, config):
     counter = [0]
     old = np.asarray(state.values, dtype=float)
     new = _stepper(spec, grid, config, dt, t, old)(old, t, counter)
-    report = _make_report(0, t + dt, old, new, dt, clipped=0,
-                          iterations=counter[0],
+    report = _make_report(0, t + dt, old, new, dt, iterations=counter[0],
                           source_evals=2 if config.scheme == "erk2" else 1)
     return Field(grid, new), report
 
 
-def _make_report(index, t, old, new, dt, clipped, iterations=0, source_evals=1):
+def _make_report(index, t, old, new, dt, iterations=0, source_evals=1):
     m = new.shape[0]
     low = float(new.min())
     # reduce, then divide or take the root: both maps are monotone, so this
@@ -424,7 +410,6 @@ def _make_report(index, t, old, new, dt, clipped, iterations=0, source_evals=1):
         negpart_norm=max(0.0, -low),
         dudt_min=dudt_min,
         dvdt_max=dvdt_max,
-        clipped=clipped,
         solve_iterations=iterations,
         source_evaluations=source_evals,
     )
@@ -491,7 +476,6 @@ def solve(spec, config, on_store=None):
     if on_store is not None:
         on_store(0.0, stored[0])
     reports = []
-    clipped_total = 0
     t = 0.0
     advance = _stepper(spec, grid, config, dt, t, w)
     for i in range(steps):
@@ -499,15 +483,8 @@ def solve(spec, config, on_store=None):
         new = advance(w, t, counter)
         if not np.all(np.isfinite(new)):
             raise SolverError(f"solution lost finiteness at step {i + 1} (t={t + dt:g})")
-        clipped = 0
-        pre_clip = new
-        if config.positivity == "clip_and_flag" and new.min() < 0.0:
-            clipped = int((new < 0.0).sum())
-            new = np.maximum(new, 0.0)
-        report = _make_report(i + 1, t + dt, w, pre_clip, dt, clipped,
-                              iterations=counter[0], source_evals=source_evals)
-        reports.append(report)
-        clipped_total += clipped
+        reports.append(_make_report(i + 1, t + dt, w, new, dt, iterations=counter[0],
+                                    source_evals=source_evals))
         w = new
         t += dt
         if (i + 1) % config.store_every == 0 or i + 1 == steps:
@@ -524,7 +501,6 @@ def solve(spec, config, on_store=None):
         reports=reports,
         positivity_dt_bound=pos_bound,
         positivity_dt_ok=pos_ok,
-        clipped_total=clipped_total,
         dt_adjusted=adjusted,
     )
 
@@ -609,8 +585,7 @@ class NestedConvergenceReport:
         return self.diffs[-1] <= self.tol
 
 
-def solve_cauchy_nested(spec, radii, config, cutoff_width=1.0,
-                        tol_nested=1e-6, compare_radius=None):
+def solve_cauchy_nested(spec, radii, config, cutoff_width=1.0, tol_nested=1e-6):
     """Whole-space surrogate: solve on nested centered boxes, compare cores.
 
     The problem must be posed on the centered box of the largest radius, with
@@ -618,8 +593,8 @@ def solve_cauchy_nested(spec, radii, config, cutoff_width=1.0,
     the box is cut out of the base grid (radii must be node-aligned so node
     sets coincide exactly), and both the initial data and the source term are
     multiplied by a radial cutoff that vanishes at radius r.  Successive
-    final states are compared in the sup norm on the core region (default:
-    half the smallest radius).  Differences that fail to decrease between
+    final states are compared in the sup norm on the core region, half the
+    smallest radius.  Differences that fail to decrease between
     consecutive radius pairs while still sitting above ``tol_nested`` raise
     NonConvergence; otherwise the trajectory on the largest box is returned
     together with the comparison report.
@@ -637,10 +612,7 @@ def solve_cauchy_nested(spec, radii, config, cutoff_width=1.0,
             raise SpecError(
                 "the base problem must live on the centered box of the largest radius")
 
-    core = compare_radius if compare_radius is not None else radii[0] / 2.0
-    if not 0 < core <= radii[0]:
-        raise SpecError("comparison radius must lie inside the smallest box")
-
+    core = radii[0] / 2.0
     trajs = []
     offsets = []
     for r in radii:
@@ -674,8 +646,7 @@ def _boxed_subproblem(spec, radius, offsets, cutoff_width):
     """Cut the centered box of the given radius out of the base problem."""
     grid = spec.initial.grid
     sub_bounds = tuple((-radius, radius) for _ in range(grid.dimension))
-    sub_domain = SpatialDomain(bounds=sub_bounds,
-                               boundary_kind=spec.domain.boundary_kind)
+    sub_domain = SpatialDomain(bounds=sub_bounds)
     sub_shape = tuple(nn - 2 * o for nn, o in zip(grid.nodes_per_axis, offsets))
     sub_grid = Grid(sub_domain, sub_shape)
     sel = tuple(slice(o, nn - o) for nn, o in zip(grid.nodes_per_axis, offsets))

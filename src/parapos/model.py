@@ -31,18 +31,15 @@ import numpy as np
 
 from .errors import CoefficientError, SpecError
 
-BOUNDARY_KINDS = ("dirichlet_zero", "cauchy_nested")
-
 #: relative asymmetry beyond which a diffusion matrix is rejected outright
 ASYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SpatialDomain:
-    """Axis-aligned box with a boundary treatment tag."""
+    """Axis-aligned box; its faces carry zero Dirichlet data."""
 
     bounds: tuple
-    boundary_kind: str = "dirichlet_zero"
 
     def __post_init__(self):
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
@@ -52,8 +49,6 @@ class SpatialDomain:
         for lo, hi in bounds:
             if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
                 raise SpecError(f"degenerate interval [{lo}, {hi}]")
-        if self.boundary_kind not in BOUNDARY_KINDS:
-            raise SpecError(f"unknown boundary kind {self.boundary_kind!r}")
 
     @property
     def dimension(self):
@@ -197,8 +192,7 @@ class Field:
         if values.ndim == grid.dimension:
             values = values[None]
         fld = cls(grid, values)
-        if grid.domain.boundary_kind == "dirichlet_zero":
-            _zero_boundary(fld.values, grid)
+        _zero_boundary(fld.values, grid)
         return fld
 
     @classmethod
@@ -227,10 +221,9 @@ class Field:
     def validate(self):
         if not np.isfinite(self.values).all():
             raise SpecError("field contains non-finite values")
-        if self.grid.domain.boundary_kind == "dirichlet_zero":
-            worst = self.boundary_max_abs()
-            if worst != 0.0:
-                raise SpecError(f"boundary values must be exactly 0, found {worst}")
+        worst = self.boundary_max_abs()
+        if worst != 0.0:
+            raise SpecError(f"boundary values must be exactly 0, found {worst}")
         return self
 
 

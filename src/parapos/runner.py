@@ -3,8 +3,9 @@
 A run works through its stages in this order: hypothesis checks; the
 kernel route, when ``dual_route`` is requested; the grid march; the
 requested analysis operations, the kernel-route cross-check among them.
-The kernel route runs before the march and alone, because its BLAS products
-take both CPUs; a forked child then formats its CSV while the march runs.
+The kernel route runs before the march, while no other process of the run
+is alive.  A child forked then inherits the finished solution but no pipe
+of the grid route's writer, and formats the kernel CSV while the march runs.
 A kernel-route failure is raised at the cross-check, so a failed run has
 the verdicts, files and error it would have if the route ran there.  Every
 stage contributes a verdict under a named tag.  Verdicts are
@@ -259,7 +260,6 @@ def _nested(problem, scheme, analysis):
             problem, tuple(block["radii"]), scheme,
             cutoff_width=float(block.get("cutoff_width", 1.0)),
             tol_nested=float(block.get("tol_nested", 1e-6)),
-            compare_radius=block.get("compare_radius"),
         )
     except NonConvergence as exc:
         return Verdict("violated", note=str(exc))
@@ -420,7 +420,7 @@ def run_scenario(config, out_dir=None, seed=None):
                     len(config.assumptions()))
         report = run_checks(problem, budget, config.assumptions(),
                             majorants=config.majorants(),
-                            tolerances=config.tolerances())
+                            compat_factor=config.compat_factor())
         if "json" in formats:
             artifacts.write("checks.json", write_json, report.to_json())
         failed = [e.assumption for e in report.entries if e.status == "fail"]

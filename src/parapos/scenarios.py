@@ -40,8 +40,7 @@ def s1_positivity():
                 _plateau(0.6, 0.65, 0.25, 0.1),
             ],
         },
-        "scheme": {"scheme": "imex_be", "dt": 0.01,
-                   "positivity": "monitor_only", "store_every": 10},
+        "scheme": {"scheme": "imex_be", "dt": 0.01, "store_every": 10},
         "checks": {"assumptions": ["A1", "A2'", "A4", "A6", "A7"]},
         "analysis": {"ops": []},
     }
@@ -273,8 +272,7 @@ def n2_decaying_growth():
 
 
 REGISTRY = {
-    "S1_positivity": ("two competing species stay non-negative in monitor mode",
-                      s1_positivity),
+    "S1_positivity": ("two competing species stay non-negative", s1_positivity),
     "S2_maxbound": ("sup norm stays under the dissipativity barrier",
                     s2_maxbound),
     "S3_extinction": ("integrable growth rate drives the species extinct",

@@ -48,12 +48,6 @@ def backward_euler_heat_factor(h, dt, d=1.0, mode=1, length=1.0):
     return 1.0 / (1.0 + dt * d * lam)
 
 
-def crank_nicolson_heat_factor(h, dt, d=1.0, mode=1, length=1.0):
-    """Per-step damping of a discrete sine mode under the trapezoidal rule."""
-    lam = dirichlet_laplacian_eigenvalue(h, mode, length)
-    return (1.0 - 0.5 * dt * d * lam) / (1.0 + 0.5 * dt * d * lam)
-
-
 def banded_implicit_solve(a_node, h, lam, rhs):
     """Solve (I - lam a(x) d_xx) w = rhs on the interior of a zero-Dirichlet line.
 

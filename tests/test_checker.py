@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 
 from parapos.checker import (
     ASSUMPTION_IDS,
-    CheckTolerances,
     SampleBudget,
     check_compatibility,
     check_dissipativity,
@@ -250,7 +249,7 @@ class TestCompatibility:
 
     def test_threshold_scales_with_configured_factor(self):
         spec = logistic_problem(amplitude=0.1, n=101)
-        entry = check_compatibility(spec, tolerances=CheckTolerances(compat_factor=1e-3))
+        entry = check_compatibility(spec, compat_factor=1e-3)
         assert entry.status == "pass"
 
     def test_nonzero_boundary_data_is_caught(self):

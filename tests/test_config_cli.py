@@ -1,6 +1,8 @@
 import copy
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,28 @@ def tiny_config():
         "checks": {"assumptions": ["A1"]},
         "analysis": {"ops": []},
     }
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+#: (block, key) -> where a setting the schema does not have sits, and a value
+#: for it: a deleted option's former default, where it had one
+REMOVED_KEYS = {
+    ("majorants", "kappa"): (("checks", "majorants", "kappa"), 1.0),
+    ("majorants", "c1"): (("checks", "majorants", "c1"), 1.0),
+    ("majorants", "c2"): (("checks", "majorants", "c2"), 1.0),
+    ("outputs", "directory"): (("outputs", "directory"), "elsewhere"),
+    ("scheme", "positivity"): (("scheme", "positivity"), "monitor_only"),
+    ("scheme", "imex_cn"): (("scheme", "scheme"), "imex_cn"),
+    ("domain", "boundary"): (("problem", "domain", "boundary"), "dirichlet_zero"),
+    ("tolerances", "tol_zero"): (("checks", "tolerances", "tol_zero"), 1e-12),
+    ("tolerances", "tol_sign"): (("checks", "tolerances", "tol_sign"), 1e-10),
+    ("tolerances", "fd_dt_factor"): (("checks", "tolerances", "fd_dt_factor"), 1e-4),
+    ("tolerances", "growth_flag_ratio"): (("checks", "tolerances", "growth_flag_ratio"),
+                                          1.25),
+    ("picard", "burn_in"): (("analysis", "picard", "burn_in"), 2),
+    ("nested", "compare_radius"): (("analysis", "nested", "compare_radius"), 0.05),
+}
 
 
 def reject(data, pointer, base_dir="."):
@@ -475,18 +499,36 @@ class TestCli:
         path.write_text(json.dumps(data))
         assert main(["validate", str(path)]) == 2
 
-    @pytest.mark.parametrize("block,key", [
-        ("majorants", "kappa"), ("majorants", "c1"), ("majorants", "c2"),
-        ("outputs", "directory")])
+    @pytest.mark.parametrize("block,key", list(REMOVED_KEYS))
     def test_validate_rejects_the_removed_unread_keys(self, tmp_path, block, key):
+        (*parents, name), value = REMOVED_KEYS[block, key]
         data = tiny_config()
-        if block == "majorants":
-            data["checks"]["majorants"] = {key: 1.0}
-        else:
-            data["outputs"] = {key: "elsewhere"}
+        data["analysis"]["nested"] = {"radii": [0.1, 0.2, 0.3]}
+        node = data
+        for part in parents:
+            node = node.setdefault(part, {})
         path = tmp_path / "unread.json"
         path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 0
+        node[name] = value
+        path.write_text(json.dumps(data))
         assert main(["validate", str(path)]) == 2
+
+    def test_validate_accepts_every_benchmark_input(self, tmp_path):
+        # the built-ins, the perfbench configs and the generated 2D config
+        # must stay valid under any schema change; perfbench is only read
+        spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        paths = []
+        for name, (_, builder) in REGISTRY.items():
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(builder()))
+        configs = sorted((PERFBENCH / "configs").glob("*.json"))
+        generated, _, _ = workloads.generate("competition_2d", 7, tmp_path)
+        assert len(configs) >= 3 and len(generated) == 1
+        for path in paths + configs + generated:
+            assert main(["validate", str(path)]) == 0, path
 
 
 class TestPositivityVerdict:

@@ -443,7 +443,7 @@ class TestPicard:
 
     def test_sweeps_contract_after_burn_in(self):
         spec = flat_logistic()
-        res = picard_solve(spec, PicardConfig(dt=0.01, burn_in=2))
+        res = picard_solve(spec, PicardConfig(dt=0.01))
         ratios = [r for window in res.contraction_ratios for r in window]
         assert ratios, "expected at least one recorded ratio"
         assert max(ratios) < 1.0
@@ -570,18 +570,6 @@ class TestPicard:
         assert len(multi) >= 2
         assert (res.jacobian_sup * multi).max() <= 0.5
         assert lengths.max() == pytest.approx(4 * used)
-
-    def test_a_boundary_other_than_zero_dirichlet_is_refused(self):
-        # the image operator solves the zero-Dirichlet problem; on a
-        # whole-space problem it would answer a different question
-        cauchy = SpatialDomain(((0.0, 1.0),), boundary_kind="cauchy_nested")
-        g = Grid(cauchy, (101,))
-        lv = LVCoefficients(np.array([1e-4]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
-        init = build_initial_field(g, [{"kind": "bump", "amplitude": 0.5,
-                                        "center": [0.5], "radius": 0.2}])
-        spec = build_lv_problem(lv, cauchy, init, horizon=0.1)
-        with pytest.raises(SpecError, match="cauchy_nested"):
-            picard_solve(spec, PicardConfig(dt=0.01))
 
     def test_config_validation(self):
         with pytest.raises(SpecError):

@@ -15,7 +15,6 @@ import parapos
 from oracles import (
     backward_euler_heat_factor,
     banded_implicit_solve,
-    crank_nicolson_heat_factor,
     dirichlet_laplacian_eigenvalue,
     heun_scalar,
     step_report_reference,
@@ -94,14 +93,6 @@ class TestSingleStep:
         assert report.solve_iterations >= 0
         assert report.source_evaluations == 1
 
-    def test_trapezoidal_step_matches_its_modal_factor(self):
-        spec = heat_problem()
-        g = spec.initial.grid
-        dt = 0.01
-        new, _ = step(spec.initial, 0.0, dt, spec, SchemeConfig(scheme="imex_cn", dt=dt))
-        factor = crank_nicolson_heat_factor(g.spacing[0], dt)
-        assert_allclose(new.values[0], factor * spec.initial.values[0], atol=1e-12)
-
     def test_heun_on_a_flat_state_reduces_to_the_scalar_update(self):
         # far from the boundary the diffusion term vanishes on a constant
         # state, so one Heun step must agree with the scalar ODE stepper
@@ -161,10 +152,9 @@ class TestSingleStep:
 
     def test_step_keeps_the_boundary_pinned(self):
         spec = logistic_problem()
-        for scheme in ("imex_be", "imex_cn"):
-            new, _ = step(spec.initial, 0.0, 0.01, spec, SchemeConfig(scheme=scheme, dt=0.01))
-            assert new.values[0, 0] == 0.0
-            assert new.values[0, -1] == 0.0
+        new, _ = step(spec.initial, 0.0, 0.01, spec, SchemeConfig(scheme="imex_be", dt=0.01))
+        assert new.values[0, 0] == 0.0
+        assert new.values[0, -1] == 0.0
 
 
 class TestSolve:
@@ -184,7 +174,7 @@ class TestSolve:
         assert max(r.sup_norm for r in traj.reports) <= 1.0 + 1e-6
 
     def test_boundary_exact_across_schemes(self):
-        for scheme, dt in (("imex_be", 0.01), ("imex_cn", 0.01), ("erk2", 1e-5)):
+        for scheme, dt in (("imex_be", 0.01), ("erk2", 1e-5)):
             spec = heat_problem(n=51, horizon=0.001)
             traj = solve(spec, SchemeConfig(scheme=scheme, dt=dt))
             assert np.all(traj.values[:, :, 0] == 0.0)
@@ -222,32 +212,6 @@ class TestSolve:
         assert traj.dt_adjusted
         assert traj.times[-1] == pytest.approx(1.0)
         assert traj.dt == pytest.approx(1.0 / 33)
-
-    def test_clip_mode_counts_and_clamps(self):
-        # a source pushed below zero forces negativity; clip mode flags it
-        g = Grid(UNIT, (51,))
-        lv = LVCoefficients(np.array([0.01]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
-        init = build_initial_field(
-            g, [{"kind": "plateau", "amplitude": 0.4, "center": [0.5], "radius": 0.3, "width": 0.1}]
-        )
-        spec = build_lv_problem(lv, UNIT, init, horizon=0.5)
-        shifted = spec.coefficients.source
-
-        def negative_source(t, x, u, p, _base=shifted):
-            return np.asarray(_base(t, x, u, p)) - 1.0
-
-        spec = replace(spec, coefficients=replace(spec.coefficients, source=negative_source))
-        config = SchemeConfig(scheme="imex_be", dt=0.01, positivity="clip_and_flag")
-        traj = solve(spec, config)
-        assert traj.clipped_total > 0
-        assert traj.values.min() >= 0.0
-        # the report keeps the pre-clip minimum so the excursion stays visible
-        assert min(r.min_value for r in traj.reports) < 0.0
-
-    def test_monitor_mode_never_alters_the_state(self):
-        spec = logistic_problem(horizon=1.0)
-        traj = solve(spec, SchemeConfig(scheme="imex_be", dt=0.01, positivity="monitor_only"))
-        assert traj.clipped_total == 0
 
     def test_mixed_derivative_terms_consistent_between_schemes(self):
         # anisotropic 2D diffusion with a cross term: the implicit-explicit
@@ -318,7 +282,7 @@ class TestStepReport:
             for _ in range(300):
                 shape = (m, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
                 old, new = rng.choice(SPECIAL, shape), rng.choice(SPECIAL, shape)
-                got = _report_values(_make_report(0, dt, old, new, dt, clipped=0))
+                got = _report_values(_make_report(0, dt, old, new, dt))
                 want = np.array(step_report_reference(old, new, dt))
                 assert got.tobytes() == want.tobytes()
 
@@ -328,7 +292,7 @@ class TestStepReport:
         # minimum, so it reads -0.0, and +0.0 for the maximum
         old = np.zeros((2, 1, 2))
         new = np.array([[[-5e-324, 0.0]], [[0.0, -5e-324]]])
-        report = _make_report(0, 4.0, old, new, 4.0, clipped=0)
+        report = _make_report(0, 4.0, old, new, 4.0)
         assert math.copysign(1.0, report.dudt_min) == -1.0
         assert math.copysign(1.0, report.dvdt_max) == 1.0
 
@@ -351,14 +315,12 @@ class TestDirectSolvers:
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("nodes", (4, 5, 101))
-    @pytest.mark.parametrize("scheme", ("imex_be", "imex_cn"))
-    def test_factored_1d_solve_is_bitwise_the_banded_solve(self, nodes, scheme):
-        # imex_be solves with lam = dt, imex_cn with lam = dt / 2; four nodes
-        # leave two unknowns, below what the LAPACK factor accepts
+    def test_factored_1d_solve_is_bitwise_the_banded_solve(self, nodes):
+        # four nodes leave two unknowns, below what the LAPACK factor accepts
         spec = logistic_problem(n=nodes, d=0.05, horizon=0.2)
         varying = replace(spec, coefficients=replace(spec.coefficients,
                                                      constant_diffusion=False))
-        config = SchemeConfig(scheme=scheme, dt=0.01)
+        config = SchemeConfig(scheme="imex_be", dt=0.01)
         assert np.array_equal(solve(spec, config).values, solve(varying, config).values)
 
     @pytest.mark.parametrize("nodes", (4, 5, 101))
