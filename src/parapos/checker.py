@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import CoefficientError, SpecError
-from .model import Majorants, second_difference
+from .model import second_difference
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
@@ -367,9 +367,11 @@ def check_growth(spec, budget, majorants=None):
     q = np.sqrt((p * p).sum(axis=(1, 2)))
 
     if majorants.theta1 is not None:
-        b = np.asarray(spec.coefficients.drift(t, x, u, p), dtype=float)
         bound = np.asarray([majorants.theta1(v) for v in s], dtype=float) * (1.0 + q)
-        margin_arr = bound - np.abs(b).max(axis=1)
+        margin_arr = bound
+        if spec.coefficients.drift is not None:
+            b = np.asarray(spec.coefficients.drift(t, x, u, p), dtype=float)
+            margin_arr = bound - np.abs(b).max(axis=1)
         i = int(margin_arr.argmin())
         entries.append(CheckEntry(
             "A4a",
@@ -461,7 +463,7 @@ def check_compatibility(spec, grid=None, compat_factor=COMPAT_FACTOR):
     At every boundary node the data must vanish and the full right-hand side,
     evaluated at u = 0 with one-sided second-order differences of the data,
     must be below ``compat_factor * (1 + coefficient scale)``.  Each
-    evaluator is called once, over all boundary nodes.
+    evaluator the problem has is called once, over all boundary nodes.
     """
     grid = grid or spec.initial.grid
     phi = spec.initial.values
@@ -476,11 +478,15 @@ def check_compatibility(spec, grid=None, compat_factor=COMPAT_FACTOR):
     h2 = np.moveaxis(hess[:, boundary], 0, 1)
     coeffs = spec.coefficients
     a = coeffs.diffusion_matrices(0.0, x, u0, m)
-    b = np.broadcast_to(np.asarray(coeffs.drift(0.0, x, u0, p0), dtype=float), (count, n))
     c = np.broadcast_to(np.asarray(coeffs.source(0.0, x, u0, p0), dtype=float), (count, m))
-    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()), float(np.abs(c).max()))
-    resid = (np.einsum("...kij,...kij->...k", a, h2)
-             + np.einsum("...kj,...j->...k", p0, b) + c)
+    scale = max(1.0, float(np.abs(a).max()), float(np.abs(c).max()))
+    resid = np.einsum("...kij,...kij->...k", a, h2)
+    if coeffs.drift is not None:
+        b = np.broadcast_to(np.asarray(coeffs.drift(0.0, x, u0, p0), dtype=float),
+                            (count, n))
+        scale = max(scale, float(np.abs(b).max()))
+        resid = resid + np.einsum("...kj,...j->...k", p0, b)
+    resid = resid + c
     local = np.abs(resid).max(axis=1)
     i = int(local.argmax())
     worst = float(local[i])

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import jsonschema
 
-from .analysis import TestFunction, bump_battery
+from .analysis import bump_battery
 from .checker import COMPAT_FACTOR, SampleBudget
 from .coefficients import (build_initial_field, parse_coefficient,
                            read_profile_table, read_table_lattice)

@@ -288,8 +288,8 @@ def _extract_rates(spec):
         if d[0] <= 0:
             raise SpecError("kernel route needs positive diffusion")
         rates[k] = 2.0 * float(d[0])
-    b = np.asarray(spec.coefficients.drift(t, x, u, np.zeros((3, m, n))), dtype=float)
-    if np.abs(b).max() > 1e-14:
+    drift = spec.coefficients.drift
+    if drift is not None and np.abs(drift(t, x, u, np.zeros((3, m, n)))).max() > 1e-14:
         raise SpecError("kernel route does not support drift terms")
     if spec.coefficients.depends_on_gradient:
         raise SpecError("kernel route needs a source that does not read the gradient")

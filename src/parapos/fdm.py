@@ -178,6 +178,7 @@ def _reaction_drift(spec, grid, components):
     The gradient is taken only when the evaluators may read it
     (``depends_on_gradient``) or the drift is non-zero somewhere; otherwise
     they receive zeros in its place, as the coefficient contract allows.
+    A problem without drift (``drift is None``) evaluates only its source.
     The axis orders and that zero gradient are built once, not per call.
     """
     coeffs = spec.coefficients
@@ -190,8 +191,10 @@ def _reaction_drift(spec, grid, components):
     def evaluate(t, values):
         u = values.transpose(to_last)
         p = _gradient(values, grid) if coeffs.depends_on_gradient else zero_p
-        b = _as_shape(coeffs.drift(t, pts, u, p), pts.shape)
         c = _as_shape(coeffs.source(t, pts, u, p), u.shape)
+        if coeffs.drift is None:
+            return c.transpose(to_first)
+        b = _as_shape(coeffs.drift(t, pts, u, p), pts.shape)
         if np.any(distinct_entries(b)):
             if not coeffs.depends_on_gradient:
                 p = _gradient(values, grid)
@@ -445,17 +448,32 @@ def _stability_bound(spec, grid, values):
     return 1.0 / (2.0 * worst * sum(1.0 / h**2 for h in grid.spacing))
 
 
-def solve(spec, config, on_store=None):
+def _step_count(spec, config):
+    return max(1, int(round(spec.horizon / config.dt)))
+
+
+def stored_count(spec, config):
+    """Snapshots ``solve`` stores, ``1 + ceil(steps / store_every)``.
+
+    They are the initial state, every ``store_every``-th step and the last.
+    """
+    return 1 - (-_step_count(spec, config) // config.store_every)
+
+
+def solve(spec, config, sink=None):
     """Integrate the system to its horizon and collect the trajectory.
 
-    ``on_store(t, values)``, when given, is called with the initial state
-    and with each snapshot as it is stored (every ``store_every`` steps and
-    at the horizon), so a consumer can work on it while the march goes on.
-    ``values`` is the stored array itself; it must not be modified.
+    The march writes the initial state and each snapshot it stores (every
+    ``store_every`` steps and at the horizon) into arrays of
+    :func:`stored_count` rows, and the trajectory keeps those arrays.
+    ``sink``, when given, owns them: ``sink.times`` and ``sink.values``, of
+    shapes ``(stored,)`` and ``(stored, m, *grid.shape)``.  After writing
+    snapshot ``i`` the march calls ``sink.post(i)``, so a consumer can work
+    on it while the march goes on; a posted snapshot is never written again.
     """
     grid = spec.initial.grid
     spec.initial.validate()
-    steps = max(1, int(round(spec.horizon / config.dt)))
+    steps = _step_count(spec, config)
     dt = spec.horizon / steps
     adjusted = abs(dt - config.dt) > 1e-9 * max(1.0, config.dt)
 
@@ -470,11 +488,20 @@ def solve(spec, config, on_store=None):
     pos_bound = positivity_step_bound(spec, reference=w)
     pos_ok = dt <= pos_bound
 
+    shape = (stored_count(spec, config), *w.shape)
+    if sink is None:
+        times, values = np.empty(shape[0]), np.empty(shape)
+    else:
+        times, values = sink.times, sink.values
+        if values.shape != shape:
+            raise SpecError(f"the sink holds snapshots of shape {values.shape}, "
+                            f"the march stores {shape}")
+    times[0], values[0] = 0.0, w
+    if sink is not None:
+        sink.post(0)
+    stored = 0
+
     source_evals = 2 if config.scheme == "erk2" else 1
-    stored = [w.copy()]
-    stored_t = [0.0]
-    if on_store is not None:
-        on_store(0.0, stored[0])
     reports = []
     t = 0.0
     advance = _stepper(spec, grid, config, dt, t, w)
@@ -488,16 +515,16 @@ def solve(spec, config, on_store=None):
         w = new
         t += dt
         if (i + 1) % config.store_every == 0 or i + 1 == steps:
-            stored.append(w.copy())
-            stored_t.append(t)
-            if on_store is not None:
-                on_store(t, stored[-1])
+            stored += 1
+            times[stored], values[stored] = t, w
+            if sink is not None:
+                sink.post(stored)
     return Trajectory(
         grid=grid,
         scheme=config.scheme,
         dt=dt,
-        times=np.asarray(stored_t),
-        values=np.asarray(stored),
+        times=times,
+        values=values,
         reports=reports,
         positivity_dt_bound=pos_bound,
         positivity_dt_ok=pos_ok,

@@ -7,11 +7,15 @@ identical, and end the file with a trailing newline.
 
 The trajectory CSV has one row formatter, ``_snapshot_rows``, and two
 writers that run it.  ``write_trajectory_csv`` formats a finished trajectory
-in-process.  ``TrajectoryCsvStream`` forks a child (POSIX only) that formats
-the file on another CPU, fed one of two ways: frame by frame, each snapshot
-sent through a pipe as the grid route's march stores it; or from a finished
-trajectory the child holds from the fork, as the kernel route's CSV is
-written while the march runs.  All three write the same bytes.
+in-process.  ``TrajectoryCsvStream`` forks one formatter per CPU (POSIX
+only).  Formatter ``j`` of ``K`` formats snapshots ``j, j + K, ...``, all of
+them at once, and writes each in turn: a token passed round a ring of pipes
+keeps the rows in snapshot order.  The snapshots come one of two ways.  The
+grid route's march writes them, as it stores them, into one anonymous
+shared mapping that is also its trajectory's only copy, and posts one byte
+to the owning formatter per snapshot.  The kernel route's solution is
+finished before the fork, so every formatter holds it from the start.  All
+of these write the same bytes.
 
 Binary snapshot layout (all integers unsigned 32-bit little-endian, all
 floats 64-bit little-endian):
@@ -30,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import os
 import signal
 import struct
@@ -78,19 +83,14 @@ def write_trajectory_csv(path, trajectory, source="fdm"):
     """Long-format snapshot table: one row per (time, node, component).
 
     Formats in-process with the row formatter that ``TrajectoryCsvStream``'s
-    child runs, so both write the same bytes for the same snapshots.
+    formatters run, so both write the same bytes for the same snapshots.
     """
     values = np.asarray(trajectory.values)
     header, rows = _snapshot_rows(values.shape[2:], values.shape[1], source)
-    _write_rows(path, header, rows, zip(np.asarray(trajectory.times), values))
-
-
-def _write_rows(path, header, rows, snapshots):
-    """Write ``header``, then the rows of each ``(t, values)`` of ``snapshots``."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
-        for t, values in snapshots:
-            fh.writelines(rows(t, values))
+        for t, snapshot in zip(np.asarray(trajectory.times), values):
+            fh.writelines(rows(t, snapshot))
 
 
 def _close(*fds):
@@ -99,55 +99,119 @@ def _close(*fds):
             os.close(fd)
 
 
+def _write_all(fd, data):
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _pipe(read_ends, write_ends):
+    """A new pipe; its read end joins ``read_ends`` and its write end ``write_ends``."""
+    r, w = os.pipe()
+    read_ends.append(r)
+    write_ends.append(w)
+    return r, w
+
+
+def _create(path, header):
+    """Open ``path`` for the formatters and write the header into it."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        _write_all(fd, header.encode())
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
+#: exit status of a formatter whose snapshot or turn can no longer come,
+#: because another process of the stream failed first
+_CUT_OFF = 2
+
+
+class _CutOff(Exception):
+    pass
+
+
 class TrajectoryCsvStream:
-    """A trajectory CSV, formatted by a forked child.
+    """A trajectory CSV, formatted on every CPU by forked formatters.
 
-    The constructor forks a child that owns ``path`` and formats snapshots
-    of ``shape = (m, *grid)`` with the row formatter of
-    ``write_trajectory_csv``, so the file has the same bytes, on another
-    CPU.  The child gets its snapshots one of two ways:
+    ``shape`` is ``(snapshots, m, *grid)``.  The constructor writes the
+    header, then forks ``K`` formatters, one per CPU the process may run on
+    (``os.sched_getaffinity``) and at most one per snapshot.  Formatter
+    ``j`` formats snapshots ``j, j + K, ...`` with the row formatter of
+    ``write_trajectory_csv``, each while the others format theirs.  It
+    writes a snapshot once it holds the turn token, then passes the token
+    to the formatter of the next snapshot, round a ring of pipes.  All write
+    through the one file description opened here, so the file has the bytes
+    of ``write_trajectory_csv``.  The snapshots come one of two ways:
 
-    - by frames: each ``send(t, values)`` writes one fixed-size frame to a
-      pipe, ``t`` and then the snapshot's doubles;
+    - stored: ``times`` and ``values``, of shapes ``(snapshots,)`` and
+      ``shape``, live in one anonymous shared mapping and outlive the
+      stream.  The caller writes snapshot ``i`` into them, then calls
+      ``post(i)``, which writes one byte to the pipe of its formatter.  A
+      pipe holds 64 KiB, so ``post`` waits only when a formatter is 65 536
+      snapshots behind;
     - held: ``held``, a finished trajectory (``times`` and ``values``), is
-      the child's own copy from the fork, and no frame is sent.  The caller
-      may drop its reference to the values at once.
+      every formatter's own copy from the fork, and nothing is posted.  The
+      caller may drop its reference to the values at once.
 
     Used as a context manager, or closed by ``close``:
 
-    - ``close`` (or a clean exit) ends the frames, lets the child write the
-      last rows and reaps it; the file is then complete, and a later
-      exception leaves it in place;
-    - an exception before that kills and reaps the child and removes the
-      partial file;
-    - a failure in the child (it exits with status 1 and writes
-      ``Type: message`` to a second pipe) is raised as ``WriterError``,
-      from ``send`` or from ``close``, whichever sees it first.
+    - ``close`` (or a clean exit) waits for the formatters to write the last
+      rows and reaps them; the file is then complete, and a later exception
+      leaves it in place;
+    - an exception before that kills and reaps every formatter and removes
+      the partial file;
+    - a formatter that fails (it exits with status 1 and writes
+      ``Type: message`` to its status pipe) or dies is raised as
+      ``WriterError``, from ``post`` or from ``close``, whichever sees it
+      first, once every formatter has ended.  So is a failure to create the
+      file, after which no formatter is forked.
 
-    Needs POSIX ``fork``.  The child does no logging and leaves by
+    Needs POSIX ``fork``.  A formatter does no logging and leaves by
     ``os._exit``, so it never flushes the parent's stdio buffers.
     """
 
     def __init__(self, path, shape, source="fdm", held=None):
         self._path = Path(path)
         self._closed = False
-        header, rows = _snapshot_rows(shape[1:], shape[0], source)
-        frames_r = self._frames = None
+        header, rows = _snapshot_rows(shape[2:], shape[1], source)
         if held is None:
-            self._frame = np.empty(1 + math.prod(shape))
-            frames_r, self._frames = os.pipe()
-        self._status, status_w = os.pipe()
+            buffer = mmap.mmap(-1, 8 * shape[0] * (1 + math.prod(shape[1:])))
+            self.times = np.frombuffer(buffer, count=shape[0])
+            self.values = np.frombuffer(buffer, offset=8 * shape[0]).reshape(shape)
+            times, values = self.times, self.values
+        else:
+            times, values = np.asarray(held.times), np.asarray(held.values)
+        k = min(len(os.sched_getaffinity(0)), len(times))
+        self._pids, self._status, self._ready = [], [], []
+        self._cause = None
         try:
-            self._pid = os.fork()
-        except OSError:
-            _close(frames_r, self._frames, self._status, status_w)
+            given = [_create(self._path, header)]  # ends only the formatters keep
+        except OSError as exc:
+            self._cause = f"{type(exc).__name__}: {exc}"
+            return
+        try:
+            status = [_pipe(self._status, given) for _ in range(k)]
+            turns = [_pipe(given, given) for _ in range(k)]
+            ready = [_pipe(given, self._ready) if held is None else (None, None)
+                     for _ in range(k)]
+            if k:
+                os.write(turns[0][1], b"\0")     # snapshot 0 may be written first
+            for j in range(k):
+                pid = os.fork()
+                if pid == 0:
+                    own = (status[j][1], ready[j][0], turns[j][0],
+                           turns[(j + 1) % k][1], given[0])
+                    _format_stripe(own, given + self._status + self._ready,
+                                   rows, times, values, range(j, len(times), k))
+                self._pids.append(pid)
+        except BaseException:
+            self._discard()
             raise
-        if self._pid == 0:
-            _close(self._frames, self._status)
-            snapshots = (_read_frames(frames_r, shape) if held is None
-                         else zip(np.asarray(held.times), np.asarray(held.values)))
-            _format_in_child(status_w, self._path, header, rows, snapshots)
-        _close(frames_r, status_w)
+        finally:
+            _close(*given)
 
     def __enter__(self):
         return self
@@ -158,32 +222,24 @@ class TrajectoryCsvStream:
         elif not self._closed:
             self._discard()
 
-    def send(self, t, values):
-        """Send the snapshot ``values`` (of the stream's shape) at time ``t``.
-
-        Blocks while the pipe is full, that is while the child is a pipe's
-        worth of frames behind.
-        """
-        self._frame[0] = t
-        self._frame[1:] = np.ravel(values)
-        view = memoryview(self._frame).cast("B")
+    def post(self, i):
+        """Hand the stored snapshot ``i`` to its formatter."""
+        if self._cause is not None:
+            self._reap()
         try:
-            while view:
-                view = view[os.write(self._frames, view):]
+            os.write(self._ready[i % len(self._ready)], b"\0")
         except BrokenPipeError:
             self._reap()
             raise
 
     def close(self):
-        """Wait for the child to finish the file; ``WriterError`` if it failed.
+        """Wait for the formatters to finish the file; ``WriterError`` if one failed.
 
         Does nothing once the file is complete.
         """
         if self._closed:
             return
         try:
-            _close(self._frames)
-            self._frames = None
             self._reap()
         except BaseException:
             self._discard()
@@ -191,50 +247,75 @@ class TrajectoryCsvStream:
         self._closed = True
 
     def _reap(self):
-        """Wait for the child; raise ``WriterError`` unless it exited with 0."""
-        _, status = os.waitpid(self._pid, 0)
-        self._pid = None
-        with open(self._status, "rb") as fh:
-            self._status = None
-            cause = fh.read().decode("utf-8", "replace")
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
+        """Let every formatter end and reap it; ``WriterError`` unless all exit 0.
+
+        Closing the snapshot pipes ends a formatter that waits for a snapshot
+        never posted, and a formatter whose turn can never come ends too, so
+        the waits finish even after a failure.  The error names the first
+        formatter that failed on its own, not one that was cut off by it.
+        """
+        _close(*self._ready)
+        self._ready = []
+        failures = [] if self._cause is None else [(False, self._cause)]
+        for j, pid in enumerate(self._pids):
+            _, status = os.waitpid(pid, 0)
+            self._pids[j] = None
+            with open(self._status[j], "rb") as fh:
+                self._status[j] = None
+                cause = fh.read().decode("utf-8", "replace")
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                failures.append((code == _CUT_OFF, cause or f"exit code {code}"))
+        if failures:
             raise WriterError(f"trajectory writer for {self._path.name} failed: "
-                              + (cause or f"exit code {code}"))
+                              + min(failures, key=lambda f: f[0])[1])
 
     def _discard(self):
-        """Kill and reap the child if it still runs; remove the partial file."""
-        if self._pid is not None:
-            os.kill(self._pid, signal.SIGKILL)
-            os.waitpid(self._pid, 0)
-            self._pid = None
-        _close(self._frames, self._status)
-        self._frames = self._status = None
+        """Kill and reap every formatter still running; remove the partial file."""
+        for j, pid in enumerate(self._pids):
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                self._pids[j] = None
+        _close(*self._ready, *self._status)
+        self._ready, self._status = [], []
         if self._path.is_file():
             self._path.unlink()
 
 
-def _read_frames(frames_fd, shape):
-    """Yield ``(t, values)`` from each frame of the pipe, up to its end of file."""
-    size = 8 * (1 + math.prod(shape))
-    with open(frames_fd, "rb") as frames:
-        while frame := frames.read(size):
-            data = np.frombuffer(frame)
-            yield data[0], data[1:].reshape(shape)
+def _format_stripe(own, inherited, rows, times, values, stripe):
+    """Formatter side of ``TrajectoryCsvStream``: write the snapshots ``stripe``.
 
-
-def _format_in_child(status_fd, path, header, rows, snapshots):
-    """Child side of ``TrajectoryCsvStream``: write ``snapshots`` into ``path``.
-
-    Never returns: it leaves by ``os._exit``, with status 0 once every
-    snapshot is written, or status 1 after writing the cause of a failure
-    to ``status_fd``.
+    ``own`` holds the formatter's descriptors, ``(status_fd, ready_fd,
+    turn_fd, next_fd, out_fd)``; it closes every other one of
+    ``inherited``.  For each snapshot: wait for its byte on ``ready_fd``
+    (``None`` when the snapshots are held), format it, wait for the token
+    on ``turn_fd``, write the rows to ``out_fd`` and pass the token on
+    ``next_fd``.  Never returns: it leaves by ``os._exit``, with status 0
+    once the stripe is written, or after writing the cause of a failure to
+    ``status_fd`` with status ``_CUT_OFF`` when another process failed
+    first, 1 otherwise.
     """
+    status_fd, ready_fd, turn_fd, next_fd, out_fd = own
     code = 1
     try:
-        _write_rows(path, header, rows, snapshots)
+        _close(*(fd for fd in inherited if fd not in own))
+        for i in stripe:
+            if ready_fd is not None and not os.read(ready_fd, 1):
+                raise _CutOff(f"snapshot {i} was never stored")
+            text = "".join(rows(times[i], values[i])).encode()
+            if not os.read(turn_fd, 1):
+                raise _CutOff(f"the rows before snapshot {i} were never written")
+            _write_all(out_fd, text)
+            if i + 1 < stripe.stop:
+                try:
+                    os.write(next_fd, b"\0")
+                except BrokenPipeError:
+                    gone = f"the formatter of snapshot {i + 1} is gone"
+                    raise _CutOff(gone) from None
         code = 0
     except Exception as exc:  # noqa: BLE001 - the parent reports the cause
+        code = _CUT_OFF if isinstance(exc, _CutOff) else 1
         os.write(status_fd, f"{type(exc).__name__}: {exc}".encode())
     finally:
         os._exit(code)
@@ -268,7 +349,7 @@ def write_residuals_csv(path, residuals, test_ids=None):
 def write_snapshots(path, trajectory):
     """Binary dump of all stored snapshots of a run."""
     values = np.ascontiguousarray(np.asarray(trajectory.values, dtype="<f8"))
-    times = np.asarray(trajectory.times, dtype="<f8")
+    times = np.ascontiguousarray(np.asarray(trajectory.times, dtype="<f8"))
     grid = trajectory.grid
     n = grid.dimension
     m = values.shape[1]
@@ -279,8 +360,9 @@ def write_snapshots(path, trajectory):
         fh.write(struct.pack("<II", n, m))
         fh.write(struct.pack(f"<{1 + n}I", *counts))
         fh.write(struct.pack(f"<{2 * n}d", *bounds))
-        fh.write(times.tobytes())
-        fh.write(values.tobytes())
+        # the arrays are written through their buffers, never copied to bytes
+        fh.write(times)
+        fh.write(values)
 
 
 def read_snapshots(path):

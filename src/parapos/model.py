@@ -254,8 +254,10 @@ class CoefficientSet:
     ``diffusion(t, x, u)`` may return a shared ``(..., n, n)`` matrix or a
     per-component ``(..., m, n, n)`` stack, selected by
     ``per_component_diffusion``.  Evaluators must be pure: same inputs, same
-    bits.  When ``depends_on_gradient`` is False the source and drift ignore
-    ``p`` by contract and callers may pass zeros.  When
+    bits.  ``drift`` is ``None`` when the problem has no drift term; every
+    caller then reads the drift as zero without evaluating anything.  When
+    ``depends_on_gradient`` is False the source and drift ignore ``p`` by
+    contract and callers may pass zeros.  When
     ``constant_diffusion`` is True the diffusion returns the same matrices
     for every ``t``, ``x`` and ``u`` by contract, so solvers may evaluate it
     once and build their implicit operators once.
@@ -519,9 +521,8 @@ class ProblemSpec:
 def build_lv_problem(lv, domain, initial, horizon):
     """Wrap competition coefficients as a full problem spec.
 
-    The drift vanishes (a read-only zero view, so no call allocates),
-    diffusion is the per-species constant diagonal, and the source never
-    reads the gradient.
+    There is no drift (``drift=None``), diffusion is the per-species
+    constant diagonal, and the source never reads the gradient.
     """
     if initial.components != lv.species:
         raise SpecError(
@@ -537,15 +538,12 @@ def build_lv_problem(lv, domain, initial, horizon):
         batch = np.asarray(x).shape[:-1]
         return np.broadcast_to(_diag, batch + (m, n, n))
 
-    def drift(t, x, u, p):
-        return np.broadcast_to(0.0, np.asarray(x).shape[:-1] + (n,))
-
     def source(t, x, u, p, _lv=lv):
         return _lv.source(t, x, u)
 
     coeffs = CoefficientSet(
         diffusion=diffusion,
-        drift=drift,
+        drift=None,
         source=source,
         depends_on_gradient=False,
         per_component_diffusion=True,

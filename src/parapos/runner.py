@@ -4,14 +4,17 @@ A run works through its stages in this order: hypothesis checks; the
 kernel route, when ``dual_route`` is requested; the grid march; the
 requested analysis operations, the kernel-route cross-check among them.
 The kernel route runs before the march, while no other process of the run
-is alive.  A child forked then inherits the finished solution but no pipe
-of the grid route's writer, and formats the kernel CSV while the march runs.
-A kernel-route failure is raised at the cross-check, so a failed run has
-the verdicts, files and error it would have if the route ran there.  Every
-stage contributes a verdict under a named tag.  Verdicts are
-conditional in one direction only: when the hypothesis checks fail, failing
-conclusion checks are reported "inconclusive" rather than "violated",
-because nothing was promised for inputs outside the hypotheses.
+is alive.  Formatters forked then, one per CPU, inherit the finished
+solution but no pipe of the grid route's writer, and format the kernel CSV
+while the march runs.  The march stores each snapshot into the grid route's
+``TrajectoryCsvStream``, one shared buffer that is also the trajectory's
+values, and that stream's formatters write ``trajectory.csv`` beside it on
+every CPU.  A kernel-route failure is raised at the cross-check, so a
+failed run has the verdicts, files and error it would have if the route
+ran there.  Every stage contributes a verdict under a named tag.  Verdicts
+are conditional in one direction only: when the hypothesis checks fail,
+failing conclusion checks are reported "inconclusive" rather than
+"violated", because nothing was promised for inputs outside the hypotheses.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .analysis import (component_bound_mk, default_battery, detect_monotone,
 from .checker import run_checks
 from .duhamel import PicardConfig, picard_solve
 from .errors import NonConvergence, ParaposError, SpecError
-from .fdm import solve, solve_cauchy_nested
+from .fdm import solve, solve_cauchy_nested, stored_count
 from .io import (TrajectoryCsvStream, sha256_file, write_diagnostics_csv,
                  write_json, write_residuals_csv, write_snapshots)
 
@@ -171,13 +174,15 @@ class _KernelRoute:
     """The kernel route of a run that requests ``dual_route``, solved early.
 
     ``picard_solve`` runs while no other process of the run is alive.  Then,
-    if ``csv_path`` is given, a forked ``TrajectoryCsvStream`` formats the
-    solution it holds from the fork into that file while the parent
-    marches.  The parent keeps only what the verdict reads: the result cut
-    to its stored time nearest the cross-check time, with the counters.  A
-    Picard failure is held in ``error`` for ``_dual_route`` to raise.  Used
-    as a context manager: an exception before ``_dual_route`` closes the
-    writer kills it and removes its file.
+    if ``csv_path`` is given, a ``TrajectoryCsvStream`` forks its
+    formatters, one per CPU.  Each holds the solution from the fork, so
+    every snapshot is ready at once, and they write that file in snapshot
+    order while the parent marches.  The parent keeps only what the verdict
+    reads: the result cut to its stored time nearest the cross-check time,
+    with the counters.  A Picard failure is held in ``error`` for
+    ``_dual_route`` to raise.  Used as a context manager: an exception
+    before ``_dual_route`` closes the writer kills its formatters and
+    removes its file.
     """
 
     def __init__(self, problem, analysis, csv_path):
@@ -192,7 +197,7 @@ class _KernelRoute:
         self.result = replace(result, times=result.times[ip:ip + 1],
                               values=result.values[ip:ip + 1].copy())
         if csv_path is not None:
-            self.writer = TrajectoryCsvStream(csv_path, result.values.shape[1:],
+            self.writer = TrajectoryCsvStream(csv_path, result.values.shape,
                                               source="duhamel", held=result)
 
     def __enter__(self):
@@ -441,10 +446,11 @@ def run_scenario(config, out_dir=None, seed=None):
             logger.info("%s: solving (%s, dt=%g)", config.name, scheme.scheme,
                         scheme.dt)
             if "csv" in formats:
-                # a forked child formats trajectory.csv while the march runs
-                with TrajectoryCsvStream(out / "trajectory.csv",
-                                         problem.initial.values.shape) as stream:
-                    trajectory = solve(problem, scheme, on_store=stream.send)
+                # the march stores into the stream's shared buffer, and
+                # forked formatters write trajectory.csv while it runs
+                shape = (stored_count(problem, scheme), *problem.initial.values.shape)
+                with TrajectoryCsvStream(out / "trajectory.csv", shape) as stream:
+                    trajectory = solve(problem, scheme, sink=stream)
                 artifacts.add("trajectory.csv")
             else:
                 trajectory = solve(problem, scheme)

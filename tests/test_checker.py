@@ -71,7 +71,7 @@ def generic_problem(source, drift=None, diffusion=1.0, depends_on_gradient=False
 
 
 def counted(spec):
-    """``spec`` with its three evaluators wrapped in call counters."""
+    """``spec`` with each of its evaluators wrapped in a call counter."""
     calls = {"diffusion": 0, "drift": 0, "source": 0}
 
     def wrap(name):
@@ -82,7 +82,8 @@ def counted(spec):
             return evaluate(*args)
         return counting
 
-    coeffs = replace(spec.coefficients, **{name: wrap(name) for name in calls})
+    coeffs = replace(spec.coefficients, **{name: wrap(name) for name in calls
+                                           if getattr(spec.coefficients, name)})
     return replace(spec, coefficients=coeffs), calls
 
 
@@ -475,11 +476,23 @@ class TestRunChecks:
             return calls
 
         base = calls_for(coarse, SampleBudget())
-        # A1 and A6 read the diffusion, A4a and A6 the drift; A2, A2', A4b
-        # and A6 the source once each, and A7b once per species
-        assert base == {"diffusion": 2, "drift": 2, "source": 6}
+        # A1 and A6 read the diffusion; A2, A2', A4b and A6 the source once
+        # each, and A7b once per species; an LV problem has no drift to read
+        assert base == {"diffusion": 2, "drift": 0, "source": 6}
         assert calls_for(coarse, SampleBudget(t=10, x=10, u=8, p=6)) == base
         assert calls_for(fine, SampleBudget()) == base
+
+    def test_a4a_and_a6_read_a_drift_once_each_and_none_when_absent(self):
+        majorants = Majorants(theta1=lambda s: 1.0)
+        zero = generic_problem(source=lambda t, x, u, p: np.zeros_like(u))
+        absent = replace(zero, coefficients=replace(zero.coefficients, drift=None))
+        reports = []
+        for spec, drift_calls in ((zero, 2), (absent, 0)):
+            spec, calls = counted(spec)
+            reports.append(run_checks(spec, SampleBudget(), ["A4a", "A6"], majorants))
+            assert calls["drift"] == drift_calls
+        # a zero drift and no drift give the same entries, bit for bit
+        assert reports[0].to_json() == reports[1].to_json()
 
     def test_seed_changes_the_sample_set(self):
         spec = logistic_problem()

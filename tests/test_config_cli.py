@@ -593,12 +593,10 @@ def _assert_no_child_left():
 
 
 class TestStreamedTrajectory:
-    """trajectory.csv is formatted by a forked child while the march runs."""
+    """trajectory.csv is formatted by forked formatters while the march runs."""
 
     def test_the_2d_trajectory_has_the_rows_of_the_snapshots(self, tmp_path,
                                                              monkeypatch):
-        # 2 x 61 x 61 doubles make 59.5 kB frames, so the 64 KiB pipe holds
-        # at most one and the child reads most frames in more than one piece
         monkeypatch.delenv("PARAPOS_OUT", raising=False)
         assert main(["run", "S8_competition_2d", "--out", str(tmp_path)]) == 0
         out = tmp_path / "S8_competition_2d"
@@ -644,7 +642,7 @@ class TestStreamedTrajectory:
 
 
 class TestKernelRouteWriter:
-    """trajectory_duhamel.csv is formatted by a forked child during the march."""
+    """trajectory_duhamel.csv is formatted by forked formatters during the march."""
 
     @staticmethod
     def run(tmp_path, monkeypatch, data):

@@ -1,12 +1,15 @@
 import os
+import signal
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from oracles import trajectory_csv_reference
+from parapos import io
 from parapos.errors import SpecError, WriterError
-from parapos.fdm import StepReport, Trajectory
+from parapos.fdm import SchemeConfig, StepReport, Trajectory, solve, stored_count
 from parapos.io import (
     MAGIC,
     TrajectoryCsvStream,
@@ -19,6 +22,7 @@ from parapos.io import (
     write_trajectory_csv,
 )
 from parapos.model import Grid, SpatialDomain
+from parapos.scenarios import get_scenario
 
 
 def small_trajectory(dim=1):
@@ -40,13 +44,14 @@ def small_trajectory(dim=1):
                       positivity_dt_bound=np.inf, positivity_dt_ok=True)
 
 
-def special_values_case(shape, m):
-    """Times and values with every float repr corner at both ends."""
+def special_values_case(shape, m, count=4):
+    """``count`` times and values, every float repr corner at both ends."""
     rng = np.random.default_rng(len(shape) * 10 + m)
-    times = np.array([0.0, 1.0 / 3.0, 0.5, 1e16])
-    values = rng.normal(size=(len(times), m) + shape)
+    times = np.array([0.0, 1.0 / 3.0, 0.5, 1e16, 2.5, 1e-300, 7.0])[:count]
+    values = rng.normal(size=(count, m) + shape)
     flat = values.reshape(-1)
     special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 1.0 / 3.0]
+    special = special[:flat.size]
     flat[:len(special)] = special
     flat[-len(special):] = special[::-1]
     return times, values
@@ -109,143 +114,203 @@ class TestTrajectoryCsv:
             write_trajectory_csv(tmp_path / "traj.csv", traj)
 
 
+@pytest.fixture(params=[1, 2, 3])
+def cpus(request, monkeypatch):
+    """The formatter count, set through the CPU set the stream reads it from."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param
+
+
+def store_all(stream, times, values):
+    """Write every snapshot into the stream's buffer and post it, as the march does."""
+    for i, (t, snapshot) in enumerate(zip(times, values)):
+        stream.times[i], stream.values[i] = t, snapshot
+        stream.post(i)
+
+
+def write_stream(path, times, values, held, source="fdm"):
+    """The stream's file for ``(times, values)``, stored or held."""
+    if held:
+        trajectory = SimpleNamespace(times=times, values=values)
+        with TrajectoryCsvStream(path, values.shape, source=source, held=trajectory):
+            pass
+    else:
+        with TrajectoryCsvStream(path, values.shape, source=source) as stream:
+            store_all(stream, times, values)
+    assert_no_child_left()
+    return path.read_bytes()
+
+
 class TestTrajectoryCsvStream:
+    """Formatters on every CPU write the bytes of the in-process writer."""
+
+    @pytest.mark.parametrize("held", [False, True], ids=["stored", "held"])
     @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 2)])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_bytes_match_the_row_by_row_reference(self, tmp_path, shape, m):
-        times, values = special_values_case(shape, m)
-        path = tmp_path / "traj.csv"
-        with TrajectoryCsvStream(path, values.shape[1:]) as stream:
-            for t, snapshot in zip(times, values):
-                stream.send(t, snapshot)
-        assert_no_child_left()
-        expected = trajectory_csv_reference(times, values)
-        assert path.read_bytes() == expected.encode("utf-8")
+    def test_bytes_match_the_row_by_row_reference(self, tmp_path, cpus, shape, m,
+                                                  held):
+        # fewer snapshots than formatters, as many, and more than two rounds
+        for count in (1, 2, 3, 7):
+            times, values = special_values_case(shape, m, count)
+            source = "duhamel" if held else "fdm"
+            expected = trajectory_csv_reference(times, values, source=source)
+            got = write_stream(tmp_path / f"traj{count}.csv", times, values, held,
+                               source=source)
+            assert got == expected.encode("utf-8"), count
 
-    def test_frames_larger_than_the_pipe_buffer(self, tmp_path):
-        # 2 x 80 x 60 doubles: each 76.8 kB frame overflows a 64 KiB pipe,
-        # so the child reads every frame in more than one piece
-        times, values = special_values_case((80, 60), 2)
+    def test_the_trajectory_is_the_stream_buffer(self, tmp_path, cpus):
+        spec = get_scenario("S7_logistic_flat").build_problem()
+        scheme = SchemeConfig(dt=0.01, store_every=7)
+        shape = (stored_count(spec, scheme), *spec.initial.values.shape)
+        with TrajectoryCsvStream(tmp_path / "traj.csv", shape) as stream:
+            trajectory = solve(spec, scheme, sink=stream)
+        assert np.shares_memory(trajectory.values, stream.values)
+        assert np.shares_memory(trajectory.times, stream.times)
+        assert np.array_equal(trajectory.values, solve(spec, scheme).values)
+        expected = trajectory_csv_reference(trajectory.times, trajectory.values)
+        assert (tmp_path / "traj.csv").read_bytes() == expected.encode("utf-8")
+
+    def test_the_march_never_waits_for_a_stopped_formatter(self, tmp_path, cpus):
+        # every formatter is stopped, so none reads its pipe: storing must
+        # still finish, well inside the alarm
+        times = np.arange(2000.0)
+        values = np.random.default_rng(5).normal(size=(2000, 2, 3))
+
+        def too_slow(signum, frame):
+            raise TimeoutError("post waited for a stopped formatter")
+
         path = tmp_path / "traj.csv"
-        with TrajectoryCsvStream(path, values.shape[1:]) as stream:
-            for t, snapshot in zip(times, values):
-                stream.send(t, snapshot)
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        try:
+            with TrajectoryCsvStream(path, values.shape) as stream:
+                for pid in stream._pids:
+                    os.kill(pid, signal.SIGSTOP)
+                signal.setitimer(signal.ITIMER_REAL, 10.0)
+                try:
+                    store_all(stream, times, values)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0.0)
+                for pid in stream._pids:
+                    os.kill(pid, signal.SIGCONT)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
         assert path.read_bytes() == trajectory_csv_reference(times, values).encode()
+        assert_no_child_left()
 
-    def test_short_writes_are_completed(self, tmp_path, monkeypatch):
-        # a pipe write may take only part of a frame; the rest must follow
+    def test_short_writes_are_completed(self, tmp_path, monkeypatch, cpus):
+        # a write may take only part of the rows; the rest must follow
         real_write = os.write
         monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:1000]))
         times, values = special_values_case((3, 4), 2)
-        path = tmp_path / "traj.csv"
-        with TrajectoryCsvStream(path, values.shape[1:]) as stream:
-            for t, snapshot in zip(times, values):
-                stream.send(t, snapshot)
-        assert path.read_bytes() == trajectory_csv_reference(times, values).encode()
+        for held in (False, True):
+            got = write_stream(tmp_path / f"traj{held}.csv", times, values, held)
+            assert got == trajectory_csv_reference(times, values).encode()
 
-    def test_a_stream_with_no_frame_writes_the_header(self, tmp_path):
+    def test_a_stream_without_snapshots_writes_the_header(self, tmp_path):
         path = tmp_path / "traj.csv"
-        with TrajectoryCsvStream(path, (2, 3, 4)):
-            pass
+        write_stream(path, np.zeros(0), np.zeros((0, 2, 3, 4)), held=True)
         assert path.read_text() == "t,i,j,component,value,source\n"
 
-    def test_an_exception_kills_the_child_and_removes_the_file(self, tmp_path):
+    @pytest.mark.parametrize("held", [False, True], ids=["stored", "held"])
+    def test_an_exception_kills_every_formatter_and_removes_the_file(
+            self, tmp_path, cpus, held):
+        # 400 snapshots of 2 x 500 values keep the formatters busy; half are
+        # stored when the exception is raised
         path = tmp_path / "traj.csv"
+        times, values = np.arange(400.0), np.ones((400, 2, 500))
+        trajectory = SimpleNamespace(times=times, values=values) if held else None
         with pytest.raises(RuntimeError, match="march failed"):
-            with TrajectoryCsvStream(path, (2, 50)) as stream:
-                for t in range(100):
-                    stream.send(float(t), np.ones((2, 50)))
+            with TrajectoryCsvStream(path, values.shape, held=trajectory) as stream:
+                assert len(stream._pids) == cpus
+                if not held:
+                    store_all(stream, times[:200], values[:200])
                 raise RuntimeError("march failed")
         assert not path.exists()
         assert_no_child_left()
 
-    def test_a_snapshot_of_another_shape_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
+    def test_a_killed_formatter_is_a_writer_error(self, tmp_path, cpus, which):
         path = tmp_path / "traj.csv"
-        with pytest.raises(ValueError):
-            with TrajectoryCsvStream(path, (2, 5)) as stream:
-                stream.send(0.0, np.ones((2, 6)))
+        times, values = np.arange(60.0), np.ones((60, 2, 50))
+        with pytest.raises(WriterError, match="exit code -9"):
+            with TrajectoryCsvStream(path, values.shape) as stream:
+                os.kill(stream._pids[which], signal.SIGKILL)
+                store_all(stream, times, values)
         assert not path.exists()
         assert_no_child_left()
 
-    @pytest.mark.parametrize("frames", [1, 500])
-    def test_a_child_failure_names_its_cause(self, tmp_path, frames):
-        # one frame fits the pipe, so the clean exit sees the failure; 500
-        # frames of 8 kB do not, so a send meets the closed pipe first
+    @pytest.mark.parametrize("held", [False, True], ids=["stored", "held"])
+    def test_a_formatter_failure_names_its_cause(self, tmp_path, monkeypatch, cpus,
+                                                 held):
+        # the formatter of snapshot 4 fails; the others end, cut off or done
+        def failing_rows(shape, m, source):
+            header, rows = real_rows(shape, m, source)
+
+            def broken(t, values):
+                if t == 4.0:
+                    raise RuntimeError("cannot format snapshot 4")
+                return rows(t, values)
+            return header, broken
+
+        real_rows = io._snapshot_rows
+        monkeypatch.setattr(io, "_snapshot_rows", failing_rows)
         path = tmp_path / "traj.csv"
-        path.mkdir()
-        with pytest.raises(WriterError, match="IsADirectoryError"):
-            with TrajectoryCsvStream(path, (1, 1000)) as stream:
-                for t in range(frames):
-                    stream.send(float(t), np.zeros((1, 1000)))
-        assert path.is_dir()
-        assert_no_child_left()
-
-    def test_more_than_three_dimensions_rejected_before_forking(self, tmp_path):
-        with pytest.raises(SpecError):
-            TrajectoryCsvStream(tmp_path / "traj.csv", (1, 2, 2, 2, 2))
-        assert not (tmp_path / "traj.csv").exists()
-        assert_no_child_left()
-
-
-class TestTrajectoryCsvStreamHeld:
-    """The stream's child formats a finished trajectory it holds from the fork."""
-
-    @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 2)])
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_bytes_match_the_row_by_row_reference(self, tmp_path, shape, m):
-        times, values = special_values_case(shape, m)
-        path = tmp_path / "traj.csv"
-        held = SimpleNamespace(times=times, values=values)
-        with TrajectoryCsvStream(path, values.shape[1:], source="duhamel", held=held):
-            pass
-        assert_no_child_left()
-        expected = trajectory_csv_reference(times, values, source="duhamel")
-        assert path.read_bytes() == expected.encode("utf-8")
-
-    def test_the_caller_may_overwrite_its_values_after_the_fork(self, tmp_path):
-        times, values = special_values_case((3, 4), 2)
-        expected = trajectory_csv_reference(times, values, source="duhamel")
-        path = tmp_path / "traj.csv"
-        held = SimpleNamespace(times=times, values=values)
-        with TrajectoryCsvStream(path, values.shape[1:], source="duhamel", held=held):
-            values[:] = 0.0
-        assert path.read_bytes() == expected.encode("utf-8")
-
-    @pytest.mark.parametrize("snapshots", [1, 400])
-    def test_an_exception_kills_the_child_and_removes_the_file(self, tmp_path,
-                                                               snapshots):
-        # 400 snapshots of 2 x 500 values keep the child formatting for a
-        # while; one is written before the exception is raised
-        path = tmp_path / "traj.csv"
-        held = SimpleNamespace(times=np.arange(float(snapshots)),
-                               values=np.ones((snapshots, 2, 500)))
-        with pytest.raises(RuntimeError, match="march failed"):
-            with TrajectoryCsvStream(path, (2, 500), source="duhamel", held=held):
-                raise RuntimeError("march failed")
+        times, values = np.arange(9.0), np.ones((9, 2, 5))
+        with pytest.raises(WriterError, match="RuntimeError: cannot format snapshot 4"):
+            write_stream(path, times, values, held)
         assert not path.exists()
         assert_no_child_left()
 
-    def test_an_exception_after_close_keeps_the_complete_file(self, tmp_path):
+    def test_an_exception_after_close_keeps_the_complete_file(self, tmp_path, cpus):
         times, values = special_values_case((7,), 2)
         path = tmp_path / "traj.csv"
-        held = SimpleNamespace(times=times, values=values)
         with pytest.raises(RuntimeError, match="later stage failed"):
-            with TrajectoryCsvStream(path, values.shape[1:], held=held) as stream:
+            with TrajectoryCsvStream(path, values.shape) as stream:
+                store_all(stream, times, values)
                 stream.close()
                 stream.close()
                 raise RuntimeError("later stage failed")
         assert path.read_bytes() == trajectory_csv_reference(times, values).encode()
         assert_no_child_left()
 
-    def test_a_child_failure_names_its_cause(self, tmp_path):
+    @pytest.mark.parametrize("held", [False, True], ids=["stored", "held"])
+    def test_a_file_that_cannot_be_created_names_its_cause(self, tmp_path, held):
+        # the first post raises, or the close when nothing is posted; no
+        # formatter was forked
         path = tmp_path / "traj.csv"
         path.mkdir()
-        held = SimpleNamespace(times=np.zeros(1), values=np.zeros((1, 1, 3)))
+        times, values = np.arange(3.0), np.ones((3, 1, 3))
         with pytest.raises(WriterError, match="IsADirectoryError"):
-            with TrajectoryCsvStream(path, (1, 3), held=held):
-                pass
+            write_stream(path, times, values, held)
         assert path.is_dir()
         assert_no_child_left()
+
+    def test_a_sink_of_another_shape_is_refused(self, tmp_path):
+        spec = get_scenario("S7_logistic_flat").build_problem()
+        scheme = SchemeConfig(dt=0.01, store_every=7)
+        shape = (stored_count(spec, scheme) + 1, *spec.initial.values.shape)
+        path = tmp_path / "traj.csv"
+        with pytest.raises(SpecError, match="the sink holds snapshots of shape"):
+            with TrajectoryCsvStream(path, shape) as stream:
+                solve(spec, scheme, sink=stream)
+        assert not path.exists()
+        assert_no_child_left()
+
+    def test_more_than_three_dimensions_rejected_before_forking(self, tmp_path):
+        with pytest.raises(SpecError):
+            TrajectoryCsvStream(tmp_path / "traj.csv", (1, 1, 2, 2, 2, 2))
+        assert not (tmp_path / "traj.csv").exists()
+        assert_no_child_left()
+
+    def test_the_caller_may_overwrite_held_values_after_the_fork(self, tmp_path,
+                                                                 cpus):
+        times, values = special_values_case((3, 4), 2)
+        expected = trajectory_csv_reference(times, values, source="duhamel")
+        path = tmp_path / "traj.csv"
+        held = SimpleNamespace(times=times, values=values)
+        with TrajectoryCsvStream(path, values.shape, source="duhamel", held=held):
+            values[:] = 0.0
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestDiagnosticsCsv:
@@ -289,6 +354,22 @@ class TestSnapshots:
         assert np.array_equal(times, traj.times)
         assert np.array_equal(values, traj.values)
         assert bounds == traj.grid.domain.bounds
+
+    def test_the_values_are_written_without_a_copy(self, tmp_path):
+        # a bytes copy of the stored values would be a second copy of the
+        # whole trajectory at the run's memory peak
+        traj = small_trajectory()
+        traj.values = np.random.default_rng(0).normal(size=(50, 2, 2000))
+        traj.times = np.arange(50.0)
+        path = tmp_path / "snap.bin"
+        tracemalloc.start()
+        try:
+            write_snapshots(path, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < traj.values.nbytes / 10
+        assert np.array_equal(read_snapshots(path)[1], traj.values)
 
     def test_magic_is_checked(self, tmp_path):
         path = tmp_path / "snap.bin"

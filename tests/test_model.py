@@ -337,28 +337,10 @@ def test_build_lv_problem_wires_diagonal_diffusion():
     coeffs = spec.coefficients
     x, u, p = np.array([0.5]), np.array([0.2, 0.1]), np.zeros((2, 1))
     a = coeffs.diffusion_matrices(0.0, x, u, 2)
-    b = coeffs.drift(0.0, x, u, p)
     c = coeffs.source(0.0, x, u, p)
     assert_allclose(a, [[[0.3]], [[0.7]]])
-    assert_allclose(b, [0.0])
+    assert coeffs.drift is None
     assert_allclose(c, [0.2 * (1 - 0.2), 0.1 * (1 - 0.1)], rtol=1e-14)
-
-
-def test_the_lv_drift_is_a_zero_view_that_allocates_no_grid():
-    g = Grid(SpatialDomain(((0.0, 1.0), (0.0, 1.0))), (201, 201))
-    lv = LVCoefficients(np.array([0.1]), (parse_coefficient(1.0),),
-                        ((parse_coefficient(1.0),),))
-    spec = build_lv_problem(lv, g.domain, Field.zeros(g, 1), horizon=1.0)
-    x = g.points
-    tracemalloc.start()
-    try:
-        b = spec.coefficients.drift(0.0, x, None, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert b.shape == (201, 201, 2)
-    assert not b.flags.writeable and not np.any(b)
-    assert peak < 8 * 201 * 201
 
 
 def test_problem_spec_rejects_bad_horizon_and_domain_mismatch():
