@@ -397,9 +397,10 @@ def step(state, t, dt, spec, config):
     return Field(grid, new), report
 
 
-def _make_report(index, t, old, new, dt, iterations=0, source_evals=1):
+def _make_report(index, t, old, new, dt, iterations=0, source_evals=1, low=None):
+    """The report of the step ``old -> new``; ``low``, if given, is ``new.min()``."""
     m = new.shape[0]
-    low = float(new.min())
+    low = float(new.min()) if low is None else low
     # reduce, then divide or take the root: both maps are monotone, so this
     # is the extreme of the mapped grid without building it
     dudt_min = float((new[0] - old[0]).min() / dt) if m >= 1 else float("nan")
@@ -508,10 +509,13 @@ def solve(spec, config, sink=None):
     for i in range(steps):
         counter = [0]
         new = advance(w, t, counter)
-        if not np.all(np.isfinite(new)):
+        # NaN reaches the minimum and an infinity the minimum or the maximum,
+        # so both are finite exactly when every value is
+        low = float(new.min())
+        if not (math.isfinite(low) and math.isfinite(float(new.max()))):
             raise SolverError(f"solution lost finiteness at step {i + 1} (t={t + dt:g})")
         reports.append(_make_report(i + 1, t + dt, w, new, dt, iterations=counter[0],
-                                    source_evals=source_evals))
+                                    source_evals=source_evals, low=low))
         w = new
         t += dt
         if (i + 1) % config.store_every == 0 or i + 1 == steps:

@@ -1,9 +1,13 @@
 """Readers and writers for run artifacts.
 
 Three CSV tables (trajectory, diagnostics, residuals), a little-endian binary
-snapshot container, and JSON helpers.  All writers format floats with
-``repr``, which round-trips doubles exactly and keeps repeated runs bitwise
-identical, and end the file with a trailing newline.
+snapshot container, and JSON helpers.  Every CSV float is byte-identical to
+its ``repr``, which round-trips doubles exactly and keeps repeated runs
+bitwise identical, and every file ends in a trailing newline.  The CSV
+writers take the tokens of a whole array from ``_tokens``: orjson's
+shortest digits, with ``repr`` itself for the non-finite values and the two
+magnitude bands where orjson's notation differs.  orjson is imported on
+that path only, so a run that writes no CSV never loads it.
 
 The trajectory CSV has one row formatter, ``_snapshot_rows``, and two
 writers that run it.  ``write_trajectory_csv`` formats a finished trajectory
@@ -49,34 +53,56 @@ MAGIC = b"PPOS1"
 _INDEX_NAMES = ("i", "j", "k")
 
 
-def _fmt(value):
-    return repr(float(value))
+def _tokens(a):
+    """The ``repr`` of every double of ``a``, in C order, as ASCII bytes.
+
+    orjson writes the shortest round-trip digits of a float64 array in one
+    call, and its digits are ``repr``'s.  Only its notation differs, on
+    values a mask selects with a margin: non-finite ones (``null``), those
+    from 1e16 on (``1e16``, not ``1e+16``) and those in [1e-9, 1e-4)
+    (``0.00001`` and ``1e-9``, not ``1e-05`` and ``1e-09``).  Those go
+    through ``repr`` itself.
+    """
+    import orjson  # deferred: only a CSV write needs it
+
+    a = np.ascontiguousarray(a, dtype=float).ravel()
+    if not a.size:
+        return []
+    tokens = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+    magnitude = np.abs(a)
+    # NaN compares false, so it falls out of ``magnitude < 1e15`` with the infinities
+    odd = ~(magnitude < 1e15) | ((magnitude > 0.9e-10) & (magnitude < 1.1e-4))
+    for i in np.flatnonzero(odd).tolist():
+        tokens[i] = repr(float(a[i])).encode()
+    return tokens
 
 
 def _snapshot_rows(shape, m, source):
     """The trajectory CSV's header line and the formatter of one snapshot.
 
-    ``rows(t, values)`` yields the rows of one stored time, ``values`` of
-    shape ``(m, *shape)``, one component block per string: the index columns
-    are built once per node and component, and only that block's values
-    become Python floats, so neither the whole array as Python objects nor
-    the whole file as text is ever held.
+    ``rows(t, values)`` returns the rows of one stored time, ``values`` of
+    shape ``(m, *shape)``, as bytes.  The rows are one template built here,
+    ``[t, ",<node>,<k>,", value, ",<source>\\n"]`` per value, whose time and
+    value slots each snapshot fills before one join, so neither the whole
+    array as Python objects nor the whole file as text is ever held.
     """
     if len(shape) > len(_INDEX_NAMES):
         raise SpecError("trajectory export supports up to three dimensions")
+    import orjson  # noqa: F401 - loaded here, before a stream forks its formatters
+
     header = ["t", *_INDEX_NAMES[:len(shape)], "component", "value", "source"]
     nodes = [",".join(map(str, ix)) for ix in np.ndindex(shape)]
-    middles = [[f",{node},{k}," for node in nodes] for k in range(m)]
-    tail = f",{source}\n"
+    tail = f",{source}\n".encode()
+    template = [part for k in range(m) for node in nodes
+                for part in (None, f",{node},{k},".encode(), None, tail)]
+    count = m * len(nodes)
 
     def rows(t, values):
-        t_str = _fmt(t)
-        for k in range(m):
-            block = np.asarray(values[k], dtype=float).ravel().tolist()
-            yield "".join([f"{t_str}{mid}{v!r}{tail}"
-                           for mid, v in zip(middles[k], block)])
+        template[0::4] = _tokens(t) * count
+        template[2::4] = _tokens(values)
+        return b"".join(template)
 
-    return ",".join(header) + "\n", rows
+    return (",".join(header) + "\n").encode(), rows
 
 
 def write_trajectory_csv(path, trajectory, source="fdm"):
@@ -87,10 +113,10 @@ def write_trajectory_csv(path, trajectory, source="fdm"):
     """
     values = np.asarray(trajectory.values)
     header, rows = _snapshot_rows(values.shape[2:], values.shape[1], source)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.write(header)
         for t, snapshot in zip(np.asarray(trajectory.times), values):
-            fh.writelines(rows(t, snapshot))
+            fh.write(rows(t, snapshot))
 
 
 def _close(*fds):
@@ -117,7 +143,7 @@ def _create(path, header):
     """Open ``path`` for the formatters and write the header into it."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        _write_all(fd, header.encode())
+        _write_all(fd, header)
     except BaseException:
         os.close(fd)
         raise
@@ -303,7 +329,7 @@ def _format_stripe(own, inherited, rows, times, values, stripe):
         for i in stripe:
             if ready_fd is not None and not os.read(ready_fd, 1):
                 raise _CutOff(f"snapshot {i} was never stored")
-            text = "".join(rows(times[i], values[i])).encode()
+            text = rows(times[i], values[i])
             if not os.read(turn_fd, 1):
                 raise _CutOff(f"the rows before snapshot {i} were never written")
             _write_all(out_fd, text)
@@ -321,15 +347,27 @@ def _format_stripe(own, inherited, rows, times, values, stripe):
         os._exit(code)
 
 
+#: step reports formatted per write of ``write_diagnostics_csv``, so its
+#: tokens stay under a megabyte however long the run
+_REPORTS_PER_WRITE = 512
+
+
 def write_diagnostics_csv(path, trajectory):
     """Per-step monitor table from the trajectory's step reports."""
     header = ["t", "min_value", "sup_norm", "negpart_norm", "dudt_min", "dvdt_max"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for r in trajectory.reports:
-            fh.write(",".join(_fmt(v) for v in (
-                r.t, r.min_value, r.sup_norm, r.negpart_norm,
-                r.dudt_min, r.dvdt_max)) + "\n")
+    width = len(header)
+    reports = trajectory.reports
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, len(reports), _REPORTS_PER_WRITE):
+            chunk = reports[start:start + _REPORTS_PER_WRITE]
+            tokens = _tokens([(r.t, r.min_value, r.sup_norm, r.negpart_norm,
+                               r.dudt_min, r.dvdt_max) for r in chunk])
+            # one separator after each token: a comma, or a newline after a row's last
+            parts = [b","] * (2 * len(tokens))
+            parts[0::2] = tokens
+            parts[2 * width - 1::2 * width] = [b"\n"] * len(chunk)
+            fh.write(b"".join(parts))
 
 
 def write_residuals_csv(path, residuals, test_ids=None):
@@ -339,11 +377,11 @@ def write_residuals_csv(path, residuals, test_ids=None):
         raise SpecError("residuals must form a (test, equation) matrix")
     if test_ids is None:
         test_ids = [f"bump{j}" for j in range(residuals.shape[0])]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("test_id,equation,residual\n")
-        for j, row in enumerate(residuals):
-            for eq, val in enumerate(row, start=1):
-                fh.write(f"{test_ids[j]},{eq},{_fmt(val)}\n")
+    prefixes = [f"{test_ids[j]},{eq},".encode() for j in range(residuals.shape[0])
+                for eq in range(1, residuals.shape[1] + 1)]
+    with open(path, "wb") as fh:
+        fh.write(b"test_id,equation,residual\n")
+        fh.write(b"".join([p + t + b"\n" for p, t in zip(prefixes, _tokens(residuals))]))
 
 
 def write_snapshots(path, trajectory):

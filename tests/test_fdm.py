@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from oracles import (
 from parapos.coefficients import build_initial_field
 from parapos.errors import (CoefficientError, DegenerateRefinement, NonConvergence,
                             SolverError, SpecError)
+from parapos import fdm
 from parapos.fdm import (
     SchemeConfig,
     _assemble_2d,
@@ -188,6 +190,34 @@ class TestSolve:
         assert "unstable" in str(err.value)
         traj = solve(spec, SchemeConfig(scheme="erk2", dt=4.9e-5))
         assert np.isfinite(traj.values).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 50, -1])
+    def test_a_non_finite_value_stops_the_march_at_its_step(self, monkeypatch,
+                                                            bad, where):
+        # step 3 leaves one value non-finite: the march raises there, with no
+        # warning on the way
+        real_stepper = fdm._stepper
+
+        def stepper(*args):
+            advance = real_stepper(*args)
+            steps = []
+
+            def spoilt(values, t, counter):
+                out = advance(values, t, counter)
+                steps.append(t)
+                if len(steps) == 3:
+                    out.flat[where] = bad
+                return out
+            return spoilt
+
+        monkeypatch.setattr(fdm, "_stepper", stepper)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError,
+                               match=r"lost finiteness at step 3 \(t=0\.03\)"):
+                solve(logistic_problem(horizon=1.0),
+                      SchemeConfig(scheme="imex_be", dt=0.01))
 
     def test_stability_gate_can_be_disabled(self):
         spec = heat_problem(n=101, horizon=5.25e-5)

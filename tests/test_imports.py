@@ -20,7 +20,7 @@ from parapos.scenarios import get_scenario
 SRC = str(Path(parapos.__file__).resolve().parents[1])
 
 DEFERRED = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
-            "scipy.sparse", "scipy.ndimage", "scipy.signal")
+            "scipy.sparse", "scipy.ndimage", "scipy.signal", "orjson")
 
 
 def after_cli_import(code, *args):
@@ -39,6 +39,37 @@ def test_importing_the_cli_leaves_the_deferred_subpackages_unloaded():
     loaded = after_cli_import(
         f"print(json.dumps([m for m in {DEFERRED!r} if m in sys.modules]))")
     assert loaded == []
+
+
+def _run_s4_writing(tmp_path, formats):
+    """The files a run of S4 with these output ``formats`` writes, and
+    whether ``orjson`` got loaded."""
+    data = get_scenario("S4_asymptotics").data
+    data["outputs"] = {"formats": formats}
+    path = tmp_path / "s4.json"
+    path.write_text(json.dumps(data))
+    code, files, loaded = after_cli_import("""
+import contextlib, os
+with contextlib.redirect_stdout(sys.stderr):
+    code = parapos.cli.main(['run', sys.argv[2], '--out', sys.argv[3]])
+files = sorted(os.listdir(os.path.join(sys.argv[3], 'S4_asymptotics')))
+print(json.dumps([code, files, 'orjson' in sys.modules]))
+""", str(path), str(tmp_path / "out"))
+    assert code == 0
+    return files, loaded
+
+
+def test_a_csv_write_loads_orjson(tmp_path):
+    files, loaded = _run_s4_writing(tmp_path, ["csv"])
+    assert {"trajectory.csv", "diagnostics.csv", "residuals.csv"} <= set(files)
+    assert loaded
+
+
+def test_a_binary_and_json_run_leaves_orjson_unloaded(tmp_path):
+    files, loaded = _run_s4_writing(tmp_path, ["binary", "json"])
+    assert "snapshots.bin" in files
+    assert not any(name.endswith(".csv") for name in files)
+    assert not loaded
 
 
 def test_the_gronwall_bound_of_s3_loads_scipy_integrate(tmp_path):

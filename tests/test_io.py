@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import trajectory_csv_reference
 from parapos import io
@@ -50,11 +52,65 @@ def special_values_case(shape, m, count=4):
     times = np.array([0.0, 1.0 / 3.0, 0.5, 1e16, 2.5, 1e-300, 7.0])[:count]
     values = rng.normal(size=(count, m) + shape)
     flat = values.reshape(-1)
-    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 1.0 / 3.0]
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 1.0 / 3.0,
+               1e-9, 1.5e-5, 9.999999999999999e-05, 1e17]
     special = special[:flat.size]
     flat[:len(special)] = special
     flat[-len(special):] = special[::-1]
     return times, values
+
+
+def repr_tokens(a):
+    return [repr(float(v)).encode() for v in np.asarray(a, dtype=float).ravel()]
+
+
+def with_neighbours(centres, count=3):
+    """``centres`` of both signs, each with its ``count`` nearest doubles either side."""
+    centres = np.concatenate([centres, -centres])
+    out = [centres]
+    for direction in (np.inf, -np.inf):
+        x = centres
+        for _ in range(count):
+            x = np.nextafter(x, direction)
+            out.append(x)
+    return np.concatenate(out)
+
+
+class TestTokens:
+    """Every CSV token is the ``repr`` of its double, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True), max_size=40))
+    def test_any_floats(self, xs):
+        assert io._tokens(np.array(xs, dtype=float)) == repr_tokens(xs)
+
+    def test_the_neighbours_of_every_power_of_ten_and_of_two(self):
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        values = with_neighbours(np.concatenate([tens, twos]))
+        assert io._tokens(values) == repr_tokens(values)
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(19)
+        bits = rng.integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False)
+        # raw patterns are mostly far outside [1e-12, 1e17]; these are not
+        spread = rng.uniform(-1.0, 1.0, 100_000) * 10.0 ** rng.uniform(-12, 17, 100_000)
+        for values in (bits.view(np.float64), spread):
+            assert io._tokens(values) == repr_tokens(values)
+
+    def test_the_mask_edges(self):
+        edges = np.array([1e-10, 1e-9, 1e-5, 9.999999999999999e-05, 1e-4,
+                          9.999999999999998e15, 1e15, 1e16, 0.9e-10, 1.1e-4])
+        values = with_neighbours(edges)
+        assert io._tokens(values) == repr_tokens(values)
+
+    def test_any_shape_in_c_order(self):
+        values = special_values_case((2, 3), 2, 2)[1]
+        assert io._tokens(values) == repr_tokens(values)
+        assert io._tokens(values[:, 1]) == repr_tokens(values[:, 1])
+        assert io._tokens(2.5) == [b"2.5"]
+        assert io._tokens(np.zeros((0, 6))) == []
 
 
 def assert_no_child_left():
@@ -323,6 +379,37 @@ class TestDiagnosticsCsv:
         assert len(lines) == 1 + len(traj.reports)
         assert lines[1].split(",")[1] == "-0.1"
 
+    def test_bytes_match_the_row_by_row_reference(self, tmp_path):
+        # more reports than one write takes, every token corner among them
+        corners = special_values_case((7,), 2)[1].ravel()
+        rng = np.random.default_rng(7)
+        fields = rng.normal(size=(1100, 6))
+        fields.ravel()[:corners.size] = corners
+        fields.ravel()[-corners.size:] = corners
+        reports = [StepReport(i, *row) for i, row in enumerate(fields.tolist())]
+        path = tmp_path / "diag.csv"
+        write_diagnostics_csv(path, SimpleNamespace(reports=reports))
+        expected = ["t,min_value,sup_norm,negpart_norm,dudt_min,dvdt_max"]
+        expected += [",".join(repr(v) for v in row) for row in fields.tolist()]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+    def test_no_report_writes_the_header(self, tmp_path):
+        path = tmp_path / "diag.csv"
+        write_diagnostics_csv(path, SimpleNamespace(reports=[]))
+        assert path.read_text() == "t,min_value,sup_norm,negpart_norm,dudt_min,dvdt_max\n"
+
+    def test_the_tokens_of_a_long_run_are_never_all_held(self, tmp_path):
+        # formatting all 10 000 reports at once peaks near 15 MB
+        reports = [StepReport(i, 0.005 * i, -0.1, 1.0 + i, 0.1, -1e-9, 1e-9)
+                   for i in range(10_000)]
+        tracemalloc.start()
+        try:
+            write_diagnostics_csv(tmp_path / "diag.csv", SimpleNamespace(reports=reports))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
 
 class TestResidualsCsv:
     def test_default_ids_and_equation_numbering(self, tmp_path):
@@ -333,6 +420,15 @@ class TestResidualsCsv:
         assert lines[1] == "bump0,1,1e-05"
         assert lines[2] == "bump0,2,-2e-05"
         assert lines[3].startswith("bump1,1,")
+
+    def test_bytes_match_the_row_by_row_reference(self, tmp_path):
+        residuals = special_values_case((3,), 2)[1].reshape(6, 4)
+        path = tmp_path / "residuals.csv"
+        write_residuals_csv(path, residuals)
+        expected = ["test_id,equation,residual"]
+        expected += [f"bump{j},{eq + 1},{v!r}" for j, row in enumerate(residuals.tolist())
+                     for eq, v in enumerate(row)]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
     def test_explicit_ids(self, tmp_path):
         path = tmp_path / "residuals.csv"
