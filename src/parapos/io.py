@@ -3,7 +3,7 @@
 Three CSV tables (trajectory, diagnostics, residuals), a little-endian binary
 snapshot container, and JSON helpers.  Every CSV float is byte-identical to
 its ``repr``, which round-trips doubles exactly and keeps repeated runs
-bitwise identical, and every file ends in a trailing newline.  The CSV
+bitwise identical, and every text file ends in a newline.  The CSV
 writers take the tokens of a whole array from ``_tokens``: orjson's
 shortest digits, with ``repr`` itself for the non-finite values and the two
 magnitude bands where orjson's notation differs.  orjson is imported on
@@ -348,8 +348,8 @@ def _format_stripe(own, inherited, rows, times, values, stripe):
 
 
 #: step reports formatted per write of ``write_diagnostics_csv``, so its
-#: tokens stay under a megabyte however long the run
-_REPORTS_PER_WRITE = 512
+#: tokens stay near 0.2 MB however long the run
+_REPORTS_PER_WRITE = 128
 
 
 def write_diagnostics_csv(path, trajectory):

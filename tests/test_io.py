@@ -408,7 +408,7 @@ class TestDiagnosticsCsv:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2e6
+        assert peak < 1e6
 
 
 class TestResidualsCsv:
