@@ -7,8 +7,7 @@ provenance flag ``sampled, not proven``.
 
 Checked assumptions, by id:
 
-* ``A1``        uniform parabolicity (smallest diffusion eigenvalue positive),
-                plus envelope bounds when majorants are supplied
+* ``A1``        uniform parabolicity (smallest diffusion eigenvalue positive)
 * ``A2``        dissipativity (c, u) <= d1 + d2 |u|^2 on the full state box
 * ``A2'``       the same restricted to the non-negative orthant
 * ``A4a``       drift growth |b_i| <= theta1(|u|) (1 + |p|)
@@ -21,9 +20,6 @@ Checked assumptions, by id:
                 two-species coefficients
 * ``InitMonotone``    the discrete initial-slope conditions driving the
                 monotone-convergence result
-
-The smoothness assumptions (Hoelder regularity, id ``A5``) are analytic and
-cannot be sampled; they are reported ``not_applicable`` with a note.
 
 Sampling is prefix-nested: enlarging a budget extends the sample set, so a
 failed check can never turn into a pass under refinement.
@@ -41,7 +37,7 @@ from .model import second_difference
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
 ASSUMPTION_IDS = (
-    "A1", "A2", "A2'", "A4a", "A4b", "A5", "A6", "A7a", "A7b",
+    "A1", "A2", "A2'", "A4a", "A4b", "A6", "A7a", "A7b",
     "MonotoneCoeffs", "InitMonotone",
 )
 
@@ -253,41 +249,19 @@ def _witness(t=None, x=None, u=None, p=None):
 
 # ------------------------------------------------------------------- checks
 
-def check_parabolicity(spec, budget, majorants=None):
+def check_parabolicity(spec, budget):
     """A1: the diffusion eigenvalues stay positive over the sampled region."""
     t, x, u, _ = _region_samples(spec, budget, with_p=False)
     a = spec.coefficients.diffusion_matrices(t, x, u, spec.components)
-    eig = np.linalg.eigvalsh(a)
-    lam_min = eig[..., 0]
-    lam_max = eig[..., -1]
+    lam_min = np.linalg.eigvalsh(a)[..., 0]
     kappa_hat = float(lam_min.min())
     i_min, k_min = np.unravel_index(int(lam_min.argmin()), lam_min.shape)
-    margin = kappa_hat
-    note = ""
-    status = "pass" if kappa_hat > 0.0 else "fail"
-    details = {"kappa_hat": kappa_hat}
-    if majorants is not None and (majorants.mu is not None or majorants.mu_hat is not None):
-        s = np.sqrt((u * u).sum(axis=1))
-        if majorants.mu is not None:
-            upper = np.asarray([majorants.mu(v) for v in s], dtype=float)
-            env_hi = float((upper[:, None] - lam_max).min())
-            details["upper_envelope_margin"] = env_hi
-            margin = min(margin, env_hi)
-        if majorants.mu_hat is not None:
-            lower = np.asarray([majorants.mu_hat(v) for v in s], dtype=float)
-            env_lo = float((lam_min - lower[:, None]).min())
-            details["lower_envelope_margin"] = env_lo
-            margin = min(margin, env_lo)
-        if margin < -_TOL_SIGN:
-            status = "fail"
-            note = "envelope violated"
     entry = CheckEntry(
         assumption="A1",
-        status=status,
-        margin=margin,
+        status="pass" if kappa_hat > 0.0 else "fail",
+        margin=kappa_hat,
         witness=_witness(t[i_min], x[i_min], u[i_min]),
-        note=note,
-        details=details,
+        details={"kappa_hat": kappa_hat},
     )
     return entry, kappa_hat
 
@@ -655,7 +629,7 @@ def run_checks(spec, budget, requested, majorants=None, compat_factor=COMPAT_FAC
     want = set(requested)
 
     if "A1" in want:
-        e, kappa = check_parabolicity(spec, budget, majorants)
+        e, kappa = check_parabolicity(spec, budget)
         entries.append(e)
     if "A2" in want:
         e, _, _ = check_dissipativity(spec, budget, "A2", majorants)
@@ -667,11 +641,6 @@ def run_checks(spec, budget, requested, majorants=None, compat_factor=COMPAT_FAC
         for e in check_growth(spec, budget, majorants):
             if e.assumption in want:
                 entries.append(e)
-    if "A5" in want:
-        entries.append(CheckEntry(
-            "A5", "not_applicable",
-            note="regularity of coefficients is analytic and cannot be sampled",
-        ))
     if "A6" in want:
         entries.append(check_compatibility(spec, compat_factor=compat_factor))
     if "A7a" in want or "A7b" in want:

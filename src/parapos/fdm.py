@@ -469,8 +469,8 @@ def solve(spec, config, sink=None):
     :func:`stored_count` rows, and the trajectory keeps those arrays.
     ``sink``, when given, owns them: ``sink.times`` and ``sink.values``, of
     shapes ``(stored,)`` and ``(stored, m, *grid.shape)``.  After writing
-    snapshot ``i`` the march calls ``sink.post(i)``, so a consumer can work
-    on it while the march goes on; a posted snapshot is never written again.
+    each snapshot the march calls ``sink.post()``, so a consumer can work on
+    it while the march goes on; a posted snapshot is never written again.
     """
     grid = spec.initial.grid
     spec.initial.validate()
@@ -499,7 +499,7 @@ def solve(spec, config, sink=None):
                             f"the march stores {shape}")
     times[0], values[0] = 0.0, w
     if sink is not None:
-        sink.post(0)
+        sink.post()
     stored = 0
 
     source_evals = 2 if config.scheme == "erk2" else 1
@@ -522,7 +522,7 @@ def solve(spec, config, sink=None):
             stored += 1
             times[stored], values[stored] = t, w
             if sink is not None:
-                sink.post(stored)
+                sink.post()
     return Trajectory(
         grid=grid,
         scheme=config.scheme,

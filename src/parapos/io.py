@@ -11,15 +11,13 @@ that path only, so a run that writes no CSV never loads it.
 
 The trajectory CSV has one row formatter, ``_snapshot_rows``, and two
 writers that run it.  ``write_trajectory_csv`` formats a finished trajectory
-in-process.  ``TrajectoryCsvStream`` forks one formatter per CPU (POSIX
-only).  Formatter ``j`` of ``K`` formats snapshots ``j, j + K, ...``, all of
-them at once, and writes each in turn: a token passed round a ring of pipes
-keeps the rows in snapshot order.  The snapshots come one of two ways.  The
-grid route's march writes them, as it stores them, into one anonymous
-shared mapping that is also its trajectory's only copy, and posts one byte
-to the owning formatter per snapshot.  The kernel route's solution is
-finished before the fork, so every formatter holds it from the start.  All
-of these write the same bytes.
+in-process.  ``TrajectoryCsvStream`` forks one formatter (POSIX only), which
+formats and writes the snapshots in order beside the process that makes
+them.  The snapshots come one of two ways.  The grid route's march writes
+them, as it stores them, into one anonymous shared mapping that is also its
+trajectory's only copy, and posts one byte to the formatter per snapshot.
+The kernel route's solution is finished before the fork, so the formatter
+holds it from the start.  Both write the same bytes.
 
 Binary snapshot layout (all integers unsigned 32-bit little-endian, all
 floats 64-bit little-endian):
@@ -88,7 +86,7 @@ def _snapshot_rows(shape, m, source):
     """
     if len(shape) > len(_INDEX_NAMES):
         raise SpecError("trajectory export supports up to three dimensions")
-    import orjson  # noqa: F401 - loaded here, before a stream forks its formatters
+    import orjson  # noqa: F401 - loaded here, before a stream forks its formatter
 
     header = ["t", *_INDEX_NAMES[:len(shape)], "component", "value", "source"]
     nodes = [",".join(map(str, ix)) for ix in np.ndindex(shape)]
@@ -109,7 +107,7 @@ def write_trajectory_csv(path, trajectory, source="fdm"):
     """Long-format snapshot table: one row per (time, node, component).
 
     Formats in-process with the row formatter that ``TrajectoryCsvStream``'s
-    formatters run, so both write the same bytes for the same snapshots.
+    formatter runs, so both write the same bytes for the same snapshots.
     """
     values = np.asarray(trajectory.values)
     header, rows = _snapshot_rows(values.shape[2:], values.shape[1], source)
@@ -131,16 +129,8 @@ def _write_all(fd, data):
         view = view[os.write(fd, view):]
 
 
-def _pipe(read_ends, write_ends):
-    """A new pipe; its read end joins ``read_ends`` and its write end ``write_ends``."""
-    r, w = os.pipe()
-    read_ends.append(r)
-    write_ends.append(w)
-    return r, w
-
-
 def _create(path, header):
-    """Open ``path`` for the formatters and write the header into it."""
+    """Open ``path`` for the formatter and write the header into it."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
         _write_all(fd, header)
@@ -150,52 +140,39 @@ def _create(path, header):
     return fd
 
 
-#: exit status of a formatter whose snapshot or turn can no longer come,
-#: because another process of the stream failed first
-_CUT_OFF = 2
-
-
-class _CutOff(Exception):
-    pass
-
-
 class TrajectoryCsvStream:
-    """A trajectory CSV, formatted on every CPU by forked formatters.
+    """A trajectory CSV, formatted by one forked formatter beside its producer.
 
     ``shape`` is ``(snapshots, m, *grid)``.  The constructor writes the
-    header, then forks ``K`` formatters, one per CPU the process may run on
-    (``os.sched_getaffinity``) and at most one per snapshot.  Formatter
-    ``j`` formats snapshots ``j, j + K, ...`` with the row formatter of
-    ``write_trajectory_csv``, each while the others format theirs.  It
-    writes a snapshot once it holds the turn token, then passes the token
-    to the formatter of the next snapshot, round a ring of pipes.  All write
-    through the one file description opened here, so the file has the bytes
-    of ``write_trajectory_csv``.  The snapshots come one of two ways:
+    header, then forks one formatter.  It formats the snapshots in order
+    with the row formatter of ``write_trajectory_csv`` and writes them
+    through the file description opened here, so the file has the bytes of
+    ``write_trajectory_csv``.  The snapshots come one of two ways:
 
     - stored: ``times`` and ``values``, of shapes ``(snapshots,)`` and
       ``shape``, live in one anonymous shared mapping and outlive the
-      stream.  The caller writes snapshot ``i`` into them, then calls
-      ``post(i)``, which writes one byte to the pipe of its formatter.  A
-      pipe holds 64 KiB, so ``post`` waits only when a formatter is 65 536
-      snapshots behind;
+      stream.  The caller writes each snapshot into them in order, then
+      calls ``post()``, which writes one byte to the formatter's pipe.  A
+      pipe holds 64 KiB, so ``post`` waits only when the formatter is
+      65 536 snapshots behind;
     - held: ``held``, a finished trajectory (``times`` and ``values``), is
-      every formatter's own copy from the fork, and nothing is posted.  The
+      the formatter's own copy from the fork, and nothing is posted.  The
       caller may drop its reference to the values at once.
 
     Used as a context manager, or closed by ``close``:
 
-    - ``close`` (or a clean exit) waits for the formatters to write the last
-      rows and reaps them; the file is then complete, and a later exception
+    - ``close`` (or a clean exit) waits for the formatter to write the last
+      rows and reaps it; the file is then complete, and a later exception
       leaves it in place;
-    - an exception before that kills and reaps every formatter and removes
+    - an exception before that kills and reaps the formatter and removes
       the partial file;
     - a formatter that fails (it exits with status 1 and writes
       ``Type: message`` to its status pipe) or dies is raised as
       ``WriterError``, from ``post`` or from ``close``, whichever sees it
-      first, once every formatter has ended.  So is a failure to create the
-      file, after which no formatter is forked.
+      first, once it has ended.  So is a failure to create the file, after
+      which no formatter is forked.
 
-    Needs POSIX ``fork``.  A formatter does no logging and leaves by
+    Needs POSIX ``fork``.  The formatter does no logging and leaves by
     ``os._exit``, so it never flushes the parent's stdio buffers.
     """
 
@@ -210,29 +187,23 @@ class TrajectoryCsvStream:
             times, values = self.times, self.values
         else:
             times, values = np.asarray(held.times), np.asarray(held.values)
-        k = min(len(os.sched_getaffinity(0)), len(times))
-        self._pids, self._status, self._ready = [], [], []
-        self._cause = None
+        self._pid = self._status = self._ready = self._cause = None
         try:
-            given = [_create(self._path, header)]  # ends only the formatters keep
+            given = [_create(self._path, header)]  # ends only the formatter keeps
         except OSError as exc:
             self._cause = f"{type(exc).__name__}: {exc}"
             return
         try:
-            status = [_pipe(self._status, given) for _ in range(k)]
-            turns = [_pipe(given, given) for _ in range(k)]
-            ready = [_pipe(given, self._ready) if held is None else (None, None)
-                     for _ in range(k)]
-            if k:
-                os.write(turns[0][1], b"\0")     # snapshot 0 may be written first
-            for j in range(k):
-                pid = os.fork()
-                if pid == 0:
-                    own = (status[j][1], ready[j][0], turns[j][0],
-                           turns[(j + 1) % k][1], given[0])
-                    _format_stripe(own, given + self._status + self._ready,
-                                   rows, times, values, range(j, len(times), k))
-                self._pids.append(pid)
+            self._status, status = os.pipe()
+            given.append(status)
+            ready = None
+            if held is None:
+                ready, self._ready = os.pipe()
+                given.append(ready)
+            self._pid = os.fork()
+            if self._pid == 0:
+                _format_snapshots((status, ready, given[0]), (self._status, self._ready),
+                                  rows, times, values)
         except BaseException:
             self._discard()
             raise
@@ -248,18 +219,18 @@ class TrajectoryCsvStream:
         elif not self._closed:
             self._discard()
 
-    def post(self, i):
-        """Hand the stored snapshot ``i`` to its formatter."""
+    def post(self):
+        """Hand the next stored snapshot to the formatter."""
         if self._cause is not None:
             self._reap()
         try:
-            os.write(self._ready[i % len(self._ready)], b"\0")
+            os.write(self._ready, b"\0")
         except BrokenPipeError:
             self._reap()
             raise
 
     def close(self):
-        """Wait for the formatters to finish the file; ``WriterError`` if one failed.
+        """Wait for the formatter to finish the file; ``WriterError`` if it failed.
 
         Does nothing once the file is complete.
         """
@@ -273,75 +244,59 @@ class TrajectoryCsvStream:
         self._closed = True
 
     def _reap(self):
-        """Let every formatter end and reap it; ``WriterError`` unless all exit 0.
+        """Let the formatter end and reap it; ``WriterError`` unless it exits 0.
 
-        Closing the snapshot pipes ends a formatter that waits for a snapshot
-        never posted, and a formatter whose turn can never come ends too, so
-        the waits finish even after a failure.  The error names the first
-        formatter that failed on its own, not one that was cut off by it.
+        Closing the snapshot pipe ends a formatter that waits for a snapshot
+        never posted, so the wait finishes even after a failure.
         """
-        _close(*self._ready)
-        self._ready = []
-        failures = [] if self._cause is None else [(False, self._cause)]
-        for j, pid in enumerate(self._pids):
-            _, status = os.waitpid(pid, 0)
-            self._pids[j] = None
-            with open(self._status[j], "rb") as fh:
-                self._status[j] = None
+        _close(self._ready)
+        self._ready = None
+        if self._pid is not None:
+            _, status = os.waitpid(self._pid, 0)
+            self._pid = None
+            with open(self._status, "rb") as fh:
+                self._status = None
                 cause = fh.read().decode("utf-8", "replace")
             code = os.waitstatus_to_exitcode(status)
             if code != 0:
-                failures.append((code == _CUT_OFF, cause or f"exit code {code}"))
-        if failures:
+                self._cause = cause or f"exit code {code}"
+        if self._cause is not None:
             raise WriterError(f"trajectory writer for {self._path.name} failed: "
-                              + min(failures, key=lambda f: f[0])[1])
+                              + self._cause)
 
     def _discard(self):
-        """Kill and reap every formatter still running; remove the partial file."""
-        for j, pid in enumerate(self._pids):
-            if pid is not None:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                self._pids[j] = None
-        _close(*self._ready, *self._status)
-        self._ready, self._status = [], []
+        """Kill and reap the formatter if it still runs; remove the partial file."""
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            os.waitpid(self._pid, 0)
+            self._pid = None
+        _close(self._ready, self._status)
+        self._ready = self._status = None
         if self._path.is_file():
             self._path.unlink()
 
 
-def _format_stripe(own, inherited, rows, times, values, stripe):
-    """Formatter side of ``TrajectoryCsvStream``: write the snapshots ``stripe``.
+def _format_snapshots(own, parents, rows, times, values):
+    """Formatter side of ``TrajectoryCsvStream``: write every snapshot in order.
 
     ``own`` holds the formatter's descriptors, ``(status_fd, ready_fd,
-    turn_fd, next_fd, out_fd)``; it closes every other one of
-    ``inherited``.  For each snapshot: wait for its byte on ``ready_fd``
-    (``None`` when the snapshots are held), format it, wait for the token
-    on ``turn_fd``, write the rows to ``out_fd`` and pass the token on
-    ``next_fd``.  Never returns: it leaves by ``os._exit``, with status 0
-    once the stripe is written, or after writing the cause of a failure to
-    ``status_fd`` with status ``_CUT_OFF`` when another process failed
-    first, 1 otherwise.
+    out_fd)``; it first closes ``parents``, the parent's ends of its pipes.
+    For each snapshot: wait for its byte on ``ready_fd`` (``None`` when the
+    snapshots are held), then format it and write the rows to ``out_fd``.
+    Never returns: it leaves by ``os._exit``, with status 0 once every
+    snapshot is written, or 1 after writing the cause of a failure to
+    ``status_fd``.
     """
-    status_fd, ready_fd, turn_fd, next_fd, out_fd = own
+    status_fd, ready_fd, out_fd = own
     code = 1
     try:
-        _close(*(fd for fd in inherited if fd not in own))
-        for i in stripe:
+        _close(*parents)
+        for i in range(len(times)):
             if ready_fd is not None and not os.read(ready_fd, 1):
-                raise _CutOff(f"snapshot {i} was never stored")
-            text = rows(times[i], values[i])
-            if not os.read(turn_fd, 1):
-                raise _CutOff(f"the rows before snapshot {i} were never written")
-            _write_all(out_fd, text)
-            if i + 1 < stripe.stop:
-                try:
-                    os.write(next_fd, b"\0")
-                except BrokenPipeError:
-                    gone = f"the formatter of snapshot {i + 1} is gone"
-                    raise _CutOff(gone) from None
+                raise EOFError(f"snapshot {i} was never stored")
+            _write_all(out_fd, rows(times[i], values[i]))
         code = 0
     except Exception as exc:  # noqa: BLE001 - the parent reports the cause
-        code = _CUT_OFF if isinstance(exc, _CutOff) else 1
         os.write(status_fd, f"{type(exc).__name__}: {exc}".encode())
     finally:
         os._exit(code)

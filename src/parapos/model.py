@@ -351,15 +351,6 @@ class LVCoefficients:
     def species(self):
         return self.diffusion.shape[0]
 
-    @classmethod
-    def two_species(cls, d1, d2, beta, gamma, delta, rho, sigma, theta):
-        """Build the 2-species system from the classical symbol set."""
-        return cls(
-            diffusion=np.array([d1, d2], dtype=float),
-            growth=(beta, rho),
-            interaction=((gamma, delta), (sigma, theta)),
-        )
-
     # classical-symbol views for the two-species case
     def _alias(self, row, col=None):
         if self.species != 2:
@@ -466,8 +457,6 @@ class Majorants:
     pieces a given check needs have to be present.
     """
 
-    mu: object | None = None
-    mu_hat: object | None = None
     theta1: object | None = None
     theta2: object | None = None
     d1: float | None = None
@@ -478,16 +467,6 @@ class Majorants:
             val = getattr(self, name)
             if val is not None and val < 0:
                 raise SpecError(f"{name} must be non-negative")
-        # sampled shape constraints: mu non-decreasing, mu_hat non-increasing
-        s = np.linspace(0.0, 10.0, 41)
-        if self.mu is not None:
-            vals = np.asarray([self.mu(v) for v in s], dtype=float)
-            if np.any(np.diff(vals) < -1e-12):
-                raise SpecError("mu must be non-decreasing on sampled arguments")
-        if self.mu_hat is not None:
-            vals = np.asarray([self.mu_hat(v) for v in s], dtype=float)
-            if np.any(np.diff(vals) > 1e-12):
-                raise SpecError("mu_hat must be non-increasing on sampled arguments")
 
 
 @dataclass

@@ -4,17 +4,17 @@ A run works through its stages in this order: hypothesis checks; the
 kernel route, when ``dual_route`` is requested; the grid march; the
 requested analysis operations, the kernel-route cross-check among them.
 The kernel route runs before the march, while no other process of the run
-is alive.  Formatters forked then, one per CPU, inherit the finished
-solution but no pipe of the grid route's writer, and format the kernel CSV
-while the march runs.  The march stores each snapshot into the grid route's
+is alive.  A formatter forked then inherits the finished solution but no
+pipe of the grid route's writer, and formats the kernel CSV while the march
+runs.  The march stores each snapshot into the grid route's
 ``TrajectoryCsvStream``, one shared buffer that is also the trajectory's
-values, and that stream's formatters write ``trajectory.csv`` beside it on
-every CPU.  A kernel-route failure is raised at the cross-check, so a
-failed run has the verdicts, files and error it would have if the route
-ran there.  Every stage contributes a verdict under a named tag.  Verdicts
-are conditional in one direction only: when the hypothesis checks fail,
-failing conclusion checks are reported "inconclusive" rather than
-"violated", because nothing was promised for inputs outside the hypotheses.
+values, and that stream's formatter writes ``trajectory.csv`` beside it.
+A kernel-route failure is raised at the cross-check, so a failed run has
+the verdicts, files and error it would have if the route ran there.  Every
+stage contributes a verdict under a named tag.  Verdicts are conditional
+in one direction only: when the hypothesis checks fail, failing conclusion
+checks are reported "inconclusive" rather than "violated", because nothing
+was promised for inputs outside the hypotheses.
 """
 
 from __future__ import annotations
@@ -175,13 +175,13 @@ class _KernelRoute:
 
     ``picard_solve`` runs while no other process of the run is alive.  Then,
     if ``csv_path`` is given, a ``TrajectoryCsvStream`` forks its
-    formatters, one per CPU.  Each holds the solution from the fork, so
-    every snapshot is ready at once, and they write that file in snapshot
-    order while the parent marches.  The parent keeps only what the verdict
-    reads: the result cut to its stored time nearest the cross-check time,
-    with the counters.  A Picard failure is held in ``error`` for
+    formatter.  It holds the solution from the fork, so every snapshot is
+    ready at once, and it writes that file in snapshot order while the
+    parent marches.  The parent keeps only what the verdict reads: the
+    result cut to its stored time nearest the cross-check time, with the
+    counters.  A Picard failure is held in ``error`` for
     ``_dual_route`` to raise.  Used as a context manager: an exception
-    before ``_dual_route`` closes the writer kills its formatters and
+    before ``_dual_route`` closes the writer kills its formatter and
     removes its file.
     """
 
@@ -446,8 +446,8 @@ def run_scenario(config, out_dir=None, seed=None):
             logger.info("%s: solving (%s, dt=%g)", config.name, scheme.scheme,
                         scheme.dt)
             if "csv" in formats:
-                # the march stores into the stream's shared buffer, and
-                # forked formatters write trajectory.csv while it runs
+                # the march stores into the stream's shared buffer, and a
+                # forked formatter writes trajectory.csv while it runs
                 shape = (stored_count(problem, scheme), *problem.initial.values.shape)
                 with TrajectoryCsvStream(out / "trajectory.csv", shape) as stream:
                     trajectory = solve(problem, scheme, sink=stream)

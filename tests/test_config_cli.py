@@ -44,8 +44,10 @@ def tiny_config():
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 #: (block, key) -> where a setting the schema does not have sits, and a value
-#: for it: a deleted option's former default, where it had one
+#: for it: a deleted option's former default, where it had one, or a list
+#: that requests a deleted check
 REMOVED_KEYS = {
+    ("assumptions", "A5"): (("checks", "assumptions"), ["A1", "A5"]),
     ("majorants", "kappa"): (("checks", "majorants", "kappa"), 1.0),
     ("majorants", "c1"): (("checks", "majorants", "c1"), 1.0),
     ("majorants", "c2"): (("checks", "majorants", "c2"), 1.0),
@@ -593,7 +595,7 @@ def _assert_no_child_left():
 
 
 class TestStreamedTrajectory:
-    """trajectory.csv is formatted by forked formatters while the march runs."""
+    """trajectory.csv is formatted by a forked formatter while the march runs."""
 
     def test_the_2d_trajectory_has_the_rows_of_the_snapshots(self, tmp_path,
                                                              monkeypatch):
@@ -642,7 +644,7 @@ class TestStreamedTrajectory:
 
 
 class TestKernelRouteWriter:
-    """trajectory_duhamel.csv is formatted by forked formatters during the march."""
+    """trajectory_duhamel.csv is formatted by a forked formatter during the march."""
 
     @staticmethod
     def run(tmp_path, monkeypatch, data):
@@ -712,6 +714,25 @@ class TestKernelRouteWriter:
         assert "dual-route-match" not in manifest["verdicts"]
         assert (out / "trajectory_duhamel.csv").is_dir()
         _assert_no_child_left()
+
+
+def test_both_trajectory_csvs_are_written_where_the_cpu_set_is_unknown(
+        tmp_path, monkeypatch):
+    # S7 streams trajectory.csv and trajectory_duhamel.csv, one formatter
+    # each, whatever the platform can tell of its CPUs
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delenv("PARAPOS_OUT", raising=False)
+    assert main(["run", "S7_logistic_flat", "--out", str(tmp_path)]) == 0
+    out = tmp_path / "S7_logistic_flat"
+    times, values, _ = read_snapshots(out / "snapshots.bin")
+    expected = trajectory_csv_reference(times, values)
+    assert (out / "trajectory.csv").read_bytes() == expected.encode()
+    config = load_config_data(REGISTRY["S7_logistic_flat"][1]())
+    result = picard_solve(config.build_problem(),
+                          PicardConfig(**config.analysis_data["picard"]))
+    expected = trajectory_csv_reference(result.times, result.values, source="duhamel")
+    assert (out / "trajectory_duhamel.csv").read_bytes() == expected.encode()
+    _assert_no_child_left()
 
 
 def _csv_rows(path):

@@ -1,5 +1,6 @@
 import os
 import signal
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -170,18 +171,11 @@ class TestTrajectoryCsv:
             write_trajectory_csv(tmp_path / "traj.csv", traj)
 
 
-@pytest.fixture(params=[1, 2, 3])
-def cpus(request, monkeypatch):
-    """The formatter count, set through the CPU set the stream reads it from."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
-    return request.param
-
-
 def store_all(stream, times, values):
     """Write every snapshot into the stream's buffer and post it, as the march does."""
     for i, (t, snapshot) in enumerate(zip(times, values)):
         stream.times[i], stream.values[i] = t, snapshot
-        stream.post(i)
+        stream.post()
 
 
 def write_stream(path, times, values, held, source="fdm"):
@@ -198,14 +192,12 @@ def write_stream(path, times, values, held, source="fdm"):
 
 
 class TestTrajectoryCsvStream:
-    """Formatters on every CPU write the bytes of the in-process writer."""
+    """One forked formatter writes the bytes of the in-process writer."""
 
     @pytest.mark.parametrize("held", [False, True], ids=["stored", "held"])
     @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 2)])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_bytes_match_the_row_by_row_reference(self, tmp_path, cpus, shape, m,
-                                                  held):
-        # fewer snapshots than formatters, as many, and more than two rounds
+    def test_bytes_match_the_row_by_row_reference(self, tmp_path, shape, m, held):
         for count in (1, 2, 3, 7):
             times, values = special_values_case(shape, m, count)
             source = "duhamel" if held else "fdm"
@@ -214,7 +206,7 @@ class TestTrajectoryCsvStream:
                                source=source)
             assert got == expected.encode("utf-8"), count
 
-    def test_the_trajectory_is_the_stream_buffer(self, tmp_path, cpus):
+    def test_the_trajectory_is_the_stream_buffer(self, tmp_path):
         spec = get_scenario("S7_logistic_flat").build_problem()
         scheme = SchemeConfig(dt=0.01, store_every=7)
         shape = (stored_count(spec, scheme), *spec.initial.values.shape)
@@ -226,8 +218,18 @@ class TestTrajectoryCsvStream:
         expected = trajectory_csv_reference(trajectory.times, trajectory.values)
         assert (tmp_path / "traj.csv").read_bytes() == expected.encode("utf-8")
 
-    def test_the_march_never_waits_for_a_stopped_formatter(self, tmp_path, cpus):
-        # every formatter is stopped, so none reads its pipe: storing must
+    def test_the_formatter_reads_no_snapshot_before_its_post(self, tmp_path):
+        # the formatter has time to run ahead of the stores; it must wait
+        times, values = special_values_case((3, 4), 2)
+        path = tmp_path / "traj.csv"
+        with TrajectoryCsvStream(path, values.shape) as stream:
+            time.sleep(0.2)
+            store_all(stream, times, values)
+        assert path.read_bytes() == trajectory_csv_reference(times, values).encode()
+        assert_no_child_left()
+
+    def test_the_march_never_waits_for_a_stopped_formatter(self, tmp_path):
+        # the formatter is stopped, so it never reads its pipe: storing must
         # still finish, well inside the alarm
         times = np.arange(2000.0)
         values = np.random.default_rng(5).normal(size=(2000, 2, 3))
@@ -239,21 +241,19 @@ class TestTrajectoryCsvStream:
         previous = signal.signal(signal.SIGALRM, too_slow)
         try:
             with TrajectoryCsvStream(path, values.shape) as stream:
-                for pid in stream._pids:
-                    os.kill(pid, signal.SIGSTOP)
+                os.kill(stream._pid, signal.SIGSTOP)
                 signal.setitimer(signal.ITIMER_REAL, 10.0)
                 try:
                     store_all(stream, times, values)
                 finally:
                     signal.setitimer(signal.ITIMER_REAL, 0.0)
-                for pid in stream._pids:
-                    os.kill(pid, signal.SIGCONT)
+                os.kill(stream._pid, signal.SIGCONT)
         finally:
             signal.signal(signal.SIGALRM, previous)
         assert path.read_bytes() == trajectory_csv_reference(times, values).encode()
         assert_no_child_left()
 
-    def test_short_writes_are_completed(self, tmp_path, monkeypatch, cpus):
+    def test_short_writes_are_completed(self, tmp_path, monkeypatch):
         # a write may take only part of the rows; the rest must follow
         real_write = os.write
         monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:1000]))
@@ -268,37 +268,53 @@ class TestTrajectoryCsvStream:
         assert path.read_text() == "t,i,j,component,value,source\n"
 
     @pytest.mark.parametrize("held", [False, True], ids=["stored", "held"])
-    def test_an_exception_kills_every_formatter_and_removes_the_file(
-            self, tmp_path, cpus, held):
-        # 400 snapshots of 2 x 500 values keep the formatters busy; half are
+    def test_one_formatter_is_forked_whatever_the_cpu_count(self, tmp_path,
+                                                            monkeypatch, held):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        forked = []
+        real_fork = os.fork
+
+        def counted_fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        times, values = special_values_case((3, 4), 2, count=7)
+        got = write_stream(tmp_path / "traj.csv", times, values, held)
+        assert len(forked) == 1
+        assert got == trajectory_csv_reference(times, values).encode()
+
+    @pytest.mark.parametrize("held", [False, True], ids=["stored", "held"])
+    def test_an_exception_kills_the_formatter_and_removes_the_file(self, tmp_path,
+                                                                   held):
+        # 400 snapshots of 2 x 500 values keep the formatter busy; half are
         # stored when the exception is raised
         path = tmp_path / "traj.csv"
         times, values = np.arange(400.0), np.ones((400, 2, 500))
         trajectory = SimpleNamespace(times=times, values=values) if held else None
         with pytest.raises(RuntimeError, match="march failed"):
             with TrajectoryCsvStream(path, values.shape, held=trajectory) as stream:
-                assert len(stream._pids) == cpus
                 if not held:
                     store_all(stream, times[:200], values[:200])
                 raise RuntimeError("march failed")
         assert not path.exists()
         assert_no_child_left()
 
-    @pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
-    def test_a_killed_formatter_is_a_writer_error(self, tmp_path, cpus, which):
+    def test_a_killed_formatter_is_a_writer_error(self, tmp_path):
         path = tmp_path / "traj.csv"
         times, values = np.arange(60.0), np.ones((60, 2, 50))
         with pytest.raises(WriterError, match="exit code -9"):
             with TrajectoryCsvStream(path, values.shape) as stream:
-                os.kill(stream._pids[which], signal.SIGKILL)
+                os.kill(stream._pid, signal.SIGKILL)
                 store_all(stream, times, values)
         assert not path.exists()
         assert_no_child_left()
 
     @pytest.mark.parametrize("held", [False, True], ids=["stored", "held"])
-    def test_a_formatter_failure_names_its_cause(self, tmp_path, monkeypatch, cpus,
-                                                 held):
-        # the formatter of snapshot 4 fails; the others end, cut off or done
+    def test_a_formatter_failure_names_its_cause(self, tmp_path, monkeypatch, held):
+        # the formatter fails on snapshot 4, whatever has been posted by then
         def failing_rows(shape, m, source):
             header, rows = real_rows(shape, m, source)
 
@@ -317,7 +333,7 @@ class TestTrajectoryCsvStream:
         assert not path.exists()
         assert_no_child_left()
 
-    def test_an_exception_after_close_keeps_the_complete_file(self, tmp_path, cpus):
+    def test_an_exception_after_close_keeps_the_complete_file(self, tmp_path):
         times, values = special_values_case((7,), 2)
         path = tmp_path / "traj.csv"
         with pytest.raises(RuntimeError, match="later stage failed"):
@@ -358,8 +374,7 @@ class TestTrajectoryCsvStream:
         assert not (tmp_path / "traj.csv").exists()
         assert_no_child_left()
 
-    def test_the_caller_may_overwrite_held_values_after_the_fork(self, tmp_path,
-                                                                 cpus):
+    def test_the_caller_may_overwrite_held_values_after_the_fork(self, tmp_path):
         times, values = special_values_case((3, 4), 2)
         expected = trajectory_csv_reference(times, values, source="duhamel")
         path = tmp_path / "traj.csv"

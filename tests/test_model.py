@@ -145,10 +145,10 @@ class TestCutoff:
 
 class TestLVCoefficients:
     def test_two_species_aliases(self):
-        lv = LVCoefficients.two_species(
-            0.1, 0.2,
-            beta=lambda t, x: 1.0, gamma=lambda t, x: 2.0, delta=lambda t, x: 3.0,
-            rho=lambda t, x: 4.0, sigma=lambda t, x: 5.0, theta=lambda t, x: 6.0,
+        lv = LVCoefficients(
+            np.array([0.1, 0.2]),
+            (lambda t, x: 1.0, lambda t, x: 4.0),
+            ((lambda t, x: 2.0, lambda t, x: 3.0), (lambda t, x: 5.0, lambda t, x: 6.0)),
         )
         x = np.zeros((1, 1))
         assert lv.beta(0.0, x) == 1.0
@@ -159,10 +159,10 @@ class TestLVCoefficients:
         assert lv.theta(0.0, x) == 6.0
 
     def test_source_matches_hand_formula(self):
-        lv = LVCoefficients.two_species(
-            1.0, 1.0,
-            beta=lambda t, x: 1.5, gamma=lambda t, x: 1.0, delta=lambda t, x: 0.5,
-            rho=lambda t, x: 1.2, sigma=lambda t, x: 0.7, theta=lambda t, x: 1.1,
+        lv = LVCoefficients(
+            np.array([1.0, 1.0]),
+            (lambda t, x: 1.5, lambda t, x: 1.2),
+            ((lambda t, x: 1.0, lambda t, x: 0.5), (lambda t, x: 0.7, lambda t, x: 1.1)),
         )
         u, v = 0.3, 0.8
         x = np.zeros((1, 1))
@@ -324,10 +324,10 @@ class TestLVTablesAtEntryShape:
 
 def test_build_lv_problem_wires_diagonal_diffusion():
     g = unit_grid(21)
-    lv = LVCoefficients.two_species(
-        0.3, 0.7,
-        beta=lambda t, x: 1.0, gamma=lambda t, x: 1.0, delta=lambda t, x: 0.0,
-        rho=lambda t, x: 1.0, sigma=lambda t, x: 0.0, theta=lambda t, x: 1.0,
+    lv = LVCoefficients(
+        np.array([0.3, 0.7]),
+        (lambda t, x: 1.0, lambda t, x: 1.0),
+        ((lambda t, x: 1.0, lambda t, x: 0.0), (lambda t, x: 0.0, lambda t, x: 1.0)),
     )
     initial = Field.from_functions(
         g, [lambda p: np.sin(np.pi * p[..., 0]), lambda p: np.sin(np.pi * p[..., 0])]
@@ -452,11 +452,6 @@ class TestDiffusionOncePerDistinctEntry:
 
 
 def test_majorants_shape_constraints():
-    Majorants(mu=lambda s: s, mu_hat=lambda s: 1.0 / (1.0 + s))
-    with pytest.raises(SpecError):
-        Majorants(mu=lambda s: -s)  # decreasing
-    with pytest.raises(SpecError):
-        Majorants(mu_hat=lambda s: s)  # increasing
     with pytest.raises(SpecError):
         Majorants(d1=-1.0)
 
