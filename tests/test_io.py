@@ -171,6 +171,13 @@ class TestTrajectoryCsv:
             write_trajectory_csv(tmp_path / "traj.csv", traj)
 
 
+@pytest.fixture(params=[1, 2, 3])
+def cpus(request, monkeypatch):
+    """The CPU count the platform reports; the stream must not depend on it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)))
+    return request.param
+
+
 def store_all(stream, times, values):
     """Write every snapshot into the stream's buffer and post it, as the march does."""
     for i, (t, snapshot) in enumerate(zip(times, values)):
@@ -197,7 +204,8 @@ class TestTrajectoryCsvStream:
     @pytest.mark.parametrize("held", [False, True], ids=["stored", "held"])
     @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 2)])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_bytes_match_the_row_by_row_reference(self, tmp_path, shape, m, held):
+    def test_bytes_match_the_row_by_row_reference(self, tmp_path, cpus, shape, m,
+                                                  held):
         for count in (1, 2, 3, 7):
             times, values = special_values_case(shape, m, count)
             source = "duhamel" if held else "fdm"
@@ -206,7 +214,7 @@ class TestTrajectoryCsvStream:
                                source=source)
             assert got == expected.encode("utf-8"), count
 
-    def test_the_trajectory_is_the_stream_buffer(self, tmp_path):
+    def test_the_trajectory_is_the_stream_buffer(self, tmp_path, cpus):
         spec = get_scenario("S7_logistic_flat").build_problem()
         scheme = SchemeConfig(dt=0.01, store_every=7)
         shape = (stored_count(spec, scheme), *spec.initial.values.shape)
@@ -228,7 +236,7 @@ class TestTrajectoryCsvStream:
         assert path.read_bytes() == trajectory_csv_reference(times, values).encode()
         assert_no_child_left()
 
-    def test_the_march_never_waits_for_a_stopped_formatter(self, tmp_path):
+    def test_the_march_never_waits_for_a_stopped_formatter(self, tmp_path, cpus):
         # the formatter is stopped, so it never reads its pipe: storing must
         # still finish, well inside the alarm
         times = np.arange(2000.0)
@@ -253,7 +261,7 @@ class TestTrajectoryCsvStream:
         assert path.read_bytes() == trajectory_csv_reference(times, values).encode()
         assert_no_child_left()
 
-    def test_short_writes_are_completed(self, tmp_path, monkeypatch):
+    def test_short_writes_are_completed(self, tmp_path, monkeypatch, cpus):
         # a write may take only part of the rows; the rest must follow
         real_write = os.write
         monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:1000]))
@@ -269,8 +277,8 @@ class TestTrajectoryCsvStream:
 
     @pytest.mark.parametrize("held", [False, True], ids=["stored", "held"])
     def test_one_formatter_is_forked_whatever_the_cpu_count(self, tmp_path,
-                                                            monkeypatch, held):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+                                                            monkeypatch, cpus,
+                                                            held):
         forked = []
         real_fork = os.fork
 
@@ -288,7 +296,7 @@ class TestTrajectoryCsvStream:
 
     @pytest.mark.parametrize("held", [False, True], ids=["stored", "held"])
     def test_an_exception_kills_the_formatter_and_removes_the_file(self, tmp_path,
-                                                                   held):
+                                                                   cpus, held):
         # 400 snapshots of 2 x 500 values keep the formatter busy; half are
         # stored when the exception is raised
         path = tmp_path / "traj.csv"
@@ -302,7 +310,7 @@ class TestTrajectoryCsvStream:
         assert not path.exists()
         assert_no_child_left()
 
-    def test_a_killed_formatter_is_a_writer_error(self, tmp_path):
+    def test_a_killed_formatter_is_a_writer_error(self, tmp_path, cpus):
         path = tmp_path / "traj.csv"
         times, values = np.arange(60.0), np.ones((60, 2, 50))
         with pytest.raises(WriterError, match="exit code -9"):
@@ -313,7 +321,8 @@ class TestTrajectoryCsvStream:
         assert_no_child_left()
 
     @pytest.mark.parametrize("held", [False, True], ids=["stored", "held"])
-    def test_a_formatter_failure_names_its_cause(self, tmp_path, monkeypatch, held):
+    def test_a_formatter_failure_names_its_cause(self, tmp_path, monkeypatch, cpus,
+                                                 held):
         # the formatter fails on snapshot 4, whatever has been posted by then
         def failing_rows(shape, m, source):
             header, rows = real_rows(shape, m, source)
@@ -333,7 +342,7 @@ class TestTrajectoryCsvStream:
         assert not path.exists()
         assert_no_child_left()
 
-    def test_an_exception_after_close_keeps_the_complete_file(self, tmp_path):
+    def test_an_exception_after_close_keeps_the_complete_file(self, tmp_path, cpus):
         times, values = special_values_case((7,), 2)
         path = tmp_path / "traj.csv"
         with pytest.raises(RuntimeError, match="later stage failed"):
@@ -374,7 +383,8 @@ class TestTrajectoryCsvStream:
         assert not (tmp_path / "traj.csv").exists()
         assert_no_child_left()
 
-    def test_the_caller_may_overwrite_held_values_after_the_fork(self, tmp_path):
+    def test_the_caller_may_overwrite_held_values_after_the_fork(self, tmp_path,
+                                                                 cpus):
         times, values = special_values_case((3, 4), 2)
         expected = trajectory_csv_reference(times, values, source="duhamel")
         path = tmp_path / "traj.csv"
