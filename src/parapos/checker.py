@@ -255,7 +255,7 @@ def check_parabolicity(spec, budget):
     a = spec.coefficients.diffusion_matrices(t, x, u, spec.components)
     lam_min = np.linalg.eigvalsh(a)[..., 0]
     kappa_hat = float(lam_min.min())
-    i_min, k_min = np.unravel_index(int(lam_min.argmin()), lam_min.shape)
+    i_min = np.unravel_index(int(lam_min.argmin()), lam_min.shape)[0]
     entry = CheckEntry(
         assumption="A1",
         status="pass" if kappa_hat > 0.0 else "fail",

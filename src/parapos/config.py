@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -112,30 +112,21 @@ class ScenarioConfig:
                                     self.base_dir)
                   for i, raw in enumerate(row))
             for k, row in enumerate(coeffs["interaction"]))
+        shift = coeffs.get("source_shift")
         return LVCoefficients(
             diffusion=np.asarray(coeffs["diffusion"], dtype=float),
             growth=growth,
             interaction=interaction,
+            # an all-zero shift adds nothing, and would turn -0.0 into +0.0
+            shift=shift if shift and any(s != 0 for s in shift) else None,
         )
 
     def build_problem(self):
         grid = self.grid()
         initial = build_initial_field(grid, self.problem_data["initial"],
                                       base_dir=self.base_dir)
-        spec = build_lv_problem(self.lv(), grid.domain, initial,
+        return build_lv_problem(self.lv(), grid.domain, initial,
                                 float(self.problem_data["horizon"]))
-        shift = self.problem_data["coefficients"].get("source_shift")
-        if shift and any(s != 0 for s in shift):
-            base = spec.coefficients.source
-            vec = np.asarray(shift, dtype=float)
-
-            def shifted_source(t, x, u, p, _base=base, _vec=vec):
-                c = np.asarray(_base(t, x, u, p), dtype=float)
-                return np.broadcast_to(c, np.asarray(u).shape) + _vec
-
-            spec = replace(spec, coefficients=replace(spec.coefficients,
-                                                      source=shifted_source))
-        return spec
 
     def scheme(self):
         return SchemeConfig(**self.data["scheme"])

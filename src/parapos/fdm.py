@@ -23,14 +23,28 @@ zero), which the degeneracy tests rely on.  Neither stepper alters the
 state it computes: a negative value stays in the trajectory, where the
 positivity verdict sees it.
 
-Implicit solves.  One builder gives each component its implicit solver.  In
-1D that is always a LAPACK tridiagonal LU factor (``dgttrf``, applied by
-``dgttrs``).  In 2D, diffusion declared ``constant_diffusion`` is solved by
-the DST-I, which diagonalizes the 5-point Dirichlet operator (Buzbee, Golub &
-Nielson, SIAM J. Numer. Anal. 7, 1970); diffusion that varies in space, time
-or state by Jacobi-preconditioned BiCGSTAB, to the fixed relative tolerance
-``LINEAR_RTOL`` within ``LINEAR_MAXITER`` iterations.  Constant diffusion is
-evaluated, and its solvers built, once per march; varying diffusion is
+Block march.  ``solve`` marches in blocks of ``BLOCK_STEPS`` steps (fewer
+when that many states would pass ``BLOCK_BYTES``).  A block starts on its
+own time lattice, the start times ``t += dt`` accumulated as the march
+accumulates them and the next one, so ``erk2``'s stage time is a lattice
+point bit for bit.  The source evaluates each separable coefficient's time
+part once over that lattice (:meth:`model.CoefficientSet.source_block`).
+Each step writes its state into a ``(block + 1, m, *shape)`` buffer and is
+checked for finiteness at once; the block then reduces every step's
+monitors in one pass into the rows of ``Trajectory.monitors``, one column
+per entry of :data:`MONITORS`.  ``Trajectory.reports`` builds a
+:class:`StepReport` from a row only when it is read.
+
+Implicit solves.  In 1D every component's operator is one LAPACK
+tridiagonal LU factor (``dgttrf``) of the joined ``(m, n)`` state, whose
+boundary rows are identity rows, so one ``dgttrs`` call solves a step in
+place.  In 2D each component gets its own solver: diffusion declared
+``constant_diffusion`` is solved by the DST-I, which diagonalizes the
+5-point Dirichlet operator (Buzbee, Golub & Nielson, SIAM J. Numer. Anal.
+7, 1970); diffusion that varies in space, time or state by
+Jacobi-preconditioned BiCGSTAB, to the fixed relative tolerance
+``LINEAR_RTOL`` within ``LINEAR_MAXITER`` iterations.  Constant diffusion
+is evaluated, and its solvers built, once per march; varying diffusion is
 re-evaluated, and its solvers rebuilt, every step.
 
 The positivity step bound reads the source slopes from the Jacobian samples
@@ -41,11 +55,11 @@ windows of the kernel route.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.fft import dstn, idstn
-from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .checker import source_jacobians
@@ -58,6 +72,13 @@ SCHEMES = ("imex_be", "erk2")
 #: BiCGSTAB tolerance and iteration cap of the 2D solve with varying diffusion
 LINEAR_RTOL = 1e-10
 LINEAR_MAXITER = 5000
+
+#: steps the march takes per block: the time parts are tabulated, and the
+#: step monitors reduced, once per block
+BLOCK_STEPS = 64
+#: the block's states stay within this many bytes, so a large 2D state
+#: marches in blocks of fewer steps, down to one
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -89,6 +110,41 @@ class StepReport:
     source_evaluations: int = 0
 
 
+#: the columns of ``Trajectory.monitors``, one row per step; the first six
+#: are the columns of ``diagnostics.csv``
+MONITORS = ("t", "min_value", "sup_norm", "negpart_norm", "dudt_min", "dvdt_max",
+            "solve_iterations")
+_T, _MIN, _SUP, _NEG, _DUDT, _DVDT, _ITER = range(len(MONITORS))
+
+
+def _source_evaluations(scheme):
+    return 2 if scheme == "erk2" else 1
+
+
+def _report(step, row, source_evaluations):
+    """The :class:`StepReport` of step number ``step`` from its monitor row."""
+    t, low, sup, neg, dudt, dvdt, iterations = row.tolist()
+    return StepReport(step, t, low, sup, neg, dudt, dvdt, int(iterations),
+                      source_evaluations)
+
+
+class StepReports(Sequence):
+    """A march's step reports, each built from its monitor row when it is read."""
+
+    def __init__(self, monitors, source_evaluations):
+        self._monitors = monitors
+        self._source_evaluations = source_evaluations
+
+    def __len__(self):
+        return len(self._monitors)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        return _report(i + 1, self._monitors[i], self._source_evaluations)
+
+
 @dataclass
 class Trajectory:
     grid: Grid
@@ -96,10 +152,13 @@ class Trajectory:
     dt: float
     times: np.ndarray
     values: np.ndarray          # (stored, m, *grid.shape)
-    reports: list
+    monitors: np.ndarray        # (steps, len(MONITORS))
     positivity_dt_bound: float
     positivity_dt_ok: bool
     dt_adjusted: bool = False
+
+    def __post_init__(self):
+        self.monitors = np.asarray(self.monitors, dtype=float).reshape(-1, len(MONITORS))
 
     @property
     def components(self):
@@ -109,9 +168,19 @@ class Trajectory:
     def final_values(self):
         return self.values[-1]
 
+    def monitor(self, name):
+        """The column of monitor ``name`` (one of :data:`MONITORS`), one value per step."""
+        return self.monitors[:, MONITORS.index(name)]
+
+    @property
+    def reports(self):
+        return StepReports(self.monitors, _source_evaluations(self.scheme))
+
     @property
     def min_value(self):
-        return min((r.min_value for r in self.reports), default=float(self.values.min()))
+        low = self.monitor("min_value")
+        # the first least value, as ``min`` over the steps picks it
+        return float(low[low.argmin()]) if low.size else float(self.values.min())
 
 
 # --------------------------------------------------------------- difference
@@ -173,13 +242,16 @@ def _as_shape(arr, shape):
 
 
 def _reaction_drift(spec, grid, components):
-    """The drift plus source terms as a function ``(t, values) -> (m, *grid.shape)``.
+    """The drift plus source terms over a block of steps.
 
-    The gradient is taken only when the evaluators may read it
-    (``depends_on_gradient``) or the drift is non-zero somewhere; otherwise
-    they receive zeros in its place, as the coefficient contract allows.
-    A problem without drift (``drift is None``) evaluates only its source.
-    The axis orders and that zero gradient are built once, not per call.
+    ``begin(ts)`` starts a block on the time lattice ``ts`` and returns
+    ``evaluate(j, values) -> (m, *grid.shape)``, the terms at ``ts[j]``; the
+    source comes from :meth:`CoefficientSet.source_block`.  The gradient is
+    taken only when the evaluators may read it (``depends_on_gradient``) or
+    the drift is non-zero somewhere; otherwise they receive zeros in its
+    place, as the coefficient contract allows.  A problem without drift
+    (``drift is None``) evaluates only its source.  The axis orders and that
+    zero gradient are built once, not per call.
     """
     coeffs = spec.coefficients
     pts = grid.points
@@ -188,45 +260,59 @@ def _reaction_drift(spec, grid, components):
     to_first = (n, *range(n))
     zero_p = np.broadcast_to(0.0, grid.shape + (components, n))
 
-    def evaluate(t, values):
-        u = values.transpose(to_last)
-        p = _gradient(values, grid) if coeffs.depends_on_gradient else zero_p
-        c = _as_shape(coeffs.source(t, pts, u, p), u.shape)
-        if coeffs.drift is None:
-            return c.transpose(to_first)
-        b = _as_shape(coeffs.drift(t, pts, u, p), pts.shape)
-        if np.any(distinct_entries(b)):
-            if not coeffs.depends_on_gradient:
-                p = _gradient(values, grid)
-            c = c + np.einsum("...i,...ki->...k", b, p)
-        return c.transpose(to_first)
+    def begin(ts):
+        source = coeffs.source_block(ts, pts)
+        times = ts.tolist()
 
-    return evaluate
+        def evaluate(j, values):
+            u = values.transpose(to_last)
+            p = _gradient(values, grid) if coeffs.depends_on_gradient else zero_p
+            c = _as_shape(source(j, u, p), u.shape)
+            if coeffs.drift is None:
+                return c.transpose(to_first)
+            b = _as_shape(coeffs.drift(times[j], pts, u, p), pts.shape)
+            if np.any(distinct_entries(b)):
+                if not coeffs.depends_on_gradient:
+                    p = _gradient(values, grid)
+                c = c + np.einsum("...i,...ki->...k", b, p)
+            return c.transpose(to_first)
+
+        return evaluate
+
+    return begin
 
 
 # ----------------------------------------------------------- implicit solve
 
-def _tridiagonal_solver(a_node, h, lam):
-    """Factor the 1D operator once; the solver applies it with ``dgttrs``.
+def _tridiagonal_solver(a, h, lam):
+    """One ``dgttrf`` factor of every component's 1D operator; ``solve(w)`` applies it in place.
 
-    Factor-then-solve gives the same bits as ``solve_banded`` on the same
-    bands.  The LAPACK wrapper needs three unknowns or more, so smaller
-    systems keep the banded solve.
+    ``a`` is each component's diffusion at every node, shape ``(m, n)``, and
+    the factor is of one tridiagonal system over all ``m * n`` nodes.  Its
+    boundary rows are identity rows and no row reaches a boundary node, so
+    each component's block factors as its interior alone would.  ``solve``
+    zeroes the boundary of the C-contiguous right-hand side ``w`` and
+    overwrites ``w`` with the solution, in one ``dgttrs`` call.
     """
     r = lam / h**2
-    lower, diag, upper = -r * a_node[1:], 1.0 + 2.0 * r * a_node, -r * a_node[:-1]
-    if a_node.size < 3:
-        ab = np.zeros((3, a_node.size))
-        ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
-        return lambda rhs_int: solve_banded((1, 1), ab, rhs_int)
-    dl, d, du, du2, ipiv, info = dgttrf(lower, diag, upper)
+    n = a.shape[1]
+    lower = -r * a
+    upper = lower.copy()
+    diag = 1.0 + 2.0 * r * a
+    diag[:, ::n - 1] = 1.0
+    # row j's entries towards node j - 1 and j + 1: none on a boundary row,
+    # nor towards a boundary node
+    lower[:, :2] = lower[:, -1] = 0.0
+    upper[:, -2:] = upper[:, 0] = 0.0
+    dl, d, du, du2, ipiv, info = dgttrf(lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
     if info != 0:
         raise SolverError(f"tridiagonal factorization failed (info={info})")
 
-    def apply(rhs_int):
-        return dgttrs(dl, d, du, du2, ipiv, rhs_int)[0]
+    def solve(w):
+        w[:, ::n - 1] = 0.0
+        dgttrs(dl, d, du, du2, ipiv, w.reshape(-1), overwrite_b=True)
 
-    return apply
+    return solve
 
 
 def _dst_solver(axx, ayy, hx, hy, lam, shape):
@@ -301,36 +387,48 @@ def _bicgstab_solver(axx, ayy, hx, hy, lam, guess, counter):
     return apply
 
 
-def _implicit_solvers(grid, a, lam, constant, guess=None, counter=None):
-    """One solver of (I - lam * sum_i a_ii d_ii) w = rhs per component, on the interior.
+def _implicit_solve(grid, a, lam, constant, guess=None, counter=None):
+    """``solve(w)`` overwrites ``w`` with the solution of (I - lam * sum_i a_ii d_ii) x = w.
 
-    In 1D every diffusion gets the tridiagonal factor.  In 2D ``constant``
-    diffusion gets the DST solve, read at any one node; otherwise BiCGSTAB,
-    warm-started at the interior of ``guess`` and counting into ``counter``.
+    ``w`` holds every component, and the solution's boundary is zero.  In 1D
+    every diffusion gets the joined tridiagonal factor.  In 2D each
+    component is solved on the interior: ``constant`` diffusion by the DST
+    solve, read at any one node; otherwise by BiCGSTAB, warm-started at the
+    interior of ``guess`` and counting into ``counter``.
     """
-    interior = grid.interior_slices
-    m = a.shape[-3]
     if grid.dimension == 1:
-        return [_tridiagonal_solver(a[interior + (k, 0, 0)], grid.spacing[0], lam)
-                for k in range(m)]
+        return _tridiagonal_solver(a[:, :, 0, 0].T, grid.spacing[0], lam)
+    interior = grid.interior_slices
+    boundary = (slice(None),) + np.nonzero(~grid.interior_mask)
     hx, hy = grid.spacing
     if constant:
         shape = tuple(n - 2 for n in grid.shape)
-        return [_dst_solver(a[1, 1, k, 0, 0], a[1, 1, k, 1, 1], hx, hy, lam, shape)
-                for k in range(m)]
-    return [_bicgstab_solver(a[interior + (k, 0, 0)], a[interior + (k, 1, 1)],
-                             hx, hy, lam, guess[(k,) + interior], counter)
-            for k in range(m)]
+        solvers = [_dst_solver(a[1, 1, k, 0, 0], a[1, 1, k, 1, 1], hx, hy, lam, shape)
+                   for k in range(a.shape[-3])]
+    else:
+        solvers = [_bicgstab_solver(a[interior + (k, 0, 0)], a[interior + (k, 1, 1)],
+                                    hx, hy, lam, guess[(k,) + interior], counter)
+                   for k in range(a.shape[-3])]
+
+    def solve(w):
+        for k, solve_k in enumerate(solvers):
+            w[(k,) + interior] = solve_k(w[(k,) + interior])
+        w[boundary] = 0.0
+
+    return solve
 
 
 # ------------------------------------------------------------------- stepping
 
 def _stepper(spec, grid, config, dt, t0, values0):
-    """The one-step map ``advance(values, t, counter)`` for a fixed ``dt``.
+    """The one-step map for a fixed ``dt``, over blocks of steps.
 
+    ``begin(ts)`` starts a block on the time lattice ``ts`` (its steps' start
+    times and the next one) and returns ``advance(j, values, out, counter)``,
+    which writes the step from ``values`` at ``ts[j]`` into ``out``.
     ``imex_be`` freezes the diffusion coefficient at the step start.  With
     ``constant_diffusion`` it is evaluated once, at ``(t0, values0)``, and the
-    implicit solvers are built once for every step of this ``dt``; they live
+    implicit solve is built once for every step of this ``dt``; it lives
     only as long as the returned function.  Otherwise both are rebuilt every
     step.
     """
@@ -347,41 +445,49 @@ def _stepper(spec, grid, config, dt, t0, values0):
     if config.scheme == "erk2":
         boundary = (slice(None),) + np.nonzero(~grid.interior_mask)
 
-        def full_rhs(t, values):
-            out = (_explicit_diffusion(diffusion(t, values), values, grid)
-                   + reaction(t, values))
-            out[boundary] = 0.0
-            return out
+        def begin(ts):
+            explicit, times = reaction(ts), ts.tolist()
 
-        def advance(values, t, counter):
-            f1 = full_rhs(t, values)
-            stage = values + dt * f1
-            f2 = full_rhs(t + dt, stage)
-            return values + 0.5 * dt * (f1 + f2)
+            def full_rhs(j, values):
+                out = (_explicit_diffusion(diffusion(times[j], values), values, grid)
+                       + explicit(j, values))
+                out[boundary] = 0.0
+                return out
 
-        return advance
+            def advance(j, values, out, counter):
+                # the stage time ts[j + 1] is t + dt, accumulated as the march does
+                f1 = full_rhs(j, values)
+                stage = values + dt * f1
+                f2 = full_rhs(j + 1, stage)
+                np.add(values, 0.5 * dt * (f1 + f2), out=out)
 
-    interior = grid.interior_slices
-    solvers = _implicit_solvers(grid, frozen, dt, True) if frozen is not None else None
+            return advance
+
+        return begin
+
+    frozen_solve = _implicit_solve(grid, frozen, dt, True) if frozen is not None else None
     # mixed second derivatives need two axes, and frozen diffusion shows once
     # whether it has any off-diagonal entry
     off_diagonal = ~np.eye(grid.dimension, dtype=bool)
     mixed = grid.dimension > 1 and (
         frozen is None or bool(np.any(distinct_entries(frozen)[..., off_diagonal])))
 
-    def advance(values, t, counter):
-        a = diffusion(t, values)
-        explicit = reaction(t, values)
-        if mixed:
-            explicit = explicit + _explicit_diffusion(a, values, grid, diagonal=False)
-        rhs = values + dt * explicit
-        step_solvers = solvers or _implicit_solvers(grid, a, dt, False, values, counter)
-        out = np.zeros_like(rhs)
-        for k, solve_k in enumerate(step_solvers):
-            out[(k,) + interior] = solve_k(rhs[(k,) + interior])
-        return out
+    def begin(ts):
+        reaction_at, times = reaction(ts), ts.tolist()
 
-    return advance
+        def advance(j, values, out, counter):
+            a = diffusion(times[j], values)
+            explicit = reaction_at(j, values)
+            if mixed:
+                explicit = explicit + _explicit_diffusion(a, values, grid, diagonal=False)
+            # out = values + dt * explicit, the right-hand side the solve overwrites
+            np.multiply(dt, explicit, out=out)
+            np.add(values, out, out=out)
+            (frozen_solve or _implicit_solve(grid, a, dt, False, values, counter))(out)
+
+        return advance
+
+    return begin
 
 
 def step(state, t, dt, spec, config):
@@ -391,32 +497,33 @@ def step(state, t, dt, spec, config):
     grid = state.grid
     counter = [0]
     old = np.asarray(state.values, dtype=float)
-    new = _stepper(spec, grid, config, dt, t, old)(old, t, counter)
-    report = _make_report(0, t + dt, old, new, dt, iterations=counter[0],
-                          source_evals=2 if config.scheme == "erk2" else 1)
-    return Field(grid, new), report
+    states = np.empty((2, *old.shape))
+    states[0] = old
+    advance = _stepper(spec, grid, config, dt, t, old)(np.array([t, t + dt]))
+    advance(0, old, states[1], counter)
+    row = np.empty((1, len(MONITORS)))
+    row[0, _T], row[0, _MIN], row[0, _ITER] = t + dt, states[1].min(), counter[0]
+    _step_monitors(states, dt, row)
+    return Field(grid, states[1]), _report(0, row[0], _source_evaluations(config.scheme))
 
 
-def _make_report(index, t, old, new, dt, iterations=0, source_evals=1, low=None):
-    """The report of the step ``old -> new``; ``low``, if given, is ``new.min()``."""
-    m = new.shape[0]
-    low = float(new.min()) if low is None else low
-    # reduce, then divide or take the root: both maps are monotone, so this
-    # is the extreme of the mapped grid without building it
-    dudt_min = float((new[0] - old[0]).min() / dt) if m >= 1 else float("nan")
-    dvdt_max = float((new[1] - old[1]).max() / dt) if m >= 2 else float("nan")
-    sup = float(np.sqrt((new * new).sum(axis=0).max()))
-    return StepReport(
-        step=index,
-        t=float(t),
-        min_value=low,
-        sup_norm=sup,
-        negpart_norm=max(0.0, -low),
-        dudt_min=dudt_min,
-        dvdt_max=dvdt_max,
-        solve_iterations=iterations,
-        source_evaluations=source_evals,
-    )
+def _step_monitors(states, dt, rows):
+    """The monitors of the steps ``states[j] -> states[j + 1]``, into ``rows[j]``.
+
+    The caller fills the ``t``, ``min_value`` and ``solve_iterations``
+    columns; the others are reduced here for every step at once.  Each
+    extreme is taken before dividing by ``dt`` or taking the root: both maps
+    are monotone, so this is the extreme of the mapped grid without building
+    it.
+    """
+    old, new = states[:-1], states[1:]
+    steps, m = new.shape[:2]
+    low = rows[:, _MIN]
+    rows[:, _NEG] = np.where(low < 0.0, -low, 0.0)  # max(0.0, -low)
+    rows[:, _DUDT] = (new[:, 0] - old[:, 0]).reshape(steps, -1).min(axis=1) / dt
+    rows[:, _DVDT] = ((new[:, 1] - old[:, 1]).reshape(steps, -1).max(axis=1) / dt
+                      if m >= 2 else np.nan)
+    rows[:, _SUP] = np.sqrt((new * new).sum(axis=1).reshape(steps, -1).max(axis=1))
 
 
 def positivity_step_bound(spec, reference=None):
@@ -471,6 +578,8 @@ def solve(spec, config, sink=None):
     shapes ``(stored,)`` and ``(stored, m, *grid.shape)``.  After writing
     each snapshot the march calls ``sink.post()``, so a consumer can work on
     it while the march goes on; a posted snapshot is never written again.
+    Apart from those arrays and the ``(steps, len(MONITORS))`` monitor
+    table, the march holds one block of states.
     """
     grid = spec.initial.grid
     spec.initial.validate()
@@ -478,7 +587,7 @@ def solve(spec, config, sink=None):
     dt = spec.horizon / steps
     adjusted = abs(dt - config.dt) > 1e-9 * max(1.0, config.dt)
 
-    w = spec.initial.values.copy()
+    w = spec.initial.values
     if config.scheme == "erk2" and config.check_stability:
         bound = _stability_bound(spec, grid, w)
         if dt > bound * (1.0 + 1e-9):
@@ -502,34 +611,46 @@ def solve(spec, config, sink=None):
         sink.post()
     stored = 0
 
-    source_evals = 2 if config.scheme == "erk2" else 1
-    reports = []
+    monitors = np.empty((steps, len(MONITORS)))
+    block = max(1, min(BLOCK_STEPS, BLOCK_BYTES // w.nbytes - 1))
+    states = np.empty((block + 1, *w.shape))
+    states[0] = w
     t = 0.0
-    advance = _stepper(spec, grid, config, dt, t, w)
-    for i in range(steps):
-        counter = [0]
-        new = advance(w, t, counter)
-        # NaN reaches the minimum and an infinity the minimum or the maximum,
-        # so both are finite exactly when every value is
-        low = float(new.min())
-        if not (math.isfinite(low) and math.isfinite(float(new.max()))):
-            raise SolverError(f"solution lost finiteness at step {i + 1} (t={t + dt:g})")
-        reports.append(_make_report(i + 1, t + dt, w, new, dt, iterations=counter[0],
-                                    source_evals=source_evals, low=low))
-        w = new
-        t += dt
-        if (i + 1) % config.store_every == 0 or i + 1 == steps:
-            stored += 1
-            times[stored], values[stored] = t, w
-            if sink is not None:
-                sink.post()
+    begin = _stepper(spec, grid, config, dt, t, w)
+    for first in range(0, steps, block):
+        count = min(block, steps - first)
+        ts = [t]
+        for _ in range(count):
+            t += dt
+            ts.append(t)
+        advance = begin(np.array(ts))
+        rows = monitors[first:first + count]
+        for j in range(count):
+            counter = [0]
+            new = states[j + 1]
+            advance(j, states[j], new, counter)
+            # NaN reaches the minimum and an infinity the minimum or the
+            # maximum, so both are finite exactly when every value is
+            low = float(new.min())
+            if not (math.isfinite(low) and math.isfinite(float(new.max()))):
+                raise SolverError(f"solution lost finiteness at step {first + j + 1} "
+                                  f"(t={ts[j + 1]:g})")
+            rows[j, _MIN], rows[j, _ITER] = low, counter[0]
+            if (first + j + 1) % config.store_every == 0 or first + j + 1 == steps:
+                stored += 1
+                times[stored], values[stored] = ts[j + 1], new
+                if sink is not None:
+                    sink.post()
+        rows[:, _T] = ts[1:]
+        _step_monitors(states[:count + 1], dt, rows)
+        states[0] = states[count]
     return Trajectory(
         grid=grid,
         scheme=config.scheme,
         dt=dt,
         times=times,
         values=values,
-        reports=reports,
+        monitors=monitors,
         positivity_dt_bound=pos_bound,
         positivity_dt_ok=pos_ok,
         dt_adjusted=adjusted,

@@ -296,6 +296,20 @@ class CoefficientSet:
             a_sym = a_sym[..., None, :, :]
         return np.broadcast_to(a_sym, batch + (components, n, n))
 
+    def source_block(self, ts, x):
+        """The source at each time of ``ts`` as ``at(j, u, p)``, bit for bit ``source(ts[j], x, u, p)``.
+
+        A source with a ``block(ts, x)`` of its own, such as the competition
+        source of :func:`build_lv_problem`, tabulates its coefficients over
+        ``ts`` there.  Any other source, a wrapped one among them, is called
+        once per step.
+        """
+        block = getattr(self.source, "block", None)
+        if block is not None:
+            return block(ts, x)
+        source, times = self.source, np.asarray(ts, dtype=float).tolist()
+        return lambda j, u, p: source(times[j], x, u, p)
+
 
 def _broadcast_shape(values):
     """Broadcast shape of numbers and arrays; a number is shape ``()``.
@@ -307,6 +321,15 @@ def _broadcast_shape(values):
     return shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
 
 
+def _table(values, shape):
+    """The entries ``values``, in C order, as a table of ``shape`` after their broadcast shape."""
+    out = np.empty(_broadcast_shape(values) + shape)
+    flat = out.reshape(out.shape[:out.ndim - len(shape)] + (-1,))
+    for e, v in enumerate(values):
+        flat[..., e] = v
+    return out
+
+
 @dataclass
 class LVCoefficients:
     """Competition-system coefficients: per-species diffusion, growth, interaction.
@@ -315,7 +338,11 @@ class LVCoefficients:
     broadcasting over the batch shape of ``x[..., :n]``, with ``t`` a scalar
     or an array that broadcasts to that batch shape.  The source is
 
-        c^k(t, x, u) = u^k * (growth_k(t,x) - sum_i interaction_ki(t,x) u^i).
+        c^k(t, x, u) = u^k * (growth_k(t,x) - sum_i interaction_ki(t,x) u^i) + shift_k,
+
+    where the optional constant ``shift`` (None for none) is added after the
+    product; :meth:`growth_values` and :meth:`interaction_values` never
+    include it.
 
     The growth and interaction tables have the broadcast shape of their
     entries, not the batch shape: space-constant coefficients at a scalar
@@ -333,6 +360,7 @@ class LVCoefficients:
     diffusion: np.ndarray
     growth: tuple
     interaction: tuple
+    shift: np.ndarray | None = None
     _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -344,6 +372,10 @@ class LVCoefficients:
             raise SpecError("growth list length must equal species count")
         if len(self.interaction) != m or any(len(row) != m for row in self.interaction):
             raise SpecError("interaction must be an m-by-m table")
+        if self.shift is not None:
+            self.shift = np.asarray(self.shift, dtype=float)
+            if self.shift.shape != (m,):
+                raise SpecError("source shift must list one value per species")
         self.growth = tuple(self.growth)
         self.interaction = tuple(tuple(row) for row in self.interaction)
 
@@ -381,10 +413,11 @@ class LVCoefficients:
     def theta(self):
         return self._alias(1, 1)
 
-    def _profiles(self, x):
-        """Per-coefficient space profiles on ``x``, built once per ``x`` object.
+    def _entries(self, x):
+        """Each coefficient with its space profile on ``x``, built once per ``x`` object.
 
-        A separable coefficient ``time_part(t) * space_part(x)`` keeps its
+        The growth coefficients come first, then the interaction by row.  A
+        separable coefficient ``time_part(t) * space_part(x)`` keeps its
         space profile here: a Python float when the profile is one bitwise
         constant value, else the array.  Other coefficients get None and are
         called as ``f(t, x)``.  The memo holds one entry, keyed on the
@@ -406,10 +439,10 @@ class LVCoefficients:
                 return float(prof.flat[0])
             return prof
 
-        profiles = ([profile(g) for g in self.growth],
-                    [[profile(f) for f in row] for row in self.interaction])
-        self._memo = (x, profiles)
-        return profiles
+        coefficients = [*self.growth, *(f for row in self.interaction for f in row)]
+        entries = [(f, profile(f)) for f in coefficients]
+        self._memo = (x, entries)
+        return entries
 
     @staticmethod
     def _value(f, prof, t, x):
@@ -420,32 +453,57 @@ class LVCoefficients:
 
     def growth_values(self, t, x):
         """The growth table, ``shape + (m,)`` for the broadcast ``shape`` of its entries."""
-        values = [self._value(g, prof, t, x)
-                  for g, prof in zip(self.growth, self._profiles(x)[0])]
-        out = np.empty(_broadcast_shape(values) + (self.species,))
-        for k, v in enumerate(values):
-            out[..., k] = v
-        return out
+        m = self.species
+        return _table([self._value(f, prof, t, x) for f, prof in self._entries(x)[:m]], (m,))
 
     def interaction_values(self, t, x):
         """The interaction table, ``shape + (m, m)`` as for :meth:`growth_values`."""
         m = self.species
-        values = [[self._value(f, prof, t, x) for f, prof in zip(row, profs)]
-                  for row, profs in zip(self.interaction, self._profiles(x)[1])]
-        out = np.empty(_broadcast_shape([v for row in values for v in row]) + (m, m))
-        for k in range(m):
-            for i in range(m):
-                out[..., k, i] = values[k][i]
+        return _table([self._value(f, prof, t, x) for f, prof in self._entries(x)[m:]], (m, m))
+
+    def _source(self, beta, gam, u):
+        # u * (beta - gam u), operands in that order, in the einsum's own
+        # output, then the shift
+        out = np.einsum("...ki,...i->...k", gam, u)
+        np.subtract(beta, out, out=out)
+        np.multiply(u, out, out=out)
+        if self.shift is not None:
+            np.add(out, self.shift, out=out)
         return out
 
     def source(self, t, x, u):
         u = np.asarray(u, dtype=float)
-        beta = self.growth_values(t, x)
-        gam = self.interaction_values(t, x)
-        # u * (beta - gam u), operands in that order, in the einsum's own output
-        out = np.einsum("...ki,...i->...k", gam, u)
-        np.subtract(beta, out, out=out)
-        return np.multiply(u, out, out=out)
+        return self._source(self.growth_values(t, x), self.interaction_values(t, x), u)
+
+    def source_block(self, ts, x):
+        """The source at each time of ``ts`` as ``at(j, u)``, bit for bit ``source(ts[j], x, u)``.
+
+        Each separable coefficient's time part is evaluated once, over all
+        of ``ts``.  When every space profile is one constant value, both
+        tables are built for the whole block, and step ``j`` reads row ``j``
+        of each.  Otherwise step ``j`` builds its tables as :meth:`source`
+        does, from the tabulated time parts: an array profile is multiplied
+        by its time part, and any other coefficient is called at ``ts[j]``.
+        ``at`` takes and ignores a gradient ``p``, which this source never
+        reads.
+        """
+        ts = np.asarray(ts, dtype=float)
+        m = self.species
+        entries = self._entries(x)
+        parts = [None if prof is None else np.broadcast_to(f.time_part(ts), ts.shape)
+                 for f, prof in entries]
+        if all(isinstance(prof, float) for _, prof in entries):
+            columns = [part * prof for part, (_, prof) in zip(parts, entries)]
+            beta, gam = _table(columns[:m], (m,)), _table(columns[m:], (m, m))
+            return lambda j, u, p=None: self._source(beta[j], gam[j], u)
+        times = ts.tolist()
+
+        def at(j, u, p=None):
+            values = [f(times[j], x) if part is None else part[j] * prof
+                      for part, (f, prof) in zip(parts, entries)]
+            return self._source(_table(values[:m], (m,)), _table(values[m:], (m, m)), u)
+
+        return at
 
 
 @dataclass
@@ -497,6 +555,23 @@ class ProblemSpec:
         return self.domain.dimension
 
 
+@dataclass(frozen=True)
+class _LVSource:
+    """The competition source as a coefficient-set source ``(t, x, u, p)``.
+
+    ``block`` is :meth:`LVCoefficients.source_block`, which
+    :meth:`CoefficientSet.source_block` finds.
+    """
+
+    lv: LVCoefficients
+
+    def __call__(self, t, x, u, p):
+        return self.lv.source(t, x, u)
+
+    def block(self, ts, x):
+        return self.lv.source_block(ts, x)
+
+
 def build_lv_problem(lv, domain, initial, horizon):
     """Wrap competition coefficients as a full problem spec.
 
@@ -517,13 +592,10 @@ def build_lv_problem(lv, domain, initial, horizon):
         batch = np.asarray(x).shape[:-1]
         return np.broadcast_to(_diag, batch + (m, n, n))
 
-    def source(t, x, u, p, _lv=lv):
-        return _lv.source(t, x, u)
-
     coeffs = CoefficientSet(
         diffusion=diffusion,
         drift=None,
-        source=source,
+        source=_LVSource(lv),
         depends_on_gradient=False,
         per_component_diffusion=True,
         constant_diffusion=True,

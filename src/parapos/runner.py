@@ -131,15 +131,13 @@ def _now():
 
 
 def _positivity_verdict(trajectory):
-    worst = 0.0
-    for rep in trajectory.reports:
-        slack = POSITIVITY_FACTOR * (1.0 + rep.sup_norm)
-        worst = max(worst, rep.negpart_norm - slack)
+    slack = POSITIVITY_FACTOR * (1.0 + trajectory.monitor("sup_norm"))
+    worst = float(np.max(trajectory.monitor("negpart_norm") - slack, initial=0.0))
     status = "verified" if worst <= 0.0 else "violated"
     bound = trajectory.positivity_dt_bound
     data = {
         "worst_excess": worst,
-        "steps": len(trajectory.reports),
+        "steps": len(trajectory.monitors),
         # strict JSON has no Infinity: an unbounded step is written as null
         "dt_bound": float(bound) if math.isfinite(bound) else None,
         "dt_ok": bool(trajectory.positivity_dt_ok),
@@ -162,8 +160,8 @@ def _lowest_stored_value(trajectory):
 
 
 def _sup_bound_verdict(trajectory, bound, label):
-    sups = [rep.sup_norm for rep in trajectory.reports]
-    observed = max(sups) if sups else float(np.abs(trajectory.values[0]).max())
+    sups = trajectory.monitor("sup_norm")
+    observed = float(sups.max()) if sups.size else float(np.abs(trajectory.values[0]).max())
     ok = observed <= bound + BOUND_SLACK
     return Verdict("verified" if ok else "violated",
                    note=label,

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from parapos.coefficients import (
     Coefficient,
     ConstantInSpace,
+    ConstantInTime,
     ExpInTime,
     PowerInTime,
     TabulatedCoefficient,
@@ -147,6 +150,52 @@ def test_lv_source_with_an_array_t_gives_the_bits_of_per_sample_calls(tmp_path):
     u = np.random.default_rng(4).random((len(t), 2))
     per_sample = np.array([lv.source(float(ti), xi, ui) for ti, xi, ui in zip(t, x, u)])
     assert _bits(lv.source(t, x, u)) == _bits(per_sample)
+
+
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+_TIME_PARTS = st.one_of(
+    st.builds(ConstantInTime, st.floats(-10.0, 10.0, **_FINITE)),
+    st.builds(ExpInTime, st.floats(-5.0, 5.0, **_FINITE), st.floats(-5.0, 5.0, **_FINITE),
+              st.floats(0.0, 50.0, **_FINITE)),
+    st.builds(PowerInTime, st.floats(0.01, 10.0, **_FINITE), st.floats(0.01, 8.0, **_FINITE)),
+)
+
+
+def _scalar_and_vector_bits(part, ts):
+    ts = np.array(ts)
+    vector = np.broadcast_to(part(ts), ts.shape)
+    return _bits(vector), _bits([part(t) for t in ts.tolist()])
+
+
+@settings(max_examples=300, deadline=None)
+@given(part=_TIME_PARTS,
+       ts=st.lists(st.floats(0.0, 800.0, **_FINITE), min_size=1, max_size=70))
+def test_a_vector_time_part_gives_the_bits_of_scalar_calls(part, ts):
+    # exp(-rate t) runs through the subnormals to 0 at rate t near 708-745
+    vector, scalar = _scalar_and_vector_bits(part, ts)
+    assert vector == scalar
+
+
+@settings(max_examples=100, deadline=None)
+@given(part=_TIME_PARTS, dt=st.floats(1e-4, 0.5, **_FINITE), steps=st.integers(1, 3000))
+def test_a_vector_time_part_gives_the_bits_of_scalar_calls_on_the_march_lattice(part, dt,
+                                                                                 steps):
+    # the times the march visits: t += dt, accumulated
+    t, ts = 0.0, [0.0]
+    for _ in range(steps):
+        t += dt
+        ts.append(t)
+    vector, scalar = _scalar_and_vector_bits(part, ts)
+    assert vector == scalar
+
+
+@pytest.mark.parametrize("rate", [1.0, 3.7, 50.0])
+def test_a_vector_exp_time_part_gives_the_bits_of_scalar_calls_through_underflow(rate):
+    ts = np.linspace(700.0, 750.0, 4001) / rate
+    vector, scalar = _scalar_and_vector_bits(ExpInTime(0.0, 1.5, rate), ts)
+    assert vector == scalar
+    tail = ExpInTime(0.0, 1.0, rate)(ts)
+    assert (tail == 0.0).any() and ((tail > 0.0) & (tail < np.finfo(float).tiny)).any()
 
 
 def test_tabulated_rejects_incomplete_lattice(tmp_path):

@@ -2,6 +2,7 @@ import copy
 import importlib.util
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,21 @@ class TestScenarioConfig:
         zero = np.zeros(grid.shape + (1,))  # state axis comes last here
         src = problem.coefficients.source(0.0, grid.points, zero, None)
         assert np.allclose(src, -1.0)
+
+    def test_a_source_shift_keeps_the_tabulated_block(self):
+        # N1 shifts its source; the march still reads block tables, with the
+        # bits of the unshifted source plus the shift at every time
+        problem = get_scenario("N1_negative_source").build_problem()
+        coeffs, x = problem.coefficients, problem.initial.grid.points
+        assert hasattr(coeffs.source, "block")
+        unshifted = replace(problem.lv, shift=None)
+        u = np.random.default_rng(3).uniform(0.0, 1.0, x.shape[:-1] + (2,))
+        ts = np.arange(5) * 0.01
+        at = coeffs.source_block(ts, x)
+        for j, t in enumerate(ts.tolist()):
+            want = unshifted.source(t, x, u) + np.array([-1.0, 0.0])
+            assert at(j, u, None).tobytes() == want.tobytes()
+            assert coeffs.source(t, x, u, None).tobytes() == want.tobytes()
 
     def test_battery_block_builds_bumps(self):
         config = load_config_data(tiny_config())

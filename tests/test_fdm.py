@@ -1,6 +1,8 @@
+import hashlib
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -25,10 +27,12 @@ from parapos.errors import (CoefficientError, DegenerateRefinement, NonConvergen
                             SolverError, SpecError)
 from parapos import fdm
 from parapos.fdm import (
+    BLOCK_STEPS,
+    MONITORS,
     SchemeConfig,
     _assemble_2d,
-    _implicit_solvers,
-    _make_report,
+    _implicit_solve,
+    _step_monitors,
     estimate_order,
     positivity_step_bound,
     solve,
@@ -44,6 +48,7 @@ from parapos.model import (
     SpatialDomain,
     build_lv_problem,
 )
+from parapos.scenarios import get_scenario
 
 UNIT = SpatialDomain(((0.0, 1.0),))
 
@@ -191,31 +196,36 @@ class TestSolve:
         traj = solve(spec, SchemeConfig(scheme="erk2", dt=4.9e-5))
         assert np.isfinite(traj.values).all()
 
+    @pytest.mark.parametrize("at", [3, BLOCK_STEPS, BLOCK_STEPS + 1])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [0, 50, -1])
     def test_a_non_finite_value_stops_the_march_at_its_step(self, monkeypatch,
-                                                            bad, where):
-        # step 3 leaves one value non-finite: the march raises there, with no
-        # warning on the way
+                                                            bad, where, at):
+        # step ``at`` leaves one value non-finite: the march raises there, with
+        # no warning on the way; steps BLOCK_STEPS and BLOCK_STEPS + 1 end one
+        # block and start the next
         real_stepper = fdm._stepper
 
         def stepper(*args):
-            advance = real_stepper(*args)
+            begin = real_stepper(*args)
             steps = []
 
-            def spoilt(values, t, counter):
-                out = advance(values, t, counter)
-                steps.append(t)
-                if len(steps) == 3:
-                    out.flat[where] = bad
-                return out
-            return spoilt
+            def spoilt_begin(ts):
+                advance = begin(ts)
+
+                def spoilt(j, values, out, counter):
+                    advance(j, values, out, counter)
+                    steps.append(ts[j])
+                    if len(steps) == at:
+                        out.flat[where] = bad
+                return spoilt
+            return spoilt_begin
 
         monkeypatch.setattr(fdm, "_stepper", stepper)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SolverError,
-                               match=r"lost finiteness at step 3 \(t=0\.03\)"):
+            with pytest.raises(SolverError, match=rf"lost finiteness at step {at} "
+                                                  rf"\(t={at / 100:g}\)"):
                 solve(logistic_problem(horizon=1.0),
                       SchemeConfig(scheme="imex_be", dt=0.01))
 
@@ -235,6 +245,24 @@ class TestSolve:
         assert len(traj.times) == 5
         assert len(traj.reports) == 100
         assert not traj.dt_adjusted
+
+    def test_the_march_holds_a_block_of_states_not_one_per_step(self):
+        # 4000 steps of 401 values: their states would take 12.8 MB, the
+        # block's 0.2 MB and the monitors 0.2 MB
+        spec = logistic_problem(n=401, horizon=40.0)
+        config = SchemeConfig(scheme="imex_be", dt=0.01, store_every=2000)
+        solve(spec, config)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            traj = solve(spec, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state, steps = 8 * 401, 4000
+        kept = traj.times.nbytes + traj.values.nbytes + traj.monitors.nbytes
+        assert traj.monitors.shape == (steps, len(MONITORS))
+        assert peak - kept < 8 * (BLOCK_STEPS + 1) * state + 8 * steps * 8
+        assert peak - kept < steps * state / 4
 
     def test_dt_rounded_to_land_on_the_horizon(self):
         spec = logistic_problem(horizon=1.0)
@@ -297,34 +325,82 @@ SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
                     1e308, -1e308, 1.0, -0.3])
 
 
-def _report_values(report):
-    return np.array([report.min_value, report.dudt_min, report.dvdt_max, report.sup_norm])
+def _block_rows(states, dt):
+    """The monitor rows of the steps ``states[j] -> states[j + 1]``.
+
+    The ``min_value`` column is filled first, as the march fills it.
+    """
+    rows = np.full((len(states) - 1, len(MONITORS)), -1.0)
+    rows[:, MONITORS.index("min_value")] = [new.min() for new in states[1:]]
+    _step_monitors(states, dt, rows)
+    return rows
 
 
-class TestStepReport:
-    """The report reduces before it divides or takes the root."""
+def _column(rows, *names):
+    return rows[:, [MONITORS.index(name) for name in names]]
 
+
+class TestStepMonitors:
+    """The block reduces each step before it divides or takes the root."""
+
+    @pytest.mark.parametrize("steps", [1, 2, BLOCK_STEPS, BLOCK_STEPS + 1])
     @pytest.mark.parametrize("dt", [0.01, 0.5, 1.9])
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_bitwise_the_mapped_grid_extremes_on_special_values(self, m, dt):
-        rng = np.random.default_rng(m)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bitwise_the_mapped_grid_extremes_on_special_values(self, m, dt, steps):
+        rng = np.random.default_rng(100 * m + steps)
         with np.errstate(all="ignore"):
-            for _ in range(300):
-                shape = (m, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
-                old, new = rng.choice(SPECIAL, shape), rng.choice(SPECIAL, shape)
-                got = _report_values(_make_report(0, dt, old, new, dt))
-                want = np.array(step_report_reference(old, new, dt))
+            for _ in range(8):
+                shape = (steps + 1, m, int(rng.integers(1, 5)), int(rng.integers(1, 4)))
+                states = rng.choice(SPECIAL, shape)
+                rows = _block_rows(states, dt)
+                got = _column(rows, "min_value", "dudt_min", "dvdt_max", "sup_norm")
+                want = np.array([step_report_reference(old, new, dt)
+                                 for old, new in zip(states[:-1], states[1:])])
                 assert got.tobytes() == want.tobytes()
+                negpart = [max(0.0, -low) for low in want[:, 0].tolist()]
+                assert _column(rows, "negpart_norm").tobytes() == np.array(negpart).tobytes()
+
+    def test_the_caller_owns_time_and_iterations(self):
+        states = np.random.default_rng(1).normal(size=(4, 2, 5))
+        rows = _block_rows(states, 0.1)
+        assert np.all(_column(rows, "t", "solve_iterations") == -1.0)
 
     def test_an_underflowing_rate_keeps_the_sign_of_the_true_extreme(self):
         # for dt >= 2 a least difference of -5e-324 rounds to -0.0, which ties
-        # with the +0.0 of a zero difference; the report divides the true
+        # with the +0.0 of a zero difference; the monitors divide the true
         # minimum, so it reads -0.0, and +0.0 for the maximum
         old = np.zeros((2, 1, 2))
         new = np.array([[[-5e-324, 0.0]], [[0.0, -5e-324]]])
-        report = _make_report(0, 4.0, old, new, 4.0)
-        assert math.copysign(1.0, report.dudt_min) == -1.0
-        assert math.copysign(1.0, report.dvdt_max) == 1.0
+        dudt, dvdt = _column(_block_rows(np.stack([old, new]), 4.0), "dudt_min", "dvdt_max")[0]
+        assert math.copysign(1.0, dudt) == -1.0
+        assert math.copysign(1.0, dvdt) == 1.0
+
+
+class TestStepReports:
+    # sha256 of the reports' reprs, from the march that built one StepReport
+    # a step; S4 marches imex_be, S6 erk2
+    @pytest.mark.parametrize("name, digest", [
+        ("S4_asymptotics", "1a7ebf6e40d9b89d1413255c5d1320b396c44735645550c020646d0568198f3c"),
+        ("S6_oracle_crosscheck",
+         "3d7d7d14afa672d1eebbe0306b4059e65c6e9538c728601718acd96c7a0b381f"),
+    ])
+    def test_reports_keep_every_field_of_the_per_step_march(self, name, digest):
+        config = get_scenario(name)
+        reports = solve(config.build_problem(), config.scheme()).reports
+        text = "\n".join(repr(r) for r in reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_reports_are_a_sequence_read_from_the_monitors(self):
+        traj = solve(logistic_problem(horizon=0.05), SchemeConfig(scheme="imex_be", dt=0.01))
+        reports = traj.reports
+        assert len(reports) == 5
+        assert [r.step for r in reports] == [1, 2, 3, 4, 5]
+        # one species: dvdt_max is nan, so compare the reprs
+        assert repr(reports[-1]) == repr(reports[4]) != repr(reports[3])
+        assert list(map(repr, reports[1:3])) == [repr(reports[1]), repr(reports[2])]
+        assert reports[2].t == traj.monitor("t")[2]
+        with pytest.raises(IndexError):
+            reports[5]
 
 
 class TestDirectSolvers:
@@ -341,8 +417,13 @@ class TestDirectSolvers:
         mat, _ = _assemble_2d(np.full(rhs.shape, axx), np.full(rhs.shape, ayy),
                               hx, hy, lam)
         ref = spsolve(mat.tocsc(), rhs.ravel()).reshape(rhs.shape)
-        got = _implicit_solvers(g, a, lam, True)[0](rhs)
+        w = np.ones((1,) + g.shape)
+        w[0, 1:-1, 1:-1] = rhs
+        _implicit_solve(g, a, lam, True)(w)
+        got = w[0, 1:-1, 1:-1]
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the solve leaves the boundary zero, whatever the right-hand side held there
+        assert not np.any(w[0][~g.interior_mask])
 
     @pytest.mark.parametrize("nodes", (4, 5, 101))
     def test_factored_1d_solve_is_bitwise_the_banded_solve(self, nodes):
@@ -374,6 +455,25 @@ class TestDirectSolvers:
         want = np.zeros_like(values)
         want[0, 1:-1] = banded_implicit_solve(a_node, g.spacing[0], dt, values[0, 1:-1])
         assert np.array_equal(new.values.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 3), nodes=st.integers(3, 6), seed=st.integers(0, 2**32 - 1))
+    def test_the_joined_1d_solve_is_bitwise_the_banded_solve_per_component(self, m, nodes,
+                                                                            seed):
+        # one interior node upward, any diffusion jump, signed zeros and a
+        # right-hand side whose boundary the solve must clear
+        rng = np.random.default_rng(seed)
+        g = Grid(UNIT, (nodes,))
+        a = rng.uniform(0.01, 2.0, (nodes, m, 1, 1))
+        lam = float(rng.uniform(1e-3, 1.0))
+        w = rng.normal(size=(m, nodes))
+        w[rng.uniform(size=w.shape) < 0.2] = -0.0
+        want = np.zeros_like(w)
+        for k in range(m):
+            want[k, 1:-1] = banded_implicit_solve(a[1:-1, k, 0, 0], g.spacing[0], lam,
+                                                  w[k, 1:-1])
+        _implicit_solve(g, a, lam, False)(w)
+        assert w.tobytes() == want.tobytes()
 
     def test_direct_and_iterative_2d_marches_agree(self):
         g = Grid(SpatialDomain(((0.0, 1.0), (0.0, 1.0))), (25, 31))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import trajectory_csv_reference
 from parapos import io
 from parapos.errors import SpecError, WriterError
-from parapos.fdm import SchemeConfig, StepReport, Trajectory, solve, stored_count
+from parapos.fdm import MONITORS, SchemeConfig, Trajectory, solve, stored_count
 from parapos.io import (
     MAGIC,
     TrajectoryCsvStream,
@@ -38,12 +38,19 @@ def small_trajectory(dim=1):
     times = np.array([0.0, 0.5, 1.0])
     rng = np.random.default_rng(3)
     values = rng.normal(size=(3, 2) + shape)
-    reports = [
-        StepReport(step=i, t=float(t), min_value=-0.1 * i, sup_norm=1.0 + i,
-                   negpart_norm=0.01 * i, dudt_min=-1e-9, dvdt_max=1e-9)
-        for i, t in enumerate(times[1:], start=1)
-    ]
-    return Trajectory(grid, "imex_be", 0.5, times, values, reports,
+    # t, min_value, sup_norm, negpart_norm, dudt_min, dvdt_max, solve_iterations
+    monitors = [(float(t), -0.1 * i, 1.0 + i, 0.01 * i, -1e-9, 1e-9, 0)
+                for i, t in enumerate(times[1:], start=1)]
+    return Trajectory(grid, "imex_be", 0.5, times, values, monitors,
+                      positivity_dt_bound=np.inf, positivity_dt_ok=True)
+
+
+def monitored(fields):
+    """A trajectory whose steps have the six diagnostics ``fields`` per row."""
+    monitors = np.zeros((len(fields), len(MONITORS)))
+    monitors[:, :6] = fields
+    return Trajectory(Grid(SpatialDomain(((0.0, 1.0),)), (3,)), "imex_be", 0.5,
+                      np.zeros(1), np.zeros((1, 1, 3)), monitors,
                       positivity_dt_bound=np.inf, positivity_dt_ok=True)
 
 
@@ -395,7 +402,7 @@ class TestTrajectoryCsvStream:
 
 
 class TestDiagnosticsCsv:
-    def test_one_row_per_step_report(self, tmp_path):
+    def test_one_row_per_step(self, tmp_path):
         traj = small_trajectory()
         path = tmp_path / "diag.csv"
         write_diagnostics_csv(path, traj)
@@ -411,25 +418,27 @@ class TestDiagnosticsCsv:
         fields = rng.normal(size=(1100, 6))
         fields.ravel()[:corners.size] = corners
         fields.ravel()[-corners.size:] = corners
-        reports = [StepReport(i, *row) for i, row in enumerate(fields.tolist())]
         path = tmp_path / "diag.csv"
-        write_diagnostics_csv(path, SimpleNamespace(reports=reports))
+        write_diagnostics_csv(path, monitored(fields))
         expected = ["t,min_value,sup_norm,negpart_norm,dudt_min,dvdt_max"]
         expected += [",".join(repr(v) for v in row) for row in fields.tolist()]
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
-    def test_no_report_writes_the_header(self, tmp_path):
+    def test_no_step_writes_the_header(self, tmp_path):
         path = tmp_path / "diag.csv"
-        write_diagnostics_csv(path, SimpleNamespace(reports=[]))
+        write_diagnostics_csv(path, monitored(np.zeros((0, 6))))
         assert path.read_text() == "t,min_value,sup_norm,negpart_norm,dudt_min,dvdt_max\n"
 
     def test_the_tokens_of_a_long_run_are_never_all_held(self, tmp_path):
-        # formatting all 10 000 reports at once peaks near 15 MB
-        reports = [StepReport(i, 0.005 * i, -0.1, 1.0 + i, 0.1, -1e-9, 1e-9)
-                   for i in range(10_000)]
+        # formatting all 10 000 steps at once peaks near 15 MB
+        steps = np.arange(10_000.0)
+        fields = np.column_stack([0.005 * steps, np.full_like(steps, -0.1), 1.0 + steps,
+                                  np.full_like(steps, 0.1), np.full_like(steps, -1e-9),
+                                  np.full_like(steps, 1e-9)])
+        trajectory = monitored(fields)
         tracemalloc.start()
         try:
-            write_diagnostics_csv(tmp_path / "diag.csv", SimpleNamespace(reports=reports))
+            write_diagnostics_csv(tmp_path / "diag.csv", trajectory)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -322,6 +322,77 @@ class TestLVTablesAtEntryShape:
         assert peak < 8 * 201 * 201 * m * m
 
 
+def _march_lattice(dt, steps):
+    t, ts = 0.0, [0.0]
+    for _ in range(steps):
+        t += dt
+        ts.append(t)
+    return np.array(ts)
+
+
+class TestLVSourceBlock:
+    """A block source gives the bits of one source call per time of its lattice."""
+
+    @pytest.mark.parametrize("shift", [False, True])
+    @pytest.mark.parametrize("profiles", ["constant", "bump", "mixed"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_each_step_is_bitwise_the_source_call(self, m, dim, profiles, shift):
+        growth, interaction = _table_case(m, dim, profiles)
+        lv = LVCoefficients(np.full(m, 0.1), growth, interaction,
+                            shift=np.linspace(-1.0, 0.5, m) if shift else None)
+        _, x, u = _table_samples(m, dim, "scalar")
+        ts = _march_lattice(0.37, 12)
+        at = lv.source_block(ts, x)
+        for j, t in enumerate(ts.tolist()):
+            assert at(j, u).tobytes() == lv.source(t, x, u).tobytes()
+
+    def test_a_table_and_plain_callables_are_called_per_step(self):
+        growth, interaction = _memo_test_coefficients()
+        growth = (growth[0], lambda t, x: 1.0 + 0.0 * t)
+        lv = LVCoefficients(np.array([0.05, 0.5]), growth, interaction)
+        x = unit_grid(23).points
+        u = np.random.default_rng(6).uniform(0.0, 2.0, (23, 2))
+        ts = _march_lattice(0.1, 30)
+        at = lv.source_block(ts, x)
+        for j, t in enumerate(ts.tolist()):
+            want = lv_source_reference(growth, interaction, t, x, u)
+            assert at(j, u).tobytes() == want.tobytes()
+
+    def test_the_shift_is_added_after_the_product(self):
+        growth, interaction = _table_case(2, 1, "mixed")
+        shift = np.array([-1.0, 0.25])
+        plain = LVCoefficients(np.full(2, 0.1), growth, interaction)
+        shifted = LVCoefficients(np.full(2, 0.1), growth, interaction, shift=shift)
+        _, x, u = _table_samples(2, 1, "scalar")
+        want = plain.source(0.3, x, u) + shift
+        assert shifted.source(0.3, x, u).tobytes() == want.tobytes()
+        # the tables, which the checks read, carry no shift
+        assert (shifted.growth_values(0.3, x).tobytes()
+                == plain.growth_values(0.3, x).tobytes())
+        assert (shifted.interaction_values(0.3, x).tobytes()
+                == plain.interaction_values(0.3, x).tobytes())
+        with pytest.raises(SpecError):
+            LVCoefficients(np.full(2, 0.1), growth, interaction, shift=[1.0])
+
+    def test_a_wrapped_source_is_called_once_per_step(self):
+        growth, interaction = _table_case(2, 1, "constant")
+        lv = LVCoefficients(np.full(2, 0.1), growth, interaction)
+        calls = []
+
+        def wrapped(t, x, u, p):
+            calls.append(t)
+            return 2.0 * lv.source(t, x, u)
+
+        coeffs = CoefficientSet(diffusion=None, drift=None, source=wrapped)
+        _, x, u = _table_samples(2, 1, "scalar")
+        ts = _march_lattice(0.25, 3)
+        at = coeffs.source_block(ts, x)
+        assert [at(j, u, None).tobytes() for j in range(4)] == [
+            (2.0 * lv.source(t, x, u)).tobytes() for t in ts.tolist()]
+        assert calls == ts.tolist() and all(type(t) is float for t in calls)
+
+
 def test_build_lv_problem_wires_diagonal_diffusion():
     g = unit_grid(21)
     lv = LVCoefficients(
