@@ -23,17 +23,18 @@ zero), which the degeneracy tests rely on.  Neither stepper alters the
 state it computes: a negative value stays in the trajectory, where the
 positivity verdict sees it.
 
-Block march.  ``solve`` marches in blocks of ``BLOCK_STEPS`` steps (fewer
-when that many states would pass ``BLOCK_BYTES``).  A block starts on its
-own time lattice, the start times ``t += dt`` accumulated as the march
-accumulates them and the next one, so ``erk2``'s stage time is a lattice
-point bit for bit.  The source evaluates each separable coefficient's time
-part once over that lattice (:meth:`model.CoefficientSet.source_block`).
-Each step writes its state into a ``(block + 1, m, *shape)`` buffer and is
-checked for finiteness at once; the block then reduces every step's
-monitors in one pass into the rows of ``Trajectory.monitors``, one column
-per entry of :data:`MONITORS`.  ``Trajectory.reports`` builds a
-:class:`StepReport` from a row only when it is read.
+Block march.  ``solve`` marches in blocks of ``BLOCK_STEPS`` steps.  A
+block starts on its own time lattice, the start times ``t += dt``
+accumulated as the march accumulates them and the next one, so ``erk2``'s
+stage time is a lattice point bit for bit.  The competition source with
+space-constant separable coefficients evaluates each time part once over
+that lattice; any other source is called per step
+(:meth:`model.CoefficientSet.source_block`).
+Each step writes its state into the other of two buffers, is checked for
+finiteness at once, and reduces its monitors into its row of
+``Trajectory.monitors``, one column per entry of :data:`MONITORS`.
+``Trajectory.reports`` builds a :class:`StepReport` from a row only when it
+is read.
 
 Implicit solves.  In 1D every component's operator is one LAPACK
 tridiagonal LU factor (``dgttrf``) of the joined ``(m, n)`` state, whose
@@ -73,12 +74,9 @@ SCHEMES = ("imex_be", "erk2")
 LINEAR_RTOL = 1e-10
 LINEAR_MAXITER = 5000
 
-#: steps the march takes per block: the time parts are tabulated, and the
-#: step monitors reduced, once per block
+#: steps the march takes per block, over which the coefficients' time parts
+#: are tabulated once
 BLOCK_STEPS = 64
-#: the block's states stay within this many bytes, so a large 2D state
-#: marches in blocks of fewer steps, down to one
-BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -156,9 +154,6 @@ class Trajectory:
     positivity_dt_bound: float
     positivity_dt_ok: bool
     dt_adjusted: bool = False
-
-    def __post_init__(self):
-        self.monitors = np.asarray(self.monitors, dtype=float).reshape(-1, len(MONITORS))
 
     @property
     def components(self):
@@ -306,9 +301,14 @@ def _tridiagonal_solver(a, h, lam):
     upper[:, -2:] = upper[:, 0] = 0.0
     dl, d, du, du2, ipiv, info = dgttrf(lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
     if info != 0:
-        raise SolverError(f"tridiagonal factorization failed (info={info})")
+        # the first zero pivot's row, counted within its component's
+        # interior as a factor of that interior alone counts it
+        raise SolverError(f"tridiagonal factorization failed (info={(info - 1) % n})")
 
     def solve(w):
+        if not w.flags.c_contiguous:
+            # a reshape would copy it, and the solve would land in the copy
+            raise ValueError("the tridiagonal solve needs a C-contiguous right-hand side")
         w[:, ::n - 1] = 0.0
         dgttrs(dl, d, du, du2, ipiv, w.reshape(-1), overwrite_b=True)
 
@@ -497,33 +497,27 @@ def step(state, t, dt, spec, config):
     grid = state.grid
     counter = [0]
     old = np.asarray(state.values, dtype=float)
-    states = np.empty((2, *old.shape))
-    states[0] = old
+    new = np.empty(old.shape)
     advance = _stepper(spec, grid, config, dt, t, old)(np.array([t, t + dt]))
-    advance(0, old, states[1], counter)
-    row = np.empty((1, len(MONITORS)))
-    row[0, _T], row[0, _MIN], row[0, _ITER] = t + dt, states[1].min(), counter[0]
-    _step_monitors(states, dt, row)
-    return Field(grid, states[1]), _report(0, row[0], _source_evaluations(config.scheme))
+    advance(0, old, new, counter)
+    row = np.empty(len(MONITORS))
+    row[_T], row[_MIN], row[_ITER] = t + dt, new.min(), counter[0]
+    _step_monitors(old, new, dt, row)
+    return Field(grid, new), _report(0, row, _source_evaluations(config.scheme))
 
 
-def _step_monitors(states, dt, rows):
-    """The monitors of the steps ``states[j] -> states[j + 1]``, into ``rows[j]``.
+def _step_monitors(old, new, dt, row):
+    """The monitors of the step ``old -> new``, into its monitor row ``row``.
 
     The caller fills the ``t``, ``min_value`` and ``solve_iterations``
-    columns; the others are reduced here for every step at once.  Each
-    extreme is taken before dividing by ``dt`` or taking the root: both maps
-    are monotone, so this is the extreme of the mapped grid without building
-    it.
+    columns.  Each extreme is taken before dividing by ``dt`` or taking the
+    root: both maps are monotone, so this is the extreme of the mapped grid
+    without building it.
     """
-    old, new = states[:-1], states[1:]
-    steps, m = new.shape[:2]
-    low = rows[:, _MIN]
-    rows[:, _NEG] = np.where(low < 0.0, -low, 0.0)  # max(0.0, -low)
-    rows[:, _DUDT] = (new[:, 0] - old[:, 0]).reshape(steps, -1).min(axis=1) / dt
-    rows[:, _DVDT] = ((new[:, 1] - old[:, 1]).reshape(steps, -1).max(axis=1) / dt
-                      if m >= 2 else np.nan)
-    rows[:, _SUP] = np.sqrt((new * new).sum(axis=1).reshape(steps, -1).max(axis=1))
+    row[_NEG] = max(0.0, -row[_MIN])
+    row[_DUDT] = (new[0] - old[0]).min() / dt
+    row[_DVDT] = (new[1] - old[1]).max() / dt if len(new) >= 2 else np.nan
+    row[_SUP] = np.sqrt((new * new).sum(axis=0).max())
 
 
 def positivity_step_bound(spec, reference=None):
@@ -579,7 +573,7 @@ def solve(spec, config, sink=None):
     each snapshot the march calls ``sink.post()``, so a consumer can work on
     it while the march goes on; a posted snapshot is never written again.
     Apart from those arrays and the ``(steps, len(MONITORS))`` monitor
-    table, the march holds one block of states.
+    table, the march holds two states.
     """
     grid = spec.initial.grid
     spec.initial.validate()
@@ -612,38 +606,37 @@ def solve(spec, config, sink=None):
     stored = 0
 
     monitors = np.empty((steps, len(MONITORS)))
-    block = max(1, min(BLOCK_STEPS, BLOCK_BYTES // w.nbytes - 1))
-    states = np.empty((block + 1, *w.shape))
-    states[0] = w
+    # step k writes into buffer k % 2, from the state of step k - 1
+    buffers = np.empty((2, *w.shape))
+    old = w
     t = 0.0
     begin = _stepper(spec, grid, config, dt, t, w)
-    for first in range(0, steps, block):
-        count = min(block, steps - first)
+    for first in range(0, steps, BLOCK_STEPS):
+        count = min(BLOCK_STEPS, steps - first)
         ts = [t]
         for _ in range(count):
             t += dt
             ts.append(t)
         advance = begin(np.array(ts))
-        rows = monitors[first:first + count]
         for j in range(count):
+            k = first + j + 1
             counter = [0]
-            new = states[j + 1]
-            advance(j, states[j], new, counter)
+            new = buffers[k % 2]
+            advance(j, old, new, counter)
             # NaN reaches the minimum and an infinity the minimum or the
             # maximum, so both are finite exactly when every value is
             low = float(new.min())
             if not (math.isfinite(low) and math.isfinite(float(new.max()))):
-                raise SolverError(f"solution lost finiteness at step {first + j + 1} "
-                                  f"(t={ts[j + 1]:g})")
-            rows[j, _MIN], rows[j, _ITER] = low, counter[0]
-            if (first + j + 1) % config.store_every == 0 or first + j + 1 == steps:
+                raise SolverError(f"solution lost finiteness at step {k} (t={ts[j + 1]:g})")
+            row = monitors[k - 1]
+            row[_T], row[_MIN], row[_ITER] = ts[j + 1], low, counter[0]
+            _step_monitors(old, new, dt, row)
+            if k % config.store_every == 0 or k == steps:
                 stored += 1
                 times[stored], values[stored] = ts[j + 1], new
                 if sink is not None:
                     sink.post()
-        rows[:, _T] = ts[1:]
-        _step_monitors(states[:count + 1], dt, rows)
-        states[0] = states[count]
+            old = new
     return Trajectory(
         grid=grid,
         scheme=config.scheme,

@@ -45,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SpecError, WriterError
+from .fdm import MONITORS
 
 MAGIC = b"PPOS1"
 
@@ -308,14 +309,14 @@ _STEPS_PER_WRITE = 128
 
 
 def write_diagnostics_csv(path, trajectory):
-    """Per-step monitor table from the trajectory's monitor columns."""
-    header = ["t", "min_value", "sup_norm", "negpart_norm", "dudt_min", "dvdt_max"]
+    """Per-step monitor table, the first six monitor columns of the trajectory."""
+    header = MONITORS[:6]
     width = len(header)
-    columns = [trajectory.monitor(name) for name in header]
+    monitors = trajectory.monitors
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(columns[0]), _STEPS_PER_WRITE):
-            chunk = np.column_stack([c[start:start + _STEPS_PER_WRITE] for c in columns])
+        for start in range(0, len(monitors), _STEPS_PER_WRITE):
+            chunk = monitors[start:start + _STEPS_PER_WRITE, :width]
             tokens = _tokens(chunk)
             # one separator after each token: a comma, or a newline after a row's last
             parts = [b","] * (2 * len(tokens))

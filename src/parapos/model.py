@@ -478,32 +478,22 @@ class LVCoefficients:
     def source_block(self, ts, x):
         """The source at each time of ``ts`` as ``at(j, u)``, bit for bit ``source(ts[j], x, u)``.
 
-        Each separable coefficient's time part is evaluated once, over all
-        of ``ts``.  When every space profile is one constant value, both
-        tables are built for the whole block, and step ``j`` reads row ``j``
-        of each.  Otherwise step ``j`` builds its tables as :meth:`source`
-        does, from the tabulated time parts: an array profile is multiplied
-        by its time part, and any other coefficient is called at ``ts[j]``.
-        ``at`` takes and ignores a gradient ``p``, which this source never
-        reads.
+        When every coefficient is separable with a space profile of one
+        constant value, each time part is evaluated once, over all of
+        ``ts``, both tables are built for the whole block, and step ``j``
+        reads row ``j`` of each.  Any other coefficient set is evaluated by
+        one :meth:`source` call per step.  ``at`` takes and ignores a
+        gradient ``p``, which this source never reads.
         """
         ts = np.asarray(ts, dtype=float)
-        m = self.species
         entries = self._entries(x)
-        parts = [None if prof is None else np.broadcast_to(f.time_part(ts), ts.shape)
-                 for f, prof in entries]
-        if all(isinstance(prof, float) for _, prof in entries):
-            columns = [part * prof for part, (_, prof) in zip(parts, entries)]
-            beta, gam = _table(columns[:m], (m,)), _table(columns[m:], (m, m))
-            return lambda j, u, p=None: self._source(beta[j], gam[j], u)
-        times = ts.tolist()
-
-        def at(j, u, p=None):
-            values = [f(times[j], x) if part is None else part[j] * prof
-                      for part, (f, prof) in zip(parts, entries)]
-            return self._source(_table(values[:m], (m,)), _table(values[m:], (m, m)), u)
-
-        return at
+        if not all(isinstance(prof, float) for _, prof in entries):
+            times = ts.tolist()
+            return lambda j, u, p=None: self.source(times[j], x, u)
+        m = self.species
+        columns = [np.broadcast_to(f.time_part(ts), ts.shape) * prof for f, prof in entries]
+        beta, gam = _table(columns[:m], (m,)), _table(columns[m:], (m, m))
+        return lambda j, u, p=None: self._source(beta[j], gam[j], u)
 
 
 @dataclass

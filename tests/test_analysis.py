@@ -23,7 +23,7 @@ from parapos.analysis import (
 from parapos.analysis import TestFunction as QuarticBump
 from parapos.coefficients import parse_coefficient
 from parapos.errors import DivisionDomainError, IntegrabilityError, SpecError
-from parapos.fdm import SchemeConfig, Trajectory, solve
+from parapos.fdm import MONITORS, SchemeConfig, Trajectory, solve
 from parapos.model import Field, Grid, LVCoefficients, SpatialDomain, build_lv_problem
 
 UNIT = SpatialDomain(((0.0, 1.0),))
@@ -41,7 +41,8 @@ def make_trajectory(series, n_nodes=5, m=1, horizon=1.0):
                              (len(series), m, n_nodes)).copy()
     grid = Grid(UNIT, (n_nodes,))
     return Trajectory(grid, "imex_be", float(times[1] - times[0]), times, values,
-                      [], positivity_dt_bound=np.inf, positivity_dt_ok=True)
+                      np.zeros((0, len(MONITORS))), positivity_dt_bound=np.inf,
+                      positivity_dt_ok=True)
 
 
 class TestQuarticBump:
@@ -212,8 +213,8 @@ class TestDetectMonotone:
         rates = np.arange(1.0, 5.0)
         values[:, 0, 1:-1] = times[:, None] * rates[None, :]
         traj = Trajectory(Grid(UNIT, (6,)), "imex_be", float(times[1]), times,
-                          values, [], positivity_dt_bound=np.inf,
-                          positivity_dt_ok=True)
+                          values, np.zeros((0, len(MONITORS))),
+                          positivity_dt_bound=np.inf, positivity_dt_ok=True)
         verdict = detect_monotone(traj, 0, "+")
         assert verdict.passed
         assert verdict.worst_margin == pytest.approx(1.0, rel=1e-12)

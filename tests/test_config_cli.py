@@ -13,7 +13,7 @@ from parapos.cli import main
 from parapos.config import DEFAULT_ASSUMPTIONS, load_config, load_config_data
 from parapos.duhamel import PicardConfig, picard_solve
 from parapos.errors import ConfigError
-from parapos.fdm import Trajectory
+from parapos.fdm import MONITORS, Trajectory
 from parapos.io import read_snapshots, sha256_file
 from parapos.model import Grid, SpatialDomain
 from parapos.runner import _positivity_verdict, run_scenario
@@ -554,8 +554,8 @@ class TestPositivityVerdict:
     def trajectory(bound, ok, adjusted):
         grid = Grid(SpatialDomain(((0.0, 1.0),)), (5,))
         return Trajectory(grid, "imex_be", 0.1, np.array([0.0]), np.zeros((1, 1, 5)),
-                          [], positivity_dt_bound=bound, positivity_dt_ok=ok,
-                          dt_adjusted=adjusted)
+                          np.zeros((0, len(MONITORS))), positivity_dt_bound=bound,
+                          positivity_dt_ok=ok, dt_adjusted=adjusted)
 
     def test_finite_step_bound_is_reported(self):
         data = _positivity_verdict(self.trajectory(0.25, True, False)).data

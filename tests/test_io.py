@@ -39,8 +39,8 @@ def small_trajectory(dim=1):
     rng = np.random.default_rng(3)
     values = rng.normal(size=(3, 2) + shape)
     # t, min_value, sup_norm, negpart_norm, dudt_min, dvdt_max, solve_iterations
-    monitors = [(float(t), -0.1 * i, 1.0 + i, 0.01 * i, -1e-9, 1e-9, 0)
-                for i, t in enumerate(times[1:], start=1)]
+    monitors = np.array([(t, -0.1 * i, 1.0 + i, 0.01 * i, -1e-9, 1e-9, 0)
+                         for i, t in enumerate(times[1:].tolist(), start=1)])
     return Trajectory(grid, "imex_be", 0.5, times, values, monitors,
                       positivity_dt_bound=np.inf, positivity_dt_ok=True)
 
