@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivisionDomainError, IntegrabilityError, SpecError
+from .model import Grid
 
 RESIDUAL_FLOOR = 1e-12
 
@@ -160,9 +161,7 @@ def component_bound_mk(trajectory, beta, gamma_kk, t_split, component=None,
     traj_sup = float(vals[early, component].max())
 
     grid = trajectory.grid
-    axes = [np.linspace(lo, hi, min(space_samples, nn))
-            for (lo, hi), nn in zip(grid.domain.bounds, grid.nodes_per_axis)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    mesh = Grid(grid.domain, [min(space_samples, nn) for nn in grid.nodes_per_axis]).points
 
     def ratio_sup(bvals, gvals):
         gmin = float(np.min(gvals))
@@ -197,8 +196,7 @@ def integrated_growth(coefficient, domain, tail_tol=1e-10, max_doublings=60,
     integral is declared non-integrable.
     """
     from scipy.integrate import simpson  # deferred: README "Set-up cost"
-    axes = [np.linspace(lo, hi, space_samples) for lo, hi in domain.bounds]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    mesh = Grid(domain, (space_samples,) * domain.dimension).points
 
     def sup_at(t):
         return float(np.max(coefficient(float(t), mesh)))

@@ -10,9 +10,9 @@ Checked assumptions, by id:
 * ``A1``        uniform parabolicity (smallest diffusion eigenvalue positive)
 * ``A2``        dissipativity (c, u) <= d1 + d2 |u|^2 on the full state box
 * ``A2'``       the same restricted to the non-negative orthant
-* ``A4a``       drift growth |b_i| <= theta1(|u|) (1 + |p|)
-* ``A4b``       source growth |c| <= theta2(|u|, |p|) (1 + |p|)^2, with a
-                heuristic geometric-ladder probe of the decay in |p|
+* ``A4a``       drift growth against an envelope; no scenario can supply
+                one, so the entry always reads ``not_applicable``
+* ``A4b``       source growth, likewise always ``not_applicable``
 * ``A6``        boundary compatibility of the initial data at t = 0
 * ``A7a``       componentwise non-negativity of the initial data
 * ``A7b``       source non-negativity on the faces u^k = 0
@@ -328,65 +328,6 @@ def check_dissipativity(spec, budget, mode="A2_prime", majorants=None):
     return entry, d1_hat, d2_hat
 
 
-def check_growth(spec, budget, majorants=None):
-    """A4a / A4b: drift and source growth against the supplied envelopes."""
-    entries = []
-    if majorants is None or (majorants.theta1 is None and majorants.theta2 is None):
-        for name in ("A4a", "A4b"):
-            entries.append(CheckEntry(name, "not_applicable", note="no growth envelopes supplied"))
-        return entries
-
-    t, x, u, p = _region_samples(spec, budget, with_p=True)
-    s = np.sqrt((u * u).sum(axis=1))
-    q = np.sqrt((p * p).sum(axis=(1, 2)))
-
-    if majorants.theta1 is not None:
-        bound = np.asarray([majorants.theta1(v) for v in s], dtype=float) * (1.0 + q)
-        margin_arr = bound
-        if spec.coefficients.drift is not None:
-            b = np.asarray(spec.coefficients.drift(t, x, u, p), dtype=float)
-            margin_arr = bound - np.abs(b).max(axis=1)
-        i = int(margin_arr.argmin())
-        entries.append(CheckEntry(
-            "A4a",
-            "pass" if margin_arr[i] >= -_TOL_SIGN else "fail",
-            margin=float(margin_arr[i]),
-            witness=_witness(t[i], x[i], u[i], p[i]),
-        ))
-    else:
-        entries.append(CheckEntry("A4a", "not_applicable", note="theta1 not supplied"))
-
-    if majorants.theta2 is not None:
-        c = np.asarray(spec.coefficients.source(t, x, u, p), dtype=float)
-        bound = np.asarray([majorants.theta2(si, qi) for si, qi in zip(s, q)], dtype=float)
-        margin_arr = bound * (1.0 + q) ** 2 - np.sqrt((c * c).sum(axis=1))
-        i = int(margin_arr.argmin())
-        # heuristic decay probe: theta2 should fall along a geometric |p| ladder
-        ladder = budget.c2 * 2.0 ** np.arange(7)
-        ladder_ok = True
-        ladder_vals = {}
-        for s_rep in (0.0, 0.5 * budget.c1, budget.c1):
-            vals = np.asarray([majorants.theta2(s_rep, r) for r in ladder], dtype=float)
-            ladder_vals[f"s={s_rep:g}"] = vals.tolist()
-            if np.any(np.diff(vals[-3:]) > _TOL_SIGN):
-                ladder_ok = False
-        status = "pass" if (margin_arr[i] >= -_TOL_SIGN and ladder_ok) else "fail"
-        note = "decay ladder is a heuristic probe, not a limit statement"
-        if not ladder_ok:
-            note = "theta2 does not decay along the sampled |p| ladder; " + note
-        entries.append(CheckEntry(
-            "A4b",
-            status,
-            margin=float(margin_arr[i]),
-            witness=_witness(t[i], x[i], u[i], p[i]),
-            note=note,
-            details={"ladder": ladder_vals},
-        ))
-    else:
-        entries.append(CheckEntry("A4b", "not_applicable", note="theta2 not supplied"))
-    return entries
-
-
 def _axis_second_derivative(values, grid, axis):
     """Second-order second derivative along ``axis`` with one-sided faces.
 
@@ -532,11 +473,7 @@ _MONOTONE_PLAN = (
 def check_monotone_coefficients(lv, budget, domain, horizon):
     """MonotoneCoeffs: central-difference time slopes of the six coefficients."""
     if lv.species != 2:
-        return CheckEntry(
-            assumption="MonotoneCoeffs",
-            status="not_applicable",
-            note="sign pattern defined for two competing species only",
-        )
+        raise SpecError("monotone coefficient check is defined for two species")
     dt = _FD_DT_FACTOR * max(1.0, horizon)
     n = domain.dimension
     count = budget.t * budget.x
@@ -619,9 +556,10 @@ def check_initial_monotonicity(lv, phi, psi, grid):
 def run_checks(spec, budget, requested, majorants=None, compat_factor=COMPAT_FACTOR):
     """Run the requested assumption checks and assemble the report.
 
-    ``requested`` is an iterable of assumption ids.  Checks that need extras
-    the caller did not provide come back ``not_applicable``.  ``compat_factor``
-    sets the A6 threshold (see :func:`check_compatibility`).
+    ``requested`` is an iterable of assumption ids.  A4a and A4b, whose
+    growth envelopes no caller can supply, and the two-species checks on any
+    other system come back ``not_applicable``.  ``compat_factor`` sets the A6
+    threshold (see :func:`check_compatibility`).
     """
     requested = list(requested)
     entries = []
@@ -637,10 +575,10 @@ def run_checks(spec, budget, requested, majorants=None, compat_factor=COMPAT_FAC
     if "A2'" in want:
         e, d1, d2 = check_dissipativity(spec, budget, "A2_prime", majorants)
         entries.append(e)
-    if "A4a" in want or "A4b" in want:
-        for e in check_growth(spec, budget, majorants):
-            if e.assumption in want:
-                entries.append(e)
+    for label in ("A4a", "A4b"):
+        if label in want:
+            entries.append(CheckEntry(label, "not_applicable",
+                                      note="no growth envelopes supplied"))
     if "A6" in want:
         entries.append(check_compatibility(spec, compat_factor=compat_factor))
     if "A7a" in want or "A7b" in want:

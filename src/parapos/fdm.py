@@ -156,10 +156,6 @@ class Trajectory:
     dt_adjusted: bool = False
 
     @property
-    def components(self):
-        return self.values.shape[1]
-
-    @property
     def final_values(self):
         return self.values[-1]
 
@@ -170,12 +166,6 @@ class Trajectory:
     @property
     def reports(self):
         return StepReports(self.monitors, _source_evaluations(self.scheme))
-
-    @property
-    def min_value(self):
-        low = self.monitor("min_value")
-        # the first least value, as ``min`` over the steps picks it
-        return float(low[low.argmin()]) if low.size else float(self.values.min())
 
 
 # --------------------------------------------------------------- difference

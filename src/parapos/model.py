@@ -54,10 +54,6 @@ class SpatialDomain:
     def dimension(self):
         return len(self.bounds)
 
-    @property
-    def lengths(self):
-        return tuple(hi - lo for lo, hi in self.bounds)
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -204,12 +200,6 @@ class Field:
     @property
     def components(self):
         return self.values.shape[0]
-
-    def component(self, k):
-        return self.values[k]
-
-    def copy(self):
-        return Field(self.grid, self.values.copy())
 
     def max_abs(self):
         return float(np.abs(self.values).max())
@@ -498,15 +488,8 @@ class LVCoefficients:
 
 @dataclass
 class Majorants:
-    """User-supplied envelopes and constants used by the sampled assumption checks.
+    """User-supplied dissipativity constants that the A2 / A2' checks test for dominance."""
 
-    All function-valued entries take the state magnitude ``s = |u|`` (and the
-    gradient magnitude ``q = |p|`` for ``theta2``) as one scalar.  Only the
-    pieces a given check needs have to be present.
-    """
-
-    theta1: object | None = None
-    theta2: object | None = None
     d1: float | None = None
     d2: float | None = None
 

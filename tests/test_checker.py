@@ -9,10 +9,10 @@ from numpy.testing import assert_allclose
 
 from parapos.checker import (
     ASSUMPTION_IDS,
+    CheckEntry,
     SampleBudget,
     check_compatibility,
     check_dissipativity,
-    check_growth,
     check_initial_monotonicity,
     check_monotone_coefficients,
     check_parabolicity,
@@ -34,7 +34,7 @@ from parapos.model import (
     build_lv_problem,
 )
 from parapos.config import load_config_data
-from parapos.scenarios import get_scenario
+from parapos.scenarios import get_scenario, list_scenarios
 
 BUDGET = SampleBudget(t=3, x=3, u=3, p=2, seed=0)
 
@@ -174,45 +174,34 @@ class TestDissipativity:
 
 class TestGrowth:
     def test_no_envelopes_means_not_applicable(self):
-        entries = check_growth(logistic_problem(), BUDGET)
-        assert [e.status for e in entries] == ["not_applicable", "not_applicable"]
+        report = run_checks(logistic_problem(), BUDGET, ["A4a", "A4b"])
+        assert [(e.assumption, e.status, e.note) for e in report.entries] == [
+            ("A4a", "not_applicable", "no growth envelopes supplied"),
+            ("A4b", "not_applicable", "no growth envelopes supplied"),
+        ]
 
-    def test_zero_drift_passes_unit_envelope(self):
-        majorants = Majorants(theta1=lambda s: 1.0)
-        entries = check_growth(logistic_problem(), BUDGET, majorants=majorants)
-        a4a = entries[0]
-        assert a4a.assumption == "A4a" and a4a.status == "pass"
-        assert a4a.margin >= 1.0  # bound (1+|p|) minus |b| = 0
+    @pytest.mark.parametrize("name", [name for name, _ in list_scenarios()])
+    def test_a4_adds_two_not_applicable_entries_and_no_evaluator_call(self, name):
+        with_a4 = get_scenario(name)
+        data = copy.deepcopy(with_a4.data)
+        data["checks"]["assumptions"].remove("A4")
+        without = load_config_data(data)
+        spec, calls = counted(with_a4.build_problem())
 
-    def test_linear_in_gradient_drift_breaks_unit_envelope(self):
-        def drift(t, x, u, p):
-            q = np.sqrt((np.asarray(p) ** 2).sum(axis=(-2, -1)))
-            return (2.0 * q)[..., None]
+        def checks(config):
+            before = dict(calls)
+            report = run_checks(spec, config.budget(), config.assumptions(),
+                                config.majorants(), config.compat_factor())
+            return report.to_json()["assumptions"], {k: calls[k] - before[k] for k in calls}
 
-        spec = generic_problem(
-            source=lambda t, x, u, p: np.zeros_like(u),
-            drift=drift,
-            depends_on_gradient=True,
-        )
-        majorants = Majorants(theta1=lambda s: 1.0)
-        a4a = check_growth(spec, BUDGET, majorants=majorants)[0]
-        assert a4a.status == "fail"
-        assert a4a.margin < 0.0
-        assert a4a.witness is not None
-
-    def test_source_envelope_with_quadratic_decay_passes(self):
-        spec = logistic_problem(beta=1.0, gamma=1.0)
-        # |c| = |u (1-u)| <= 6 on |u| <= 2, and theta2 soaks up the (1+q)^2
-        majorants = Majorants(theta2=lambda s, q: 6.0 / (1.0 + q) ** 2)
-        a4b = check_growth(spec, BUDGET, majorants=majorants)[1]
-        assert a4b.assumption == "A4b" and a4b.status == "pass"
-
-    def test_growing_envelope_fails_the_ladder_probe(self):
-        spec = logistic_problem()
-        majorants = Majorants(theta2=lambda s, q: 10.0 + q)
-        a4b = check_growth(spec, BUDGET, majorants=majorants)[1]
-        assert a4b.status == "fail"
-        assert "ladder" in a4b.note
+        entries, used = checks(with_a4)
+        entries_without, used_without = checks(without)
+        assert used == used_without
+        a4 = [e for e in entries if e["assumption"] in ("A4a", "A4b")]
+        assert a4 == [CheckEntry(label, "not_applicable",
+                                 note="no growth envelopes supplied").to_json()
+                      for label in ("A4a", "A4b")]
+        assert [e for e in entries if e not in a4] == entries_without
 
 
 class TestCompatibility:
@@ -343,6 +332,11 @@ class TestMonotoneCoefficients:
         assert entry.status == "fail"
         assert entry.witness["coefficient"] == "gamma"
 
+    def test_single_species_rejected(self):
+        lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
+        with pytest.raises(SpecError):
+            check_monotone_coefficients(lv, BUDGET, self.DOMAIN, horizon=2.0)
+
 
 class TestInitialMonotonicity:
     def test_zero_data_passes_with_zero_margin(self):
@@ -460,28 +454,26 @@ class TestRunChecks:
         coarse = get_scenario("S8_competition_2d").data
         fine = copy.deepcopy(coarse)
         fine["problem"]["grid"]["nodes"] = [121, 121]
-        majorants = Majorants(theta1=lambda s: 1.0, theta2=lambda s, q: 10.0)
 
         def calls_for(data, budget):
             spec, calls = counted(load_config_data(data).build_problem())
-            run_checks(spec, budget, ASSUMPTION_IDS, majorants)
+            run_checks(spec, budget, ASSUMPTION_IDS)
             return calls
 
         base = calls_for(coarse, SampleBudget())
-        # A1 and A6 read the diffusion; A2, A2', A4b and A6 the source once
-        # each, and A7b once per species; an LV problem has no drift to read
-        assert base == {"diffusion": 2, "drift": 0, "source": 6}
+        # A1 and A6 read the diffusion; A2, A2' and A6 the source once each,
+        # and A7b once per species; an LV problem has no drift to read
+        assert base == {"diffusion": 2, "drift": 0, "source": 5}
         assert calls_for(coarse, SampleBudget(t=10, x=10, u=8, p=6)) == base
         assert calls_for(fine, SampleBudget()) == base
 
-    def test_a4a_and_a6_read_a_drift_once_each_and_none_when_absent(self):
-        majorants = Majorants(theta1=lambda s: 1.0)
+    def test_a6_reads_a_drift_once_and_none_when_absent(self):
         zero = generic_problem(source=lambda t, x, u, p: np.zeros_like(u))
         absent = replace(zero, coefficients=replace(zero.coefficients, drift=None))
         reports = []
-        for spec, drift_calls in ((zero, 2), (absent, 0)):
+        for spec, drift_calls in ((zero, 1), (absent, 0)):
             spec, calls = counted(spec)
-            reports.append(run_checks(spec, SampleBudget(), ["A4a", "A6"], majorants))
+            reports.append(run_checks(spec, SampleBudget(), ["A6"]))
             assert calls["drift"] == drift_calls
         # a zero drift and no drift give the same entries, bit for bit
         assert reports[0].to_json() == reports[1].to_json()

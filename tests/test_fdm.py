@@ -428,7 +428,8 @@ class TestDirectSolvers:
 
     @pytest.mark.parametrize("nodes", (4, 5, 101))
     def test_factored_1d_solve_is_bitwise_the_banded_solve(self, nodes):
-        # four nodes leave two unknowns, below what the LAPACK factor accepts
+        # four nodes leave two unknowns, the smallest interior in which
+        # neighbours couple; the joined factor takes it as it takes any size
         spec = logistic_problem(n=nodes, d=0.05, horizon=0.2)
         varying = replace(spec, coefficients=replace(spec.coefficients,
                                                      constant_diffusion=False))
@@ -438,8 +439,8 @@ class TestDirectSolvers:
     @pytest.mark.parametrize("nodes", (4, 5, 101))
     def test_varying_1d_step_is_bitwise_the_banded_solve(self, nodes):
         # space-varying diffusion is rebuilt every step on the same LAPACK
-        # factor as constant diffusion; four nodes leave two unknowns, below
-        # what that factor accepts
+        # factor as constant diffusion; four nodes leave two unknowns, the
+        # smallest interior in which neighbours couple
         g = Grid(UNIT, (nodes,))
         coeffs = CoefficientSet(
             diffusion=lambda t, x, u: (0.05 * (1.0 + 3.0 * x[..., 0]))[..., None, None],
