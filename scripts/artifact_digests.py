@@ -13,9 +13,10 @@ source trees compare line by line:
     PYTHONPATH=src python scripts/artifact_digests.py S4_asymptotics --compare old.txt
 
 ``--standard`` adds the standard gate set: the ten built-ins, every
-``perfbench/configs/*.json`` file, and the perfbench ``competition_2d``
-config from generator seed 7: 14 scenarios, with 62 artifacts and 14
-manifest lines in all:
+``perfbench/configs/*.json`` file, the perfbench ``competition_2d`` config
+from generator seed 7, and two code-built variants of built-ins that take
+verdict paths no other target takes (:func:`variants`): 16 scenarios, with
+72 artifacts and 16 manifest lines in all:
 
     PYTHONPATH=old/src python scripts/artifact_digests.py --standard > old.txt
     PYTHONPATH=src python scripts/artifact_digests.py --standard --compare old.txt
@@ -54,7 +55,7 @@ from pathlib import Path
 
 from parapos.cli import main as parapos_main
 from parapos.io import sha256_file
-from parapos.scenarios import list_scenarios
+from parapos.scenarios import REGISTRY, list_scenarios
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: the manifest fields the gate compares; ``started`` and ``finished`` vary
@@ -62,15 +63,38 @@ MANIFEST_FIELDS = ("status", "verdicts", "files", "error")
 MANIFEST_KEY = f"manifest.json[{','.join(MANIFEST_FIELDS)}]"
 
 
+def variants():
+    """Built-ins changed to reach verdict paths no other gate target reaches.
+
+    ``S2_maxbound_component_bound`` adds the carrying bound of its second
+    species.  ``S4_asymptotics_default_limits`` names no ``limits`` and no
+    ``battery``, so the weak residuals take the problem's own limit
+    coefficients and the default bump battery.
+    """
+    s2 = REGISTRY["S2_maxbound"][1]()
+    s2["name"] = "S2_maxbound_component_bound"
+    s2["analysis"] = {"ops": ["max_principle", "component_bound"],
+                      "t_split": 0.5, "bound_component": 1}
+    s4 = REGISTRY["S4_asymptotics"][1]()
+    s4["name"] = "S4_asymptotics_default_limits"
+    del s4["analysis"]["limits"], s4["analysis"]["battery"]
+    return [s2, s4]
+
+
 def standard_targets(directory):
-    """The ``--standard`` targets; the generated config is written under ``directory``."""
+    """The ``--standard`` targets; the generated and variant configs go under ``directory``."""
     spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     generated, _, _ = workloads.generate("competition_2d", 7, directory)
+    built = []
+    for data in variants():
+        path = Path(directory) / f"{data['name']}.json"
+        path.write_text(json.dumps(data))
+        built.append(str(path))
     return ([name for name, _ in list_scenarios()]
             + [str(p) for p in sorted((PERFBENCH / "configs").glob("*.json"))]
-            + generated)
+            + generated + built)
 
 
 def manifest_digest(path):
@@ -118,7 +142,7 @@ def main(argv=None):
     parser.add_argument("targets", nargs="*",
                         help="built-in scenario names or config file paths")
     parser.add_argument("--standard", action="store_true",
-                        help="add the standard 14-scenario gate set")
+                        help="add the standard 16-scenario gate set")
     parser.add_argument("--compare", metavar="FILE", default=None,
                         help="a table printed earlier; list the paths that differ")
     parser.add_argument("--keep", metavar="DIR", type=Path, default=None,

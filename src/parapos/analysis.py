@@ -4,7 +4,9 @@ This module holds the quantitative conclusions that the solvers are tested
 against: the exponential sup-norm barrier, per-component carrying-capacity
 bounds, the integrated-growth extinction bound, monotonicity detection on
 trajectories, steady-state extraction, and weak residuals of steady states
-against the limiting elliptic system.
+against the limiting elliptic system.  Inputs are arrays (or plain numbers
+for a sup) together with an explicit grid or domain; nothing is read off a
+``Field``.
 
 Weak residuals use compactly supported quartic bumps as test functions.  In
 one dimension the quadrature partition is augmented with the exact support
@@ -27,12 +29,18 @@ from .errors import DivisionDomainError, IntegrabilityError, SpecError
 from .model import Grid
 
 RESIDUAL_FLOOR = 1e-12
+BOUND_DOUBLINGS = 20          # carrying bound: ratio sampled at t_split * 2**j, j <= this
+BOUND_SPACE_SAMPLES = 33      # carrying bound: nodes per axis, at most
+GROWTH_WINDOW_NODES = 257     # growth integral: Simpson nodes per window
+GROWTH_SPACE_SAMPLES = 65     # growth integral: space samples per axis
+GROWTH_MAX_DOUBLINGS = 60     # growth integral: windows before it is non-integrable
+GROWTH_TAIL_TOL = 1e-10       # growth integral: a window contribution that ends it
+MONOTONE_TOL_FACTOR = 1e-8    # monotonicity tolerance per unit of 1 + sup|u|
 
 
 def _sup_of(data):
-    """Sup of |data| for a Field, an array, or a plain number."""
-    values = getattr(data, "values", data)
-    return float(np.abs(np.asarray(values, dtype=float)).max())
+    """Sup of |data| for an array or a plain number."""
+    return float(np.abs(np.asarray(data, dtype=float)).max())
 
 
 # ----------------------------------------------------------- test functions
@@ -63,27 +71,19 @@ class TestFunction:
         if arr.ndim == 0:
             arr = arr.reshape(1)
         diff = arr - np.asarray(self.center)
-        return (diff * diff).sum(axis=-1), diff
+        return (diff * diff).sum(axis=-1)
 
     def __call__(self, x):
-        q, _ = self._q(x)
+        q = self._q(x)
         r2 = self.radius**2
         inside = q <= r2
         out = np.zeros_like(q)
         out[inside] = (1.0 - q[inside] / r2) ** 2
         return out
 
-    def gradient(self, x):
-        q, diff = self._q(x)
-        r2 = self.radius**2
-        inside = q <= r2
-        factor = np.zeros_like(q)
-        factor[inside] = -4.0 / r2 * (1.0 - q[inside] / r2)
-        return factor[..., None] * diff
-
     def laplacian(self, x):
         """Pointwise Laplacian, using the inside limit on the support sphere."""
-        q, _ = self._q(x)
+        q = self._q(x)
         n = self.dimension
         r2 = self.radius**2
         inside = q <= r2 * (1.0 + 1e-14)
@@ -137,21 +137,16 @@ def max_principle_bound(d1, d2, horizon, initial):
     return max(math.exp((d2 + 1.0) * horizon) * _sup_of(initial), math.sqrt(d1))
 
 
-def component_bound_mk(trajectory, beta, gamma_kk, t_split, component=None,
-                       doublings=20, space_samples=33):
+def component_bound_mk(trajectory, beta, gamma_kk, t_split, component):
     """Carrying bound: max of the early trajectory sup and sup(beta/gamma) later.
 
-    The trajectory's component ``k`` is bounded on [0, t_split] by its
+    The trajectory's ``component`` is bounded on [0, t_split] by its
     computed sup; past the split the bound is the sampled sup of the ratio
     of growth to self-limitation, taken at doubling times and, when both
     coefficients expose a limit profile, at the limit itself.
     """
     vals = trajectory.values
     m = vals.shape[1]
-    if component is None:
-        if m != 1:
-            raise SpecError("component must be named when the system has several")
-        component = 0
     if not 0 <= component < m:
         raise SpecError(f"component {component} out of range for {m} components")
     if not 0 < t_split <= trajectory.times[-1] + 1e-12:
@@ -161,7 +156,8 @@ def component_bound_mk(trajectory, beta, gamma_kk, t_split, component=None,
     traj_sup = float(vals[early, component].max())
 
     grid = trajectory.grid
-    mesh = Grid(grid.domain, [min(space_samples, nn) for nn in grid.nodes_per_axis]).points
+    mesh = Grid(grid.domain,
+                [min(BOUND_SPACE_SAMPLES, nn) for nn in grid.nodes_per_axis]).points
 
     def ratio_sup(bvals, gvals):
         gmin = float(np.min(gvals))
@@ -172,7 +168,7 @@ def component_bound_mk(trajectory, beta, gamma_kk, t_split, component=None,
         return float(np.max(np.asarray(bvals) / np.asarray(gvals)))
 
     tail_sup = -np.inf
-    for j in range(doublings + 1):
+    for j in range(BOUND_DOUBLINGS + 1):
         t = float(t_split * 2.0**j)
         b = np.broadcast_to(np.asarray(beta(t, mesh), dtype=float), mesh.shape[:-1])
         g = np.broadcast_to(np.asarray(gamma_kk(t, mesh), dtype=float), mesh.shape[:-1])
@@ -186,17 +182,16 @@ def component_bound_mk(trajectory, beta, gamma_kk, t_split, component=None,
     return max(traj_sup, tail_sup)
 
 
-def integrated_growth(coefficient, domain, tail_tol=1e-10, max_doublings=60,
-                      space_samples=65, window_nodes=257):
+def integrated_growth(coefficient, domain):
     """Integral over [0, infinity) of the spatial sup of a growth coefficient.
 
     Integrates window by window over [0,1], [1,2], [2,4], ... with Simpson's
-    rule and stops when a window contributes less than ``tail_tol`` while the
-    contributions are shrinking.  If the contributions refuse to die out the
-    integral is declared non-integrable.
+    rule and stops when a window contributes less than ``GROWTH_TAIL_TOL``
+    while the contributions are shrinking.  If the contributions refuse to
+    die out the integral is declared non-integrable.
     """
     from scipy.integrate import simpson  # deferred: README "Set-up cost"
-    mesh = Grid(domain, (space_samples,) * domain.dimension).points
+    mesh = Grid(domain, (GROWTH_SPACE_SAMPLES,) * domain.dimension).points
 
     def sup_at(t):
         return float(np.max(coefficient(float(t), mesh)))
@@ -204,33 +199,26 @@ def integrated_growth(coefficient, domain, tail_tol=1e-10, max_doublings=60,
     total = 0.0
     lo, hi = 0.0, 1.0
     previous = np.inf
-    for _ in range(max_doublings):
-        ts = np.linspace(lo, hi, window_nodes)
+    for _ in range(GROWTH_MAX_DOUBLINGS):
+        ts = np.linspace(lo, hi, GROWTH_WINDOW_NODES)
         vals = np.asarray([sup_at(t) for t in ts])
         piece = float(simpson(vals, x=ts))
         total += piece
-        if abs(piece) < tail_tol and abs(piece) <= previous:
+        if abs(piece) < GROWTH_TAIL_TOL and abs(piece) <= previous:
             return total
         previous = abs(piece)
         lo, hi = hi, 2.0 * hi
     raise IntegrabilityError(
-        f"growth integral tail is still {previous:g} after {max_doublings} "
+        f"growth integral tail is still {previous:g} after {GROWTH_MAX_DOUBLINGS} "
         f"window doublings; the extinction bound needs an integrable sup")
 
 
-def gronwall_extinction_bound(initial, coefficient, domain=None, **kwargs):
-    """Sup-norm barrier sup|initial| * exp(integral of the growth sup).
+def gronwall_extinction_bound(initial, coefficient, domain):
+    """Sup-norm barrier sup|initial| * exp(integral of the growth sup over ``domain``).
 
-    ``initial`` is the component's initial data (Field, array, or its sup as
-    a number); the domain is read off a Field and must be passed explicitly
-    otherwise.
+    ``initial`` is the component's initial data, an array or its sup.
     """
-    if domain is None:
-        grid = getattr(initial, "grid", None)
-        if grid is None:
-            raise SpecError("a domain is needed when the initial sup is a bare number")
-        domain = grid.domain
-    return _sup_of(initial) * math.exp(integrated_growth(coefficient, domain, **kwargs))
+    return _sup_of(initial) * math.exp(integrated_growth(coefficient, domain))
 
 
 # ----------------------------------------------------------- trajectories
@@ -242,22 +230,22 @@ class MonotoneVerdict(NamedTuple):
 
 
 def _parse_sign(expected_sign):
-    if expected_sign in (1, +1, "+", "+1", "up"):
+    if expected_sign in (1, "+"):
         return 1.0
-    if expected_sign in (-1, "-", "-1", "down"):
+    if expected_sign in (-1, "-"):
         return -1.0
     raise SpecError(f"expected_sign must be + or -, got {expected_sign!r}")
 
 
-def detect_monotone(trajectory, component, expected_sign, tol_factor=1e-8):
+def detect_monotone(trajectory, component, expected_sign):
     """Check one component's stored snapshots move only in the expected direction.
 
     The margin at a node is the discrete time difference quotient times the
     expected sign; the verdict passes when the worst margin stays above
-    -tol_mono with tol_mono = tol_factor * (1 + sup|u|).  The worst margin is
-    taken over interior nodes only, since the wall nodes are pinned to zero
-    and would hold it at 0.  The witness points at the worst node (full-grid
-    indices) and snapshot pair.
+    -tol_mono with tol_mono = MONOTONE_TOL_FACTOR * (1 + sup|u|).  The worst
+    margin is taken over interior nodes only, since the wall nodes are pinned
+    to zero and would hold it at 0.  The witness points at the worst node
+    (full-grid indices) and snapshot pair.
     """
     sign = _parse_sign(expected_sign)
     vals = trajectory.values
@@ -276,7 +264,7 @@ def detect_monotone(trajectory, component, expected_sign, tol_factor=1e-8):
     where = np.unravel_index(flat, rates.shape)
     worst = float(rates[where])
     sup = float(np.abs(series).max())
-    tol = tol_factor * (1.0 + sup)
+    tol = MONOTONE_TOL_FACTOR * (1.0 + sup)
     witness = {
         "t_from": float(times[where[0]]),
         "t_to": float(times[where[0] + 1]),
@@ -455,22 +443,17 @@ def weak_residual(grid, u_values, diffusion, source_values, test):
     return _weak_residual_nd(grid, u_nodes, float(diffusion), c_nodes, test)
 
 
-def elliptic_weak_residual(u_bar, v_bar, limits, tests, diffusions, grid=None):
+def elliptic_weak_residual(u, v, limits, tests, diffusions, grid):
     """Weak residuals of the limiting two-species elliptic system.
 
+    ``u`` and ``v`` are the steady states on the nodes of ``grid``.
     ``limits`` is the six-tuple of limit coefficients (growth and the two
     interaction rows), each a number or a callable of the space points.  For
-    every test function the two equation residuals are returned, so the
-    result has shape (len(tests), 2).
+    every test function of the list ``tests`` the two equation residuals are
+    returned, so the result has shape (len(tests), 2).
     """
-    if grid is None:
-        grid = getattr(u_bar, "grid", None)
-        if grid is None:
-            raise SpecError("a grid is needed when the states are bare arrays")
-    u = np.asarray(getattr(u_bar, "values", u_bar), dtype=float)
-    v = np.asarray(getattr(v_bar, "values", v_bar), dtype=float)
-    u = u[0] if u.ndim == grid.dimension + 1 else u
-    v = v[0] if v.ndim == grid.dimension + 1 else v
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
     if u.shape != grid.shape or v.shape != grid.shape:
         raise SpecError("steady states must live on the grid nodes")
     if len(limits) != 6:
@@ -480,7 +463,6 @@ def elliptic_weak_residual(u_bar, v_bar, limits, tests, diffusions, grid=None):
         _values_of(c, grid.points, u) for c in limits)
     source_u = u * (beta - gamma * u - delta * v)
     source_v = v * (rho - sigma * u - theta * v)
-    tests = [tests] if isinstance(tests, TestFunction) else list(tests)
     out = np.empty((len(tests), 2))
     for j, test in enumerate(tests):
         out[j, 0] = weak_residual(grid, u, d1, source_u, test)
@@ -505,4 +487,4 @@ def lv_limit_coefficients(lv):
         return lambda pts, _c=coef: _c(late, pts)
 
     return tuple(limit_callable(c) for c in
-                 (lv.beta, lv.gamma, lv.delta, lv.rho, lv.sigma, lv.theta))
+                 (lv.growth[0], *lv.interaction[0], lv.growth[1], *lv.interaction[1]))

@@ -372,7 +372,7 @@ def _derivative_arrays(field_values, grid):
     return grad, hess
 
 
-def check_compatibility(spec, grid=None, compat_factor=COMPAT_FACTOR):
+def check_compatibility(spec, compat_factor=COMPAT_FACTOR):
     """A6: the initial data is flat and in balance on the boundary at t = 0.
 
     At every boundary node the data must vanish and the full right-hand side,
@@ -380,7 +380,7 @@ def check_compatibility(spec, grid=None, compat_factor=COMPAT_FACTOR):
     must be below ``compat_factor * (1 + coefficient scale)``.  Each
     evaluator the problem has is called once, over all boundary nodes.
     """
-    grid = grid or spec.initial.grid
+    grid = spec.initial.grid
     phi = spec.initial.values
     m = spec.components
     n = grid.dimension
@@ -524,12 +524,9 @@ def check_initial_monotonicity(lv, phi, psi, grid):
     psi = np.asarray(psi, dtype=float)
     pts = grid.points
     lap = discrete_laplacian(np.stack([phi, psi]), grid)
-    beta = np.broadcast_to(np.asarray(lv.beta(0.0, pts), dtype=float), grid.shape)
-    gamma = np.broadcast_to(np.asarray(lv.gamma(0.0, pts), dtype=float), grid.shape)
-    delta = np.broadcast_to(np.asarray(lv.delta(0.0, pts), dtype=float), grid.shape)
-    rho = np.broadcast_to(np.asarray(lv.rho(0.0, pts), dtype=float), grid.shape)
-    sigma = np.broadcast_to(np.asarray(lv.sigma(0.0, pts), dtype=float), grid.shape)
-    theta = np.broadcast_to(np.asarray(lv.theta(0.0, pts), dtype=float), grid.shape)
+    beta, gamma, delta, rho, sigma, theta = (
+        np.broadcast_to(np.asarray(pick(lv)(0.0, pts), dtype=float), grid.shape)
+        for _, pick, _ in _MONOTONE_PLAN)
 
     r1 = lv.diffusion[0] * lap[0] + phi * (beta - gamma * phi - delta * psi)
     r2 = lv.diffusion[1] * lap[1] + psi * (rho - sigma * phi - theta * psi)
@@ -580,7 +577,7 @@ def run_checks(spec, budget, requested, majorants=None, compat_factor=COMPAT_FAC
             entries.append(CheckEntry(label, "not_applicable",
                                       note="no growth envelopes supplied"))
     if "A6" in want:
-        entries.append(check_compatibility(spec, compat_factor=compat_factor))
+        entries.append(check_compatibility(spec, compat_factor))
     if "A7a" in want or "A7b" in want:
         a7a, a7b = check_positivity_source(spec, budget)
         if "A7a" in want:

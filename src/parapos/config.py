@@ -232,6 +232,9 @@ def _check_cross_rules(data, base_dir):
     if signs is not None and len(signs) != m:
         raise ConfigError(f"monotone_signs must list {m} entries",
                           "/analysis/monotone_signs")
+    if "max_principle" in ops and "gronwall" in ops:
+        raise ConfigError("max_principle and gronwall both write the sup-bound "
+                          "verdict; request one barrier per file", "/analysis/ops")
     if "component_bound" in ops and "t_split" not in analysis:
         raise ConfigError("component_bound needs t_split", "/analysis/t_split")
     if "weak_residuals" in ops and m != 2:

@@ -151,8 +151,6 @@ class Trajectory:
     times: np.ndarray
     values: np.ndarray          # (stored, m, *grid.shape)
     monitors: np.ndarray        # (steps, len(MONITORS))
-    positivity_dt_bound: float
-    positivity_dt_ok: bool
     dt_adjusted: bool = False
 
     @property
@@ -579,9 +577,6 @@ def solve(spec, config, sink=None):
                 f"explicit scheme unstable: dt={dt:g} exceeds the sampled "
                 f"diffusion bound {bound:g}")
 
-    pos_bound = positivity_step_bound(spec, reference=w)
-    pos_ok = dt <= pos_bound
-
     shape = (stored_count(spec, config), *w.shape)
     if sink is None:
         times, values = np.empty(shape[0]), np.empty(shape)
@@ -634,8 +629,6 @@ def solve(spec, config, sink=None):
         times=times,
         values=values,
         monitors=monitors,
-        positivity_dt_bound=pos_bound,
-        positivity_dt_ok=pos_ok,
         dt_adjusted=adjusted,
     )
 
@@ -711,9 +704,7 @@ def estimate_order(spec, config, grids, rebuild_initial):
 class NestedConvergenceReport:
     radii: tuple
     diffs: tuple
-    comparison_radius: float
     tol: float
-    trajectories: list
 
     @property
     def converged(self):
@@ -731,8 +722,8 @@ def solve_cauchy_nested(spec, radii, config, cutoff_width=1.0, tol_nested=1e-6):
     final states are compared in the sup norm on the core region, half the
     smallest radius.  Differences that fail to decrease between
     consecutive radius pairs while still sitting above ``tol_nested`` raise
-    NonConvergence; otherwise the trajectory on the largest box is returned
-    together with the comparison report.
+    NonConvergence; otherwise the comparison report is returned.  Only each
+    box's final state is kept.
     """
     radii = tuple(sorted(float(r) for r in radii))
     if len(radii) < 3:
@@ -748,7 +739,7 @@ def solve_cauchy_nested(spec, radii, config, cutoff_width=1.0, tol_nested=1e-6):
                 "the base problem must live on the centered box of the largest radius")
 
     core = radii[0] / 2.0
-    trajs = []
+    finals = []
     offsets = []
     for r in radii:
         offs = []
@@ -759,22 +750,18 @@ def solve_cauchy_nested(spec, radii, config, cutoff_width=1.0, tol_nested=1e-6):
                 raise SpecError("box radii must be node-aligned with the base grid")
             offs.append(off)
         offsets.append(tuple(offs))
-        trajs.append(solve(_boxed_subproblem(spec, r, offs, cutoff_width), config))
+        boxed = solve(_boxed_subproblem(spec, r, offs, cutoff_width), config)
+        finals.append(boxed.final_values.copy())
 
-    diffs = []
-    for lvl in range(len(radii) - 1):
-        diffs.append(_core_difference(trajs[lvl], trajs[lvl + 1],
-                                      offsets[lvl], offsets[lvl + 1], grid, core))
+    diffs = [_core_difference(finals[lvl], finals[lvl + 1],
+                              offsets[lvl], offsets[lvl + 1], grid, core)
+             for lvl in range(len(radii) - 1)]
     for lvl in range(len(diffs) - 1):
         if diffs[lvl + 1] >= diffs[lvl] and diffs[lvl + 1] > tol_nested:
             raise NonConvergence(
                 f"nested-box differences {diffs} do not decrease; the "
                 "whole-space limit is not visible at these radii")
-    report = NestedConvergenceReport(
-        radii=radii, diffs=tuple(diffs), comparison_radius=core,
-        tol=tol_nested, trajectories=trajs,
-    )
-    return trajs[-1], report
+    return NestedConvergenceReport(radii=radii, diffs=tuple(diffs), tol=tol_nested)
 
 
 def _boxed_subproblem(spec, radius, offsets, cutoff_width):
@@ -804,6 +791,7 @@ def _boxed_subproblem(spec, radius, offsets, cutoff_width):
 
 
 def _core_difference(small, big, offs_small, offs_big, base_grid, core):
+    """Sup of the difference of two boxes' final states on the core nodes."""
     sel_small = []
     sel_big = []
     for axis in range(base_grid.dimension):
@@ -811,6 +799,6 @@ def _core_difference(small, big, offs_small, offs_big, base_grid, core):
         idx = np.nonzero(np.abs(ax) <= core + 1e-12)[0]
         sel_small.append(slice(idx[0] - offs_small[axis], idx[-1] + 1 - offs_small[axis]))
         sel_big.append(slice(idx[0] - offs_big[axis], idx[-1] + 1 - offs_big[axis]))
-    a = small.final_values[(slice(None),) + tuple(sel_small)]
-    b = big.final_values[(slice(None),) + tuple(sel_big)]
+    a = small[(slice(None),) + tuple(sel_small)]
+    b = big[(slice(None),) + tuple(sel_big)]
     return float(np.abs(a - b).max())

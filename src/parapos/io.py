@@ -325,14 +325,12 @@ def write_diagnostics_csv(path, trajectory):
             fh.write(b"".join(parts))
 
 
-def write_residuals_csv(path, residuals, test_ids=None):
-    """Weak-residual table with one row per (test function, equation)."""
+def write_residuals_csv(path, residuals):
+    """Weak-residual table with one row per (test function ``bump<j>``, equation)."""
     residuals = np.asarray(residuals, dtype=float)
     if residuals.ndim != 2:
         raise SpecError("residuals must form a (test, equation) matrix")
-    if test_ids is None:
-        test_ids = [f"bump{j}" for j in range(residuals.shape[0])]
-    prefixes = [f"{test_ids[j]},{eq},".encode() for j in range(residuals.shape[0])
+    prefixes = [f"bump{j},{eq},".encode() for j in range(residuals.shape[0])
                 for eq in range(1, residuals.shape[1] + 1)]
     with open(path, "wb") as fh:
         fh.write(b"test_id,equation,residual\n")

@@ -373,36 +373,6 @@ class LVCoefficients:
     def species(self):
         return self.diffusion.shape[0]
 
-    # classical-symbol views for the two-species case
-    def _alias(self, row, col=None):
-        if self.species != 2:
-            raise SpecError("classical symbols are defined for two species only")
-        return self.growth[row] if col is None else self.interaction[row][col]
-
-    @property
-    def beta(self):
-        return self._alias(0)
-
-    @property
-    def gamma(self):
-        return self._alias(0, 0)
-
-    @property
-    def delta(self):
-        return self._alias(0, 1)
-
-    @property
-    def rho(self):
-        return self._alias(1)
-
-    @property
-    def sigma(self):
-        return self._alias(1, 0)
-
-    @property
-    def theta(self):
-        return self._alias(1, 1)
-
     def _entries(self, x):
         """Each coefficient with its space profile on ``x``, built once per ``x`` object.
 

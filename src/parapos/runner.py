@@ -1,8 +1,9 @@
 """Scenario execution: checks, solvers, analysis, and the run manifest.
 
 A run works through its stages in this order: hypothesis checks; the
-kernel route, when ``dual_route`` is requested; the grid march; the
-requested analysis operations, the kernel-route cross-check among them.
+kernel route, when ``dual_route`` is requested; the positivity step bound;
+the grid march; the requested analysis operations, the kernel-route
+cross-check among them.
 The kernel route runs before the march, while no other process of the run
 is alive.  A formatter forked then inherits the finished solution but no
 pipe of the grid route's writer, and formats the kernel CSV while the march
@@ -38,7 +39,7 @@ from .analysis import (component_bound_mk, default_battery, detect_monotone,
 from .checker import run_checks
 from .duhamel import PicardConfig, picard_solve
 from .errors import NonConvergence, ParaposError, SpecError
-from .fdm import solve, solve_cauchy_nested, stored_count
+from .fdm import positivity_step_bound, solve, solve_cauchy_nested, stored_count
 from .io import (TrajectoryCsvStream, sha256_file, write_diagnostics_csv,
                  write_json, write_residuals_csv, write_snapshots)
 
@@ -130,17 +131,17 @@ def _now():
     return datetime.now(timezone.utc).isoformat()
 
 
-def _positivity_verdict(trajectory):
+def _positivity_verdict(trajectory, bound):
+    """The positivity verdict of a march whose step bound is ``bound``."""
     slack = POSITIVITY_FACTOR * (1.0 + trajectory.monitor("sup_norm"))
     worst = float(np.max(trajectory.monitor("negpart_norm") - slack, initial=0.0))
     status = "verified" if worst <= 0.0 else "violated"
-    bound = trajectory.positivity_dt_bound
     data = {
         "worst_excess": worst,
         "steps": len(trajectory.monitors),
         # strict JSON has no Infinity: an unbounded step is written as null
         "dt_bound": float(bound) if math.isfinite(bound) else None,
-        "dt_ok": bool(trajectory.positivity_dt_ok),
+        "dt_ok": bool(trajectory.dt <= bound),
         "dt_adjusted": bool(trajectory.dt_adjusted),
     }
     if status == "violated":
@@ -159,12 +160,9 @@ def _lowest_stored_value(trajectory):
             "value": float(values[at])}
 
 
-def _sup_bound_verdict(trajectory, bound, label):
-    sups = trajectory.monitor("sup_norm")
-    observed = float(sups.max()) if sups.size else float(np.abs(trajectory.values[0]).max())
+def _sup_bound_verdict(observed, bound, note=""):
     ok = observed <= bound + BOUND_SLACK
-    return Verdict("verified" if ok else "violated",
-                   note=label,
+    return Verdict("verified" if ok else "violated", note=note,
                    data={"bound": bound, "observed_sup": observed})
 
 
@@ -259,7 +257,7 @@ def _largest_gap(grid, grid_values, kernel_values):
 def _nested(problem, scheme, analysis):
     block = analysis["nested"]
     try:
-        _, report = solve_cauchy_nested(
+        report = solve_cauchy_nested(
             problem, tuple(block["radii"]), scheme,
             cutoff_width=float(block.get("cutoff_width", 1.0)),
             tol_nested=float(block.get("tol_nested", 1e-6)),
@@ -307,21 +305,17 @@ def _run_analysis(config, problem, scheme, trajectory, verdicts, artifacts,
             verdicts["sup-bound"] = Verdict(
                 "inconclusive", note="no dissipativity constants; request A2'")
         else:
-            bound = max_principle_bound(d1, d2, problem.horizon, problem.initial)
+            bound = max_principle_bound(d1, d2, problem.horizon, problem.initial.values)
             verdicts["sup-bound"] = _sup_bound_verdict(
-                trajectory, bound, "dissipativity barrier")
+                float(trajectory.monitor("sup_norm").max()), bound, "dissipativity barrier")
 
     if "gronwall" in ops:
         k = int(analysis.get("gronwall_component", 0))
-        beta = problem.lv.growth[k]
-        bound = gronwall_extinction_bound(problem.initial.values[k], beta,
-                                          domain=problem.domain)
-        _, sups = sup_norm_series(trajectory, k)
-        ok = bool(np.all(sups <= bound + BOUND_SLACK))
-        verdicts["sup-bound"] = Verdict(
-            "verified" if ok else "violated",
-            note="integrated-growth barrier",
-            data={"bound": bound, "observed_sup": float(sups.max())})
+        bound = gronwall_extinction_bound(problem.initial.values[k], problem.lv.growth[k],
+                                          problem.domain)
+        verdicts["sup-bound"] = _sup_bound_verdict(
+            float(sup_norm_series(trajectory, k)[1].max()), bound,
+            "integrated-growth barrier")
 
     if "extinction" in ops:
         k = int(analysis.get("extinction_component", 0))
@@ -369,15 +363,11 @@ def _run_analysis(config, problem, scheme, trajectory, verdicts, artifacts,
 
     if "component_bound" in ops:
         k = int(analysis.get("bound_component", 0))
-        beta = problem.lv.growth[k]
-        gamma = problem.lv.interaction[k][k]
-        bound = component_bound_mk(trajectory, beta, gamma,
-                                   float(analysis["t_split"]), component=k)
-        _, sups = sup_norm_series(trajectory, k)
-        ok = bool(np.all(sups <= bound + BOUND_SLACK))
-        verdicts["component-bound"] = Verdict(
-            "verified" if ok else "violated",
-            data={"bound": float(bound), "observed_sup": float(sups.max())})
+        bound = component_bound_mk(trajectory, problem.lv.growth[k],
+                                   problem.lv.interaction[k][k],
+                                   float(analysis["t_split"]), k)
+        verdicts["component-bound"] = _sup_bound_verdict(
+            float(sup_norm_series(trajectory, k)[1].max()), float(bound))
 
     if "dual_route" in ops:
         verdicts["dual-route-match"] = _dual_route(
@@ -441,6 +431,9 @@ def run_scenario(config, out_dir=None, seed=None):
             kernel = _KernelRoute(problem, config.analysis_data, csv_path)
 
         with kernel or contextlib.nullcontext():
+            # sampled before the trajectory stream opens: a non-finite source
+            # slope ends the run with no formatter forked
+            dt_bound = positivity_step_bound(problem, reference=problem.initial.values)
             logger.info("%s: solving (%s, dt=%g)", config.name, scheme.scheme,
                         scheme.dt)
             if "csv" in formats:
@@ -452,7 +445,7 @@ def run_scenario(config, out_dir=None, seed=None):
                 artifacts.add("trajectory.csv")
             else:
                 trajectory = solve(problem, scheme)
-            verdicts["positivity"] = _positivity_verdict(trajectory)
+            verdicts["positivity"] = _positivity_verdict(trajectory, dt_bound)
 
             if "csv" in formats:
                 artifacts.write("diagnostics.csv", write_diagnostics_csv, trajectory)

@@ -41,8 +41,7 @@ def make_trajectory(series, n_nodes=5, m=1, horizon=1.0):
                              (len(series), m, n_nodes)).copy()
     grid = Grid(UNIT, (n_nodes,))
     return Trajectory(grid, "imex_be", float(times[1] - times[0]), times, values,
-                      np.zeros((0, len(MONITORS))), positivity_dt_bound=np.inf,
-                      positivity_dt_ok=True)
+                      np.zeros((0, len(MONITORS))))
 
 
 class TestQuarticBump:
@@ -62,13 +61,6 @@ class TestQuarticBump:
             e[0, axis] = h
             fd += (eta(pt + e) + eta(pt - e) - 2.0 * eta(pt))[0] / h**2
         assert eta.laplacian(pt)[0] == pytest.approx(fd, rel=1e-5)
-
-    def test_gradient_matches_finite_differences(self):
-        eta = QuarticBump((0.3,), 0.9)
-        pt = np.array([[0.5]])
-        h = 1e-6
-        fd = (eta(pt + h) - eta(pt - h))[0] / (2.0 * h)
-        assert eta.gradient(pt)[0, 0] == pytest.approx(fd, rel=1e-8)
 
     def test_radius_must_be_positive(self):
         with pytest.raises(SpecError):
@@ -110,19 +102,19 @@ class TestComponentBound:
     def test_trajectory_sup_and_ratio_compete(self):
         traj = make_trajectory(np.full(4, 0.8))
         bound = component_bound_mk(traj, lambda t, x: 1.0, lambda t, x: 1.0,
-                                   t_split=0.5)
+                                   t_split=0.5, component=0)
         assert bound == pytest.approx(1.0, abs=1e-14)
 
     def test_vanishing_growth_leaves_the_trajectory_sup(self):
         traj = make_trajectory(np.full(4, 0.8))
         bound = component_bound_mk(traj, lambda t, x: 0.0, lambda t, x: 1.0,
-                                   t_split=0.5)
+                                   t_split=0.5, component=0)
         assert bound == pytest.approx(0.8, abs=1e-14)
 
     def test_ratio_branch_dominates(self):
         traj = make_trajectory(np.full(4, 0.5))
         bound = component_bound_mk(traj, lambda t, x: 2.0, lambda t, x: 1.0,
-                                   t_split=0.5)
+                                   t_split=0.5, component=0)
         assert bound == pytest.approx(2.0, abs=1e-14)
 
     def test_declared_limits_are_sampled_too(self):
@@ -131,24 +123,20 @@ class TestComponentBound:
                                   "amplitude": -1.0, "rate": 1.0})
         gamma = parse_coefficient({"family": "exp", "base": 1.0,
                                    "amplitude": 1.0, "rate": 1.0})
-        bound = component_bound_mk(traj, beta, gamma, t_split=0.5)
+        bound = component_bound_mk(traj, beta, gamma, t_split=0.5, component=0)
         assert bound == pytest.approx(2.0, abs=1e-12)
 
     def test_nonpositive_self_limitation_rejected(self):
         traj = make_trajectory(np.full(4, 0.5))
         with pytest.raises(DivisionDomainError):
             component_bound_mk(traj, lambda t, x: 1.0, lambda t, x: 1.0 - t,
-                               t_split=0.5)
+                               t_split=0.5, component=0)
 
     def test_validation(self):
-        two = make_trajectory(np.full(4, 0.5), m=2)
-        with pytest.raises(SpecError):
-            component_bound_mk(two, lambda t, x: 1.0, lambda t, x: 1.0,
-                               t_split=0.5)
         one = make_trajectory(np.full(4, 0.5))
         with pytest.raises(SpecError):
             component_bound_mk(one, lambda t, x: 1.0, lambda t, x: 1.0,
-                               t_split=2.0)
+                               t_split=2.0, component=0)
         with pytest.raises(SpecError):
             component_bound_mk(one, lambda t, x: 1.0, lambda t, x: 1.0,
                                t_split=0.5, component=3)
@@ -173,15 +161,6 @@ class TestGronwallBound:
         with pytest.raises(IntegrabilityError):
             gronwall_extinction_bound(1.0, lambda t, x: 1.0, domain=UNIT)
 
-    def test_field_input_supplies_the_domain(self):
-        g = Grid(UNIT, (11,))
-        phi = Field.from_arrays(g, np.zeros((1, 11)))
-        assert gronwall_extinction_bound(phi, lambda t, x: 0.0) == 0.0
-
-    def test_bare_number_needs_a_domain(self):
-        with pytest.raises(SpecError):
-            gronwall_extinction_bound(1.0, lambda t, x: 0.0)
-
 
 class TestDetectMonotone:
     def test_constant_trajectory_passes_with_zero_margin(self):
@@ -195,7 +174,7 @@ class TestDetectMonotone:
         assert detect_monotone(up, 0, "+").passed
         assert not detect_monotone(up, 0, "-").passed
         down = make_trajectory([0.3, 0.2, 0.1, 0.0])
-        assert detect_monotone(down, 0, "down").passed
+        assert detect_monotone(down, 0, "-").passed
 
     def test_witness_points_at_the_offending_interval(self):
         hump = make_trajectory([0.0, 0.2, 0.1, 0.3])
@@ -213,8 +192,7 @@ class TestDetectMonotone:
         rates = np.arange(1.0, 5.0)
         values[:, 0, 1:-1] = times[:, None] * rates[None, :]
         traj = Trajectory(Grid(UNIT, (6,)), "imex_be", float(times[1]), times,
-                          values, np.zeros((0, len(MONITORS))),
-                          positivity_dt_bound=np.inf, positivity_dt_ok=True)
+                          values, np.zeros((0, len(MONITORS))))
         verdict = detect_monotone(traj, 0, "+")
         assert verdict.passed
         assert verdict.worst_margin == pytest.approx(1.0, rel=1e-12)
@@ -361,12 +339,6 @@ class TestWeakResiduals:
             elliptic_weak_residual(np.zeros(33), np.zeros(33), (1.0, 1.0),
                                    default_battery(LONG), (1.0, 1.0), grid=g)
 
-    def test_bare_arrays_need_a_grid(self):
-        with pytest.raises(SpecError):
-            elliptic_weak_residual(np.zeros(33), np.zeros(33),
-                                   (1.0, 1.0, 0.0, 0.0, 0.0, 1.0),
-                                   default_battery(LONG), (1.0, 1.0))
-
 
 class TestLimitSystem:
     def test_declared_limits_win_and_plain_callables_fall_back(self):
@@ -379,11 +351,11 @@ class TestLimitSystem:
             np.array([1.0, 1.0]),
             (beta, rho),
             ((parse_coefficient(2.0), parse_coefficient(0.5)),
-             (lambda t, x: 4.0 + 0.0 * np.asarray(x)[..., 0], parse_coefficient(1.0))),
+             (lambda t, x: 4.0 + 0.0 * np.asarray(x)[..., 0], parse_coefficient(3.0))),
         )
         limits = lv_limit_coefficients(lv)
         values = [np.asarray(c(g.points), dtype=float).max() for c in limits]
-        assert_allclose(values, [1.0, 2.0, 0.5, 0.0, 4.0, 1.0], atol=1e-12)
+        assert_allclose(values, [1.0, 2.0, 0.5, 0.0, 4.0, 3.0], atol=1e-12)
 
     def test_needs_two_species(self):
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,),

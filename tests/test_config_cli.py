@@ -197,6 +197,22 @@ class TestCrossRules:
         data["analysis"] = {"ops": ["weak_residuals"]}
         reject(data, "/analysis/ops")
 
+    @pytest.mark.parametrize("ops, code", [
+        pytest.param(["max_principle", "gronwall", "extinction"], 2, id="both"),
+        pytest.param(["max_principle", "extinction"], 0, id="max_principle"),
+        pytest.param(["gronwall", "extinction"], 0, id="gronwall"),
+    ])
+    def test_one_sup_bound_barrier_per_file(self, tmp_path, capsys, ops, code):
+        # both barrier ops write the one sup-bound verdict, and a run that
+        # requested both kept only the last one's
+        data = get_scenario("S3_extinction").data
+        data["analysis"]["ops"] = ops
+        path = tmp_path / "barriers.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == code
+        assert ("/analysis/ops" in capsys.readouterr().err) == (code == 2)
+
     def test_nested_op_needs_its_block(self):
         data = tiny_config()
         data["analysis"] = {"ops": ["nested"]}
@@ -462,6 +478,9 @@ class TestCli:
         assert manifest["error"].startswith("CoefficientError: source slope is not finite")
         x = float(manifest["error"].split("x=[")[1].split("]")[0])
         assert x > 0.5
+        assert [row["path"] for row in manifest["files"]] == ["checks.json", "manifest.json"]
+        assert not (tmp_path / "nan_slope" / "trajectory.csv").exists()
+        _assert_no_child_left()
 
     def test_relative_table_paths_resolve_against_the_config_file(self, tmp_path,
                                                                   monkeypatch):
@@ -551,23 +570,41 @@ class TestCli:
 
 class TestPositivityVerdict:
     @staticmethod
-    def trajectory(bound, ok, adjusted):
+    def trajectory(adjusted):
         grid = Grid(SpatialDomain(((0.0, 1.0),)), (5,))
         return Trajectory(grid, "imex_be", 0.1, np.array([0.0]), np.zeros((1, 1, 5)),
-                          np.zeros((0, len(MONITORS))), positivity_dt_bound=bound,
-                          positivity_dt_ok=ok, dt_adjusted=adjusted)
+                          np.zeros((0, len(MONITORS))), dt_adjusted=adjusted)
 
     def test_finite_step_bound_is_reported(self):
-        data = _positivity_verdict(self.trajectory(0.25, True, False)).data
+        data = _positivity_verdict(self.trajectory(False), 0.25).data
         assert data["dt_bound"] == 0.25
         assert data["dt_ok"] is True
         assert data["dt_adjusted"] is False
 
     def test_unbounded_step_is_null_in_strict_json(self):
-        data = _positivity_verdict(self.trajectory(np.inf, True, True)).data
+        data = _positivity_verdict(self.trajectory(True), np.inf).data
         assert data["dt_bound"] is None
         assert data["dt_adjusted"] is True
         json.dumps(data, allow_nan=False)
+
+    def test_the_step_bound_is_sampled_once_per_run(self, tmp_path, monkeypatch):
+        # S5 marches three nested boxes besides its own march; only the run's
+        # own march has a positivity verdict, so only it samples the bound
+        import parapos.fdm
+        calls = []
+        original = parapos.fdm.source_jacobians
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(parapos.fdm, "source_jacobians", counted)
+        data = get_scenario("S5_cauchy_nested").data
+        data["problem"]["horizon"] = 0.05
+        manifest = run_scenario(load_config_data(data), out_dir=tmp_path)
+        assert manifest.status == "ok"
+        assert set(manifest.verdicts) == {"hypotheses", "positivity", "nested-boxes"}
+        assert len(calls) == 1
 
     def test_manifest_carries_the_step_diagnostics(self, cli_s5):
         _, base = cli_s5

@@ -724,19 +724,18 @@ class TestNestedBoxes:
 
     def test_decaying_data_converges_in_the_core(self):
         spec = self.cauchy_spec({"kind": "gaussian", "amplitude": 1.0, "center": [0.0], "width": 0.8})
-        traj, report = solve_cauchy_nested(
+        report = solve_cauchy_nested(
             spec, (2.0, 3.0, 4.0), SchemeConfig(scheme="imex_be", dt=5e-3),
             cutoff_width=1.0, tol_nested=1e-3,
         )
         assert report.diffs[1] < report.diffs[0]
         assert report.converged
-        assert traj.grid.domain.bounds == self.DOMAIN.bounds
 
     def test_zero_data_counts_as_converged(self):
         g = Grid(self.DOMAIN, (129,))
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 0.0,), ((lambda t, x: 0.0,),))
         spec = build_lv_problem(lv, self.DOMAIN, Field.zeros(g, 1), horizon=0.1)
-        _, report = solve_cauchy_nested(spec, (2.0, 3.0, 4.0), SchemeConfig(dt=5e-3))
+        report = solve_cauchy_nested(spec, (2.0, 3.0, 4.0), SchemeConfig(dt=5e-3))
         assert report.diffs == (0.0, 0.0)
         assert report.converged
 
@@ -758,7 +757,7 @@ class TestNestedBoxes:
             g, [{"kind": "plateau", "amplitude": 0.5, "center": [0.0], "radius": 1.0, "width": 0.5}]
         )
         spec = build_lv_problem(lv, self.DOMAIN, init, horizon=0.25)
-        _, report = solve_cauchy_nested(
+        report = solve_cauchy_nested(
             spec, (2.0, 3.0, 4.0), SchemeConfig(scheme="imex_be", dt=5e-3), cutoff_width=1.0
         )
         # data supported well inside the smallest box: the outer pair of

@@ -41,8 +41,7 @@ def small_trajectory(dim=1):
     # t, min_value, sup_norm, negpart_norm, dudt_min, dvdt_max, solve_iterations
     monitors = np.array([(t, -0.1 * i, 1.0 + i, 0.01 * i, -1e-9, 1e-9, 0)
                          for i, t in enumerate(times[1:].tolist(), start=1)])
-    return Trajectory(grid, "imex_be", 0.5, times, values, monitors,
-                      positivity_dt_bound=np.inf, positivity_dt_ok=True)
+    return Trajectory(grid, "imex_be", 0.5, times, values, monitors)
 
 
 def monitored(fields):
@@ -50,8 +49,7 @@ def monitored(fields):
     monitors = np.zeros((len(fields), len(MONITORS)))
     monitors[:, :6] = fields
     return Trajectory(Grid(SpatialDomain(((0.0, 1.0),)), (3,)), "imex_be", 0.5,
-                      np.zeros(1), np.zeros((1, 1, 3)), monitors,
-                      positivity_dt_bound=np.inf, positivity_dt_ok=True)
+                      np.zeros(1), np.zeros((1, 1, 3)), monitors)
 
 
 def special_values_case(shape, m, count=4):
@@ -463,11 +461,6 @@ class TestResidualsCsv:
         expected += [f"bump{j},{eq + 1},{v!r}" for j, row in enumerate(residuals.tolist())
                      for eq, v in enumerate(row)]
         assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
-
-    def test_explicit_ids(self, tmp_path):
-        path = tmp_path / "residuals.csv"
-        write_residuals_csv(path, [[0.0, 0.0]], test_ids=["center"])
-        assert path.read_text().splitlines()[1].startswith("center,")
 
     def test_matrix_shape_enforced(self, tmp_path):
         with pytest.raises(SpecError):

@@ -144,20 +144,6 @@ class TestCutoff:
 
 
 class TestLVCoefficients:
-    def test_two_species_aliases(self):
-        lv = LVCoefficients(
-            np.array([0.1, 0.2]),
-            (lambda t, x: 1.0, lambda t, x: 4.0),
-            ((lambda t, x: 2.0, lambda t, x: 3.0), (lambda t, x: 5.0, lambda t, x: 6.0)),
-        )
-        x = np.zeros((1, 1))
-        assert lv.beta(0.0, x) == 1.0
-        assert lv.gamma(0.0, x) == 2.0
-        assert lv.delta(0.0, x) == 3.0
-        assert lv.rho(0.0, x) == 4.0
-        assert lv.sigma(0.0, x) == 5.0
-        assert lv.theta(0.0, x) == 6.0
-
     def test_source_matches_hand_formula(self):
         lv = LVCoefficients(
             np.array([1.0, 1.0]),
@@ -182,11 +168,6 @@ class TestLVCoefficients:
                 (lambda t, x: 1.0, lambda t, x: 1.0),
                 ((lambda t, x: 1.0,),),  # ragged
             )
-
-    def test_aliases_need_two_species(self):
-        lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
-        with pytest.raises(SpecError):
-            lv.beta
 
 
 def _memo_test_coefficients():
