@@ -176,6 +176,13 @@ class TestDetectMonotone:
         down = make_trajectory([0.3, 0.2, 0.1, 0.0])
         assert detect_monotone(down, 0, "-").passed
 
+    @pytest.mark.parametrize("sign", ["up", "down", "increasing", 0, 2])
+    def test_signs_outside_the_schema_are_rejected(self, sign):
+        # the schema's expected_sign is one of 1, -1, "+" and "-"
+        up = make_trajectory([0.0, 0.1, 0.2, 0.3])
+        with pytest.raises(SpecError):
+            detect_monotone(up, 0, sign)
+
     def test_witness_points_at_the_offending_interval(self):
         hump = make_trajectory([0.0, 0.2, 0.1, 0.3])
         verdict = detect_monotone(hump, 0, "+")

@@ -367,6 +367,26 @@ class TestInitialMonotonicity:
         assert entry.status == "fail"
         assert entry.witness["condition"] == "first species slope"
 
+    def test_each_coefficient_enters_its_own_term(self):
+        # six distinct constants, so a swapped growth or interaction entry
+        # moves one of the two margins
+        g = Grid(SpatialDomain(((0.0, 1.0),)), (21,))
+        beta, gamma, delta, rho, sigma, theta = 1.0, 2.0, 3.0, 4.0, 5.0, 6.0
+        lv = lv_two(*(lambda t, x, c=c: c
+                      for c in (beta, gamma, delta, rho, sigma, theta)))
+        phi = 0.5 * np.sin(np.pi * g.axes[0])
+        psi = 0.25 * np.sin(np.pi * g.axes[0]) ** 2
+        lap = discrete_laplacian(np.stack([phi, psi]), g)
+        r1 = TWO_SPECIES_D[0] * lap[0] + phi * (beta - gamma * phi - delta * psi)
+        r2 = TWO_SPECIES_D[1] * lap[1] + psi * (rho - sigma * phi - theta * psi)
+        mask = g.interior_mask
+        entry = check_initial_monotonicity(lv, phi, psi, g)
+        assert entry.details["first_species_margin"] == pytest.approx(
+            r1[mask].min(), rel=1e-12, abs=1e-15)
+        assert entry.details["second_species_margin"] == pytest.approx(
+            -r2[mask].max(), rel=1e-12, abs=1e-15)
+        assert entry.margin == min(entry.details.values())
+
     def test_single_species_rejected(self):
         g = Grid(SpatialDomain(((0.0, 1.0),)), (11,))
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))

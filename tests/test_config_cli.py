@@ -16,7 +16,12 @@ from parapos.errors import ConfigError
 from parapos.fdm import MONITORS, Trajectory
 from parapos.io import read_snapshots, sha256_file
 from parapos.model import Grid, SpatialDomain
-from parapos.runner import _positivity_verdict, run_scenario
+from parapos.runner import (
+    BOUND_SLACK,
+    _positivity_verdict,
+    _sup_bound_verdict,
+    run_scenario,
+)
 from parapos.scenarios import REGISTRY, get_scenario, list_scenarios
 
 
@@ -566,6 +571,17 @@ class TestCli:
         assert len(configs) >= 3 and len(generated) == 1
         for path in paths + configs + generated:
             assert main(["validate", str(path)]) == 0, path
+
+
+class TestSupBoundVerdict:
+    def test_the_slack_is_the_line_between_verified_and_violated(self):
+        assert _sup_bound_verdict(1.0 + BOUND_SLACK, 1.0).status == "verified"
+        assert _sup_bound_verdict(1.0 + 2.0 * BOUND_SLACK, 1.0).status == "violated"
+
+    def test_note_and_data_are_carried(self):
+        verdict = _sup_bound_verdict(0.5, 2.0, note="integrated-growth barrier")
+        assert verdict.note == "integrated-growth barrier"
+        assert verdict.data == {"bound": 2.0, "observed_sup": 0.5}
 
 
 class TestPositivityVerdict:
