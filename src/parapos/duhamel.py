@@ -65,11 +65,12 @@ time, except for the final panel, which is integrated by its midpoint: the
 kernel is evaluated at half a panel of lag and the source endpoint values
 are averaged.  Its one copy is ``_duhamel_quadrature``.  It runs in mode
 space: one forward transform of the source history, then, for each lag,
-one multiply-add over the slices that share that lag's operator, then one
-inverse transform of the rows.  A sweep over ``J`` steps thus makes two
-transforms and ``J + 1`` applications per component, not ``O(J^2)``.  The
-window's homogeneous rows come from one transform of its initial state.
-The source-Jacobian samples that size the Picard windows come from
+one multiply-add over the slices that share that lag, then one inverse
+transform of the rows.  Each lag multiplies by one table, every component's
+multiplier for that lag stacked (``_lag_evolver``).  A sweep over ``J``
+steps thus makes two transforms and ``J + 1`` multiplications, not
+``O(J^2)``.  The window's homogeneous rows come from one transform of its
+initial state.  The source-Jacobian samples that size the Picard windows come from
 :func:`checker.source_jacobians`.
 
 The source is evaluated once per Picard sweep, over every time slice of the
@@ -175,24 +176,20 @@ def _lag_evolver(grid, rates, dt):
     """``evolve(modes, n)``: every component evolved over ``n`` half panels.
 
     ``modes`` holds the coefficients of one state ``(m, *modes)`` or of a
-    stack of states ``(..., m, *modes)``; each component's operator is
-    applied once to all of its slices.  A half panel is ``dt / 2`` of lag,
-    so the midpoint panel shares the cache.  Operators are built on first
-    use and kept per (component, n).
+    stack of states ``(..., m, *modes)``, and ``evolve`` multiplies them by
+    ``table[n]``: each component's :class:`KernelOperator` multiplier over
+    that lag, stacked ``(m, *modes)``.  A half panel is ``dt / 2`` of lag,
+    so the midpoint panel shares the table.  Each lag's entry is built on
+    first use and kept.
     """
-    ops = {}
-    dim = grid.dimension
+    table = {}
 
     def evolve(modes, half_steps):
-        out = np.empty_like(modes)
-        lead = (slice(None),) * (modes.ndim - dim - 1)
-        for k in range(len(rates)):
-            key = (k, half_steps)
-            if key not in ops:
-                ops[key] = KernelOperator(grid, float(rates[k]),
-                                          half_steps * dt / 2.0)
-            out[lead + (k,)] = ops[key].apply(modes[lead + (k,)])
-        return out
+        if half_steps not in table:
+            table[half_steps] = np.stack([
+                KernelOperator(grid, float(rate), half_steps * dt / 2.0).multiplier
+                for rate in rates])
+        return modes * table[half_steps]
 
     return evolve
 

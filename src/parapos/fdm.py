@@ -30,11 +30,17 @@ stage time is a lattice point bit for bit.  The competition source with
 space-constant separable coefficients evaluates each time part once over
 that lattice; any other source is called per step
 (:meth:`model.CoefficientSet.source_block`).
-Each step writes its state into the other of two buffers, is checked for
-finiteness at once, and reduces its monitors into its row of
-``Trajectory.monitors``, one column per entry of :data:`MONITORS`.
-``Trajectory.reports`` builds a :class:`StepReport` from a row only when it
-is read.
+The march keeps the states of a span of steps in one buffer: ``BLOCK_STEPS``
+steps, or as many as ``SPAN_BYTES`` of states hold if that is fewer, and at
+least one.  Each step writes its state into the buffer's next row and is
+checked for finiteness at once, which gives its ``min_value``.  Once a
+span's steps are taken, one ``_monitor_rows`` call reduces their other
+monitors together, each into its step's row of ``Trajectory.monitors``, one
+column per entry of :data:`MONITORS`; ``step`` reduces its one step with the
+same call.  The next span runs back through the buffer from the row this one
+ended on, so no state is copied, and spans of one step alternate between two
+states.  ``Trajectory.reports`` builds a :class:`StepReport` from a row only
+when it is read.
 
 Implicit solves.  In 1D every component's operator is one LAPACK
 tridiagonal LU factor (``dgttrf``) of the joined ``(m, n)`` state, whose
@@ -77,6 +83,10 @@ LINEAR_MAXITER = 5000
 #: steps the march takes per block, over which the coefficients' time parts
 #: are tabulated once
 BLOCK_STEPS = 64
+
+#: bytes of states the march keeps at once: a span of up to ``BLOCK_STEPS``
+#: steps keeps every state it takes and reduces their monitors together
+SPAN_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -488,24 +498,39 @@ def step(state, t, dt, spec, config):
     new = np.empty(old.shape)
     advance = _stepper(spec, grid, config, dt, t, old)(np.array([t, t + dt]))
     advance(0, old, new, counter)
-    row = np.empty(len(MONITORS))
-    row[_T], row[_MIN], row[_ITER] = t + dt, new.min(), counter[0]
-    _step_monitors(old, new, dt, row)
-    return Field(grid, new), _report(0, row, _source_evaluations(config.scheme))
+    rows = np.empty((1, len(MONITORS)))
+    rows[0, _T], rows[0, _MIN], rows[0, _ITER] = t + dt, new.min(), counter[0]
+    _monitor_rows(old[None], new[None], dt, rows)
+    return Field(grid, new), _report(0, rows[0], _source_evaluations(config.scheme))
 
 
-def _step_monitors(old, new, dt, row):
-    """The monitors of the step ``old -> new``, into its monitor row ``row``.
+def _monitor_rows(old, new, dt, rows):
+    """The monitors of the steps ``old[i] -> new[i]``, into their rows ``rows[i]``.
 
-    The caller fills the ``t``, ``min_value`` and ``solve_iterations``
-    columns.  Each extreme is taken before dividing by ``dt`` or taking the
-    root: both maps are monotone, so this is the extreme of the mapped grid
-    without building it.
+    ``old`` and ``new`` are stacks of states, ``(steps, m, *grid)``, and
+    ``rows`` the steps' ``(steps, len(MONITORS))`` monitor rows.  The caller
+    fills the ``t``, ``min_value`` and ``solve_iterations`` columns.  Each
+    extreme is taken before dividing by ``dt`` or taking the root: both maps
+    are monotone, so this is the extreme of the mapped grid without building
+    it.  ``negpart_norm`` is ``max(0.0, -min_value)``, a positive zero where
+    the minimum is a zero of either sign or NaN.
     """
-    row[_NEG] = max(0.0, -row[_MIN])
-    row[_DUDT] = (new[0] - old[0]).min() / dt
-    row[_DVDT] = (new[1] - old[1]).max() / dt if len(new) >= 2 else np.nan
-    row[_SUP] = np.sqrt((new * new).sum(axis=0).max())
+    nodes = tuple(range(1, new.ndim - 1))
+    neg = -rows[:, _MIN]
+    rows[:, _NEG] = np.where(neg > 0.0, neg, 0.0)
+    # one component's grids at a time, in one temporary: the rates' differences,
+    # then the nodes' squared norms, summed component by component as
+    # ``sum`` adds them
+    grids = np.subtract(new[:, 0], old[:, 0])
+    rows[:, _DUDT] = grids.min(axis=nodes) / dt
+    if new.shape[1] >= 2:
+        rows[:, _DVDT] = np.subtract(new[:, 1], old[:, 1], out=grids).max(axis=nodes) / dt
+    else:
+        rows[:, _DVDT] = np.nan
+    np.square(new[:, 0], out=grids)
+    for k in range(1, new.shape[1]):
+        grids += np.square(new[:, k])
+    rows[:, _SUP] = np.sqrt(grids.max(axis=nodes))
 
 
 def positivity_step_bound(spec, reference=None):
@@ -527,9 +552,13 @@ def positivity_step_bound(spec, reference=None):
 
 
 def _stability_bound(spec, grid, values):
-    """Largest stable explicit dt, 1 / (2 max-eig(A) sum_i h_i^-2), sampled in t."""
+    """Largest stable explicit dt, 1 / (2 max-eig(A) sum_i h_i^-2), sampled in t.
+
+    Diffusion declared ``constant_diffusion`` is sampled once, at t = 0.
+    """
     worst = 0.0
-    for t in np.linspace(0.0, spec.horizon, 5):
+    samples = 1 if spec.coefficients.constant_diffusion else 5
+    for t in np.linspace(0.0, spec.horizon, samples):
         a = _frozen_diffusion(spec, float(t), grid, values)
         lam = np.linalg.eigvalsh(a)[..., -1].max()
         worst = max(worst, float(lam))
@@ -561,7 +590,9 @@ def solve(spec, config, sink=None):
     each snapshot the march calls ``sink.post()``, so a consumer can work on
     it while the march goes on; a posted snapshot is never written again.
     Apart from those arrays and the ``(steps, len(MONITORS))`` monitor
-    table, the march holds two states.
+    table, the march holds one span of states, at most ``BLOCK_STEPS + 1``,
+    and the span's monitor reduction one temporary of a component's grids
+    per step of the span.
     """
     grid = spec.initial.grid
     spec.initial.validate()
@@ -591,9 +622,14 @@ def solve(spec, config, sink=None):
     stored = 0
 
     monitors = np.empty((steps, len(MONITORS)))
-    # step k writes into buffer k % 2, from the state of step k - 1
-    buffers = np.empty((2, *w.shape))
-    old = w
+    # a span of steps writes its states into consecutive rows of ``states``,
+    # from the end row the last span stopped on towards the other end, so
+    # the state a span starts from is never copied; a state over the budget
+    # gets spans of one step, which alternate between two rows
+    span = max(1, min(BLOCK_STEPS, SPAN_BYTES // w.nbytes))
+    states = np.empty((span + 1, *w.shape))
+    states[0] = w
+    row, sign = 0, 1
     t = 0.0
     begin = _stepper(spec, grid, config, dt, t, w)
     for first in range(0, steps, BLOCK_STEPS):
@@ -606,22 +642,31 @@ def solve(spec, config, sink=None):
         for j in range(count):
             k = first + j + 1
             counter = [0]
-            new = buffers[k % 2]
-            advance(j, old, new, counter)
+            new = states[row + sign]
+            advance(j, states[row], new, counter)
+            row += sign
             # NaN reaches the minimum and an infinity the minimum or the
             # maximum, so both are finite exactly when every value is
             low = float(new.min())
             if not (math.isfinite(low) and math.isfinite(float(new.max()))):
                 raise SolverError(f"solution lost finiteness at step {k} (t={ts[j + 1]:g})")
-            row = monitors[k - 1]
-            row[_T], row[_MIN], row[_ITER] = ts[j + 1], low, counter[0]
-            _step_monitors(old, new, dt, row)
+            monitor = monitors[k - 1]
+            monitor[_T], monitor[_MIN], monitor[_ITER] = ts[j + 1], low, counter[0]
             if k % config.store_every == 0 or k == steps:
                 stored += 1
                 times[stored], values[stored] = ts[j + 1], new
                 if sink is not None:
                     sink.post()
-            old = new
+            if row == (span if sign > 0 else 0) or k == steps:
+                # the span's steps end on ``row``; a backward span's steps
+                # run from the last row towards the first
+                if sign > 0:
+                    _monitor_rows(states[:row], states[1:row + 1], dt,
+                                  monitors[k - row:k])
+                else:
+                    _monitor_rows(states[row + 1:], states[row:-1], dt,
+                                  monitors[k - (span - row):k][::-1])
+                sign = -sign
     return Trajectory(
         grid=grid,
         scheme=config.scheme,

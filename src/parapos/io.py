@@ -17,7 +17,10 @@ them.  The snapshots come one of two ways.  The grid route's march writes
 them, as it stores them, into one anonymous shared mapping that is also its
 trajectory's only copy, and posts one byte to the formatter per snapshot.
 The kernel route's solution is finished before the fork, so the formatter
-holds it from the start.  Both write the same bytes.
+holds it from the start.  Both write the same bytes.  The formatter hashes
+the header and each chunk of rows as it writes them, and hands the file's
+sha256 back through its status pipe, so the file is never read back to be
+hashed.
 
 Binary snapshot layout (all integers unsigned 32-bit little-endian, all
 floats 64-bit little-endian):
@@ -163,15 +166,16 @@ class TrajectoryCsvStream:
     Used as a context manager, or closed by ``close``:
 
     - ``close`` (or a clean exit) waits for the formatter to write the last
-      rows and reaps it; the file is then complete, and a later exception
-      leaves it in place;
+      rows and reaps it; the file is then complete, ``digest`` holds the
+      hex sha256 of its bytes, which the formatter computed as it wrote
+      them, and a later exception leaves the file in place;
     - an exception before that kills and reaps the formatter and removes
       the partial file;
     - a formatter that fails (it exits with status 1 and writes
       ``Type: message`` to its status pipe) or dies is raised as
       ``WriterError``, from ``post`` or from ``close``, whichever sees it
-      first, once it has ended.  So is a failure to create the file, after
-      which no formatter is forked.
+      first, once it has ended, and ``digest`` stays ``None``.  So is a
+      failure to create the file, after which no formatter is forked.
 
     Needs POSIX ``fork``.  The formatter does no logging and leaves by
     ``os._exit``, so it never flushes the parent's stdio buffers.
@@ -180,6 +184,7 @@ class TrajectoryCsvStream:
     def __init__(self, path, shape, source="fdm", held=None):
         self._path = Path(path)
         self._closed = False
+        self.digest = None
         header, rows = _snapshot_rows(shape[2:], shape[1], source)
         if held is None:
             buffer = mmap.mmap(-1, 8 * shape[0] * (1 + math.prod(shape[1:])))
@@ -204,7 +209,7 @@ class TrajectoryCsvStream:
             self._pid = os.fork()
             if self._pid == 0:
                 _format_snapshots((status, ready, given[0]), (self._status, self._ready),
-                                  rows, times, values)
+                                  header, rows, times, values)
         except BaseException:
             self._discard()
             raise
@@ -233,7 +238,7 @@ class TrajectoryCsvStream:
     def close(self):
         """Wait for the formatter to finish the file; ``WriterError`` if it failed.
 
-        Does nothing once the file is complete.
+        Sets ``digest``.  Does nothing once the file is complete.
         """
         if self._closed:
             return
@@ -248,7 +253,8 @@ class TrajectoryCsvStream:
         """Let the formatter end and reap it; ``WriterError`` unless it exits 0.
 
         Closing the snapshot pipe ends a formatter that waits for a snapshot
-        never posted, so the wait finishes even after a failure.
+        never posted, so the wait finishes even after a failure.  The status
+        pipe holds the file's digest after an exit 0, the cause otherwise.
         """
         _close(self._ready)
         self._ready = None
@@ -257,10 +263,12 @@ class TrajectoryCsvStream:
             self._pid = None
             with open(self._status, "rb") as fh:
                 self._status = None
-                cause = fh.read().decode("utf-8", "replace")
+                said = fh.read().decode("utf-8", "replace")
             code = os.waitstatus_to_exitcode(status)
-            if code != 0:
-                self._cause = cause or f"exit code {code}"
+            if code == 0:
+                self.digest = said
+            else:
+                self._cause = said or f"exit code {code}"
         if self._cause is not None:
             raise WriterError(f"trajectory writer for {self._path.name} failed: "
                               + self._cause)
@@ -277,25 +285,30 @@ class TrajectoryCsvStream:
             self._path.unlink()
 
 
-def _format_snapshots(own, parents, rows, times, values):
+def _format_snapshots(own, parents, header, rows, times, values):
     """Formatter side of ``TrajectoryCsvStream``: write every snapshot in order.
 
     ``own`` holds the formatter's descriptors, ``(status_fd, ready_fd,
     out_fd)``; it first closes ``parents``, the parent's ends of its pipes.
     For each snapshot: wait for its byte on ``ready_fd`` (``None`` when the
-    snapshots are held), then format it and write the rows to ``out_fd``.
-    Never returns: it leaves by ``os._exit``, with status 0 once every
-    snapshot is written, or 1 after writing the cause of a failure to
-    ``status_fd``.
+    snapshots are held), then format it, write the rows to ``out_fd`` and
+    add them to the sha256 of the file, which ``header`` (already written)
+    starts.  Never returns: it leaves by ``os._exit``, with status 0 after
+    writing the file's hex digest to ``status_fd`` once every snapshot is
+    written, or 1 after writing the cause of a failure there.
     """
     status_fd, ready_fd, out_fd = own
     code = 1
     try:
         _close(*parents)
+        digest = hashlib.sha256(header)
         for i in range(len(times)):
             if ready_fd is not None and not os.read(ready_fd, 1):
                 raise EOFError(f"snapshot {i} was never stored")
-            _write_all(out_fd, rows(times[i], values[i]))
+            chunk = rows(times[i], values[i])
+            _write_all(out_fd, chunk)
+            digest.update(chunk)
+        os.write(status_fd, digest.hexdigest().encode())
         code = 0
     except Exception as exc:  # noqa: BLE001 - the parent reports the cause
         os.write(status_fd, f"{type(exc).__name__}: {exc}".encode())

@@ -10,6 +10,8 @@ pipe of the grid route's writer, and formats the kernel CSV while the march
 runs.  The march stores each snapshot into the grid route's
 ``TrajectoryCsvStream``, one shared buffer that is also the trajectory's
 values, and that stream's formatter writes ``trajectory.csv`` beside it.
+Each trajectory CSV's formatter hashes the file as it writes it, so the
+manifest takes those digests and reads back only the other artifacts.
 A kernel-route failure is raised at the cross-check, so a failed run has
 the verdicts, files and error it would have if the route ran there.  Every
 stage contributes a verdict under a named tag.  Verdicts are conditional
@@ -108,21 +110,24 @@ class _Artifacts:
 
     def __init__(self, root):
         self.root = root
-        self._names = set()
+        self._digests = {}   # name -> the sha256 its writer gave, or None
 
     def write(self, name, writer, *args, **kwargs):
         """Write artifact ``name`` with ``writer(path, *args, **kwargs)``."""
         writer(self.root / name, *args, **kwargs)
-        self._names.add(name)
+        self._digests[name] = None
 
-    def add(self, name):
-        """Record artifact ``name``, written completely by other means."""
-        self._names.add(name)
+    def add(self, name, digest):
+        """Record artifact ``name``, written completely by other means, with its sha256."""
+        self._digests[name] = digest
 
     def listing(self):
-        """The manifest's ``files``: every artifact with its sha256, by path."""
-        entries = [{"path": name, "sha256": sha256_file(self.root / name)}
-                   for name in sorted(self._names)]
+        """The manifest's ``files``: every artifact with its sha256, by path.
+
+        An artifact recorded without its digest is read back and hashed.
+        """
+        entries = [{"path": name, "sha256": digest or sha256_file(self.root / name)}
+                   for name, digest in sorted(self._digests.items())]
         entries.append({"path": "manifest.json", "sha256": None})
         return entries
 
@@ -226,7 +231,7 @@ def _dual_route(trajectory, analysis, kernel, artifacts):
 
     if kernel.writer is not None:
         kernel.writer.close()
-        artifacts.add("trajectory_duhamel.csv")
+        artifacts.add("trajectory_duhamel.csv", kernel.writer.digest)
 
     ok = diff <= tol and contracting
     note = "" if ok else ("kernel route disagrees" if diff > tol
@@ -442,7 +447,7 @@ def run_scenario(config, out_dir=None, seed=None):
                 shape = (stored_count(problem, scheme), *problem.initial.values.shape)
                 with TrajectoryCsvStream(out / "trajectory.csv", shape) as stream:
                     trajectory = solve(problem, scheme, sink=stream)
-                artifacts.add("trajectory.csv")
+                artifacts.add("trajectory.csv", stream.digest)
             else:
                 trajectory = solve(problem, scheme)
             verdicts["positivity"] = _positivity_verdict(trajectory, dt_bound)

@@ -2,6 +2,7 @@ import copy
 import importlib.util
 import json
 import os
+import signal
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import trajectory_csv_reference
+from parapos import io
 from parapos.cli import main
 from parapos.config import DEFAULT_ASSUMPTIONS, load_config, load_config_data
 from parapos.duhamel import PicardConfig, picard_solve
@@ -782,6 +784,54 @@ class TestKernelRouteWriter:
             "manifest.json"]
         assert "dual-route-match" not in manifest["verdicts"]
         assert (out / "trajectory_duhamel.csv").is_dir()
+        _assert_no_child_left()
+
+
+class TestManifestDigests:
+    """Each trajectory CSV's digest comes from its formatter, every other file's from a read."""
+
+    @pytest.mark.parametrize("name", ["S1_positivity", "S6_oracle_crosscheck"])
+    def test_every_listed_digest_is_the_files_sha256(self, tmp_path, monkeypatch,
+                                                     name):
+        read_back = []
+
+        def recording(path):
+            read_back.append(Path(path).name)
+            return sha256_file(path)
+
+        monkeypatch.setattr("parapos.runner.sha256_file", recording)
+        manifest = run_scenario(get_scenario(name), out_dir=tmp_path)
+        assert manifest.status == "ok"
+        listed = {row["path"]: row["sha256"] for row in manifest.files}
+        streams = {"trajectory.csv"} | ({"trajectory_duhamel.csv"}
+                                        if name.startswith("S6") else set())
+        assert streams <= set(listed)
+        assert sorted(read_back) == sorted(set(listed) - streams - {"manifest.json"})
+        assert listed.pop("manifest.json") is None
+        assert listed == {path: sha256_file(tmp_path / path) for path in listed}
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("name", ["S1_positivity", "S6_oracle_crosscheck"])
+    def test_a_formatter_killed_mid_file_records_no_digest(self, tmp_path, monkeypatch,
+                                                          name):
+        # every formatter writes its first snapshot, then dies on its second
+        real = io._format_snapshots
+
+        def dying(own, parents, header, rows, times, values):
+            def rows_then_die(t, snapshot):
+                if t > 0.0:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return rows(t, snapshot)
+            real(own, parents, header, rows_then_die, times, values)
+
+        monkeypatch.setattr(io, "_format_snapshots", dying)
+        manifest = run_scenario(get_scenario(name), out_dir=tmp_path)
+        assert manifest.status == "error"
+        assert manifest.error == ("WriterError: trajectory writer for trajectory.csv "
+                                  "failed: exit code -9")
+        assert [row["path"] for row in manifest.files] == ["checks.json", "manifest.json"]
+        assert not (tmp_path / "trajectory.csv").exists()
+        assert not (tmp_path / "trajectory_duhamel.csv").exists()
         _assert_no_child_left()
 
 

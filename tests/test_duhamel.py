@@ -256,8 +256,8 @@ class TestToeplitzAxes:
         assert np.count_nonzero(np.abs(want[200]) > 0) == 29
 
     def test_picard_caches_one_multiplier_per_lag(self, monkeypatch):
-        # S6 at 401 nodes: the evolver keeps one operator per (component,
-        # half-panel lag), each one multiplier over the 399 interior modes
+        # S6 at 401 nodes: the evolver keeps one table per half-panel lag,
+        # every component's multiplier over the 399 interior modes
         evolvers = []
 
         def recording(*args):
@@ -268,15 +268,21 @@ class TestToeplitzAxes:
         data = s6_oracle_crosscheck()
         data["problem"]["grid"]["nodes"] = [401]
         config = load_config_data(data)
-        picard_solve(config.build_problem(),
-                     PicardConfig(**config.analysis_data["picard"]))
+        res = picard_solve(config.build_problem(),
+                           PicardConfig(**config.analysis_data["picard"]))
         [evolve] = evolvers
         cells = dict(zip(evolve.__code__.co_freevars,
                          (c.cell_contents for c in evolve.__closure__)))
-        ops = list(cells["ops"].values())
-        assert len(ops) >= 40
-        assert all(op.multiplier.shape == (399,) for op in ops)
-        assert sum(op.multiplier.nbytes for op in ops) < 1_000_000
+        # the midpoint panel's half lag, then every whole lag of the longest
+        # window, each once
+        window = round(max(np.diff(res.window_edges)) / (res.times[1] - res.times[0]))
+        assert window >= 12
+        assert sorted(cells["table"]) == [1, *range(2, 2 * window + 1, 2)]
+        tables = list(cells["table"].values())
+        m = config.build_problem().components
+        assert m == 2
+        assert all(table.shape == (m, 399) for table in tables)
+        assert sum(table.nbytes for table in tables) < 1_000_000
 
 
 def _rounding_floor(values, grid):
@@ -404,16 +410,20 @@ class TestBatchedQuadrature:
 
     def test_each_sweep_applies_each_lag_once_per_component(self, monkeypatch):
         # per window of J steps: J homogeneous rows, then per sweep the
-        # midpoint panel and J lags, each once per component
+        # midpoint panel and J lags, each applied once to the one species
         calls = []
-        original = KernelOperator.apply
 
-        def counting(self, modes):
-            calls.append(modes.shape)
-            return original(self, modes)
+        def counting(*args):
+            evolve = _lag_evolver(*args)
 
-        monkeypatch.setattr(KernelOperator, "apply", counting)
+            def counted(modes, half_steps):
+                calls.append(half_steps)
+                return evolve(modes, half_steps)
+            return counted
+
+        monkeypatch.setattr("parapos.duhamel._lag_evolver", counting)
         res = picard_solve(flat_logistic(horizon=0.3), PicardConfig(dt=0.01))
+        assert res.final_values.shape[0] == 1
         spans = np.round(np.diff(res.window_edges) / 0.01).astype(int)
         assert len(calls) == sum(j + s * (j + 1) for j, s in zip(spans, res.iterations))
 

@@ -30,10 +30,11 @@ from parapos import fdm
 from parapos.fdm import (
     BLOCK_STEPS,
     MONITORS,
+    SPAN_BYTES,
     SchemeConfig,
     _assemble_2d,
     _implicit_solve,
-    _step_monitors,
+    _monitor_rows,
     estimate_order,
     positivity_step_bound,
     solve,
@@ -66,6 +67,21 @@ def logistic_problem(n=101, d=0.01, beta=1.0, gamma=1.0, amplitude=0.5, horizon=
     lv = LVCoefficients(np.array([d]), (lambda t, x: beta,), ((lambda t, x: gamma,),))
     init = Field.from_arrays(g, (amplitude * np.sin(np.pi * g.axes[0]))[None])
     return build_lv_problem(lv, UNIT, init, horizon)
+
+
+def logistic_problem_2d(n, horizon, species=1):
+    """Logistic competition on the unit square, each species a sine bump."""
+    dom = SpatialDomain(((0.0, 1.0), (0.0, 1.0)))
+    g = Grid(dom, (n, n))
+    pts = g.points
+    bump = np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1])
+    lv = LVCoefficients(
+        np.linspace(0.01, 0.02, species),
+        tuple((lambda t, x, b=1.0 + 0.5 * k: b) for k in range(species)),
+        tuple(tuple((lambda t, x, c=1.0 if i == k else 0.3: c) for i in range(species))
+              for k in range(species)))
+    init = Field.from_arrays(g, np.stack([(0.5 + 0.2 * k) * bump for k in range(species)]))
+    return build_lv_problem(lv, dom, init, horizon)
 
 
 def varying_diffusion_2d():
@@ -230,6 +246,25 @@ class TestSolve:
                 solve(logistic_problem(horizon=1.0),
                       SchemeConfig(scheme="imex_be", dt=0.01))
 
+    @pytest.mark.parametrize("constant, samples", [(True, 1), (False, 5)])
+    def test_the_stability_bound_samples_constant_diffusion_once(self, monkeypatch,
+                                                                 constant, samples):
+        spec = heat_problem(n=101, horizon=0.002)
+        spec = replace(spec, coefficients=replace(spec.coefficients,
+                                                  constant_diffusion=constant))
+        times = []
+        real = fdm._frozen_diffusion
+
+        def counting(spec, t, grid, values):
+            times.append(t)
+            return real(spec, t, grid, values)
+
+        monkeypatch.setattr(fdm, "_frozen_diffusion", counting)
+        bound = fdm._stability_bound(spec, spec.initial.grid, spec.initial.values)
+        assert times == np.linspace(0.0, 0.002, samples).tolist()
+        # unit diffusion on h = 0.01
+        assert bound == pytest.approx(0.5 * 0.01**2, rel=1e-12)
+
     def test_stability_gate_can_be_disabled(self):
         spec = heat_problem(n=101, horizon=5.25e-5)
         config = SchemeConfig(scheme="erk2", dt=5.25e-5, check_stability=False)
@@ -247,12 +282,9 @@ class TestSolve:
         assert len(traj.reports) == 100
         assert not traj.dt_adjusted
 
-    def test_the_march_holds_two_states_not_one_per_step(self):
-        # 4000 steps of 401 values: their states would take 12.8 MB, the
-        # march's two buffers 6.4 kB and the monitors 0.2 MB; a step's
-        # temporaries and the block's time lattice come to a few states more
-        spec = logistic_problem(n=401, horizon=40.0)
-        config = SchemeConfig(scheme="imex_be", dt=0.01, store_every=2000)
+    @staticmethod
+    def _held_bytes(spec, config):
+        """The march's traced peak beyond the trajectory it returns, and that trajectory."""
         solve(spec, config)  # imports and caches outside the trace
         tracemalloc.start()
         try:
@@ -260,10 +292,30 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return peak - (traj.times.nbytes + traj.values.nbytes + traj.monitors.nbytes), traj
+
+    def test_the_march_holds_one_span_of_states_not_one_per_step(self):
+        # 4000 steps of 401 values: their states would take 12.8 MB; the
+        # march keeps at most BLOCK_STEPS + 1 states and the monitors 0.2 MB,
+        # and a step's temporaries, the monitor reducer's and the block's
+        # time lattice come to a few dozen states more
+        spec = logistic_problem(n=401, horizon=40.0)
         state, steps = 8 * 401, 4000
-        kept = traj.times.nbytes + traj.values.nbytes + traj.monitors.nbytes
+        held, traj = self._held_bytes(
+            spec, SchemeConfig(scheme="imex_be", dt=0.01, store_every=2000))
         assert traj.monitors.shape == (steps, len(MONITORS))
-        assert peak - kept < 32 * state
+        assert held < (BLOCK_STEPS + 1 + 32) * state
+
+    def test_a_state_over_the_budget_is_held_twice_not_once_per_step(self):
+        # one species on 129 x 129 nodes is over SPAN_BYTES, so each span is
+        # one step and the march alternates between two states
+        spec = logistic_problem_2d(n=129, horizon=0.8)
+        state = spec.initial.values.nbytes
+        assert state > SPAN_BYTES
+        held, traj = self._held_bytes(
+            spec, SchemeConfig(scheme="imex_be", dt=0.01, store_every=40))
+        assert traj.monitors.shape == (80, len(MONITORS))
+        assert held < 32 * state
 
     def test_dt_rounded_to_land_on_the_horizon(self):
         spec = logistic_problem(horizon=1.0)
@@ -327,14 +379,13 @@ SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
 
 
 def _step_rows(states, dt):
-    """The monitor rows of the steps ``states[j] -> states[j + 1]``.
+    """The monitor rows of the steps ``states[j] -> states[j + 1]``, reduced at once.
 
     Each row's ``min_value`` is filled first, as the march fills it.
     """
     rows = np.full((len(states) - 1, len(MONITORS)), -1.0)
-    for row, old, new in zip(rows, states[:-1], states[1:]):
-        row[MONITORS.index("min_value")] = new.min()
-        _step_monitors(old, new, dt, row)
+    rows[:, MONITORS.index("min_value")] = [new.min() for new in states[1:]]
+    _monitor_rows(states[:-1], states[1:], dt, rows)
     return rows
 
 
@@ -360,6 +411,23 @@ class TestStepMonitors:
                 assert got.tobytes() == want.tobytes()
                 negpart = [max(0.0, -low) for low in want[:, 0].tolist()]
                 assert _column(rows, "negpart_norm").tobytes() == np.array(negpart).tobytes()
+
+    def test_a_2d_march_reduces_each_span_as_its_steps_do(self):
+        # two species on 29 x 29 nodes: spans of 9 steps, so 70 steps end in
+        # a short span, and a block boundary falls inside a span
+        spec = logistic_problem_2d(n=29, horizon=0.7, species=2)
+        span = SPAN_BYTES // spec.initial.values.nbytes
+        assert 1 < span < BLOCK_STEPS and 70 % span and BLOCK_STEPS % span
+        dt = 0.01
+        traj = solve(spec, SchemeConfig(scheme="imex_be", dt=dt, store_every=1))
+        states = traj.values
+        want = np.array([step_report_reference(old, new, dt)
+                         for old, new in zip(states[:-1], states[1:])])
+        got = _column(traj.monitors, "min_value", "dudt_min", "dvdt_max", "sup_norm")
+        assert got.tobytes() == want.tobytes()
+        negpart = np.array([max(0.0, -low) for low in want[:, 0].tolist()])
+        assert _column(traj.monitors, "negpart_norm")[:, 0].tobytes() == negpart.tobytes()
+        assert traj.monitor("t").tobytes() == traj.times[1:].tobytes()
 
     def test_the_caller_owns_time_and_iterations(self):
         states = np.random.default_rng(1).normal(size=(4, 2, 5))

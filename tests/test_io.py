@@ -191,15 +191,20 @@ def store_all(stream, times, values):
 
 
 def write_stream(path, times, values, held, source="fdm"):
-    """The stream's file for ``(times, values)``, stored or held."""
+    """The stream's file for ``(times, values)``, stored or held.
+
+    The digest the formatter hands back must be the sha256 of the file.
+    """
     if held:
         trajectory = SimpleNamespace(times=times, values=values)
-        with TrajectoryCsvStream(path, values.shape, source=source, held=trajectory):
+        with TrajectoryCsvStream(path, values.shape, source=source,
+                                 held=trajectory) as stream:
             pass
     else:
         with TrajectoryCsvStream(path, values.shape, source=source) as stream:
             store_all(stream, times, values)
     assert_no_child_left()
+    assert stream.digest == sha256_file(path)
     return path.read_bytes()
 
 
@@ -322,6 +327,7 @@ class TestTrajectoryCsvStream:
             with TrajectoryCsvStream(path, values.shape) as stream:
                 os.kill(stream._pid, signal.SIGKILL)
                 store_all(stream, times, values)
+        assert stream.digest is None
         assert not path.exists()
         assert_no_child_left()
 
