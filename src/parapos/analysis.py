@@ -4,9 +4,9 @@ This module holds the quantitative conclusions that the solvers are tested
 against: the exponential sup-norm barrier, per-component carrying-capacity
 bounds, the integrated-growth extinction bound, monotonicity detection on
 trajectories, steady-state extraction, and weak residuals of steady states
-against the limiting elliptic system.  Inputs are arrays (or plain numbers
-for a sup) together with an explicit grid or domain; nothing is read off a
-``Field``.
+against the limiting elliptic system, a :class:`FrozenSystem` frozen at the
+limit.  Inputs are arrays (or plain numbers for a sup) together with an
+explicit grid or domain; nothing is read off a ``Field``.
 
 Weak residuals use compactly supported quartic bumps as test functions.  In
 one dimension the quadrature partition is augmented with the exact support
@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivisionDomainError, IntegrabilityError, SpecError
-from .model import Grid
+from .model import FrozenSystem, Grid
 
 RESIDUAL_FLOOR = 1e-12
 BOUND_DOUBLINGS = 20          # carrying bound: ratio sampled at t_split * 2**j, j <= this
@@ -289,7 +289,6 @@ class SteadyStateReport:
     window: float
     steady_tol: float
     values: np.ndarray
-    drift: np.ndarray
     residuals: np.ndarray | None = None
 
     def attach_residuals(self, residuals):
@@ -307,7 +306,8 @@ class SteadyStateReport:
             "components": int(self.values.shape[0]),
             "shape": [int(s) for s in self.values.shape[1:]],
             "component_sup": [float(np.abs(v).max()) for v in self.values],
-            "max_drift": float(np.abs(self.drift).max()),
+            # the tail slope is the largest drift, which is never negative
+            "max_drift": float(self.tail_slope),
         }
         out["residuals"] = (None if self.residuals is None
                             else [[float(r) for r in row] for row in self.residuals])
@@ -333,15 +333,13 @@ def extract_steady_state(trajectory, window_fraction=0.1, steady_tol=1e-8):
     anchor = int(np.searchsorted(times, target + 1e-12, side="right") - 1)
     anchor = min(max(anchor, 0), len(times) - 2)
     window = horizon - float(times[anchor])
-    drift = np.abs(vals[-1] - vals[anchor]) / window
-    tail_slope = float(drift.max())
+    tail_slope = float((np.abs(vals[-1] - vals[anchor]) / window).max())
     return SteadyStateReport(
         reached=bool(tail_slope <= steady_tol),
         tail_slope=tail_slope,
         window=window,
         steady_tol=steady_tol,
         values=vals[-1].copy(),
-        drift=drift,
     )
 
 
@@ -390,13 +388,6 @@ def _merged_partition_1d(axis, a, b):
     return xs
 
 
-def _values_of(coefficient, pts, like):
-    """Coefficient values at points; numbers broadcast, callables evaluate."""
-    if callable(coefficient):
-        return np.broadcast_to(np.asarray(coefficient(pts), dtype=float), like.shape)
-    return np.full_like(like, float(coefficient))
-
-
 def _check_support(test, domain):
     for (sa, sb), (lo, hi) in zip(test.support_bounds(), domain.bounds):
         if not (sa > lo + 1e-15 and sb < hi - 1e-15):
@@ -443,48 +434,33 @@ def weak_residual(grid, u_values, diffusion, source_values, test):
     return _weak_residual_nd(grid, u_nodes, float(diffusion), c_nodes, test)
 
 
-def elliptic_weak_residual(u, v, limits, tests, diffusions, grid):
-    """Weak residuals of the limiting two-species elliptic system.
+def elliptic_weak_residual(system, u, v, tests):
+    """Weak residuals of the limiting two-species :class:`FrozenSystem` ``system``.
 
-    ``u`` and ``v`` are the steady states on the nodes of ``grid``.
-    ``limits`` is the six-tuple of limit coefficients (growth and the two
-    interaction rows), each a number or a callable of the space points.  For
-    every test function of the list ``tests`` the two equation residuals are
+    ``u`` and ``v`` are the steady states on the nodes of its grid.  For every
+    test function of the list ``tests`` the two equation residuals are
     returned, so the result has shape (len(tests), 2).
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    grid = system.grid
+    u, v = (np.asarray(w, dtype=float) for w in (u, v))
     if u.shape != grid.shape or v.shape != grid.shape:
         raise SpecError("steady states must live on the grid nodes")
-    if len(limits) != 6:
-        raise SpecError("the limiting system needs its six coefficients")
-    d1, d2 = (float(d) for d in diffusions)
-    beta, gamma, delta, rho, sigma, theta = (
-        _values_of(c, grid.points, u) for c in limits)
-    source_u = u * (beta - gamma * u - delta * v)
-    source_v = v * (rho - sigma * u - theta * v)
+    source_u, source_v = system.reaction(u, v)
     out = np.empty((len(tests), 2))
     for j, test in enumerate(tests):
-        out[j, 0] = weak_residual(grid, u, d1, source_u, test)
-        out[j, 1] = weak_residual(grid, v, d2, source_v, test)
+        out[j, 0] = weak_residual(grid, u, system.diffusion[0], source_u, test)
+        out[j, 1] = weak_residual(grid, v, system.diffusion[1], source_v, test)
     return out
 
 
-def lv_limit_coefficients(lv):
-    """The six late-time coefficient callables of a two-species system.
+def lv_limit_coefficients(lv, grid, declared=None):
+    """The two-species system of ``lv`` frozen at its limit on the nodes of ``grid``.
 
-    Coefficients exposing ``limit_profile`` are evaluated there; anything
-    else is evaluated at a late time as a fallback.
+    ``declared``, six limits in :meth:`FrozenSystem.order`, wins; otherwise each
+    coefficient takes its ``limit_profile``, or else its value at a late time.
     """
-    if lv.species != 2:
-        raise SpecError("the limiting system is defined for two species")
-    late = 1e9
-
-    def limit_callable(coef):
-        profile = getattr(coef, "limit_profile", None)
-        if profile is not None:
-            return profile
-        return lambda pts, _c=coef: _c(late, pts)
-
-    return tuple(limit_callable(c) for c in
-                 (lv.growth[0], *lv.interaction[0], lv.growth[1], *lv.interaction[1]))
+    if declared is None:
+        pts = grid.points
+        declared = [f.limit_profile(pts) if hasattr(f, "limit_profile") else f(1e9, pts)
+                    for f in FrozenSystem.order(lv)]
+    return FrozenSystem(grid, lv.diffusion, declared)

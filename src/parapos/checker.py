@@ -18,8 +18,8 @@ Checked assumptions, by id:
 * ``A7b``       source non-negativity on the faces u^k = 0
 * ``MonotoneCoeffs``  the six sign conditions on time derivatives of the
                 two-species coefficients
-* ``InitMonotone``    the discrete initial-slope conditions driving the
-                monotone-convergence result
+* ``InitMonotone``    the signs of the discrete initial slopes, the
+                residuals of the system frozen at t = 0 (``FrozenSystem``)
 
 Sampling is prefix-nested: enlarging a budget extends the sample set, so a
 failed check can never turn into a pass under refinement.
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import CoefficientError, SpecError
-from .model import second_difference
+from .model import FrozenSystem, second_difference
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 
@@ -459,21 +459,14 @@ def check_positivity_source(spec, budget):
 
 _SIGN_WORDS = {1.0: "non-decreasing", -1.0: "non-increasing"}
 
-# (label, accessor, required sign of the time derivative) for two species
-_MONOTONE_PLAN = (
-    ("beta", lambda lv: lv.growth[0], +1.0),
-    ("gamma", lambda lv: lv.interaction[0][0], -1.0),
-    ("delta", lambda lv: lv.interaction[0][1], -1.0),
-    ("rho", lambda lv: lv.growth[1], -1.0),
-    ("sigma", lambda lv: lv.interaction[1][0], +1.0),
-    ("theta", lambda lv: lv.interaction[1][1], +1.0),
-)
+# (label, required sign of the time derivative), in FrozenSystem.order
+_MONOTONE_PLAN = (("beta", +1.0), ("gamma", -1.0), ("delta", -1.0),
+                  ("rho", -1.0), ("sigma", +1.0), ("theta", +1.0))
 
 
 def check_monotone_coefficients(lv, budget, domain, horizon):
     """MonotoneCoeffs: central-difference time slopes of the six coefficients."""
-    if lv.species != 2:
-        raise SpecError("monotone coefficient check is defined for two species")
+    coefficients = FrozenSystem.order(lv)
     dt = _FD_DT_FACTOR * max(1.0, horizon)
     n = domain.dimension
     count = budget.t * budget.x
@@ -484,8 +477,7 @@ def check_monotone_coefficients(lv, budget, domain, horizon):
     worst = np.inf
     worst_info = None
     per_symbol = {}
-    for label, pick, sign in _MONOTONE_PLAN:
-        coeff = pick(lv)
+    for (label, sign), coeff in zip(_MONOTONE_PLAN, coefficients):
         hi = np.broadcast_to(np.asarray(coeff(t + dt, x), dtype=float), (count,))
         lo = np.broadcast_to(np.asarray(coeff(t - dt, x), dtype=float), (count,))
         slopes = sign * (hi - lo) / (2.0 * dt)
@@ -505,42 +497,22 @@ def check_monotone_coefficients(lv, budget, domain, horizon):
     )
 
 
-def discrete_laplacian(values, grid):
-    """Standard 3/5-point Laplacian on interior nodes; boundary rows are zero."""
-    out = sum(second_difference(values, grid, axis) for axis in range(grid.dimension))
-    out[:, ~grid.interior_mask] = 0.0
-    return out
-
-
 def check_initial_monotonicity(lv, phi, psi, grid):
     """InitMonotone: discrete initial slopes push u up and v down.
 
     Requires d1 lap(phi) + phi (beta - gamma phi - delta psi) >= 0 and the
-    mirrored inequality <= 0 for psi at every interior node, at t = 0.
+    mirrored inequality <= 0 for psi at every interior node: the residuals
+    of the system frozen at t = 0.
     """
-    if lv.species != 2:
-        raise SpecError("initial monotonicity check is defined for two species")
-    phi = np.asarray(phi, dtype=float)
-    psi = np.asarray(psi, dtype=float)
     pts = grid.points
-    lap = discrete_laplacian(np.stack([phi, psi]), grid)
-    beta, gamma, delta, rho, sigma, theta = (
-        np.broadcast_to(np.asarray(pick(lv)(0.0, pts), dtype=float), grid.shape)
-        for _, pick, _ in _MONOTONE_PLAN)
-
-    r1 = lv.diffusion[0] * lap[0] + phi * (beta - gamma * phi - delta * psi)
-    r2 = lv.diffusion[1] * lap[1] + psi * (rho - sigma * phi - theta * psi)
+    system = FrozenSystem(grid, lv.diffusion, [f(0.0, pts) for f in FrozenSystem.order(lv)])
+    r1, r2 = system.residual(phi, psi)
     mask = grid.interior_mask
-    m1 = float(r1[mask].min())
-    m2 = float(-r2[mask].max())
+    m1, m2 = float(r1[mask].min()), float(-r2[mask].max())
     margin = min(m1, m2)
-    if m1 <= m2:
-        flat = int(np.where(mask.ravel(), r1.ravel(), np.inf).argmin())
-        which = "first species slope"
-    else:
-        flat = int(np.where(mask.ravel(), -r2.ravel(), np.inf).argmin())
-        which = "second species slope"
-    node = np.unravel_index(flat, grid.shape)
+    k = 0 if m1 <= m2 else 1
+    node = np.unravel_index(int(np.where(mask, (r1, -r2)[k], np.inf).argmin()), grid.shape)
+    which = ("first", "second")[k] + " species slope"
     return CheckEntry(
         assumption="InitMonotone",
         status="pass" if margin >= -_TOL_SIGN else "fail",

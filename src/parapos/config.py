@@ -27,6 +27,7 @@ from .errors import ConfigError
 from .fdm import SchemeConfig
 from .model import (Grid, LVCoefficients, Majorants, SpatialDomain,
                     build_lv_problem)
+from .runner import OPS
 
 DEFAULT_ASSUMPTIONS = ("A1", "A2'", "A4", "A6", "A7")
 
@@ -232,11 +233,16 @@ def _check_cross_rules(data, base_dir):
     if signs is not None and len(signs) != m:
         raise ConfigError(f"monotone_signs must list {m} entries",
                           "/analysis/monotone_signs")
-    if "max_principle" in ops and "gronwall" in ops:
-        raise ConfigError("max_principle and gronwall both write the sup-bound "
-                          "verdict; request one barrier per file", "/analysis/ops")
+    writers = {}
+    for op, (tag, _) in OPS.items():
+        if op in ops and writers.setdefault(tag, op) != op:
+            raise ConfigError(f"{writers[tag]} and {op} both write the {tag} verdict; "
+                              "request one op per tag", "/analysis/ops")
     if "component_bound" in ops and "t_split" not in analysis:
         raise ConfigError("component_bound needs t_split", "/analysis/t_split")
+    if analysis.get("t_split", 0.0) > problem["horizon"]:
+        raise ConfigError(f"t_split {analysis['t_split']} lies past the horizon "
+                          f"{problem['horizon']}", "/analysis/t_split")
     if "weak_residuals" in ops and m != 2:
         raise ConfigError("weak residuals are defined for two species",
                           "/analysis/ops")

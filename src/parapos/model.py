@@ -341,10 +341,8 @@ class LVCoefficients:
     gives tables of its shape: the kernel route's ``(J + 1, 1, ...)`` times
     give ``(J + 1, 1, ..., m, m)`` tables on space-constant entries.
 
-    For two species the classical symbols map onto the arrays as
-    beta, gamma, delta, rho, sigma, theta =
-    growth[0], interaction[0][0], interaction[0][1],
-    growth[1], interaction[1][0], interaction[1][1].
+    For two species, :meth:`FrozenSystem.order` maps the classical symbols
+    beta, gamma, delta, rho, sigma, theta onto these entries.
     """
 
     diffusion: np.ndarray
@@ -454,6 +452,41 @@ class LVCoefficients:
         columns = [np.broadcast_to(f.time_part(ts), ts.shape) * prof for f, prof in entries]
         beta, gam = _table(columns[:m], (m,)), _table(columns[m:], (m, m))
         return lambda j, u, p=None: self._source(beta[j], gam[j], u)
+
+
+class FrozenSystem:
+    """The two-species competition system with its coefficients frozen on the nodes.
+
+    ``coefficients`` are the six of :meth:`order`, each broadcast to
+    ``grid.shape``.  Frozen at t = 0 it gives InitMonotone's initial slopes;
+    frozen at the limit it is the elliptic system of the weak residuals.
+    """
+
+    def __init__(self, grid, diffusion, coefficients):
+        if len(diffusion) != 2 or len(coefficients) != 6:
+            raise SpecError("the two-species system has two diffusions and six coefficients")
+        self.grid, self.diffusion = grid, diffusion
+        self.coefficients = tuple(np.broadcast_to(np.asarray(c, dtype=float), grid.shape)
+                                  for c in coefficients)
+
+    @staticmethod
+    def order(lv):
+        """beta, gamma, delta, rho, sigma, theta: the entries of two-species ``lv``."""
+        if lv.species != 2:
+            raise SpecError(f"the two-species system is not defined for {lv.species} species")
+        return (lv.growth[0], *lv.interaction[0], lv.growth[1], *lv.interaction[1])
+
+    def reaction(self, u, v):
+        """The reaction terms u (beta - gamma u - delta v) and v (rho - sigma u - theta v)."""
+        beta, gamma, delta, rho, sigma, theta = self.coefficients
+        return u * (beta - gamma * u - delta * v), v * (rho - sigma * u - theta * v)
+
+    def residual(self, u, v):
+        """``d_k * lap_h(w_k) + reaction_k`` for w = (u, v), zero Laplacian on the faces."""
+        w = np.stack([u, v])
+        lap = sum(second_difference(w, self.grid, axis) for axis in range(self.grid.dimension))
+        lap[:, ~self.grid.interior_mask] = 0.0
+        return tuple(d * dw + r for d, dw, r in zip(self.diffusion, lap, self.reaction(u, v)))
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 A run works through its stages in this order: hypothesis checks; the
 kernel route, when ``dual_route`` is requested; the positivity step bound;
-the grid march; the requested analysis operations, the kernel-route
-cross-check among them.
+the grid march; the requested analysis ops.  ``OPS`` is their table: it
+maps each op to the verdict tag it writes and to the function that takes
+the run's ``_Run`` context to that verdict, and the ops run in its order.
 The kernel route runs before the march, while no other process of the run
 is alive.  A formatter forked then inherits the finished solution but no
 pipe of the grid route's writer, and formats the kernel CSV while the march
@@ -12,12 +13,11 @@ runs.  The march stores each snapshot into the grid route's
 values, and that stream's formatter writes ``trajectory.csv`` beside it.
 Each trajectory CSV's formatter hashes the file as it writes it, so the
 manifest takes those digests and reads back only the other artifacts.
-A kernel-route failure is raised at the cross-check, so a failed run has
-the verdicts, files and error it would have if the route ran there.  Every
-stage contributes a verdict under a named tag.  Verdicts are conditional
-in one direction only: when the hypothesis checks fail, failing conclusion
-checks are reported "inconclusive" rather than "violated", because nothing
-was promised for inputs outside the hypotheses.
+A kernel-route failure is raised at the ``dual_route`` op, so a failed run
+has the verdicts, files and error it would have if the route ran there.
+Verdicts are conditional in one direction only: when the hypothesis checks
+fail, failing conclusion checks are reported "inconclusive" rather than
+"violated", because nothing was promised for inputs outside the hypotheses.
 """
 
 from __future__ import annotations
@@ -209,12 +209,100 @@ class _KernelRoute:
             self.writer.__exit__(*exc)
 
 
-def _dual_route(trajectory, analysis, kernel, artifacts):
+class _Run:
+    """What the analysis ops of one run read, and the steady state they share."""
+
+    def __init__(self, config, problem, scheme, trajectory, report, kernel, artifacts,
+                 formats):
+        self.config, self.problem, self.scheme = config, problem, scheme
+        self.trajectory, self.report, self.kernel = trajectory, report, kernel
+        self.artifacts, self.formats = artifacts, formats
+        self.steady = None      # SteadyStateReport, extracted on first use
+
+    @property
+    def analysis(self):
+        return self.config.analysis_data
+
+    def steady_state(self):
+        if self.steady is None:
+            self.steady = extract_steady_state(
+                self.trajectory,
+                window_fraction=float(self.analysis.get("window_fraction", 0.1)),
+                steady_tol=float(self.analysis.get("steady_tol", 1e-8)))
+        return self.steady
+
+
+def _max_principle(run):
+    d1, d2 = run.report.d1_hat, run.report.d2_hat
+    if d1 is None or d2 is None:
+        return Verdict("inconclusive", note="no dissipativity constants; request A2'")
+    bound = max_principle_bound(d1, d2, run.problem.horizon, run.problem.initial.values)
+    return _sup_bound_verdict(float(run.trajectory.monitor("sup_norm").max()), bound,
+                              "dissipativity barrier")
+
+
+def _gronwall(run):
+    k = int(run.analysis.get("gronwall_component", 0))
+    bound = gronwall_extinction_bound(run.problem.initial.values[k],
+                                      run.problem.lv.growth[k], run.problem.domain)
+    return _sup_bound_verdict(float(sup_norm_series(run.trajectory, k)[1].max()), bound,
+                              "integrated-growth barrier")
+
+
+def _extinction(run):
+    verdict = extinction_check(
+        run.trajectory, int(run.analysis.get("extinction_component", 0)),
+        tol_ext=float(run.analysis.get("tol_ext", 1e-3)),
+        window_fraction=float(run.analysis.get("window_fraction", 0.1)))
+    return Verdict("verified" if verdict.extinct else "violated",
+                   data={"final_sup": verdict.final_sup, "peak_sup": verdict.peak_sup,
+                         "tail_decreasing": verdict.tail_decreasing})
+
+
+def _monotone(run):
+    signs = run.analysis.get("monotone_signs") or [1] * run.problem.components
+    results = [detect_monotone(run.trajectory, k, sign) for k, sign in enumerate(signs)]
+    worst = min(results, key=lambda res: res.worst_margin)
+    return Verdict("verified" if all(res.passed for res in results) else "violated",
+                   data={"worst_margin": worst.worst_margin, "witness": worst.witness})
+
+
+def _steady_state(run):
+    steady = run.steady_state()
+    return Verdict("verified" if steady.reached else "violated",
+                   data={"tail_slope": steady.tail_slope, "window": steady.window})
+
+
+def _weak_residuals(run):
+    steady = run.steady_state()
+    system = lv_limit_coefficients(run.problem.lv, run.problem.initial.grid,
+                                   run.analysis.get("limits"))
+    tests = run.config.battery() or default_battery(run.problem.domain)
+    residuals = elliptic_weak_residual(system, steady.values[0], steady.values[1], tests)
+    steady.attach_residuals(residuals)
+    if "csv" in run.formats:
+        run.artifacts.write("residuals.csv", write_residuals_csv, residuals)
+    worst = float(np.abs(residuals).max())
+    return Verdict("verified" if worst <= RESIDUAL_TOL else "violated",
+                   data={"worst_residual": worst, "tolerance": RESIDUAL_TOL,
+                         "battery_size": len(tests), "coverage": "finite battery only"})
+
+
+def _component_bound(run):
+    k = int(run.analysis.get("bound_component", 0))
+    lv = run.problem.lv
+    bound = component_bound_mk(run.trajectory, lv.growth[k], lv.interaction[k][k],
+                               float(run.analysis["t_split"]), k)
+    return _sup_bound_verdict(float(sup_norm_series(run.trajectory, k)[1].max()),
+                              float(bound))
+
+
+def _dual_route(run):
+    trajectory, kernel = run.trajectory, run.kernel
     if kernel.error is not None:
         raise kernel.error
-    result = kernel.result
-    tc = kernel.crosscheck_time
-    c_const = float(analysis.get("crosscheck_constant", 2.0))
+    result, tc = kernel.result, kernel.crosscheck_time
+    c_const = float(run.analysis.get("crosscheck_constant", 2.0))
     it = int(np.argmin(np.abs(trajectory.times - tc)))
     if abs(trajectory.times[it] - tc) > 1e-9 or abs(result.times[0] - tc) > 1e-9:
         raise SpecError(f"crosscheck time {tc} is not on both stored time lattices")
@@ -231,7 +319,7 @@ def _dual_route(trajectory, analysis, kernel, artifacts):
 
     if kernel.writer is not None:
         kernel.writer.close()
-        artifacts.add("trajectory_duhamel.csv", kernel.writer.digest)
+        run.artifacts.add("trajectory_duhamel.csv", kernel.writer.digest)
 
     ok = diff <= tol and contracting
     note = "" if ok else ("kernel route disagrees" if diff > tol
@@ -259,11 +347,11 @@ def _largest_gap(grid, grid_values, kernel_values):
             "kernel_value": float(kernel_values[at])}
 
 
-def _nested(problem, scheme, analysis):
-    block = analysis["nested"]
+def _nested(run):
+    block = run.analysis["nested"]
     try:
         report = solve_cauchy_nested(
-            problem, tuple(block["radii"]), scheme,
+            run.problem, tuple(block["radii"]), run.scheme,
             cutoff_width=float(block.get("cutoff_width", 1.0)),
             tol_nested=float(block.get("tol_nested", 1e-6)),
         )
@@ -277,109 +365,29 @@ def _nested(problem, scheme, analysis):
                          "tolerance": report.tol})
 
 
-def _weak_residuals(config, problem, steady, artifacts, formats):
-    analysis = config.analysis_data
-    limits = analysis.get("limits")
-    if limits is None:
-        limits = lv_limit_coefficients(problem.lv)
-    tests = config.battery() or default_battery(problem.domain)
-    grid = problem.initial.grid
-    residuals = elliptic_weak_residual(
-        steady.values[0], steady.values[1], tuple(limits), tests,
-        tuple(problem.lv.diffusion), grid=grid)
-    steady.attach_residuals(residuals)
-    if "csv" in formats:
-        artifacts.write("residuals.csv", write_residuals_csv, residuals)
-    worst = float(np.abs(residuals).max())
-    ok = worst <= RESIDUAL_TOL
-    return Verdict("verified" if ok else "violated",
-                   data={"worst_residual": worst, "tolerance": RESIDUAL_TOL,
-                         "battery_size": len(tests),
-                         "coverage": "finite battery only"})
+#: each analysis op with the verdict tag it writes and the function that
+#: takes a ``_Run`` to that verdict, in the order a run takes them
+OPS = {
+    "max_principle": ("sup-bound", _max_principle),
+    "gronwall": ("sup-bound", _gronwall),
+    "extinction": ("extinction", _extinction),
+    "monotone": ("monotone-flow", _monotone),
+    "steady_state": ("steady-state", _steady_state),
+    "weak_residuals": ("weak-residuals", _weak_residuals),
+    "component_bound": ("component-bound", _component_bound),
+    "dual_route": ("dual-route-match", _dual_route),
+    "nested": ("nested-boxes", _nested),
+}
 
 
-def _run_analysis(config, problem, scheme, trajectory, verdicts, artifacts,
-                  formats, d_hats, kernel):
-    analysis = config.analysis_data
-    ops = analysis.get("ops", [])
-    steady = None
-
-    if "max_principle" in ops:
-        d1, d2 = d_hats
-        if d1 is None or d2 is None:
-            verdicts["sup-bound"] = Verdict(
-                "inconclusive", note="no dissipativity constants; request A2'")
-        else:
-            bound = max_principle_bound(d1, d2, problem.horizon, problem.initial.values)
-            verdicts["sup-bound"] = _sup_bound_verdict(
-                float(trajectory.monitor("sup_norm").max()), bound, "dissipativity barrier")
-
-    if "gronwall" in ops:
-        k = int(analysis.get("gronwall_component", 0))
-        bound = gronwall_extinction_bound(problem.initial.values[k], problem.lv.growth[k],
-                                          problem.domain)
-        verdicts["sup-bound"] = _sup_bound_verdict(
-            float(sup_norm_series(trajectory, k)[1].max()), bound,
-            "integrated-growth barrier")
-
-    if "extinction" in ops:
-        k = int(analysis.get("extinction_component", 0))
-        verdict = extinction_check(
-            trajectory, k,
-            tol_ext=float(analysis.get("tol_ext", 1e-3)),
-            window_fraction=float(analysis.get("window_fraction", 0.1)))
-        verdicts["extinction"] = Verdict(
-            "verified" if verdict.extinct else "violated",
-            data={"final_sup": verdict.final_sup, "peak_sup": verdict.peak_sup,
-                  "tail_decreasing": verdict.tail_decreasing})
-
-    if "monotone" in ops:
-        signs = analysis.get("monotone_signs")
-        if signs is None:
-            signs = [1] * problem.components
-        worst = None
-        witness = None
-        passed = True
-        for k, sign in enumerate(signs):
-            res = detect_monotone(trajectory, k, sign)
-            if worst is None or res.worst_margin < worst:
-                worst, witness = res.worst_margin, res.witness
-            passed = passed and res.passed
-        verdicts["monotone-flow"] = Verdict(
-            "verified" if passed else "violated",
-            data={"worst_margin": worst, "witness": witness})
-
-    if "steady_state" in ops or "weak_residuals" in ops:
-        steady = extract_steady_state(
-            trajectory,
-            window_fraction=float(analysis.get("window_fraction", 0.1)),
-            steady_tol=float(analysis.get("steady_tol", 1e-8)))
-        if "steady_state" in ops:
-            verdicts["steady-state"] = Verdict(
-                "verified" if steady.reached else "violated",
-                data={"tail_slope": steady.tail_slope, "window": steady.window})
-
-    if "weak_residuals" in ops:
-        verdicts["weak-residuals"] = _weak_residuals(
-            config, problem, steady, artifacts, formats)
-
-    if steady is not None and "json" in formats:
-        artifacts.write("steady_state.json", write_json, steady.to_json())
-
-    if "component_bound" in ops:
-        k = int(analysis.get("bound_component", 0))
-        bound = component_bound_mk(trajectory, problem.lv.growth[k],
-                                   problem.lv.interaction[k][k],
-                                   float(analysis["t_split"]), k)
-        verdicts["component-bound"] = _sup_bound_verdict(
-            float(sup_norm_series(trajectory, k)[1].max()), float(bound))
-
-    if "dual_route" in ops:
-        verdicts["dual-route-match"] = _dual_route(
-            trajectory, analysis, kernel, artifacts)
-
-    if "nested" in ops:
-        verdicts["nested-boxes"] = _nested(problem, scheme, analysis)
+def _run_analysis(run, verdicts):
+    ops = run.analysis.get("ops", [])
+    for op, (tag, verdict_of) in OPS.items():
+        if op in ops:
+            verdicts[tag] = verdict_of(run)
+        if op == "weak_residuals" and run.steady is not None and "json" in run.formats:
+            # after the residuals are attached, before a later op can fail
+            run.artifacts.write("steady_state.json", write_json, run.steady.to_json())
 
 
 def _downgrade(verdicts):
@@ -457,9 +465,8 @@ def run_scenario(config, out_dir=None, seed=None):
             if "binary" in formats:
                 artifacts.write("snapshots.bin", write_snapshots, trajectory)
 
-            _run_analysis(config, problem, scheme, trajectory, verdicts, artifacts,
-                          formats, d_hats=(report.d1_hat, report.d2_hat),
-                          kernel=kernel)
+            _run_analysis(_Run(config, problem, scheme, trajectory, report, kernel,
+                               artifacts, formats), verdicts)
     except ParaposError as exc:
         status, error = "error", f"{type(exc).__name__}: {exc}"
         logger.error("%s: %s", config.name, error)

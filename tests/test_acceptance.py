@@ -10,7 +10,8 @@ run their own fresh solves.
 import numpy as np
 import pytest
 
-from parapos.analysis import elliptic_weak_residual, extract_steady_state
+from parapos.analysis import (elliptic_weak_residual, extract_steady_state,
+                              lv_limit_coefficients)
 from parapos.coefficients import build_initial_field
 from parapos.config import load_config_data
 from parapos.duhamel import PicardConfig, picard_solve
@@ -96,10 +97,10 @@ def test_c05_weak_residuals_shrink_under_refinement(capsys):
         config = load_config_data(data)
         problem = config.build_problem()
         steady = extract_steady_state(solve(problem, config.scheme()))
-        residuals = elliptic_weak_residual(
-            steady.values[0], steady.values[1],
-            tuple(config.analysis_data["limits"]), config.battery(),
-            tuple(problem.lv.diffusion), grid=problem.initial.grid)
+        system = lv_limit_coefficients(problem.lv, problem.initial.grid,
+                                       config.analysis_data["limits"])
+        residuals = elliptic_weak_residual(system, steady.values[0], steady.values[1],
+                                           config.battery())
         worsts.append(float(np.abs(residuals).max()))
     ok = worsts[0] <= 5e-4 and worsts[1] < worsts[0] and worsts[2] < worsts[1]
     verdict(capsys, 5, "steady-state residual ladder",

@@ -24,7 +24,8 @@ from parapos.analysis import TestFunction as QuarticBump
 from parapos.coefficients import parse_coefficient
 from parapos.errors import DivisionDomainError, IntegrabilityError, SpecError
 from parapos.fdm import MONITORS, SchemeConfig, Trajectory, solve
-from parapos.model import Field, Grid, LVCoefficients, SpatialDomain, build_lv_problem
+from parapos.model import (Field, FrozenSystem, Grid, LVCoefficients, SpatialDomain,
+                           build_lv_problem)
 
 UNIT = SpatialDomain(((0.0, 1.0),))
 LONG = SpatialDomain(((0.0, 8.0),))
@@ -261,6 +262,12 @@ class TestSteadyState:
         assert payload["component_sup"] == [0.0]
         assert payload["max_drift"] == 0.0
 
+    def test_max_drift_is_the_largest_change_over_the_window(self):
+        # the window runs from t = 0.75 to 1, where the flat state falls by 0.2
+        report = extract_steady_state(make_trajectory([1.0, 0.8, 0.6, 0.4, 0.2]))
+        assert report.window == 0.25
+        assert report.to_json()["max_drift"] == pytest.approx(0.8, rel=1e-12)
+
     def test_validation(self):
         traj = make_trajectory(np.zeros(5))
         with pytest.raises(SpecError):
@@ -300,9 +307,9 @@ class TestWeakResiduals:
     def test_vanished_system_has_exactly_zero_residuals(self):
         n = 257
         g = Grid(LONG, (n,))
-        res = elliptic_weak_residual(np.zeros(n), np.zeros(n),
-                                     (1.0, 1.0, 0.0, 0.0, 0.0, 1.0),
-                                     default_battery(LONG), (1.0, 1.0), grid=g)
+        system = FrozenSystem(g, np.array([1.0, 1.0]), (1.0, 1.0, 0.0, 0.0, 0.0, 1.0))
+        res = elliptic_weak_residual(system, np.zeros(n), np.zeros(n),
+                                     default_battery(LONG))
         assert res.shape == (5, 2)
         assert np.all(np.abs(res) <= RESIDUAL_FLOOR)
 
@@ -322,9 +329,8 @@ class TestWeakResiduals:
         n = 385
         g = Grid(LONG, (n,))
         _, u = steady_logistic_profile(n, 1.0, 1.0, 1.0, length=8.0)
-        res = elliptic_weak_residual(u, np.zeros(n),
-                                     (1.0, 1.0, 0.0, 0.0, 0.0, 1.0),
-                                     default_battery(LONG), (1.0, 1.0), grid=g)
+        system = FrozenSystem(g, np.array([1.0, 1.0]), (1.0, 1.0, 0.0, 0.0, 0.0, 1.0))
+        res = elliptic_weak_residual(system, u, np.zeros(n), default_battery(LONG))
         assert np.abs(res[:, 0]).max() <= 5e-4
         assert np.all(res[:, 1] == 0.0)
 
@@ -342,9 +348,10 @@ class TestWeakResiduals:
 
     def test_six_limits_required(self):
         g = Grid(LONG, (33,))
+        lv = LVCoefficients(np.array([1.0, 1.0]), (lambda t, x: 1.0,) * 2,
+                            ((lambda t, x: 1.0,) * 2,) * 2)
         with pytest.raises(SpecError):
-            elliptic_weak_residual(np.zeros(33), np.zeros(33), (1.0, 1.0),
-                                   default_battery(LONG), (1.0, 1.0), grid=g)
+            lv_limit_coefficients(lv, g, declared=(1.0, 1.0))
 
 
 class TestLimitSystem:
@@ -360,12 +367,17 @@ class TestLimitSystem:
             ((parse_coefficient(2.0), parse_coefficient(0.5)),
              (lambda t, x: 4.0 + 0.0 * np.asarray(x)[..., 0], parse_coefficient(3.0))),
         )
-        limits = lv_limit_coefficients(lv)
-        values = [np.asarray(c(g.points), dtype=float).max() for c in limits]
+        system = lv_limit_coefficients(lv, g)
+        assert all(c.shape == g.shape for c in system.coefficients)
+        values = [c.max() for c in system.coefficients]
         assert_allclose(values, [1.0, 2.0, 0.5, 0.0, 4.0, 3.0], atol=1e-12)
+        declared = [1.5, 2.5, 3.5, 4.5, 5.5, 6.5]
+        system = lv_limit_coefficients(lv, g, declared=declared)
+        assert [c.max() for c in system.coefficients] == declared
+        assert [c.min() for c in system.coefficients] == declared
 
     def test_needs_two_species(self):
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,),
                             ((lambda t, x: 1.0,),))
         with pytest.raises(SpecError):
-            lv_limit_coefficients(lv)
+            lv_limit_coefficients(lv, Grid(UNIT, (9,)))

@@ -17,7 +17,6 @@ from parapos.checker import (
     check_monotone_coefficients,
     check_parabolicity,
     check_positivity_source,
-    discrete_laplacian,
     halton_block,
     run_checks,
     source_jacobians,
@@ -26,6 +25,7 @@ from parapos.errors import CoefficientError, SpecError
 from parapos.model import (
     CoefficientSet,
     Field,
+    FrozenSystem,
     Grid,
     LVCoefficients,
     Majorants,
@@ -371,14 +371,21 @@ class TestInitialMonotonicity:
         # six distinct constants, so a swapped growth or interaction entry
         # moves one of the two margins
         g = Grid(SpatialDomain(((0.0, 1.0),)), (21,))
+        h = g.spacing[0]
         beta, gamma, delta, rho, sigma, theta = 1.0, 2.0, 3.0, 4.0, 5.0, 6.0
         lv = lv_two(*(lambda t, x, c=c: c
                       for c in (beta, gamma, delta, rho, sigma, theta)))
         phi = 0.5 * np.sin(np.pi * g.axes[0])
         psi = 0.25 * np.sin(np.pi * g.axes[0]) ** 2
-        lap = discrete_laplacian(np.stack([phi, psi]), g)
+        lap = np.zeros((2, 21))
+        for k, w in enumerate((phi, psi)):
+            lap[k, 1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / h**2
         r1 = TWO_SPECIES_D[0] * lap[0] + phi * (beta - gamma * phi - delta * psi)
         r2 = TWO_SPECIES_D[1] * lap[1] + psi * (rho - sigma * phi - theta * psi)
+        system = FrozenSystem(g, lv.diffusion,
+                              [f(0.0, g.points) for f in FrozenSystem.order(lv)])
+        for got, want in zip(system.residual(phi, psi), (r1, r2)):
+            assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         mask = g.interior_mask
         entry = check_initial_monotonicity(lv, phi, psi, g)
         assert entry.details["first_species_margin"] == pytest.approx(
@@ -423,14 +430,17 @@ class TestSourceJacobians:
 
 
 def test_discrete_laplacian_matches_modal_eigenvalue():
+    # unit diffusions and no reaction leave the residual's Laplacian alone
     g = Grid(SpatialDomain(((0.0, 1.0),)), (51,))
     h = g.spacing[0]
-    vals = np.sin(np.pi * g.axes[0])[None]
-    lap = discrete_laplacian(vals, g)
+    mode = np.sin(np.pi * g.axes[0])
+    system = FrozenSystem(g, np.array([1.0, 1.0]), [0.0] * 6)
+    lap, lap_v = system.residual(mode, 2.0 * mode)
     lam = 2.0 * (1.0 - np.cos(np.pi * h)) / h**2
     inner = slice(1, -1)
-    assert_allclose(lap[0, inner], -lam * vals[0, inner], rtol=1e-10)
-    assert lap[0, 0] == 0.0 and lap[0, -1] == 0.0
+    assert_allclose(lap[inner], -lam * mode[inner], rtol=1e-10)
+    assert_allclose(lap_v, 2.0 * lap, rtol=1e-15)
+    assert lap[0] == 0.0 and lap[-1] == 0.0
 
 
 class TestRunChecks:

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import signal
+from importlib import resources
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from parapos.io import read_snapshots, sha256_file
 from parapos.model import Grid, SpatialDomain
 from parapos.runner import (
     BOUND_SLACK,
+    OPS,
     _positivity_verdict,
     _sup_bound_verdict,
     run_scenario,
@@ -208,17 +210,57 @@ class TestCrossRules:
         pytest.param(["max_principle", "gronwall", "extinction"], 2, id="both"),
         pytest.param(["max_principle", "extinction"], 0, id="max_principle"),
         pytest.param(["gronwall", "extinction"], 0, id="gronwall"),
+        pytest.param(["max_principle", "max_principle", "extinction"], 0, id="repeated"),
     ])
     def test_one_sup_bound_barrier_per_file(self, tmp_path, capsys, ops, code):
         # both barrier ops write the one sup-bound verdict, and a run that
-        # requested both kept only the last one's
+        # requested both kept only the last one's; one op named twice is
+        # still one writer
         data = get_scenario("S3_extinction").data
         data["analysis"]["ops"] = ops
         path = tmp_path / "barriers.json"
         path.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(["validate", str(path)]) == code
-        assert ("/analysis/ops" in capsys.readouterr().err) == (code == 2)
+        err = capsys.readouterr().err
+        assert ("/analysis/ops" in err) == (code == 2)
+        if code == 2:
+            assert "max_principle and gronwall both write the sup-bound verdict" in err
+
+    def test_the_ops_table_is_the_schemas_op_list(self):
+        schema = json.loads(resources.files("parapos").joinpath(
+            "data/scenario.schema.json").read_text())
+        enum = schema["properties"]["analysis"]["properties"]["ops"]["items"]["enum"]
+        assert sorted(enum) == sorted(OPS)
+        tags = [tag for tag, _ in OPS.values()]
+        shared = {tag for tag in tags if tags.count(tag) > 1}
+        assert shared == {"sup-bound"}
+        assert [op for op, (tag, _) in OPS.items() if tag == "sup-bound"] == [
+            "max_principle", "gronwall"]
+
+    @pytest.mark.parametrize("t_split, code", [
+        pytest.param(100.0, 2, id="past"),
+        pytest.param(1.0, 0, id="at"),
+        pytest.param(0.5, 0, id="inside"),
+    ])
+    def test_t_split_lies_inside_the_horizon(self, tmp_path, capsys, t_split, code):
+        # past the horizon the run used to march, then end with exit 3
+        data = get_scenario("S2_maxbound").data
+        assert data["problem"]["horizon"] == 1.0
+        data["analysis"] = {"ops": ["component_bound"], "t_split": t_split}
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == code
+        assert ("/analysis/t_split" in capsys.readouterr().err) == (code == 2)
+
+    def test_limits_list_six_entries(self, tmp_path):
+        data = get_scenario("S4_asymptotics").data
+        data["analysis"]["limits"] = data["analysis"]["limits"][:5]
+        reject(data, "/analysis/limits")
+        path = tmp_path / "limits.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate", str(path)]) == 2
 
     def test_nested_op_needs_its_block(self):
         data = tiny_config()
@@ -755,18 +797,27 @@ class TestKernelRouteWriter:
         assert sorted(p.name for p in out.iterdir()) == ["checks.json", "manifest.json"]
         _assert_no_child_left()
 
+    @pytest.mark.parametrize("ops, before", [
+        pytest.param(["dual_route"], [], id="dual_route"),
+        pytest.param(["steady_state", "dual_route"], ["steady_state.json"],
+                     id="steady_state"),
+    ])
     def test_a_crosscheck_time_off_the_lattices_kills_the_kernel_writer(
-            self, tmp_path, monkeypatch):
-        # the Picard step is 0.005, and the march stores every 0.05
+            self, tmp_path, monkeypatch, ops, before):
+        # the Picard step is 0.005, and the march stores every 0.05; an op
+        # taken before the cross-check keeps its verdict and its file
         data = copy.deepcopy(REGISTRY["S6_oracle_crosscheck"][1]())
         data["analysis"]["crosscheck_time"] = 0.2525
+        data["analysis"]["ops"] = ops
         code, manifest, out = self.run(tmp_path, monkeypatch, data)
         assert code == 3
         assert manifest["error"].startswith(
             "SpecError: crosscheck time 0.2525 is not on both stored time lattices")
-        assert [row["path"] for row in manifest["files"]] == [
-            "checks.json", "diagnostics.csv", "snapshots.bin", "trajectory.csv",
-            "manifest.json"]
+        assert [row["path"] for row in manifest["files"]] == sorted(
+            ["checks.json", "diagnostics.csv", "snapshots.bin", "trajectory.csv",
+             *before]) + ["manifest.json"]
+        assert ("steady-state" in manifest["verdicts"]) == bool(before)
+        assert "dual-route-match" not in manifest["verdicts"]
         assert not (out / "trajectory_duhamel.csv").exists()
         _assert_no_child_left()
 

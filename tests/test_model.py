@@ -19,6 +19,7 @@ from parapos.errors import CoefficientError, SpecError
 from parapos.model import (
     CoefficientSet,
     Field,
+    FrozenSystem,
     Grid,
     LVCoefficients,
     Majorants,
@@ -372,6 +373,52 @@ class TestLVSourceBlock:
         assert [at(j, u, None).tobytes() for j in range(4)] == [
             (2.0 * lv.source(t, x, u)).tobytes() for t in ts.tolist()]
         assert calls == ts.tolist() and all(type(t) is float for t in calls)
+
+
+class TestFrozenSystem:
+    def test_order_is_growth_then_each_interaction_row(self):
+        coefficients = [lambda t, x: 1.0 for _ in range(6)]
+        lv = LVCoefficients(np.array([1.0, 2.0]), (coefficients[0], coefficients[3]),
+                            ((coefficients[1], coefficients[2]),
+                             (coefficients[4], coefficients[5])))
+        assert FrozenSystem.order(lv) == tuple(coefficients)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_order_needs_two_species(self, m):
+        one = lambda t, x: 1.0  # noqa: E731
+        lv = LVCoefficients(np.ones(m), (one,) * m, ((one,) * m,) * m)
+        with pytest.raises(SpecError):
+            FrozenSystem.order(lv)
+
+    def test_six_coefficients_required(self):
+        with pytest.raises(SpecError):
+            FrozenSystem(unit_grid(9), np.array([1.0, 1.0]), [1.0] * 5)
+
+    def test_reaction_is_the_competition_source(self):
+        g = unit_grid(17)
+        values = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        lv = LVCoefficients(np.array([0.5, 0.25]),
+                            (lambda t, x: values[0], lambda t, x: values[3]),
+                            ((lambda t, x: values[1], lambda t, x: values[2]),
+                             (lambda t, x: values[4], lambda t, x: values[5])))
+        system = FrozenSystem(g, lv.diffusion, values)
+        u = 0.3 * np.sin(np.pi * g.axes[0])
+        v = 0.2 * np.sin(2.0 * np.pi * g.axes[0]) ** 2
+        source = lv.source(0.0, g.points, np.stack([u, v], axis=-1))
+        for k, term in enumerate(system.reaction(u, v)):
+            assert_allclose(term, source[:, k], rtol=1e-14, atol=1e-15)
+
+    def test_a_2d_residual_is_zero_on_every_face(self):
+        # x^2 + y^2 has the discrete Laplacian 4 exactly, and is not zero on
+        # the faces, where the residual's Laplacian must be
+        g = Grid(SpatialDomain(((0.0, 1.0), (0.0, 2.0))), (9, 11))
+        w = (g.points ** 2).sum(axis=-1)
+        system = FrozenSystem(g, np.array([0.5, 2.0]), [0.0] * 6)
+        ru, rv = system.residual(w, w)
+        mask = g.interior_mask
+        assert_allclose(ru[mask], 2.0, rtol=1e-12)
+        assert_allclose(rv[mask], 8.0, rtol=1e-12)
+        assert np.all(ru[~mask] == 0.0) and np.all(rv[~mask] == 0.0)
 
 
 def test_build_lv_problem_wires_diagonal_diffusion():
