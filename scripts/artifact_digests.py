@@ -14,9 +14,9 @@ source trees compare line by line:
 
 ``--standard`` adds the standard gate set: the ten built-ins, every
 ``perfbench/configs/*.json`` file, the perfbench ``competition_2d`` config
-from generator seed 7, and two code-built variants of built-ins that take
-verdict paths no other target takes (:func:`variants`): 16 scenarios, with
-72 artifacts and 16 manifest lines in all:
+from generator seed 7, and four code-built variants of built-ins that take
+verdict or check paths no other target takes (:func:`variants`): 18
+scenarios, with 80 artifacts and 18 manifest lines in all:
 
     PYTHONPATH=old/src python scripts/artifact_digests.py --standard > old.txt
     PYTHONPATH=src python scripts/artifact_digests.py --standard --compare old.txt
@@ -53,6 +53,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from parapos.checker import ASSUMPTION_IDS
 from parapos.cli import main as parapos_main
 from parapos.io import sha256_file
 from parapos.scenarios import REGISTRY, list_scenarios
@@ -69,7 +70,10 @@ def variants():
     ``S2_maxbound_component_bound`` adds the carrying bound of its second
     species.  ``S4_asymptotics_default_limits`` names no ``limits`` and no
     ``battery``, so the weak residuals take the problem's own limit
-    coefficients and the default bump battery.
+    coefficients and the default bump battery.  ``S1_positivity_every_check``
+    requests every assumption id, A2 and A7a among them, and
+    ``S1_positivity_majorants`` does the same with ``checks.majorants``, so
+    A2 and A2' test the given ``d1`` and ``d2`` for dominance.
     """
     s2 = REGISTRY["S2_maxbound"][1]()
     s2["name"] = "S2_maxbound_component_bound"
@@ -78,7 +82,12 @@ def variants():
     s4 = REGISTRY["S4_asymptotics"][1]()
     s4["name"] = "S4_asymptotics_default_limits"
     del s4["analysis"]["limits"], s4["analysis"]["battery"]
-    return [s2, s4]
+    every, majorants = REGISTRY["S1_positivity"][1](), REGISTRY["S1_positivity"][1]()
+    every["name"], majorants["name"] = "S1_positivity_every_check", "S1_positivity_majorants"
+    every["checks"] = {"assumptions": list(ASSUMPTION_IDS)}
+    majorants["checks"] = {"assumptions": list(ASSUMPTION_IDS),
+                           "majorants": {"d1": 0.5, "d2": 1.0}}
+    return [s2, s4, every, majorants]
 
 
 def standard_targets(directory):
@@ -142,7 +151,7 @@ def main(argv=None):
     parser.add_argument("targets", nargs="*",
                         help="built-in scenario names or config file paths")
     parser.add_argument("--standard", action="store_true",
-                        help="add the standard 16-scenario gate set")
+                        help="add the standard 18-scenario gate set")
     parser.add_argument("--compare", metavar="FILE", default=None,
                         help="a table printed earlier; list the paths that differ")
     parser.add_argument("--keep", metavar="DIR", type=Path, default=None,

@@ -137,13 +137,19 @@ def max_principle_bound(d1, d2, horizon, initial):
     return max(math.exp((d2 + 1.0) * horizon) * _sup_of(initial), math.sqrt(d1))
 
 
+def _limit_value(coefficient, x):
+    """The limit of ``coefficient`` on ``x``: its ``limit_profile``, else its value at t = 1e9."""
+    limit = getattr(coefficient, "limit_profile", None)
+    return limit(x) if limit is not None else coefficient(1e9, x)
+
+
 def component_bound_mk(trajectory, beta, gamma_kk, t_split, component):
     """Carrying bound: max of the early trajectory sup and sup(beta/gamma) later.
 
     The trajectory's ``component`` is bounded on [0, t_split] by its
     computed sup; past the split the bound is the sampled sup of the ratio
-    of growth to self-limitation, taken at doubling times and, when both
-    coefficients expose a limit profile, at the limit itself.
+    of growth to self-limitation, taken at doubling times and at the limit
+    itself (:func:`_limit_value`).
     """
     vals = trajectory.values
     m = vals.shape[1]
@@ -160,25 +166,18 @@ def component_bound_mk(trajectory, beta, gamma_kk, t_split, component):
                 [min(BOUND_SPACE_SAMPLES, nn) for nn in grid.nodes_per_axis]).points
 
     def ratio_sup(bvals, gvals):
+        bvals, gvals = (np.broadcast_to(np.asarray(w, dtype=float), mesh.shape[:-1])
+                        for w in (bvals, gvals))
         gmin = float(np.min(gvals))
         if gmin <= 0.0:
             raise DivisionDomainError(
                 "self-limitation is not positive on the sampled tail; the "
                 "carrying bound divides by it")
-        return float(np.max(np.asarray(bvals) / np.asarray(gvals)))
+        return float(np.max(bvals / gvals))
 
-    tail_sup = -np.inf
-    for j in range(BOUND_DOUBLINGS + 1):
-        t = float(t_split * 2.0**j)
-        b = np.broadcast_to(np.asarray(beta(t, mesh), dtype=float), mesh.shape[:-1])
-        g = np.broadcast_to(np.asarray(gamma_kk(t, mesh), dtype=float), mesh.shape[:-1])
-        tail_sup = max(tail_sup, ratio_sup(b, g))
-    b_lim = getattr(beta, "limit_profile", None)
-    g_lim = getattr(gamma_kk, "limit_profile", None)
-    if b_lim is not None and g_lim is not None:
-        b = np.broadcast_to(np.asarray(b_lim(mesh), dtype=float), mesh.shape[:-1])
-        g = np.broadcast_to(np.asarray(g_lim(mesh), dtype=float), mesh.shape[:-1])
-        tail_sup = max(tail_sup, ratio_sup(b, g))
+    times = [float(t_split * 2.0**j) for j in range(BOUND_DOUBLINGS + 1)]
+    tail_sup = max(-np.inf, *(ratio_sup(beta(t, mesh), gamma_kk(t, mesh)) for t in times),
+                   ratio_sup(_limit_value(beta, mesh), _limit_value(gamma_kk, mesh)))
     return max(traj_sup, tail_sup)
 
 
@@ -457,10 +456,8 @@ def lv_limit_coefficients(lv, grid, declared=None):
     """The two-species system of ``lv`` frozen at its limit on the nodes of ``grid``.
 
     ``declared``, six limits in :meth:`FrozenSystem.order`, wins; otherwise each
-    coefficient takes its ``limit_profile``, or else its value at a late time.
+    coefficient takes its :func:`_limit_value`.
     """
     if declared is None:
-        pts = grid.points
-        declared = [f.limit_profile(pts) if hasattr(f, "limit_profile") else f(1e9, pts)
-                    for f in FrozenSystem.order(lv)]
+        declared = [_limit_value(f, grid.points) for f in FrozenSystem.order(lv)]
     return FrozenSystem(grid, lv.diffusion, declared)

@@ -2,10 +2,15 @@
 
 Each check evaluates an assumption on a deterministic low-discrepancy sample
 of its quantifier region, in one evaluator call per coefficient over the whole
-sample, and reports pass/fail with the worst margin and a witness point.  A pass is evidence, not proof: every report carries the
-provenance flag ``sampled, not proven``.
+sample, and reports pass/fail with the worst margin and a witness point.  A
+pass is evidence, not proof: every report carries the provenance flag
+``sampled, not proven``.
 
-Checked assumptions, by id:
+``CHECKS`` maps each assumption id to its check, a function of the input
+form of :func:`run_checks` (problem, budget, majorants, A6 factor) that
+returns the id's one entry.  The checks run, and ``checks.json`` lists
+them, in table order, whatever the order of the request; an id the table
+does not hold is an error.  In table order:
 
 * ``A1``        uniform parabolicity (smallest diffusion eigenvalue positive)
 * ``A2``        dissipativity (c, u) <= d1 + d2 |u|^2 on the full state box
@@ -21,6 +26,9 @@ Checked assumptions, by id:
 * ``InitMonotone``    the signs of the discrete initial slopes, the
                 residuals of the system frozen at t = 0 (``FrozenSystem``)
 
+The last two read ``not_applicable`` on any other system.  A scenario file
+may also name the labels of ``GROUPS``, which its loader expands.
+
 Sampling is prefix-nested: enlarging a budget extends the sample set, so a
 failed check can never turn into a pass under refinement.
 """
@@ -28,6 +36,7 @@ failed check can never turn into a pass under refinement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
@@ -35,11 +44,6 @@ from .errors import CoefficientError, SpecError
 from .model import FrozenSystem, second_difference
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-
-ASSUMPTION_IDS = (
-    "A1", "A2", "A2'", "A4a", "A4b", "A6", "A7a", "A7b",
-    "MonotoneCoeffs", "InitMonotone",
-)
 
 
 @dataclass(frozen=True)
@@ -94,9 +98,6 @@ class CheckEntry:
 @dataclass
 class HypothesisReport:
     entries: list
-    kappa_hat: float | None = None
-    d1_hat: float | None = None
-    d2_hat: float | None = None
     seed: int = 0
 
     def entry(self, assumption):
@@ -105,15 +106,14 @@ class HypothesisReport:
                 return e
         return None
 
-    def all_passed(self, ids=None):
-        wanted = set(ids) if ids is not None else None
-        out = True
-        for e in self.entries:
-            if wanted is not None and e.assumption not in wanted:
-                continue
-            if e.status == "fail":
-                out = False
-        return out
+    def _detail(self, assumption, key):
+        e = self.entry(assumption)
+        return None if e is None else e.details[key]
+
+    # the constants of checks.json, read off the A1 and A2' entries; None without them
+    kappa_hat = property(lambda self: self._detail("A1", "kappa_hat"))
+    d1_hat = property(lambda self: self._detail("A2'", "d1_hat"))
+    d2_hat = property(lambda self: self._detail("A2'", "d2_hat"))
 
     def to_json(self):
         return {
@@ -249,25 +249,24 @@ def _witness(t=None, x=None, u=None, p=None):
 
 # ------------------------------------------------------------------- checks
 
-def check_parabolicity(spec, budget):
+def check_parabolicity(spec, budget, majorants, compat_factor):
     """A1: the diffusion eigenvalues stay positive over the sampled region."""
     t, x, u, _ = _region_samples(spec, budget, with_p=False)
     a = spec.coefficients.diffusion_matrices(t, x, u, spec.components)
     lam_min = np.linalg.eigvalsh(a)[..., 0]
     kappa_hat = float(lam_min.min())
     i_min = np.unravel_index(int(lam_min.argmin()), lam_min.shape)[0]
-    entry = CheckEntry(
+    return CheckEntry(
         assumption="A1",
         status="pass" if kappa_hat > 0.0 else "fail",
         margin=kappa_hat,
         witness=_witness(t[i_min], x[i_min], u[i_min]),
         details={"kappa_hat": kappa_hat},
     )
-    return entry, kappa_hat
 
 
-def check_dissipativity(spec, budget, mode="A2_prime", majorants=None):
-    """A2 / A2': fit dissipativity constants and test the quadratic bound.
+def check_dissipativity(spec, budget, majorants, compat_factor, *, orthant):
+    """A2' (``orthant``) / A2: fit dissipativity constants and test the quadratic bound.
 
     Fits the smallest ``d2`` that dominates (c, u) with ``d1 = 0``, then the
     smallest ``d1`` given the reference ``d2``.  With user-supplied constants
@@ -275,9 +274,6 @@ def check_dissipativity(spec, budget, mode="A2_prime", majorants=None):
     the half-radius sample set is compared against the full-radius fit; a
     materially larger full-radius fit flags superquadratic growth (heuristic).
     """
-    if mode not in ("A2", "A2_prime"):
-        raise SpecError(f"unknown dissipativity mode {mode!r}")
-    orthant = mode == "A2_prime"
     t, x, u, p = _region_samples(
         spec, budget, with_p=True, orthant=True, extra_cube=not orthant
     )
@@ -317,7 +313,7 @@ def check_dissipativity(spec, budget, mode="A2_prime", majorants=None):
             status = "pass"
             margin = 0.0
             note = "constants estimated from samples"
-    entry = CheckEntry(
+    return CheckEntry(
         assumption=label,
         status=status,
         margin=margin,
@@ -325,7 +321,6 @@ def check_dissipativity(spec, budget, mode="A2_prime", majorants=None):
         note=note,
         details=details,
     )
-    return entry, d1_hat, d2_hat
 
 
 def _axis_second_derivative(values, grid, axis):
@@ -372,13 +367,14 @@ def _derivative_arrays(field_values, grid):
     return grad, hess
 
 
-def check_compatibility(spec, compat_factor=COMPAT_FACTOR):
+def check_compatibility(spec, budget, majorants, compat_factor):
     """A6: the initial data is flat and in balance on the boundary at t = 0.
 
     At every boundary node the data must vanish and the full right-hand side,
     evaluated at u = 0 with one-sided second-order differences of the data,
-    must be below ``compat_factor * (1 + coefficient scale)``.  Each
-    evaluator the problem has is called once, over all boundary nodes.
+    must be below ``compat_factor * (1 + coefficient scale)``, with
+    ``COMPAT_FACTOR`` for a ``compat_factor`` of None.  Each evaluator the
+    problem has is called once, over all boundary nodes.
     """
     grid = spec.initial.grid
     phi = spec.initial.values
@@ -406,7 +402,7 @@ def check_compatibility(spec, compat_factor=COMPAT_FACTOR):
     i = int(local.argmax())
     worst = float(local[i])
     bad_value = float(np.abs(phi[:, boundary]).max())
-    threshold = compat_factor * (1.0 + scale)
+    threshold = (COMPAT_FACTOR if compat_factor is None else compat_factor) * (1.0 + scale)
     ok = bad_value <= _TOL_ZERO and worst <= threshold
     return CheckEntry(
         assumption="A6",
@@ -418,43 +414,41 @@ def check_compatibility(spec, compat_factor=COMPAT_FACTOR):
     )
 
 
-def check_positivity_source(spec, budget):
-    """A7a / A7b: non-negative data, and a source that never pushes through zero."""
+def check_nonnegative_data(spec, budget, majorants, compat_factor):
+    """A7a: the initial data is componentwise non-negative."""
     m = spec.components
     phi = spec.initial.values
     mins = phi.reshape(m, -1).min(axis=1)
     k_bad = int(mins.argmin())
     flat = int(phi[k_bad].argmin())
     node = np.unravel_index(flat, spec.initial.grid.shape)
-    a7a = CheckEntry(
+    return CheckEntry(
         assumption="A7a",
         status="pass" if mins.min() >= -_TOL_ZERO else "fail",
         margin=float(mins.min()),
         witness=_witness(t=0.0, x=spec.initial.grid.points[node]) | {"component": k_bad},
     )
 
+
+def check_face_source(spec, budget, majorants, compat_factor):
+    """A7b: on each face u^k = 0 the k-th source component never pushes below zero."""
     t, x, u, p = _region_samples(spec, budget, with_p=True, orthant=True)
-    worst = np.inf
-    worst_row = (0, 0)
-    for k in range(m):
-        u_k = u.copy()
-        u_k[:, k] = 0.0
-        c = np.asarray(spec.coefficients.source(t, x, u_k, p), dtype=float)
-        vals = c[:, k]
-        i = int(vals.argmin())
-        if vals[i] < worst:
-            worst = float(vals[i])
-            worst_row = (k, i)
-    k, i = worst_row
-    u_w = u.copy()
-    u_w[i, k] = 0.0
-    a7b = CheckEntry(
+    worst, k, i = np.inf, 0, 0
+    for face in range(spec.components):
+        u_face = u.copy()
+        u_face[:, face] = 0.0
+        vals = np.asarray(spec.coefficients.source(t, x, u_face, p), dtype=float)[:, face]
+        row = int(vals.argmin())  # the first smallest: min() may give a later -0.0
+        if vals[row] < worst:
+            worst, k, i = float(vals[row]), face, row
+    u_w = u[i].copy()
+    u_w[k] = 0.0
+    return CheckEntry(
         assumption="A7b",
         status="pass" if worst >= -_TOL_ZERO else "fail",
         margin=worst,
-        witness=_witness(t[i], x[i], u_w[i], p[i]) | {"component": k},
+        witness=_witness(t[i], x[i], u_w, p[i]) | {"component": k},
     )
-    return a7a, a7b
 
 
 _SIGN_WORDS = {1.0: "non-decreasing", -1.0: "non-increasing"}
@@ -464,15 +458,16 @@ _MONOTONE_PLAN = (("beta", +1.0), ("gamma", -1.0), ("delta", -1.0),
                   ("rho", -1.0), ("sigma", +1.0), ("theta", +1.0))
 
 
-def check_monotone_coefficients(lv, budget, domain, horizon):
+def check_monotone_coefficients(spec, budget, majorants, compat_factor):
     """MonotoneCoeffs: central-difference time slopes of the six coefficients."""
-    coefficients = FrozenSystem.order(lv)
+    coefficients = FrozenSystem.order(spec.lv)
+    horizon = spec.horizon
     dt = _FD_DT_FACTOR * max(1.0, horizon)
-    n = domain.dimension
+    n = spec.dimension
     count = budget.t * budget.x
     raw = halton_block(count, 1 + n, budget.seed)
     t = dt + raw[:, 0] * max(horizon - 2.0 * dt, dt)
-    x = _box_points(raw[:, 1:], domain.bounds)
+    x = _box_points(raw[:, 1:], spec.domain.bounds)
 
     worst = np.inf
     worst_info = None
@@ -497,16 +492,18 @@ def check_monotone_coefficients(lv, budget, domain, horizon):
     )
 
 
-def check_initial_monotonicity(lv, phi, psi, grid):
+def check_initial_monotonicity(spec, budget, majorants, compat_factor):
     """InitMonotone: discrete initial slopes push u up and v down.
 
     Requires d1 lap(phi) + phi (beta - gamma phi - delta psi) >= 0 and the
     mirrored inequality <= 0 for psi at every interior node: the residuals
     of the system frozen at t = 0.
     """
+    grid = spec.initial.grid
     pts = grid.points
-    system = FrozenSystem(grid, lv.diffusion, [f(0.0, pts) for f in FrozenSystem.order(lv)])
-    r1, r2 = system.residual(phi, psi)
+    system = FrozenSystem(grid, spec.lv.diffusion,
+                          [f(0.0, pts) for f in FrozenSystem.order(spec.lv)])
+    r1, r2 = system.residual(*spec.initial.values)
     mask = grid.interior_mask
     m1, m2 = float(r1[mask].min()), float(-r2[mask].max())
     margin = min(m1, m2)
@@ -522,54 +519,56 @@ def check_initial_monotonicity(lv, phi, psi, grid):
     )
 
 
-def run_checks(spec, budget, requested, majorants=None, compat_factor=COMPAT_FACTOR):
+def _no_growth_envelope(assumption):
+    """A4a / A4b: no scenario can supply the growth envelope they would test."""
+    return lambda spec, budget, majorants, compat_factor: CheckEntry(
+        assumption, "not_applicable", note="no growth envelopes supplied")
+
+
+def _two_species(assumption, check):
+    """``check`` on a two-species competition system, ``not_applicable`` on any other."""
+    def guarded(spec, budget, majorants, compat_factor):
+        if spec.lv is None or spec.lv.species != 2:
+            return CheckEntry(assumption, "not_applicable",
+                              note="needs a two-species competition system")
+        return check(spec, budget, majorants, compat_factor)
+    return guarded
+
+
+#: each assumption id with its check, in the order of every report
+CHECKS = {
+    "A1": check_parabolicity,
+    "A2": partial(check_dissipativity, orthant=False),
+    "A2'": partial(check_dissipativity, orthant=True),
+    "A4a": _no_growth_envelope("A4a"),
+    "A4b": _no_growth_envelope("A4b"),
+    "A6": check_compatibility,
+    "A7a": check_nonnegative_data,
+    "A7b": check_face_source,
+    "MonotoneCoeffs": _two_species("MonotoneCoeffs", check_monotone_coefficients),
+    "InitMonotone": _two_species("InitMonotone", check_initial_monotonicity),
+}
+ASSUMPTION_IDS = tuple(CHECKS)
+#: the labels a scenario file may use for a group of ids
+GROUPS = {"A4": ("A4a", "A4b"), "A7": ("A7a", "A7b")}
+#: the request of a scenario file that names none
+DEFAULT_ASSUMPTIONS = ("A1", "A2'", "A4", "A6", "A7")
+
+
+def run_checks(spec, budget, requested, majorants=None, compat_factor=None):
     """Run the requested assumption checks and assemble the report.
 
-    ``requested`` is an iterable of assumption ids.  A4a and A4b, whose
-    growth envelopes no caller can supply, and the two-species checks on any
-    other system come back ``not_applicable``.  ``compat_factor`` sets the A6
-    threshold (see :func:`check_compatibility`).
+    ``requested`` is an iterable of ids of ``CHECKS``; the entries come out
+    in table order, whatever the order of the request.  An id the table does
+    not hold, a group label of ``GROUPS`` among them, raises SpecError.
+    ``majorants`` are the A2 / A2' constants to test for dominance, and
+    ``compat_factor`` sets the A6 threshold (see :func:`check_compatibility`).
     """
-    requested = list(requested)
-    entries = []
-    kappa = d1 = d2 = None
     want = set(requested)
-
-    if "A1" in want:
-        e, kappa = check_parabolicity(spec, budget)
-        entries.append(e)
-    if "A2" in want:
-        e, _, _ = check_dissipativity(spec, budget, "A2", majorants)
-        entries.append(e)
-    if "A2'" in want:
-        e, d1, d2 = check_dissipativity(spec, budget, "A2_prime", majorants)
-        entries.append(e)
-    for label in ("A4a", "A4b"):
-        if label in want:
-            entries.append(CheckEntry(label, "not_applicable",
-                                      note="no growth envelopes supplied"))
-    if "A6" in want:
-        entries.append(check_compatibility(spec, compat_factor))
-    if "A7a" in want or "A7b" in want:
-        a7a, a7b = check_positivity_source(spec, budget)
-        if "A7a" in want:
-            entries.append(a7a)
-        if "A7b" in want:
-            entries.append(a7b)
-    if "MonotoneCoeffs" in want:
-        if spec.lv is None or spec.lv.species != 2:
-            entries.append(CheckEntry("MonotoneCoeffs", "not_applicable",
-                                      note="needs a two-species competition system"))
-        else:
-            entries.append(check_monotone_coefficients(
-                spec.lv, budget, spec.domain, spec.horizon))
-    if "InitMonotone" in want:
-        if spec.lv is None or spec.lv.species != 2:
-            entries.append(CheckEntry("InitMonotone", "not_applicable",
-                                      note="needs a two-species competition system"))
-        else:
-            entries.append(check_initial_monotonicity(
-                spec.lv, spec.initial.values[0], spec.initial.values[1],
-                spec.initial.grid))
-    return HypothesisReport(entries=entries, kappa_hat=kappa, d1_hat=d1, d2_hat=d2,
-                            seed=budget.seed)
+    unknown = sorted(want - CHECKS.keys())
+    if unknown:
+        raise SpecError(f"unknown assumption ids: {', '.join(unknown)}")
+    return HypothesisReport(
+        entries=[check(spec, budget, majorants, compat_factor)
+                 for assumption, check in CHECKS.items() if assumption in want],
+        seed=budget.seed)

@@ -20,7 +20,7 @@ import numpy as np
 import jsonschema
 
 from .analysis import bump_battery
-from .checker import COMPAT_FACTOR, SampleBudget
+from .checker import DEFAULT_ASSUMPTIONS, GROUPS, SampleBudget
 from .coefficients import (build_initial_field, parse_coefficient,
                            read_profile_table, read_table_lattice)
 from .errors import ConfigError
@@ -28,10 +28,6 @@ from .fdm import SchemeConfig
 from .model import (Grid, LVCoefficients, Majorants, SpatialDomain,
                     build_lv_problem)
 from .runner import OPS
-
-DEFAULT_ASSUMPTIONS = ("A1", "A2'", "A4", "A6", "A7")
-
-_EXPANSIONS = {"A4": ("A4a", "A4b"), "A7": ("A7a", "A7b")}
 
 
 def _schema():
@@ -62,7 +58,7 @@ def validate_data(data):
 def _expand_assumptions(labels):
     out = []
     for label in labels:
-        for expanded in _EXPANSIONS.get(label, (label,)):
+        for expanded in GROUPS.get(label, (label,)):
             if expanded not in out:
                 out.append(expanded)
     return tuple(out)
@@ -143,8 +139,8 @@ class ScenarioConfig:
         return SampleBudget(**raw)
 
     def compat_factor(self):
-        raw = self.data.get("checks", {}).get("tolerances", {})
-        return float(raw.get("compat_factor", COMPAT_FACTOR))
+        """The file's A6 factor; None leaves the checker's default."""
+        return self.data.get("checks", {}).get("tolerances", {}).get("compat_factor")
 
     def majorants(self):
         raw = self.data.get("checks", {}).get("majorants")

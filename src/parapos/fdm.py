@@ -2,8 +2,9 @@
 
 Spatial discretization is the standard second-order stencil set: central
 differences for gradients, 3/5-point second differences per axis (the one
-copy is :func:`model.second_difference`, which the checker's Laplacian
-shares), and the four-point cross stencil for mixed second derivatives.
+copy is :func:`model.second_difference`, which ``FrozenSystem.residual``
+and the checker's A6 check share), and the four-point cross stencil for
+mixed second derivatives.
 Zero Dirichlet data is enforced by construction: only interior nodes are
 unknowns and boundary nodes are pinned to zero.
 

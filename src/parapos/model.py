@@ -113,10 +113,6 @@ class Grid:
     def interior_slices(self):
         return tuple(slice(1, -1) for _ in range(self.dimension))
 
-    @property
-    def n_nodes(self):
-        return int(np.prod(self.shape))
-
 
 def _zero_boundary(values, grid):
     dim = grid.dimension
@@ -200,9 +196,6 @@ class Field:
     @property
     def components(self):
         return self.values.shape[0]
-
-    def max_abs(self):
-        return float(np.abs(self.values).max())
 
     def boundary_max_abs(self):
         mask = ~self.grid.interior_mask

@@ -127,6 +127,14 @@ class TestComponentBound:
         bound = component_bound_mk(traj, beta, gamma, t_split=0.5, component=0)
         assert bound == pytest.approx(2.0, abs=1e-12)
 
+    def test_plain_callables_are_read_at_their_late_time_limit(self):
+        # the ratio climbs to 1 + 1 / 1.1 only long after the last doubling
+        # time, 0.5 * 2**20, where it is still below 1.006
+        traj = make_trajectory(np.full(4, 0.1))
+        bound = component_bound_mk(traj, lambda t, x: 1.0 + t / (t + 1e8),
+                                   lambda t, x: 1.0, t_split=0.5, component=0)
+        assert bound == pytest.approx(1.0 + 1.0 / 1.1, rel=1e-12)
+
     def test_nonpositive_self_limitation_rejected(self):
         traj = make_trajectory(np.full(4, 0.5))
         with pytest.raises(DivisionDomainError):

@@ -1,5 +1,7 @@
 import copy
+import json
 from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -9,14 +11,13 @@ from numpy.testing import assert_allclose
 
 from parapos.checker import (
     ASSUMPTION_IDS,
+    CHECKS,
+    DEFAULT_ASSUMPTIONS,
+    GROUPS,
     CheckEntry,
     SampleBudget,
-    check_compatibility,
-    check_dissipativity,
     check_initial_monotonicity,
     check_monotone_coefficients,
-    check_parabolicity,
-    check_positivity_source,
     halton_block,
     run_checks,
     source_jacobians,
@@ -70,6 +71,18 @@ def generic_problem(source, drift=None, diffusion=1.0, depends_on_gradient=False
     return ProblemSpec(g.domain, coeffs, Field.zeros(g, 1), horizon=1.0)
 
 
+def lv_spec(lv, initial=None, n=21, horizon=2.0):
+    """``lv`` on [0, 1] with ``n`` nodes; zero initial data unless given."""
+    g = Grid(SpatialDomain(((0.0, 1.0),)), (n,))
+    values = np.zeros((lv.species, n)) if initial is None else initial
+    return build_lv_problem(lv, g.domain, Field.from_arrays(g, values), horizon)
+
+
+def check(assumption, spec, budget=BUDGET, majorants=None, compat_factor=None):
+    """The ``CHECKS`` entry of ``assumption`` on ``spec``."""
+    return CHECKS[assumption](spec, budget, majorants, compat_factor)
+
+
 def counted(spec):
     """``spec`` with each of its evaluators wrapped in a call counter."""
     calls = {"diffusion": 0, "drift": 0, "source": 0}
@@ -111,32 +124,31 @@ class TestHalton:
 
 class TestParabolicity:
     def test_positive_diffusion_passes_with_its_smallest_eigenvalue(self):
-        spec = logistic_problem(d=0.7)
-        entry, kappa = check_parabolicity(spec, BUDGET)
+        entry = check("A1", logistic_problem(d=0.7))
         assert entry.status == "pass"
-        assert kappa == pytest.approx(0.7)
+        assert entry.details["kappa_hat"] == pytest.approx(0.7)
 
     def test_two_species_reports_smaller_constant(self):
-        spec = get_scenario("S1_positivity").build_problem()
-        entry, kappa = check_parabolicity(spec, BUDGET)
+        entry = check("A1", get_scenario("S1_positivity").build_problem())
         assert entry.status == "pass"
-        assert kappa == pytest.approx(0.01)
+        assert entry.details["kappa_hat"] == pytest.approx(0.01)
 
     def test_degenerate_diffusion_fails(self):
         spec = generic_problem(
             source=lambda t, x, u, p: np.zeros_like(u),
             diffusion=0.0,
         )
-        entry, kappa = check_parabolicity(spec, BUDGET)
+        entry = check("A1", spec)
         assert entry.status == "fail"
-        assert kappa == 0.0
+        assert entry.details["kappa_hat"] == 0.0
         assert entry.witness is not None
 
 
 class TestDissipativity:
     def test_logistic_fit_is_bounded_by_growth_rate(self):
         spec = logistic_problem(beta=1.0, gamma=1.0)
-        entry, d1, d2 = check_dissipativity(spec, BUDGET, "A2_prime")
+        entry = check("A2'", spec)
+        d1, d2 = entry.details["d1_hat"], entry.details["d2_hat"]
         assert entry.status == "pass"
         # (c, u) = u^2 (1 - u) <= 1 * u^2 on the orthant, so the fit sits in [0, 1]
         assert 0.0 <= d2 <= 1.0
@@ -144,32 +156,28 @@ class TestDissipativity:
 
     def test_signed_region_needs_a_larger_constant(self):
         spec = logistic_problem(beta=1.0, gamma=1.0)
-        _, _, d2_orthant = check_dissipativity(spec, BUDGET, "A2_prime")
-        entry, _, d2_full = check_dissipativity(spec, BUDGET, "A2")
+        orthant, full = check("A2'", spec), check("A2", spec)
         # on u < 0 the logistic source pushes away from zero, so the signed
         # sample block dominates the orthant fit
-        assert d2_full >= d2_orthant
-        assert entry.assumption == "A2"
+        assert full.details["d2_hat"] >= orthant.details["d2_hat"]
+        assert (full.assumption, full.details["mode"]) == ("A2", "A2")
+        assert (orthant.assumption, orthant.details["mode"]) == ("A2'", "A2'")
 
     def test_user_constants_checked_for_dominance(self):
         spec = logistic_problem(beta=1.0, gamma=1.0)
         good = Majorants(d1=0.0, d2=1.0)
-        entry, _, _ = check_dissipativity(spec, BUDGET, "A2_prime", majorants=good)
+        entry = check("A2'", spec, majorants=good)
         assert entry.status == "pass"
         bad = Majorants(d1=0.0, d2=0.0)
-        entry, _, _ = check_dissipativity(spec, BUDGET, "A2_prime", majorants=bad)
+        entry = check("A2'", spec, majorants=bad)
         assert entry.status == "fail"
         assert "violated" in entry.note
 
     def test_superquadratic_source_is_flagged(self):
         spec = generic_problem(source=lambda t, x, u, p: u**3)
-        entry, _, _ = check_dissipativity(spec, BUDGET, "A2_prime")
+        entry = check("A2'", spec)
         assert entry.status == "fail"
         assert "superquadratic" in entry.note
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(SpecError):
-            check_dissipativity(logistic_problem(), BUDGET, "A3")
 
 
 class TestGrowth:
@@ -207,7 +215,7 @@ class TestGrowth:
 class TestCompatibility:
     def test_zero_data_passes_with_full_margin(self):
         spec = logistic_problem(amplitude=0.0)
-        entry = check_compatibility(spec)
+        entry = check("A6", spec)
         assert entry.status == "pass"
         assert entry.details["worst_residual"] == pytest.approx(0.0, abs=1e-14)
 
@@ -218,7 +226,7 @@ class TestCompatibility:
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
         initial = Field.from_functions(g, [lambda p: p[..., 0] ** 2 * (1 - p[..., 0]) ** 2])
         spec = build_lv_problem(lv, g.domain, initial, horizon=1.0)
-        entry = check_compatibility(spec)
+        entry = check("A6", spec)
         assert entry.status == "fail"
         assert entry.details["worst_residual"] == pytest.approx(2.0, abs=0.01)
 
@@ -226,13 +234,13 @@ class TestCompatibility:
         # analytically compatible, but the one-sided stencil leaves an h^3
         # truncation residual above the default threshold on a coarse grid
         spec = logistic_problem(amplitude=0.1, n=101)
-        entry = check_compatibility(spec)
+        entry = check("A6", spec)
         assert entry.status == "fail"
         assert entry.details["worst_residual"] < 1e-3
 
     def test_threshold_scales_with_configured_factor(self):
         spec = logistic_problem(amplitude=0.1, n=101)
-        entry = check_compatibility(spec, compat_factor=1e-3)
+        entry = check("A6", spec, compat_factor=1e-3)
         assert entry.status == "pass"
 
     def test_nonzero_boundary_data_is_caught(self):
@@ -246,7 +254,7 @@ class TestCompatibility:
         spec.initial = initial
         spec.horizon = 1.0
         spec.lv = lv
-        entry = check_compatibility(spec)
+        entry = check("A6", spec)
         assert entry.status == "fail"
         assert entry.details["boundary_value_max"] == pytest.approx(0.3)
 
@@ -254,7 +262,7 @@ class TestCompatibility:
 class TestPositivitySource:
     def test_lv_data_and_source_pass_on_the_face(self):
         spec = logistic_problem()
-        a7a, a7b = check_positivity_source(spec, BUDGET)
+        a7a, a7b = check("A7a", spec), check("A7b", spec)
         assert a7a.status == "pass"
         assert a7b.status == "pass"
         # u^k = 0 kills the competition source exactly
@@ -266,14 +274,14 @@ class TestPositivitySource:
         vals[0, 10] = -0.2
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
         spec = build_lv_problem(lv, g.domain, Field(g, vals), horizon=1.0)
-        a7a, _ = check_positivity_source(spec, BUDGET)
+        a7a = check("A7a", spec)
         assert a7a.status == "fail"
         assert a7a.margin == pytest.approx(-0.2)
         assert a7a.witness["component"] == 0
 
     def test_negative_source_offset_fails_a7b(self):
         spec = generic_problem(source=lambda t, x, u, p: u * (1.0 - u) - 1.0)
-        _, a7b = check_positivity_source(spec, BUDGET)
+        a7b = check("A7b", spec)
         assert a7b.status == "fail"
         assert a7b.margin == pytest.approx(-1.0)
 
@@ -290,8 +298,6 @@ def lv_two(beta, gamma, delta, rho, sigma, theta):
 
 
 class TestMonotoneCoefficients:
-    DOMAIN = SpatialDomain(((0.0, 1.0),))
-
     def test_canonical_sign_pattern_passes(self):
         lv = lv_two(
             beta=lambda t, x: 1.0 - np.exp(-t),
@@ -301,7 +307,7 @@ class TestMonotoneCoefficients:
             sigma=lambda t, x: 1.0 - 0.5 * np.exp(-t),
             theta=lambda t, x: 1.0 - 0.5 * np.exp(-t),
         )
-        entry = check_monotone_coefficients(lv, BUDGET, self.DOMAIN, horizon=2.0)
+        entry = check("MonotoneCoeffs", lv_spec(lv))
         assert entry.status == "pass"
         assert entry.margin >= 0.0
 
@@ -314,7 +320,7 @@ class TestMonotoneCoefficients:
             sigma=lambda t, x: 1.0,
             theta=lambda t, x: 1.0,
         )
-        entry = check_monotone_coefficients(lv, BUDGET, self.DOMAIN, horizon=2.0)
+        entry = check("MonotoneCoeffs", lv_spec(lv))
         assert entry.status == "fail"
         assert entry.witness["coefficient"] == "beta"
         assert "t" in entry.witness
@@ -328,55 +334,52 @@ class TestMonotoneCoefficients:
             sigma=lambda t, x: 1.0,
             theta=lambda t, x: 1.0,
         )
-        entry = check_monotone_coefficients(lv, BUDGET, self.DOMAIN, horizon=2.0)
+        entry = check("MonotoneCoeffs", lv_spec(lv))
         assert entry.status == "fail"
         assert entry.witness["coefficient"] == "gamma"
 
     def test_single_species_rejected(self):
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
         with pytest.raises(SpecError):
-            check_monotone_coefficients(lv, BUDGET, self.DOMAIN, horizon=2.0)
+            check_monotone_coefficients(lv_spec(lv), BUDGET, None, None)
 
 
 class TestInitialMonotonicity:
     def test_zero_data_passes_with_zero_margin(self):
-        g = Grid(SpatialDomain(((0.0, 1.0),)), (21,))
         lv = lv_two(*(lambda t, x: 1.0 for _ in range(6)))
-        entry = check_initial_monotonicity(lv, np.zeros(21), np.zeros(21), g)
+        entry = check("InitMonotone", lv_spec(lv))
         assert entry.status == "pass"
         assert entry.margin == pytest.approx(0.0)
 
     def test_library_monotone_scenario_passes(self):
         spec = get_scenario("S4_asymptotics").build_problem()
-        entry = check_initial_monotonicity(
-            spec.lv, spec.initial.values[0], spec.initial.values[1], spec.initial.grid
-        )
+        entry = check("InitMonotone", spec)
         assert entry.status == "pass"
 
     def test_concave_hump_with_weak_growth_fails(self):
         # d lap(phi) ~ -pi^2 at the crest overwhelms the logistic push
-        g = Grid(SpatialDomain(((0.0, 1.0),)), (41,))
         lv = LVCoefficients(
             np.array([1.0, 1.0]),
             (lambda t, x: 0.5, lambda t, x: 1.0),
             ((lambda t, x: 1.0, lambda t, x: 0.0),
              (lambda t, x: 0.0, lambda t, x: 1.0)),
         )
-        phi = np.sin(np.pi * g.axes[0])
-        entry = check_initial_monotonicity(lv, phi, np.zeros(41), g)
+        x = np.linspace(0.0, 1.0, 41)
+        entry = check("InitMonotone", lv_spec(lv, [np.sin(np.pi * x), np.zeros(41)], n=41))
         assert entry.status == "fail"
         assert entry.witness["condition"] == "first species slope"
 
     def test_each_coefficient_enters_its_own_term(self):
         # six distinct constants, so a swapped growth or interaction entry
         # moves one of the two margins
-        g = Grid(SpatialDomain(((0.0, 1.0),)), (21,))
-        h = g.spacing[0]
         beta, gamma, delta, rho, sigma, theta = 1.0, 2.0, 3.0, 4.0, 5.0, 6.0
         lv = lv_two(*(lambda t, x, c=c: c
                       for c in (beta, gamma, delta, rho, sigma, theta)))
-        phi = 0.5 * np.sin(np.pi * g.axes[0])
-        psi = 0.25 * np.sin(np.pi * g.axes[0]) ** 2
+        x = np.linspace(0.0, 1.0, 21)
+        spec = lv_spec(lv, [0.5 * np.sin(np.pi * x), 0.25 * np.sin(np.pi * x) ** 2])
+        g = spec.initial.grid
+        h = g.spacing[0]
+        phi, psi = spec.initial.values
         lap = np.zeros((2, 21))
         for k, w in enumerate((phi, psi)):
             lap[k, 1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / h**2
@@ -387,7 +390,7 @@ class TestInitialMonotonicity:
         for got, want in zip(system.residual(phi, psi), (r1, r2)):
             assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         mask = g.interior_mask
-        entry = check_initial_monotonicity(lv, phi, psi, g)
+        entry = check("InitMonotone", spec)
         assert entry.details["first_species_margin"] == pytest.approx(
             r1[mask].min(), rel=1e-12, abs=1e-15)
         assert entry.details["second_species_margin"] == pytest.approx(
@@ -395,10 +398,9 @@ class TestInitialMonotonicity:
         assert entry.margin == min(entry.details.values())
 
     def test_single_species_rejected(self):
-        g = Grid(SpatialDomain(((0.0, 1.0),)), (11,))
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
         with pytest.raises(SpecError):
-            check_initial_monotonicity(lv, np.zeros(11), np.zeros(11), g)
+            check_initial_monotonicity(lv_spec(lv), BUDGET, None, None)
 
 
 class TestSourceJacobians:
@@ -450,9 +452,17 @@ class TestRunChecks:
         blob = report.to_json()
         assert blob["provenance"] == "sampled, not proven"
         assert blob["seed"] == BUDGET.seed
-        assert report.all_passed()
-        assert report.kappa_hat is not None
-        assert report.d2_hat is not None
+        assert [e.status for e in report.entries] == ["pass"] * 5
+        # the report's constants are the A1 and A2' entries' own numbers
+        assert report.kappa_hat == report.entry("A1").details["kappa_hat"]
+        assert report.d1_hat == report.entry("A2'").details["d1_hat"]
+        assert report.d2_hat == report.entry("A2'").details["d2_hat"]
+        assert blob["constants"] == {"kappa_hat": report.kappa_hat,
+                                     "d1_hat": report.d1_hat, "d2_hat": report.d2_hat}
+        # A2 fits its own constants, but only A1 and A2' fill the report's
+        report = run_checks(spec, BUDGET, ["A2", "A6"])
+        assert report.to_json()["constants"] == {
+            "kappa_hat": None, "d1_hat": None, "d2_hat": None}
 
     def test_two_species_extras_dispatched(self):
         spec = get_scenario("S4_asymptotics").build_problem()
@@ -514,6 +524,36 @@ class TestRunChecks:
         r2 = run_checks(spec, SampleBudget(seed=1), ["A2'"])
         assert r1.entry("A2'").witness != r2.entry("A2'").witness
 
+    @pytest.mark.parametrize("requested, unknown", [
+        (["A7"], "A7"), (["A3"], "A3"), (["A1", "A4", "A2_prime"], "A2_prime, A4")])
+    def test_an_unknown_id_is_an_error_naming_it(self, requested, unknown):
+        # a group label is the loader's to expand; the checker runs only ids
+        with pytest.raises(SpecError, match=f"unknown assumption ids: {unknown}$"):
+            run_checks(logistic_problem(), BUDGET, requested)
+
+    def test_entries_come_in_table_order_whatever_the_request(self):
+        spec = get_scenario("S4_asymptotics").build_problem()
+        report = run_checks(spec, BUDGET, reversed(ASSUMPTION_IDS))
+        assert [e.assumption for e in report.entries] == list(ASSUMPTION_IDS)
+        report = run_checks(spec, BUDGET, ["InitMonotone", "A7b", "A1", "A4a", "A1"])
+        assert [e.assumption for e in report.entries] == ["A1", "A4a", "A7b", "InitMonotone"]
+
+    def test_a7a_alone_makes_no_source_call(self):
+        spec, calls = counted(get_scenario("S8_competition_2d").build_problem())
+        report = run_checks(spec, SampleBudget(), ["A7a"])
+        assert [e.assumption for e in report.entries] == ["A7a"]
+        assert calls == {"diffusion": 0, "drift": 0, "source": 0}
+
+
+def test_the_table_is_the_schemas_id_list():
+    schema = json.loads(resources.files("parapos").joinpath(
+        "data/scenario.schema.json").read_text())
+    enum = schema["properties"]["checks"]["properties"]["assumptions"]["items"]["enum"]
+    assert sorted(enum) == sorted([*CHECKS, *GROUPS])
+    assert set(DEFAULT_ASSUMPTIONS) <= set(enum)
+    assert {i for ids in GROUPS.values() for i in ids} <= set(CHECKS)
+    assert ASSUMPTION_IDS == tuple(CHECKS)
+
 
 @settings(max_examples=20, deadline=None)
 @given(
@@ -538,11 +578,11 @@ def test_refining_the_budget_never_improves_a_margin(amp, rate, small, extra):
         sigma=lambda t, x: 1.0,
         theta=lambda t, x: 1.0,
     )
-    domain = SpatialDomain(((0.0, 1.0),))
+    spec = lv_spec(lv)
     b_small = SampleBudget(t=small, x=small, u=2, p=2, seed=0)
     b_big = SampleBudget(t=small + extra, x=small, u=2, p=2, seed=0)
-    m_small = check_monotone_coefficients(lv, b_small, domain, horizon=2.0).margin
-    m_big = check_monotone_coefficients(lv, b_big, domain, horizon=2.0).margin
+    m_small = check("MonotoneCoeffs", spec, b_small).margin
+    m_big = check("MonotoneCoeffs", spec, b_big).margin
     assert m_big <= m_small + 1e-12
 
 
@@ -552,6 +592,6 @@ def test_fitted_dissipativity_constant_grows_with_the_sample_set(beta, small, ex
     spec = logistic_problem(beta=beta, gamma=1.0)
     b_small = SampleBudget(t=small, x=small, u=small, p=2, seed=0)
     b_big = SampleBudget(t=small, x=small, u=small + extra, p=2, seed=0)
-    _, _, d2_small = check_dissipativity(spec, b_small, "A2_prime")
-    _, _, d2_big = check_dissipativity(spec, b_big, "A2_prime")
+    d2_small = check("A2'", spec, b_small).details["d2_hat"]
+    d2_big = check("A2'", spec, b_big).details["d2_hat"]
     assert d2_big >= d2_small - 1e-12

@@ -13,7 +13,8 @@ import pytest
 from oracles import trajectory_csv_reference
 from parapos import io
 from parapos.cli import main
-from parapos.config import DEFAULT_ASSUMPTIONS, load_config, load_config_data
+from parapos.checker import DEFAULT_ASSUMPTIONS
+from parapos.config import load_config, load_config_data
 from parapos.duhamel import PicardConfig, picard_solve
 from parapos.errors import ConfigError
 from parapos.fdm import MONITORS, Trajectory

@@ -295,7 +295,7 @@ def _rounding_floor(values, grid):
     scaled = np.divide(values, peak, out=np.zeros(values.shape), where=peak > 0)
     norm = peak * np.sqrt((scaled * scaled).sum(axis=axes, keepdims=True))
     info = np.finfo(float)
-    return 20.0 * info.eps / 2.0 * (logs + 1.0) * (norm + grid.n_nodes * info.smallest_normal)
+    return 20.0 * info.eps / 2.0 * (logs + 1.0) * (norm + math.prod(grid.shape) * info.smallest_normal)
 
 
 def _toeplitz_case(data, grid):
@@ -685,4 +685,4 @@ class TestWindowSource:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * (span + 1) * grid.n_nodes * m * m
+        assert peak < 8 * (span + 1) * math.prod(grid.shape) * m * m

@@ -49,7 +49,6 @@ class TestDomainAndGrid:
         assert g.spacing == (0.5, 0.25)
         assert_allclose(g.axes[0], [0.0, 0.5, 1.0, 1.5, 2.0])
         assert g.points.shape == (5, 9, 2)
-        assert g.n_nodes == 45
 
     def test_interior_mask_excludes_boundary_layer(self):
         g = Grid(SpatialDomain(((0.0, 1.0), (0.0, 1.0))), (4, 4))
@@ -98,13 +97,6 @@ class TestField:
     def test_shape_mismatch(self):
         with pytest.raises(SpecError):
             Field(unit_grid(5), np.zeros((1, 6)))
-
-    def test_max_abs_is_over_every_component(self):
-        g = unit_grid(5)
-        vals = np.zeros((2, 5))
-        vals[0, 2] = 3.0
-        vals[1, 2] = -4.0
-        assert Field(g, vals).max_abs() == pytest.approx(4.0)
 
 
 class TestCutoff:
