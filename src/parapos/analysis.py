@@ -163,7 +163,7 @@ def component_bound_mk(trajectory, beta, gamma_kk, t_split, component):
 
     grid = trajectory.grid
     mesh = Grid(grid.domain,
-                [min(BOUND_SPACE_SAMPLES, nn) for nn in grid.nodes_per_axis]).points
+                [min(BOUND_SPACE_SAMPLES, nn) for nn in grid.shape]).points
 
     def ratio_sup(bvals, gvals):
         bvals, gvals = (np.broadcast_to(np.asarray(w, dtype=float), mesh.shape[:-1])

@@ -12,17 +12,15 @@ import logging
 import os
 import sys
 
-from .config import load_config, load_config_data
+from .config import load_config
 from .errors import ConfigError
 from .runner import manifest_exit_code, run_scenario
-from .scenarios import REGISTRY, list_scenarios
+from .scenarios import REGISTRY, get_scenario, list_scenarios
 
 
 def _resolve(ref):
     """A run target is a built-in scenario name or a config file path."""
-    if ref in REGISTRY:
-        return load_config_data(REGISTRY[ref][1]())
-    return load_config(ref)
+    return get_scenario(ref) if ref in REGISTRY else load_config(ref)
 
 
 def _cmd_run(args):

@@ -84,10 +84,6 @@ class ScenarioConfig:
     def outputs_data(self):
         return self.data.get("outputs", {})
 
-    @property
-    def species(self):
-        return len(self.problem_data["coefficients"]["diffusion"])
-
     def canonical_json(self):
         return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
 
@@ -119,11 +115,9 @@ class ScenarioConfig:
         )
 
     def build_problem(self):
-        grid = self.grid()
-        initial = build_initial_field(grid, self.problem_data["initial"],
+        initial = build_initial_field(self.grid(), self.problem_data["initial"],
                                       base_dir=self.base_dir)
-        return build_lv_problem(self.lv(), grid.domain, initial,
-                                float(self.problem_data["horizon"]))
+        return build_lv_problem(self.lv(), initial, float(self.problem_data["horizon"]))
 
     def scheme(self):
         return SchemeConfig(**self.data["scheme"])

@@ -29,8 +29,9 @@ block starts on its own time lattice, the start times ``t += dt``
 accumulated as the march accumulates them and the next one, so ``erk2``'s
 stage time is a lattice point bit for bit.  The competition source with
 space-constant separable coefficients evaluates each time part once over
-that lattice; any other source is called per step
-(:meth:`model.CoefficientSet.source_block`).
+that lattice (:meth:`model.LVCoefficients.block`); any other source is
+called per step by the one fallback,
+:meth:`model.CoefficientSet.source_block`.
 The march keeps the states of a span of steps in one buffer: ``BLOCK_STEPS``
 steps, or as many as ``SPAN_BYTES`` of states hold if that is fewer, and at
 least one.  Each step writes its state into the buffer's next row and is
@@ -717,8 +718,8 @@ def estimate_order(spec, config, grids, rebuild_initial):
         if g.domain.bounds != spec.domain.bounds:
             raise SpecError("refinement grids must cover the problem domain")
     for lvl in range(len(grids) - 1):
-        want = tuple(2 * n - 1 for n in grids[lvl].nodes_per_axis)
-        if grids[lvl + 1].nodes_per_axis != want:
+        want = tuple(2 * n - 1 for n in grids[lvl].shape)
+        if grids[lvl + 1].shape != want:
             raise SpecError(
                 f"grid {lvl + 1} must refine grid {lvl} exactly "
                 f"(expected {want} nodes per axis)")
@@ -740,7 +741,7 @@ def estimate_order(spec, config, grids, rebuild_initial):
             f"refinement differences {diffs} are at roundoff; no order is observable")
     orders = tuple(
         float(np.log2(diffs[i] / diffs[i + 1])) for i in range(len(diffs) - 1))
-    return OrderEstimate(nodes=tuple(g.nodes_per_axis[0] for g in grids),
+    return OrderEstimate(nodes=tuple(g.shape[0] for g in grids),
                          diffs=tuple(diffs), orders=orders)
 
 
@@ -813,11 +814,10 @@ def solve_cauchy_nested(spec, radii, config, cutoff_width=1.0, tol_nested=1e-6):
 def _boxed_subproblem(spec, radius, offsets, cutoff_width):
     """Cut the centered box of the given radius out of the base problem."""
     grid = spec.initial.grid
-    sub_bounds = tuple((-radius, radius) for _ in range(grid.dimension))
-    sub_domain = SpatialDomain(bounds=sub_bounds)
-    sub_shape = tuple(nn - 2 * o for nn, o in zip(grid.nodes_per_axis, offsets))
+    sub_domain = SpatialDomain(bounds=tuple((-radius, radius) for _ in range(grid.dimension)))
+    sub_shape = tuple(nn - 2 * o for nn, o in zip(grid.shape, offsets))
     sub_grid = Grid(sub_domain, sub_shape)
-    sel = tuple(slice(o, nn - o) for nn, o in zip(grid.nodes_per_axis, offsets))
+    sel = tuple(slice(o, nn - o) for nn, o in zip(grid.shape, offsets))
     zeta = build_cutoff(radius, cutoff_width)
     weights = zeta(sub_grid.points)
     vals = spec.initial.values[(slice(None),) + sel] * weights[None]
@@ -832,8 +832,8 @@ def _boxed_subproblem(spec, radius, offsets, cutoff_width):
         return z[..., None] * np.broadcast_to(c, u_arr.shape)
 
     sub_coeffs = replace(spec.coefficients, source=cut_source)
-    return replace(spec, domain=sub_domain, coefficients=sub_coeffs,
-                   initial=sub_init)
+    # the cut source is no longer lv's, so the sub-problem carries no lv
+    return replace(spec, coefficients=sub_coeffs, initial=sub_init, lv=None)
 
 
 def _core_difference(small, big, offs_small, offs_big, base_grid, core):

@@ -8,7 +8,10 @@ The systems handled here have the form
 on a box in 1 or 2 space dimensions, with homogeneous Dirichlet data or a
 nested-box approximation of the whole-space problem.  Competition systems
 (per-species diffusion d_k, source u^k(beta_k - sum_i gamma_ki u^i)) are the
-specialized case carried by :class:`LVCoefficients`.
+specialized case carried by :class:`LVCoefficients`, which is itself the
+source of the problem :func:`build_lv_problem` builds.  Each fact of a
+problem lives once: its domain is its initial field's grid's, and
+:meth:`CoefficientSet.source_block` is the one per-step source fallback.
 
 Evaluator convention: coefficient callables are vectorized over a leading
 batch shape.  ``x`` has shape ``(..., n)``, ``u`` has ``(..., m)``, and the
@@ -60,13 +63,13 @@ class Grid:
     """Uniform tensor grid including boundary nodes."""
 
     domain: SpatialDomain
-    nodes_per_axis: tuple
+    shape: tuple
 
     def __post_init__(self):
-        nodes = tuple(int(n) for n in self.nodes_per_axis)
-        object.__setattr__(self, "nodes_per_axis", nodes)
+        nodes = tuple(int(n) for n in self.shape)
+        object.__setattr__(self, "shape", nodes)
         if len(nodes) != self.domain.dimension:
-            raise SpecError("nodes_per_axis does not match domain dimension")
+            raise SpecError("grid shape does not match domain dimension")
         if any(n < 3 for n in nodes):
             raise SpecError("need at least 3 nodes per axis")
 
@@ -74,22 +77,18 @@ class Grid:
     def dimension(self):
         return self.domain.dimension
 
-    @property
-    def shape(self):
-        return self.nodes_per_axis
-
     @cached_property
     def axes(self):
         return tuple(
             np.linspace(lo, hi, n)
-            for (lo, hi), n in zip(self.domain.bounds, self.nodes_per_axis)
+            for (lo, hi), n in zip(self.domain.bounds, self.shape)
         )
 
     @cached_property
     def spacing(self):
         return tuple(
             (hi - lo) / (n - 1)
-            for (lo, hi), n in zip(self.domain.bounds, self.nodes_per_axis)
+            for (lo, hi), n in zip(self.domain.bounds, self.shape)
         )
 
     @cached_property
@@ -283,13 +282,15 @@ class CoefficientSet:
         """The source at each time of ``ts`` as ``at(j, u, p)``, bit for bit ``source(ts[j], x, u, p)``.
 
         A source with a ``block(ts, x)`` of its own, such as the competition
-        source of :func:`build_lv_problem`, tabulates its coefficients over
-        ``ts`` there.  Any other source, a wrapped one among them, is called
-        once per step.
+        source :class:`LVCoefficients`, may tabulate its coefficients over
+        ``ts`` there.  Where it returns None, and for any other source, a
+        wrapped one among them, this is the one fallback: one source call
+        per step.
         """
         block = getattr(self.source, "block", None)
-        if block is not None:
-            return block(ts, x)
+        at = block(ts, x) if block is not None else None
+        if at is not None:
+            return at
         source, times = self.source, np.asarray(ts, dtype=float).tolist()
         return lambda j, u, p: source(times[j], x, u, p)
 
@@ -325,7 +326,10 @@ class LVCoefficients:
 
     where the optional constant ``shift`` (None for none) is added after the
     product; :meth:`growth_values` and :meth:`interaction_values` never
-    include it.
+    include it.  Calling the coefficients, ``lv(t, x, u, p=None)``, is the
+    one way to evaluate the source, so ``lv`` serves as a coefficient set's
+    source as it is; :meth:`block` tabulates it over a block of times where
+    it can.
 
     The growth and interaction tables have the broadcast shape of their
     entries, not the batch shape: space-constant coefficients at a scalar
@@ -422,29 +426,28 @@ class LVCoefficients:
             np.add(out, self.shift, out=out)
         return out
 
-    def source(self, t, x, u):
+    def __call__(self, t, x, u, p=None):
+        """The source at ``(t, x, u)``; the gradient ``p`` is never read."""
         u = np.asarray(u, dtype=float)
         return self._source(self.growth_values(t, x), self.interaction_values(t, x), u)
 
-    def source_block(self, ts, x):
-        """The source at each time of ``ts`` as ``at(j, u)``, bit for bit ``source(ts[j], x, u)``.
+    def block(self, ts, x):
+        """The source at each time of ``ts`` as ``at(j, u, p)``, bit for bit ``self(ts[j], x, u)``.
 
         When every coefficient is separable with a space profile of one
         constant value, each time part is evaluated once, over all of
         ``ts``, both tables are built for the whole block, and step ``j``
-        reads row ``j`` of each.  Any other coefficient set is evaluated by
-        one :meth:`source` call per step.  ``at`` takes and ignores a
-        gradient ``p``, which this source never reads.
+        reads row ``j`` of each.  Any other coefficient set gives None, and
+        :meth:`CoefficientSet.source_block` calls the source per step.
         """
-        ts = np.asarray(ts, dtype=float)
         entries = self._entries(x)
         if not all(isinstance(prof, float) for _, prof in entries):
-            times = ts.tolist()
-            return lambda j, u, p=None: self.source(times[j], x, u)
+            return None
+        ts = np.asarray(ts, dtype=float)
         m = self.species
         columns = [np.broadcast_to(f.time_part(ts), ts.shape) * prof for f, prof in entries]
         beta, gam = _table(columns[:m], (m,)), _table(columns[m:], (m, m))
-        return lambda j, u, p=None: self._source(beta[j], gam[j], u)
+        return lambda j, u, p: self._source(beta[j], gam[j], u)
 
 
 class FrozenSystem:
@@ -498,9 +501,8 @@ class Majorants:
 
 @dataclass
 class ProblemSpec:
-    """A complete initial-boundary value problem."""
+    """A complete initial-boundary value problem, posed on its initial field's domain."""
 
-    domain: SpatialDomain
     coefficients: CoefficientSet
     initial: Field
     horizon: float
@@ -509,11 +511,13 @@ class ProblemSpec:
     def __post_init__(self):
         if self.horizon <= 0 or not math.isfinite(self.horizon):
             raise SpecError("horizon must be positive and finite")
-        if self.initial.grid.domain.bounds != self.domain.bounds:
-            raise SpecError("initial data lives on a different domain")
         self.initial.validate()
         if self.lv is not None and self.lv.species != self.components:
             raise SpecError("species count does not match initial data components")
+
+    @property
+    def domain(self):
+        return self.initial.grid.domain
 
     @property
     def components(self):
@@ -524,34 +528,14 @@ class ProblemSpec:
         return self.domain.dimension
 
 
-@dataclass(frozen=True)
-class _LVSource:
-    """The competition source as a coefficient-set source ``(t, x, u, p)``.
-
-    ``block`` is :meth:`LVCoefficients.source_block`, which
-    :meth:`CoefficientSet.source_block` finds.
-    """
-
-    lv: LVCoefficients
-
-    def __call__(self, t, x, u, p):
-        return self.lv.source(t, x, u)
-
-    def block(self, ts, x):
-        return self.lv.source_block(ts, x)
-
-
-def build_lv_problem(lv, domain, initial, horizon):
-    """Wrap competition coefficients as a full problem spec.
+def build_lv_problem(lv, initial, horizon):
+    """Wrap competition coefficients as a full problem spec on ``initial``'s domain.
 
     There is no drift (``drift=None``), diffusion is the per-species
-    constant diagonal, and the source never reads the gradient.
+    constant diagonal, and the source is ``lv`` itself, which never reads
+    the gradient.
     """
-    if initial.components != lv.species:
-        raise SpecError(
-            f"initial data has {initial.components} components for {lv.species} species"
-        )
-    n = domain.dimension
+    n = initial.grid.dimension
     m = lv.species
     diag = np.zeros((m, n, n))
     for k in range(m):
@@ -564,12 +548,12 @@ def build_lv_problem(lv, domain, initial, horizon):
     coeffs = CoefficientSet(
         diffusion=diffusion,
         drift=None,
-        source=_LVSource(lv),
+        source=lv,
         depends_on_gradient=False,
         per_component_diffusion=True,
         constant_diffusion=True,
     )
-    return ProblemSpec(domain=domain, coefficients=coeffs, initial=initial, horizon=horizon, lv=lv)
+    return ProblemSpec(coefficients=coeffs, initial=initial, horizon=horizon, lv=lv)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,11 @@ def bump_mass_1d(radius):
     return 16.0 * radius / 15.0
 
 
+def bump_mass_2d(radius):
+    """Integral of (1 - |x|^2/r^2)^2 over the disc of radius r: substitute w = |x|^2/r^2."""
+    return math.pi * radius**2 / 3.0
+
+
 def steady_logistic_profile(n_nodes, d, beta, gamma, length=1.0):
     """Newton solve of d u'' + u (beta - gamma u) = 0, u(0) = u(L) = 0.
 

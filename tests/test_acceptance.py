@@ -164,7 +164,7 @@ def test_c09_schemes_show_second_order_on_smooth_data(capsys):
                             ((lambda t, x: gamma,),))
         initial = init(g) if init else build_initial_field(
             g, [{"kind": "sine", "amplitude": amplitude}])
-        return build_lv_problem(lv, UNIT, initial, horizon)
+        return build_lv_problem(lv, initial, horizon)
 
     sine = lambda amp: (lambda g: build_initial_field(
         g, [{"kind": "sine", "amplitude": amp}]))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import bump_mass_1d, steady_logistic_profile
+from oracles import bump_mass_1d, bump_mass_2d, steady_logistic_profile
 from parapos.analysis import (
     RESIDUAL_FLOOR,
     bump_battery,
@@ -29,6 +29,7 @@ from parapos.model import (Field, FrozenSystem, Grid, LVCoefficients, SpatialDom
 
 UNIT = SpatialDomain(((0.0, 1.0),))
 LONG = SpatialDomain(((0.0, 8.0),))
+SQUARE = SpatialDomain(((0.0, 1.0), (0.0, 1.0)))
 
 E = 2.718281828459045
 E_SQUARED = 7.38905609893065
@@ -237,7 +238,7 @@ class TestSteadyState:
         _, profile = steady_logistic_profile(n, 1.0, 1.0, 1.0, length=8.0)
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,),
                             ((lambda t, x: 1.0,),))
-        spec = build_lv_problem(lv, LONG, Field.from_arrays(g, profile[None]),
+        spec = build_lv_problem(lv, Field.from_arrays(g, profile[None]),
                                 horizon=1.0)
         traj = solve(spec, SchemeConfig(scheme="imex_be", dt=0.01))
         report = extract_steady_state(traj)
@@ -341,6 +342,24 @@ class TestWeakResiduals:
         res = elliptic_weak_residual(system, u, np.zeros(n), default_battery(LONG))
         assert np.abs(res[:, 0]).max() <= 5e-4
         assert np.all(res[:, 1] == 0.0)
+
+    def test_vanished_2d_system_has_exactly_zero_residuals(self):
+        g = Grid(SQUARE, (41, 41))
+        system = FrozenSystem(g, np.array([1.0, 1.0]), (1.0, 1.0, 0.0, 0.0, 0.0, 1.0))
+        zero = np.zeros(g.shape)
+        res = elliptic_weak_residual(system, zero, zero, default_battery(SQUARE))
+        assert res.shape == (5, 2)
+        assert np.all(res == 0.0)
+
+    @pytest.mark.parametrize("n, tol", [(41, 5e-6), (81, 5e-7), (161, 5e-8)])
+    def test_a_2d_source_only_residual_is_the_bump_mass(self, n, tol):
+        # u = 0 and c = 1 leave the integral of the bump, pi r^2 / 3; the
+        # trapezoid sum over the nodes converges to it (2.9e-6, 2.5e-7 and
+        # 2.2e-8 at these grids)
+        g = Grid(SQUARE, (n, n))
+        res = weak_residual(g, np.zeros(g.shape), 1.0, np.ones(g.shape),
+                            QuarticBump((0.5, 0.5), 0.25))
+        assert abs(res - bump_mass_2d(0.25)) <= tol
 
     def test_support_must_sit_strictly_inside(self):
         g = Grid(UNIT, (33,))

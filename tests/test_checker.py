@@ -48,7 +48,7 @@ def logistic_problem(beta=1.0, gamma=1.0, d=1.0, amplitude=0.5, n=41, horizon=1.
         ((lambda t, x: gamma,),),
     )
     initial = Field.from_functions(g, [lambda p: amplitude * np.sin(np.pi * p[..., 0])])
-    return build_lv_problem(lv, g.domain, initial, horizon)
+    return build_lv_problem(lv, initial, horizon)
 
 
 def generic_problem(source, drift=None, diffusion=1.0, depends_on_gradient=False, n=21):
@@ -68,14 +68,14 @@ def generic_problem(source, drift=None, diffusion=1.0, depends_on_gradient=False
         source=source,
         depends_on_gradient=depends_on_gradient,
     )
-    return ProblemSpec(g.domain, coeffs, Field.zeros(g, 1), horizon=1.0)
+    return ProblemSpec(coeffs, Field.zeros(g, 1), horizon=1.0)
 
 
 def lv_spec(lv, initial=None, n=21, horizon=2.0):
     """``lv`` on [0, 1] with ``n`` nodes; zero initial data unless given."""
     g = Grid(SpatialDomain(((0.0, 1.0),)), (n,))
     values = np.zeros((lv.species, n)) if initial is None else initial
-    return build_lv_problem(lv, g.domain, Field.from_arrays(g, values), horizon)
+    return build_lv_problem(lv, Field.from_arrays(g, values), horizon)
 
 
 def check(assumption, spec, budget=BUDGET, majorants=None, compat_factor=None):
@@ -225,7 +225,7 @@ class TestCompatibility:
         g = Grid(SpatialDomain(((0.0, 1.0),)), (101,))
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
         initial = Field.from_functions(g, [lambda p: p[..., 0] ** 2 * (1 - p[..., 0]) ** 2])
-        spec = build_lv_problem(lv, g.domain, initial, horizon=1.0)
+        spec = build_lv_problem(lv, initial, horizon=1.0)
         entry = check("A6", spec)
         assert entry.status == "fail"
         assert entry.details["worst_residual"] == pytest.approx(2.0, abs=0.01)
@@ -248,12 +248,8 @@ class TestCompatibility:
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
         vals = np.full((1, 11), 0.3)
         initial = Field(g, vals)  # bypasses the zeroing constructor
-        spec = ProblemSpec.__new__(ProblemSpec)  # skip validate: we want the check to see it
-        spec.domain = g.domain
-        spec.coefficients = build_lv_problem(lv, g.domain, Field.zeros(g, 1), 1.0).coefficients
-        spec.initial = initial
-        spec.horizon = 1.0
-        spec.lv = lv
+        spec = build_lv_problem(lv, Field.zeros(g, 1), 1.0)
+        spec.initial = initial  # after validate: we want the check to see it
         entry = check("A6", spec)
         assert entry.status == "fail"
         assert entry.details["boundary_value_max"] == pytest.approx(0.3)
@@ -273,7 +269,7 @@ class TestPositivitySource:
         vals = np.zeros((1, 21))
         vals[0, 10] = -0.2
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
-        spec = build_lv_problem(lv, g.domain, Field(g, vals), horizon=1.0)
+        spec = build_lv_problem(lv, Field(g, vals), horizon=1.0)
         a7a = check("A7a", spec)
         assert a7a.status == "fail"
         assert a7a.margin == pytest.approx(-0.2)

@@ -148,8 +148,8 @@ def test_lv_source_with_an_array_t_gives_the_bits_of_per_sample_calls(tmp_path):
                         ((c["constant"], c["power"]), (c["table"], c["bump"])))
     t, x = _contract_samples()
     u = np.random.default_rng(4).random((len(t), 2))
-    per_sample = np.array([lv.source(float(ti), xi, ui) for ti, xi, ui in zip(t, x, u)])
-    assert _bits(lv.source(t, x, u)) == _bits(per_sample)
+    per_sample = np.array([lv(float(ti), xi, ui) for ti, xi, ui in zip(t, x, u)])
+    assert _bits(lv(t, x, u)) == _bits(per_sample)
 
 
 _FINITE = {"allow_nan": False, "allow_infinity": False}

@@ -333,13 +333,14 @@ class TestScenarioConfig:
         # bits of the unshifted source plus the shift at every time
         problem = get_scenario("N1_negative_source").build_problem()
         coeffs, x = problem.coefficients, problem.initial.grid.points
-        assert hasattr(coeffs.source, "block")
+        assert coeffs.source is problem.lv
         unshifted = replace(problem.lv, shift=None)
         u = np.random.default_rng(3).uniform(0.0, 1.0, x.shape[:-1] + (2,))
         ts = np.arange(5) * 0.01
         at = coeffs.source_block(ts, x)
+        assert problem.lv.block(ts, x) is not None
         for j, t in enumerate(ts.tolist()):
-            want = unshifted.source(t, x, u) + np.array([-1.0, 0.0])
+            want = unshifted(t, x, u) + np.array([-1.0, 0.0])
             assert at(j, u, None).tobytes() == want.tobytes()
             assert coeffs.source(t, x, u, None).tobytes() == want.tobytes()
 

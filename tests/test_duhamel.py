@@ -73,7 +73,7 @@ def flat_logistic(beta=1.0, gamma=1.0, d=1e-4, amplitude=0.5, horizon=1.0, n=201
         g, [{"kind": "plateau", "amplitude": amplitude, "center": [0.5],
              "radius": 0.35, "width": 0.15}]
     )
-    return build_lv_problem(lv, UNIT, init, horizon)
+    return build_lv_problem(lv, init, horizon)
 
 
 def evolve_nodes(op, values):
@@ -470,7 +470,7 @@ class TestPicard:
             g, [{"kind": "plateau", "amplitude": 0.5, "center": [0.5],
                  "radius": 0.35, "width": 0.15}]
         )
-        spec = build_lv_problem(lv, UNIT, init, horizon=0.2)
+        spec = build_lv_problem(lv, init, horizon=0.2)
         res = picard_solve(spec, PicardConfig(dt=0.01))
         assert res.iterations == [1]
         hom = evolve_nodes(KernelOperator(g, 0.02, 0.2), init.values[0])
@@ -482,7 +482,7 @@ class TestPicard:
         lv = LVCoefficients(np.array([1e-3]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
         init = build_initial_field(g, [{"kind": "bump", "amplitude": 0.5,
                                         "center": [0.05], "radius": 0.1}])
-        spec = build_lv_problem(lv, UNIT, init, horizon=0.3)
+        spec = build_lv_problem(lv, init, horizon=0.3)
         res = picard_solve(spec, PicardConfig(dt=0.01))
         assert np.abs(res.values[:, 0, 1]).min() > 1e-3
         assert np.all(res.values[:, :, [0, -1]] == 0.0)
@@ -507,7 +507,7 @@ class TestPicard:
             g, [{"kind": "plateau", "amplitude": 2.0, "center": [0.5],
                  "radius": 0.35, "width": 0.15}]
         )
-        spec = build_lv_problem(lv, UNIT, init, horizon=0.5)
+        spec = build_lv_problem(lv, init, horizon=0.5)
         with pytest.raises(NonContraction):
             picard_solve(spec, PicardConfig(dt=0.001))
 
@@ -525,7 +525,7 @@ class TestPicard:
             drift=lambda t, x, u, p: np.full(np.asarray(x).shape[:-1] + (1,), 0.5),
             source=lambda t, x, u, p: np.zeros_like(u),
         )
-        spec = ProblemSpec(UNIT, coeffs, Field.zeros(g, 1), horizon=0.1)
+        spec = ProblemSpec(coeffs, Field.zeros(g, 1), horizon=0.1)
         with pytest.raises(SpecError):
             picard_solve(spec)
 
@@ -542,17 +542,23 @@ class TestPicard:
         with pytest.raises(SpecError, match="does not read the gradient"):
             picard_solve(replace(spec, coefficients=coeffs), PicardConfig(dt=0.01))
 
-    def test_state_dependent_diffusion_rejected(self):
-        g = Grid(UNIT, (101,))
+    @pytest.mark.parametrize("matrix, dim, message", [
+        (lambda t: (0.01 + np.asarray(t))[..., None, None] * np.eye(1), 1,
+         "constant in time and state"),
+        (lambda t: np.array([[0.01, 0.003], [0.003, 0.01]]), 2, "axis-aligned"),
+        (lambda t: np.diag([0.01, 0.02]), 2, "isotropic"),
+        (lambda t: np.zeros((1, 1)), 1, "positive diffusion"),
+    ], ids=["time-dependent", "off-diagonal", "anisotropic", "non-positive"])
+    def test_diffusion_the_kernel_route_cannot_use_is_rejected(self, matrix, dim, message):
+        g = Grid(UNIT if dim == 1 else UNIT_SQUARE, (21,) * dim)
         coeffs = CoefficientSet(
             diffusion=lambda t, x, u: np.broadcast_to(
-                (0.01 + np.asarray(t))[..., None, None] * np.eye(1),
-                np.asarray(x).shape[:-1] + (1, 1)),
-            drift=lambda t, x, u, p: np.zeros(np.asarray(x).shape[:-1] + (1,)),
+                matrix(t), np.asarray(x).shape[:-1] + (dim, dim)),
+            drift=None,
             source=lambda t, x, u, p: np.zeros_like(u),
         )
-        spec = ProblemSpec(UNIT, coeffs, Field.zeros(g, 1), horizon=0.1)
-        with pytest.raises(SpecError):
+        spec = ProblemSpec(coeffs, Field.zeros(g, 1), horizon=0.1)
+        with pytest.raises(SpecError, match=message):
             picard_solve(spec)
 
     def test_non_finite_source_slopes_are_an_error(self, nan_above):
@@ -618,7 +624,7 @@ def _window_case(family, m, dim, span=4):
     entries = _family_entries(family, dim, m + m * m)
     lv = LVCoefficients(np.full(m, 0.01), tuple(entries[:m]),
                         tuple(tuple(entries[m + k * m:m + (k + 1) * m]) for k in range(m)))
-    spec = build_lv_problem(lv, domain, Field.zeros(grid, m), horizon=1.0)
+    spec = build_lv_problem(lv, Field.zeros(grid, m), horizon=1.0)
     window = np.random.default_rng(7 * m + dim).uniform(-2.0, 3.0, (span + 1, m) + grid.shape)
     window.flat[:3] = [-0.0, 5e-324, -5e-324]
     return spec, grid, window
@@ -675,7 +681,7 @@ class TestWindowSource:
         entries = _family_entries("exp", 2, m + m * m)
         lv = LVCoefficients(np.full(m, 0.01), tuple(entries[:m]),
                             tuple(tuple(entries[m + k * m:m + (k + 1) * m]) for k in range(m)))
-        spec = build_lv_problem(lv, UNIT_SQUARE, Field.zeros(grid, m), horizon=1.0)
+        spec = build_lv_problem(lv, Field.zeros(grid, m), horizon=1.0)
         window = np.random.default_rng(1).uniform(0.0, 2.0, (span + 1, m) + grid.shape)
         t, x = _window_points(grid, 0.0, 0.01, span)
         _source_at(spec, t, x, window)  # build the memoised profiles outside the trace

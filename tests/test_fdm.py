@@ -59,14 +59,14 @@ def heat_problem(n=101, d=1.0, amplitude=1.0, horizon=1.0):
     g = Grid(UNIT, (n,))
     lv = LVCoefficients(np.array([d]), (lambda t, x: 0.0,), ((lambda t, x: 0.0,),))
     init = Field.from_arrays(g, (amplitude * np.sin(np.pi * g.axes[0]))[None])
-    return build_lv_problem(lv, UNIT, init, horizon)
+    return build_lv_problem(lv, init, horizon)
 
 
 def logistic_problem(n=101, d=0.01, beta=1.0, gamma=1.0, amplitude=0.5, horizon=5.0):
     g = Grid(UNIT, (n,))
     lv = LVCoefficients(np.array([d]), (lambda t, x: beta,), ((lambda t, x: gamma,),))
     init = Field.from_arrays(g, (amplitude * np.sin(np.pi * g.axes[0]))[None])
-    return build_lv_problem(lv, UNIT, init, horizon)
+    return build_lv_problem(lv, init, horizon)
 
 
 def logistic_problem_2d(n, horizon, species=1):
@@ -81,7 +81,7 @@ def logistic_problem_2d(n, horizon, species=1):
         tuple(tuple((lambda t, x, c=1.0 if i == k else 0.3: c) for i in range(species))
               for k in range(species)))
     init = Field.from_arrays(g, np.stack([(0.5 + 0.2 * k) * bump for k in range(species)]))
-    return build_lv_problem(lv, dom, init, horizon)
+    return build_lv_problem(lv, init, horizon)
 
 
 def varying_diffusion_2d():
@@ -103,7 +103,7 @@ def varying_diffusion_2d():
     )
     init = Field.from_arrays(
         g, (np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1] / 1.5))[None])
-    return ProblemSpec(dom, coeffs, init, horizon=1.0)
+    return ProblemSpec(coeffs, init, horizon=1.0)
 
 
 class TestSingleStep:
@@ -123,7 +123,7 @@ class TestSingleStep:
         g = Grid(UNIT, (101,))
         lv = LVCoefficients(np.array([0.05]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
         init = Field.from_arrays(g, np.full((1, 101), 0.4))
-        spec = build_lv_problem(lv, UNIT, init, horizon=1.0)
+        spec = build_lv_problem(lv, init, horizon=1.0)
         dt = 1e-3
         new, report = step(init, 0.0, dt, spec, SchemeConfig(scheme="erk2", dt=dt))
         oracle = heun_scalar(lambda t, y: y * (1.0 - y), 0.4, dt, 1)
@@ -137,7 +137,7 @@ class TestSingleStep:
         init = Field.from_arrays(
             g, (np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1]))[None]
         )
-        spec = build_lv_problem(lv, g.domain, init, horizon=1.0)
+        spec = build_lv_problem(lv, init, horizon=1.0)
         dt = 1e-3
         new, report = step(init, 0.0, dt, spec, SchemeConfig(scheme="imex_be", dt=dt))
         lam = 2.0 * dirichlet_laplacian_eigenvalue(g.spacing[0])
@@ -185,7 +185,7 @@ class TestSolve:
     def test_zero_data_is_preserved_bitwise(self):
         g = Grid(UNIT, (101,))
         lv = LVCoefficients(np.array([0.01]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
-        spec = build_lv_problem(lv, UNIT, Field.zeros(g, 1), horizon=1.0)
+        spec = build_lv_problem(lv, Field.zeros(g, 1), horizon=1.0)
         traj = solve(spec, SchemeConfig(scheme="imex_be", dt=0.01))
         assert np.all(traj.values == 0.0)
         assert all(r.negpart_norm == 0.0 for r in traj.reports)
@@ -343,7 +343,7 @@ class TestSolve:
         init = Field.from_arrays(
             g, (np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1]))[None]
         )
-        spec = ProblemSpec(dom, coeffs, init, horizon=2e-3)
+        spec = ProblemSpec(coeffs, init, horizon=2e-3)
         fine = SchemeConfig(scheme="erk2", dt=1e-5)
         traj_e = solve(spec, fine)
         traj_i = solve(spec, SchemeConfig(scheme="imex_be", dt=1e-5))
@@ -368,10 +368,75 @@ class TestSolve:
                 source=lambda t, x, u, p: np.zeros_like(u),
                 constant_diffusion=constant,
             )
-            spec = ProblemSpec(dom, coeffs, init, horizon=0.02)
+            spec = ProblemSpec(coeffs, init, horizon=0.02)
             finals.append(solve(spec, SchemeConfig(scheme="imex_be", dt=1e-3)).final_values)
         scale = np.abs(finals[0]).max()
         assert np.abs(finals[1] - finals[0]).max() <= 1e-8 * scale
+
+
+def transport_problem(b, n, through_source, d=1e-4, width=0.04, horizon=0.2):
+    """A narrow Gaussian bump at the centre of the unit box, carried by the constant drift ``b``.
+
+    ``du/dt = d lap u + b . grad u`` carries the bump with velocity ``-b``.
+    With ``through_source`` the transport term is a source that reads the
+    gradient (``depends_on_gradient``) and there is no drift; otherwise it
+    is the drift.
+    """
+    dim = len(b)
+    g = Grid(SpatialDomain(((0.0, 1.0),) * dim), (n,) * dim)
+    b = np.asarray(b, dtype=float)
+
+    def drift(t, x, u, p):
+        return np.broadcast_to(b, np.asarray(x).shape)
+
+    def transport(t, x, u, p):
+        return np.einsum("...i,...ki->...k", drift(t, x, u, p), p)
+
+    coeffs = CoefficientSet(
+        diffusion=lambda t, x, u: np.broadcast_to(
+            d * np.eye(dim), np.asarray(x).shape[:-1] + (dim, dim)),
+        drift=None if through_source else drift,
+        source=transport if through_source else (lambda t, x, u, p: np.zeros_like(u)),
+        depends_on_gradient=through_source,
+        constant_diffusion=True,
+    )
+    r2 = ((g.points - 0.5) ** 2).sum(axis=-1)
+    init = Field.from_arrays(g, np.exp(-r2 / (2.0 * width**2))[None])
+    return ProblemSpec(coeffs, init, horizon)
+
+
+def _centre_of_mass(values, grid):
+    w = values[0]
+    return np.array([(w * grid.points[..., axis]).sum() / w.sum()
+                     for axis in range(grid.dimension)])
+
+
+class TestTransport:
+    """A non-zero drift, and the same transport as a gradient-reading source."""
+
+    CASES = [((1.0,), 201, 1e-3), ((0.5, -0.75), 81, 2e-3)]
+
+    @pytest.mark.parametrize("scheme", ["imex_be", "erk2"])
+    @pytest.mark.parametrize("b, n, dt", CASES)
+    def test_a_drift_marches_as_the_same_transport_through_the_source(self, b, n, dt, scheme):
+        config = SchemeConfig(scheme=scheme, dt=dt)
+        by_drift = solve(transport_problem(b, n, through_source=False), config)
+        by_source = solve(transport_problem(b, n, through_source=True), config)
+        assert np.array_equal(by_drift.final_values, by_source.final_values)
+
+    @pytest.mark.parametrize("scheme", ["imex_be", "erk2"])
+    @pytest.mark.parametrize("b, n, dt", CASES)
+    def test_the_bump_centre_moves_by_minus_b_t(self, b, n, dt, scheme):
+        # the central gradient and the second difference move the first
+        # moment exactly while the bump stays clear of the walls, so the
+        # centre of mass lands on x0 - b T to far below one cell
+        spec = transport_problem(b, n, through_source=False)
+        traj = solve(spec, SchemeConfig(scheme=scheme, dt=dt))
+        grid = spec.initial.grid
+        moved = (_centre_of_mass(traj.final_values, grid)
+                 - _centre_of_mass(spec.initial.values, grid))
+        assert_allclose(moved, -np.asarray(b) * traj.times[-1],
+                        rtol=0.0, atol=1e-2 * grid.spacing[0])
 
 
 SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
@@ -518,7 +583,7 @@ class TestDirectSolvers:
         values = np.random.default_rng(nodes).uniform(0.0, 1.0, (1, nodes))
         values[:, [0, -1]] = 0.0
         init = Field.from_arrays(g, values)
-        spec = ProblemSpec(UNIT, coeffs, init, horizon=1.0)
+        spec = ProblemSpec(coeffs, init, horizon=1.0)
         dt = 0.01
         new, _ = step(init, 0.0, dt, spec, SchemeConfig(scheme="imex_be", dt=dt))
         a_node = 0.05 * (1.0 + 3.0 * g.axes[0][1:-1])
@@ -573,7 +638,7 @@ class TestDirectSolvers:
         init = build_initial_field(g, [
             {"kind": "plateau", "amplitude": 0.7, "center": [0.4, 0.5], "radius": 0.2, "width": 0.1},
             {"kind": "sine", "amplitude": 0.5}])
-        spec = build_lv_problem(lv, g.domain, init, horizon=0.2)
+        spec = build_lv_problem(lv, init, horizon=0.2)
         varying = replace(spec, coefficients=replace(spec.coefficients,
                                                      constant_diffusion=False))
         config = SchemeConfig(scheme="imex_be", dt=0.01)
@@ -603,7 +668,7 @@ class TestPositivityProperties:
                             tuple((lambda t, x, _b=b: _b) for b in growth),
                             tuple(tuple((lambda t, x, _g=g: _g) for g in row)
                                   for row in interaction))
-        spec = build_lv_problem(lv, grid.domain, Field.from_arrays(grid, values),
+        spec = build_lv_problem(lv, Field.from_arrays(grid, values),
                                 horizon=steps * dt)
         traj = solve(spec, SchemeConfig(scheme="imex_be", dt=dt, store_every=1))
         assert traj.values.min() >= -1e-14 * traj.values.max()
@@ -652,7 +717,7 @@ class TestOrderProperties:
         upper = Field.from_arrays(grid, low + gap)
         lv = LVCoefficients(np.array([diffusion]), (lambda t, x: growth,),
                             ((lambda t, x: interaction,),))
-        spec = build_lv_problem(lv, grid.domain, upper, horizon=1.0)
+        spec = build_lv_problem(lv, upper, horizon=1.0)
         dt = min(dt, positivity_step_bound(spec, reference=upper.values))
         config = SchemeConfig(scheme="imex_be", dt=dt)
         below, _ = step(lower, 0.0, dt, spec, config)
@@ -754,7 +819,7 @@ class TestEstimateOrder:
     def test_zero_data_raises_degenerate_refinement(self):
         g = Grid(UNIT, (21,))
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 0.0,), ((lambda t, x: 0.0,),))
-        spec = build_lv_problem(lv, UNIT, Field.zeros(g, 1), horizon=0.05)
+        spec = build_lv_problem(lv, Field.zeros(g, 1), horizon=0.05)
         with pytest.raises(DegenerateRefinement):
             estimate_order(spec, SchemeConfig(dt=1e-3), self.GRIDS,
                            rebuild_initial=lambda grid: Field.zeros(grid, 1))
@@ -788,7 +853,7 @@ class TestNestedBoxes:
         g = Grid(self.DOMAIN, (129,))
         lv = LVCoefficients(np.array([d]), (lambda t, x: 0.0,), ((lambda t, x: 0.0,),))
         init = build_initial_field(g, [initial_spec])
-        return build_lv_problem(lv, self.DOMAIN, init, horizon)
+        return build_lv_problem(lv, init, horizon)
 
     def test_decaying_data_converges_in_the_core(self):
         spec = self.cauchy_spec({"kind": "gaussian", "amplitude": 1.0, "center": [0.0], "width": 0.8})
@@ -802,7 +867,7 @@ class TestNestedBoxes:
     def test_zero_data_counts_as_converged(self):
         g = Grid(self.DOMAIN, (129,))
         lv = LVCoefficients(np.array([1.0]), (lambda t, x: 0.0,), ((lambda t, x: 0.0,),))
-        spec = build_lv_problem(lv, self.DOMAIN, Field.zeros(g, 1), horizon=0.1)
+        spec = build_lv_problem(lv, Field.zeros(g, 1), horizon=0.1)
         report = solve_cauchy_nested(spec, (2.0, 3.0, 4.0), SchemeConfig(dt=5e-3))
         assert report.diffs == (0.0, 0.0)
         assert report.converged
@@ -824,7 +889,7 @@ class TestNestedBoxes:
         init = build_initial_field(
             g, [{"kind": "plateau", "amplitude": 0.5, "center": [0.0], "radius": 1.0, "width": 0.5}]
         )
-        spec = build_lv_problem(lv, self.DOMAIN, init, horizon=0.25)
+        spec = build_lv_problem(lv, init, horizon=0.25)
         report = solve_cauchy_nested(
             spec, (2.0, 3.0, 4.0), SchemeConfig(scheme="imex_be", dt=5e-3), cutoff_width=1.0
         )
@@ -841,6 +906,14 @@ class TestNestedBoxes:
         spec = heat_problem(n=101)  # lives on [0, 1]
         with pytest.raises(SpecError):
             solve_cauchy_nested(spec, (0.25, 0.35, 0.5), SchemeConfig(dt=1e-3))
+
+    def test_a_boxed_subproblem_lives_on_its_box_and_carries_no_lv(self):
+        # its source is the cut zeta * c, which the base lv no longer describes
+        spec = self.cauchy_spec({"kind": "gaussian", "amplitude": 1.0, "center": [0.0], "width": 0.8})
+        sub = fdm._boxed_subproblem(spec, 2.0, (32,), 1.0)
+        assert sub.domain.bounds == ((-2.0, 2.0),)
+        assert sub.initial.grid.shape == (65,)
+        assert sub.lv is None and spec.lv is not None
 
     def test_needs_three_radii(self):
         spec = self.cauchy_spec({"kind": "gaussian", "amplitude": 1.0, "center": [0.0], "width": 0.8})

@@ -150,7 +150,7 @@ coefficients = CoefficientSet(
     source=lambda t, x, u, p: np.zeros_like(u))
 pts = grid.points
 init = Field.from_arrays(grid, (np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1]))[None])
-spec = ProblemSpec(domain, coefficients, init, horizon=1.0)
+spec = ProblemSpec(coefficients, init, horizon=1.0)
 before = 'scipy.sparse' in sys.modules
 new, report = step(init, 0.0, 1e-3, spec, SchemeConfig(scheme='imex_be', dt=1e-3))
 print(json.dumps([before, 'scipy.sparse.linalg' in sys.modules,

@@ -145,7 +145,7 @@ class TestLVCoefficients:
         )
         u, v = 0.3, 0.8
         x = np.zeros((1, 1))
-        src = lv.source(0.0, x, np.array([[u, v]]))
+        src = lv(0.0, x, np.array([[u, v]]))
         expect_u = u * (1.5 - 1.0 * u - 0.5 * v)
         expect_v = v * (1.2 - 0.7 * u - 1.1 * v)
         assert_allclose(src[0], [expect_u, expect_v], rtol=1e-14)
@@ -189,11 +189,11 @@ class TestLVSourceMemo:
         for step, which in enumerate([0, 0, 1, 0, 1, 1, 0]):
             t = 0.37 * step
             x, u = grids[which], states[which]
-            got = lv.source(t, x, u)
+            got = lv(t, x, u)
             fresh = LVCoefficients(np.array([0.05, 0.5]), growth, interaction)
             want = lv_source_reference(growth, interaction, t, x, u)
             assert got.tobytes() == want.tobytes()
-            assert got.tobytes() == fresh.source(t, x, u).tobytes()
+            assert got.tobytes() == fresh(t, x, u).tobytes()
 
     def test_single_point_queries(self):
         growth, interaction = _memo_test_coefficients()
@@ -202,7 +202,7 @@ class TestLVSourceMemo:
             x = np.array([xv])
             u = np.array([0.3, 1.1])
             want = lv_source_reference(growth, interaction, 1.5, x, u)
-            assert lv.source(1.5, x, u).tobytes() == want.tobytes()
+            assert lv(1.5, x, u).tobytes() == want.tobytes()
 
     def test_space_part_is_evaluated_once_per_grid(self):
         calls = []
@@ -216,9 +216,9 @@ class TestLVSourceMemo:
         x = unit_grid(11).points
         u = np.full((11, 1), 0.5)
         for step in range(5):
-            lv.source(0.1 * step, x, u)
+            lv(0.1 * step, x, u)
         assert len(calls) == 2  # one growth and one interaction profile
-        lv.source(0.0, unit_grid(13).points, np.full((13, 1), 0.5))
+        lv(0.0, unit_grid(13).points, np.full((13, 1), 0.5))
         assert len(calls) == 4
 
 
@@ -261,7 +261,7 @@ class TestLVTablesAtEntryShape:
         t, x, u = _table_samples(m, dim, t_kind)
         want = lv_source_reference(growth, interaction, t, x, u)
         for _ in range(2):  # the second call reads the memoised profiles
-            got = lv.source(t, x, u)
+            got = lv(t, x, u)
             assert got.shape == u.shape
             assert got.tobytes() == want.tobytes()
 
@@ -286,10 +286,10 @@ class TestLVTablesAtEntryShape:
         lv = LVCoefficients(np.full(m, 0.1), growth, interaction)
         x = Grid(SpatialDomain(((0.0, 1.0), (0.0, 1.0))), (201, 201)).points
         u = np.random.default_rng(2).uniform(0.0, 2.0, size=(201, 201, m))
-        lv.source(0.0, x, u)  # build the memoised profiles outside the trace
+        lv(0.0, x, u)  # build the memoised profiles outside the trace
         tracemalloc.start()
         try:
-            lv.source(0.5, x, u)
+            lv(0.5, x, u)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -305,7 +305,12 @@ def _march_lattice(dt, steps):
 
 
 class TestLVSourceBlock:
-    """A block source gives the bits of one source call per time of its lattice."""
+    """A block source gives the bits of one source call per time of its lattice.
+
+    ``lv.block`` tabulates only space-constant separable coefficients and
+    gives None for any other; :meth:`CoefficientSet.source_block` then
+    calls ``lv`` once per step.
+    """
 
     @pytest.mark.parametrize("shift", [False, True])
     @pytest.mark.parametrize("profiles", ["constant", "bump", "mixed"])
@@ -317,9 +322,10 @@ class TestLVSourceBlock:
                             shift=np.linspace(-1.0, 0.5, m) if shift else None)
         _, x, u = _table_samples(m, dim, "scalar")
         ts = _march_lattice(0.37, 12)
-        at = lv.source_block(ts, x)
+        assert (lv.block(ts, x) is None) == (profiles != "constant")
+        at = CoefficientSet(diffusion=None, drift=None, source=lv).source_block(ts, x)
         for j, t in enumerate(ts.tolist()):
-            assert at(j, u).tobytes() == lv.source(t, x, u).tobytes()
+            assert at(j, u, None).tobytes() == lv(t, x, u).tobytes()
 
     def test_a_table_and_plain_callables_are_called_per_step(self):
         growth, interaction = _memo_test_coefficients()
@@ -328,10 +334,11 @@ class TestLVSourceBlock:
         x = unit_grid(23).points
         u = np.random.default_rng(6).uniform(0.0, 2.0, (23, 2))
         ts = _march_lattice(0.1, 30)
-        at = lv.source_block(ts, x)
+        assert lv.block(ts, x) is None
+        at = CoefficientSet(diffusion=None, drift=None, source=lv).source_block(ts, x)
         for j, t in enumerate(ts.tolist()):
             want = lv_source_reference(growth, interaction, t, x, u)
-            assert at(j, u).tobytes() == want.tobytes()
+            assert at(j, u, None).tobytes() == want.tobytes()
 
     def test_the_shift_is_added_after_the_product(self):
         growth, interaction = _table_case(2, 1, "mixed")
@@ -339,8 +346,8 @@ class TestLVSourceBlock:
         plain = LVCoefficients(np.full(2, 0.1), growth, interaction)
         shifted = LVCoefficients(np.full(2, 0.1), growth, interaction, shift=shift)
         _, x, u = _table_samples(2, 1, "scalar")
-        want = plain.source(0.3, x, u) + shift
-        assert shifted.source(0.3, x, u).tobytes() == want.tobytes()
+        want = plain(0.3, x, u) + shift
+        assert shifted(0.3, x, u).tobytes() == want.tobytes()
         # the tables, which the checks read, carry no shift
         assert (shifted.growth_values(0.3, x).tobytes()
                 == plain.growth_values(0.3, x).tobytes())
@@ -356,14 +363,14 @@ class TestLVSourceBlock:
 
         def wrapped(t, x, u, p):
             calls.append(t)
-            return 2.0 * lv.source(t, x, u)
+            return 2.0 * lv(t, x, u)
 
         coeffs = CoefficientSet(diffusion=None, drift=None, source=wrapped)
         _, x, u = _table_samples(2, 1, "scalar")
         ts = _march_lattice(0.25, 3)
         at = coeffs.source_block(ts, x)
         assert [at(j, u, None).tobytes() for j in range(4)] == [
-            (2.0 * lv.source(t, x, u)).tobytes() for t in ts.tolist()]
+            (2.0 * lv(t, x, u)).tobytes() for t in ts.tolist()]
         assert calls == ts.tolist() and all(type(t) is float for t in calls)
 
 
@@ -396,7 +403,7 @@ class TestFrozenSystem:
         system = FrozenSystem(g, lv.diffusion, values)
         u = 0.3 * np.sin(np.pi * g.axes[0])
         v = 0.2 * np.sin(2.0 * np.pi * g.axes[0]) ** 2
-        source = lv.source(0.0, g.points, np.stack([u, v], axis=-1))
+        source = lv(0.0, g.points, np.stack([u, v], axis=-1))
         for k, term in enumerate(system.reaction(u, v)):
             assert_allclose(term, source[:, k], rtol=1e-14, atol=1e-15)
 
@@ -423,9 +430,11 @@ def test_build_lv_problem_wires_diagonal_diffusion():
     initial = Field.from_functions(
         g, [lambda p: np.sin(np.pi * p[..., 0]), lambda p: np.sin(np.pi * p[..., 0])]
     )
-    spec = build_lv_problem(lv, g.domain, initial, horizon=1.0)
+    spec = build_lv_problem(lv, initial, horizon=1.0)
     assert not spec.coefficients.depends_on_gradient
+    assert spec.domain is g.domain
     coeffs = spec.coefficients
+    assert coeffs.source is lv
     x, u, p = np.array([0.5]), np.array([0.2, 0.1]), np.zeros((2, 1))
     a = coeffs.diffusion_matrices(0.0, x, u, 2)
     c = coeffs.source(0.0, x, u, p)
@@ -434,15 +443,12 @@ def test_build_lv_problem_wires_diagonal_diffusion():
     assert_allclose(c, [0.2 * (1 - 0.2), 0.1 * (1 - 0.1)], rtol=1e-14)
 
 
-def test_problem_spec_rejects_bad_horizon_and_domain_mismatch():
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+def test_problem_spec_rejects_bad_horizon(horizon):
     g = unit_grid(11)
     lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
-    initial = Field.zeros(g, 1)
     with pytest.raises(SpecError):
-        build_lv_problem(lv, g.domain, initial, horizon=0.0)
-    other = SpatialDomain(((0.0, 2.0),))
-    with pytest.raises(SpecError):
-        build_lv_problem(lv, other, initial, horizon=1.0)
+        build_lv_problem(lv, Field.zeros(g, 1), horizon=horizon)
 
 
 def test_component_count_must_match_species():
@@ -450,18 +456,17 @@ def test_component_count_must_match_species():
     lv = LVCoefficients(np.array([1.0]), (lambda t, x: 1.0,), ((lambda t, x: 1.0,),))
     initial = Field.zeros(g, 2)
     with pytest.raises(SpecError):
-        build_lv_problem(lv, g.domain, initial, horizon=1.0)
+        build_lv_problem(lv, initial, horizon=1.0)
 
 
 def test_asymmetric_diffusion_rejected():
-    g = unit_grid(5)
     coeffs = CoefficientSet(
         diffusion=lambda t, x, u: np.array([[1.0, 0.5], [0.0, 1.0]]),
         drift=lambda t, x, u, p: np.zeros(np.asarray(x).shape[:-1] + (2,)),
         source=lambda t, x, u, p: np.zeros_like(u),
     )
     g2 = Grid(SpatialDomain(((0.0, 1.0), (0.0, 1.0))), (5, 5))
-    spec = ProblemSpec(g2.domain, coeffs, Field.zeros(g2, 1), horizon=1.0)
+    spec = ProblemSpec(coeffs, Field.zeros(g2, 1), horizon=1.0)
     with pytest.raises(CoefficientError):
         spec.coefficients.diffusion_matrices(0.0, np.array([0.5, 0.5]), np.zeros(1), 1)
 
@@ -529,7 +534,7 @@ class TestDiffusionOncePerDistinctEntry:
         g = Grid(SpatialDomain(((0.0, 1.0), (0.0, 1.0))), (201, 201))
         lv = LVCoefficients(np.full(m, 0.1), (parse_coefficient(1.0),) * m,
                             ((parse_coefficient(1.0),) * m,) * m)
-        spec = build_lv_problem(lv, g.domain, Field.zeros(g, m), horizon=1.0)
+        spec = build_lv_problem(lv, Field.zeros(g, m), horizon=1.0)
         x = g.points
         tracemalloc.start()
         try:
