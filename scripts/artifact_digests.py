@@ -14,9 +14,9 @@ source trees compare line by line:
 
 ``--standard`` adds the standard gate set: the ten built-ins, every
 ``perfbench/configs/*.json`` file, the perfbench ``competition_2d`` config
-from generator seed 7, and five code-built variants of built-ins that take
-verdict or check paths no other target takes (:func:`variants`): 19
-scenarios, with 86 artifacts and 19 manifest lines in all:
+from generator seed 7, and six code-built variants of built-ins that take
+verdict, check or solve paths no other target takes (:func:`variants`): 20
+scenarios, with 90 artifacts and 20 manifest lines in all:
 
     PYTHONPATH=old/src python scripts/artifact_digests.py --standard > old.txt
     PYTHONPATH=src python scripts/artifact_digests.py --standard --compare old.txt
@@ -76,6 +76,9 @@ def variants():
     A2 and A2' test the given ``d1`` and ``d2`` for dominance.
     ``S8_competition_2d_weak_residuals`` adds the steady state and the weak
     residuals of the 2D competition, the only 2D path of either.
+    ``S8_competition_2d_one_species`` starts the 2D competition with its
+    second species zero, so the 2D direct solve meets a component whose
+    data is all zero, which must stay +0.0.
     """
     s2 = REGISTRY["S2_maxbound"][1]()
     s2["name"] = "S2_maxbound_component_bound"
@@ -92,7 +95,10 @@ def variants():
     s8 = REGISTRY["S8_competition_2d"][1]()
     s8["name"] = "S8_competition_2d_weak_residuals"
     s8["analysis"] = {"ops": ["max_principle", "steady_state", "weak_residuals"]}
-    return [s2, s4, every, majorants, s8]
+    one = REGISTRY["S8_competition_2d"][1]()
+    one["name"] = "S8_competition_2d_one_species"
+    one["problem"]["initial"][1] = {"kind": "zero"}
+    return [s2, s4, every, majorants, s8, one]
 
 
 def standard_targets(directory):
@@ -156,7 +162,7 @@ def main(argv=None):
     parser.add_argument("targets", nargs="*",
                         help="built-in scenario names or config file paths")
     parser.add_argument("--standard", action="store_true",
-                        help="add the standard 19-scenario gate set")
+                        help="add the standard 20-scenario gate set")
     parser.add_argument("--compare", metavar="FILE", default=None,
                         help="a table printed earlier; list the paths that differ")
     parser.add_argument("--keep", metavar="DIR", type=Path, default=None,

@@ -381,12 +381,12 @@ def check_compatibility(spec, budget, majorants, compat_factor):
     m = spec.components
     n = grid.dimension
     grad, hess = _derivative_arrays(phi, grid)
-    boundary = ~grid.interior_mask
-    x = grid.points[boundary]
+    faces = (slice(None),) + grid.boundary
+    x = grid.points[grid.boundary]
     count = len(x)
     u0 = np.zeros((count, m))
-    p0 = np.moveaxis(grad[:, boundary], 0, 1)
-    h2 = np.moveaxis(hess[:, boundary], 0, 1)
+    p0 = np.moveaxis(grad[faces], 0, 1)
+    h2 = np.moveaxis(hess[faces], 0, 1)
     coeffs = spec.coefficients
     a = coeffs.diffusion_matrices(0.0, x, u0, m)
     c = np.broadcast_to(np.asarray(coeffs.source(0.0, x, u0, p0), dtype=float), (count, m))
@@ -401,7 +401,7 @@ def check_compatibility(spec, budget, majorants, compat_factor):
     local = np.abs(resid).max(axis=1)
     i = int(local.argmax())
     worst = float(local[i])
-    bad_value = float(np.abs(phi[:, boundary]).max())
+    bad_value = float(np.abs(phi[faces]).max())
     threshold = (COMPAT_FACTOR if compat_factor is None else compat_factor) * (1.0 + scale)
     ok = bad_value <= _TOL_ZERO and worst <= threshold
     return CheckEntry(

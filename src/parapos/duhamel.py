@@ -21,8 +21,9 @@ boundary a ``SpatialDomain`` has.  Each axis of ``n``
 nodes is extended oddly about its two wall nodes, which is the odd
 ``2 (n - 1)``-periodic extension and the method of images for the Dirichlet
 heat kernel (Carslaw & Jaeger 1959).  On that extension every lag operator
-is diagonal in the DST-I basis of the interior nodes, the transform that
-``fdm`` uses for its 2D solves (Buzbee, Golub & Nielson 1970).  With
+is diagonal in the DST-I basis of the interior nodes, whose one transform
+pair, :func:`model.dst_modes` and :func:`model.dst_nodes`, ``fdm``'s 2D
+solves use too (Buzbee, Golub & Nielson 1970).  With
 ``theta_k = pi k / (n - 1)``, k = 1..n - 2, an axis of spacing ``h``
 evolved over variance ``s^2`` has the multiplier
 
@@ -87,11 +88,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dstn, idstn, rfft
+from scipy.fft import rfft
 
 from .checker import source_jacobians
 from .errors import DomainError, NonContraction, SolverError, SpecError
-from .model import Grid, dst_sine_squares
+from .model import Grid, dst_modes, dst_nodes, dst_sine_squares, whole_steps
 
 __all__ = ["KernelOperator", "PicardConfig", "PicardResult", "picard_solve"]
 
@@ -135,27 +136,13 @@ def _axis_multiplier(n, h, variance):
     return rfft(folded).real[1:n - 1]
 
 
-def _to_modes(values, dim):
-    """DST-I coefficients of the interior nodes of the last ``dim`` axes."""
-    interior = values[(Ellipsis,) + (slice(1, -1),) * dim]
-    return dstn(interior, type=1, axes=tuple(range(-dim, 0)))
-
-
-def _to_nodes(modes, dim):
-    """Node values of DST-I coefficients, with every wall node exactly 0."""
-    out = np.zeros(modes.shape[:-dim] + tuple(k + 2 for k in modes.shape[-dim:]))
-    out[(Ellipsis,) + (slice(1, -1),) * dim] = idstn(
-        modes, type=1, axes=tuple(range(-dim, 0)))
-    return out
-
-
 class KernelOperator:
     """Dirichlet evolution of one component over one lag, as a DST-I multiplier.
 
     ``apply`` takes the DST-I coefficients of interior node values
-    (``_to_modes``), one array or a stack of them: any leading axes are
-    batch axes, and the ``(n - 2)`` mode axes of the grid come last.  The
-    operator holds one multiplier of that mode shape.
+    (:func:`model.dst_modes`), one array or a stack of them: any leading
+    axes are batch axes, and the ``(n - 2)`` mode axes of the grid come
+    last.  The operator holds one multiplier of that mode shape.
     """
 
     def __init__(self, grid, rate, tau):
@@ -194,16 +181,17 @@ def _lag_evolver(grid, rates, dt):
     return evolve
 
 
-def _duhamel_quadrature(history, evolve):
+def _duhamel_quadrature(history, evolve, out):
     """Integrals over [0, s_j] of the source history evolved to s_j, j = 1..J.
 
     ``history[l]`` is the source at s_l = l dt for l = 0..J, shape
     ``(J + 1, m, *grid.shape)``; its wall nodes are not read.  Row j of the
-    result (shape ``(J, m, *grid.shape)``) is composite trapezoid over the
-    first j - 1 panels and midpoint on the last: the kernel lagged by half
-    a panel acts on the average of its two endpoint values.  The trapezoid
-    weights are 1/2 on s_0 and s_{j-1} and 1 in between.  Returns the
-    weighted sums, to be scaled by dt.
+    result is composite trapezoid over the first j - 1 panels and midpoint
+    on the last: the kernel lagged by half a panel acts on the average of
+    its two endpoint values.  The trapezoid weights are 1/2 on s_0 and
+    s_{j-1} and 1 in between.  The weighted sums, to be scaled by dt, are
+    written into the interior of ``out`` (shape ``(J, m, *grid.shape)``),
+    whose wall nodes are left as they are; returns ``out``.
 
     All rows are filled at once, in mode space.  The midpoint terms are one
     application at half a panel; then, for each lag d = J..1, the slices
@@ -212,7 +200,7 @@ def _duhamel_quadrature(history, evolve):
     the longest lag to the shortest.
     """
     dim = history.ndim - 2
-    modes = _to_modes(history, dim)
+    modes = dst_modes(history, dim)
     last = len(history) - 1
     acc = evolve(0.5 * (modes[:-1] + modes[1:]), 1)
     # row j takes s_{j-lag}; row 1 has only its midpoint panel
@@ -226,7 +214,7 @@ def _duhamel_quadrature(history, evolve):
         elif lo == lag:
             term[0] *= 0.5       # s_0, row j = lag
         acc[lo - 1:] += term
-    return _to_nodes(acc, dim)
+    return dst_nodes(acc, dim, out)
 
 
 # ------------------------------------------------------------ picard route
@@ -310,15 +298,17 @@ def picard_solve(spec, config=None):
     """Fixed-point solve of the integral formulation on contraction windows.
 
     The step is ``config.dt`` rounded so that a whole number of steps spans
-    the horizon.  The window length is chosen so that (sampled
-    source-Jacobian sup) times (window length) stays at or under one half,
-    then rounded down to a whole number of those steps (at least one).
+    the horizon (:func:`model.whole_steps`).  The window length is chosen so
+    that (sampled source-Jacobian sup) times (window length) stays at or
+    under one half, then rounded down to a whole number of those steps (at
+    least one).
     Within each window the sweep is iterated until the sup change falls
     under ``tol`` (relative to the state size); three consecutive growths of
     the change raise NonContraction, as does running out of sweeps.  The
     integral term is ``_duhamel_quadrature``: composite trapezoid with a
     midpoint final panel, batched by lag over the whole window.  The first
-    ``_BURN_IN`` sweeps of a window record no contraction ratio.
+    ``_BURN_IN`` sweeps of a window record no contraction ratio.  Each
+    window's states are written into their rows of the result as it ends.
     """
     config = config or PicardConfig()
     grid = spec.initial.grid
@@ -327,19 +317,19 @@ def picard_solve(spec, config=None):
 
     amp = 2.0 * max(1.0, float(np.abs(spec.initial.values).max()))
     j_hat = float(np.abs(source_jacobians(spec, amp)).max())
-    total_steps = max(1, int(round(spec.horizon / config.dt)))
-    dt = spec.horizon / total_steps
+    total_steps, dt = whole_steps(spec.horizon, config.dt)
     if j_hat > 0:
         window_steps = max(1, int(math.floor(0.5 / (j_hat * dt))))
     else:
         window_steps = total_steps
 
     evolve = _lag_evolver(grid, rates, dt)
+    dim = grid.dimension
 
-    u0 = spec.initial.values.copy()
+    times = np.empty(total_steps + 1)
+    values = np.empty((total_steps + 1,) + spec.initial.values.shape)
+    times[0], values[0] = 0.0, spec.initial.values
     t0 = 0.0
-    times = [0.0]
-    states = [u0[None].copy()]
     window_edges = [0.0]
     iterations = []
     ratios_all = []
@@ -347,12 +337,13 @@ def picard_solve(spec, config=None):
     steps_done = 0
     while steps_done < total_steps:
         span = min(window_steps, total_steps - steps_done)
-        # (span + 1, m, *grid) arrays, row j at time t0 + j dt
-        hom = np.empty((span + 1,) + u0.shape)
-        hom[0] = u0
-        start = _to_modes(u0, grid.dimension)
-        hom[1:] = _to_nodes(np.stack([evolve(start, 2 * j)
-                                      for j in range(1, span + 1)]), grid.dimension)
+        # (span + 1, m, *grid) arrays, row j at time t0 + j dt, wall nodes 0
+        hom = np.zeros((span + 1,) + values.shape[1:])
+        hom[0] = values[steps_done]
+        start = dst_modes(hom[0], dim)
+        dst_nodes(np.stack([evolve(start, 2 * j) for j in range(1, span + 1)]), dim,
+                  hom[1:])
+        integral = np.zeros_like(hom[1:])
         v = hom
         # the window's times and points, broadcast to its (span + 1, *grid) batch
         stimes = t0 + np.arange(span + 1) * dt
@@ -366,7 +357,7 @@ def picard_solve(spec, config=None):
             sweeps = sweep + 1
             gam = _source_at(spec, t, x, v)
             new = hom.copy()
-            new[1:] += dt * _duhamel_quadrature(gam, evolve)
+            new[1:] += dt * _duhamel_quadrature(gam, evolve, integral)
             change = float(np.abs(new[1:] - v[1:]).max())
             scale = 1.0 + float(np.abs(new).max())
             v = new
@@ -388,17 +379,16 @@ def picard_solve(spec, config=None):
                 f"no fixed point within {config.max_iter} sweeps near t={t0:g}")
         iterations.append(sweeps)
         ratios_all.append(ratios)
-        times.extend(stimes[1:].tolist())
-        states.append(v[1:])
-        u0 = v[span]
+        times[steps_done + 1:steps_done + span + 1] = stimes[1:]
+        values[steps_done + 1:steps_done + span + 1] = v[1:]
         t0 += span * dt
         steps_done += span
         window_edges.append(t0)
 
     return PicardResult(
         grid=grid,
-        times=np.asarray(times),
-        values=np.concatenate(states),
+        times=times,
+        values=values,
         window_edges=window_edges,
         iterations=iterations,
         contraction_ratios=ratios_all,

@@ -38,23 +38,28 @@ least one.  Each step writes its state into the buffer's next row and is
 checked for finiteness at once, which gives its ``min_value``.  Once a
 span's steps are taken, one ``_monitor_rows`` call reduces their other
 monitors together, each into its step's row of ``Trajectory.monitors``, one
-column per entry of :data:`MONITORS`; ``step`` reduces its one step with the
-same call.  The next span runs back through the buffer from the row this one
-ended on, so no state is copied, and spans of one step alternate between two
-states.  ``Trajectory.reports`` builds a :class:`StepReport` from a row only
-when it is read.
+column per entry of :data:`MONITORS`.  The next span runs back through the
+buffer from the row this one ended on, so no state is copied, and spans of
+one step alternate between two states.  ``Trajectory.reports`` builds a
+:class:`StepReport` from a row only when it is read.
 
-Implicit solves.  In 1D every component's operator is one LAPACK
+Implicit solves.  Every direct solve is one call over the joined
+``(m, *grid)`` state.  In 1D every component's operator is one LAPACK
 tridiagonal LU factor (``dgttrf``) of the joined ``(m, n)`` state, whose
 boundary rows are identity rows, so one ``dgttrs`` call solves a step in
-place.  In 2D each component gets its own solver: diffusion declared
-``constant_diffusion`` is solved by the DST-I, which diagonalizes the
-5-point Dirichlet operator (Buzbee, Golub & Nielson, SIAM J. Numer. Anal.
-7, 1970); diffusion that varies in space, time or state by
+place.  In 2D diffusion declared ``constant_diffusion`` is solved by the
+DST-I, which diagonalizes the 5-point Dirichlet operator (Buzbee, Golub &
+Nielson, SIAM J. Numer. Anal. 7, 1970): one forward transform of the
+joined state (:func:`model.dst_modes`, the kernel route's transform too),
+one division by every component's eigenvalues at once, and one inverse
+transform into the state (:func:`model.dst_nodes`).  Diffusion that varies
+in space, time or state is solved component by component by
 Jacobi-preconditioned BiCGSTAB, to the fixed relative tolerance
 ``LINEAR_RTOL`` within ``LINEAR_MAXITER`` iterations.  Constant diffusion
-is evaluated, and its solvers built, once per march; varying diffusion is
-re-evaluated, and its solvers rebuilt, every step.
+is evaluated, and its solve built, once per march; varying diffusion is
+re-evaluated, and its solvers rebuilt, every step.  ``dt`` is rounded so
+that whole steps fill the horizon by :func:`model.whole_steps`, the rule
+of the kernel route too.
 
 The positivity step bound reads the source slopes from the Jacobian samples
 of :func:`checker.source_jacobians`, the same samples that size the Picard
@@ -68,13 +73,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import dstn, idstn
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .checker import source_jacobians
 from .errors import DegenerateRefinement, NonConvergence, SolverError, SpecError
 from .model import (Field, Grid, SpatialDomain, build_cutoff, distinct_entries,
-                    dst_sine_squares, second_difference)
+                    dst_modes, dst_nodes, dst_sine_squares, second_difference,
+                    whole_steps)
 
 SCHEMES = ("imex_be", "erk2")
 
@@ -131,13 +136,6 @@ def _source_evaluations(scheme):
     return 2 if scheme == "erk2" else 1
 
 
-def _report(step, row, source_evaluations):
-    """The :class:`StepReport` of step number ``step`` from its monitor row."""
-    t, low, sup, neg, dudt, dvdt, iterations = row.tolist()
-    return StepReport(step, t, low, sup, neg, dudt, dvdt, int(iterations),
-                      source_evaluations)
-
-
 class StepReports(Sequence):
     """A march's step reports, each built from its monitor row when it is read."""
 
@@ -152,7 +150,9 @@ class StepReports(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
-        return _report(i + 1, self._monitors[i], self._source_evaluations)
+        t, low, sup, neg, dudt, dvdt, iterations = self._monitors[i].tolist()
+        return StepReport(i + 1, t, low, sup, neg, dudt, dvdt, int(iterations),
+                          self._source_evaluations)
 
 
 @dataclass
@@ -315,31 +315,6 @@ def _tridiagonal_solver(a, h, lam):
     return solve
 
 
-def _dst_solver(axx, ayy, hx, hy, lam, shape):
-    """Direct solver of the 2D 5-point operator with constant coefficients.
-
-    The DST-I diagonalizes the Dirichlet second difference along each axis,
-    with eigenvalues -(4 / h^2) sin^2(pi j / (2 (m + 1))), j = 1..m
-    (``model.dst_sine_squares``), so a
-    solve is a forward transform, a division by the operator's eigenvalues,
-    and the inverse transform.
-    """
-    mx, my = shape
-    sx, sy = dst_sine_squares(mx), dst_sine_squares(my)
-    den = (1.0 + (4.0 * lam * axx / hx**2) * sx[:, None]
-           + (4.0 * lam * ayy / hy**2) * sy[None, :])
-
-    def apply(rhs_int):
-        if not np.any(rhs_int):
-            # the transforms can turn zeros into -0.0; zero data stays bitwise zero
-            return np.zeros_like(rhs_int)
-        modes = dstn(rhs_int, type=1)
-        modes /= den
-        return idstn(modes, type=1, overwrite_x=True)
-
-    return apply
-
-
 def _assemble_2d(axx, ayy, hx, hy, lam):
     import scipy.sparse as sp  # deferred: README "Set-up cost"
     mx, my = axx.shape
@@ -391,24 +366,39 @@ def _implicit_solve(grid, a, lam, constant, guess=None, counter=None):
     """``solve(w)`` overwrites ``w`` with the solution of (I - lam * sum_i a_ii d_ii) x = w.
 
     ``w`` holds every component, and the solution's boundary is zero.  In 1D
-    every diffusion gets the joined tridiagonal factor.  In 2D each
-    component is solved on the interior: ``constant`` diffusion by the DST
-    solve, read at any one node; otherwise by BiCGSTAB, warm-started at the
-    interior of ``guess`` and counting into ``counter``.
+    every diffusion gets the joined tridiagonal factor.  In 2D ``constant``
+    diffusion, read at any one node, is solved for every component at once
+    by the DST-I, whose eigenvalues of the Dirichlet second difference are
+    ``-(4 / h^2)`` times :func:`model.dst_sine_squares` along each axis;
+    varying diffusion component by component by BiCGSTAB, warm-started at
+    the interior of ``guess`` and counting into ``counter``.
     """
     if grid.dimension == 1:
         return _tridiagonal_solver(a[:, :, 0, 0].T, grid.spacing[0], lam)
     interior = grid.interior_slices
-    boundary = (slice(None),) + np.nonzero(~grid.interior_mask)
+    boundary = (slice(None),) + grid.boundary
     hx, hy = grid.spacing
     if constant:
-        shape = tuple(n - 2 for n in grid.shape)
-        solvers = [_dst_solver(a[1, 1, k, 0, 0], a[1, 1, k, 1, 1], hx, hy, lam, shape)
-                   for k in range(a.shape[-3])]
-    else:
-        solvers = [_bicgstab_solver(a[interior + (k, 0, 0)], a[interior + (k, 1, 1)],
-                                    hx, hy, lam, guess[(k,) + interior], counter)
-                   for k in range(a.shape[-3])]
+        axx, ayy = a[1, 1, :, 0, 0, None, None], a[1, 1, :, 1, 1, None, None]
+        sx, sy = (dst_sine_squares(n - 2) for n in grid.shape)
+        den = (1.0 + (4.0 * lam * axx / hx**2) * sx[:, None]
+               + (4.0 * lam * ayy / hy**2) * sy[None, :])
+
+        def solve(w):
+            # the transforms can turn zeros into -0.0; a component whose
+            # data is zero stays bitwise zero
+            zero = ~np.any(w[(slice(None),) + interior], axis=(1, 2))
+            modes = dst_modes(w, 2)
+            modes /= den
+            dst_nodes(modes, 2, w)
+            w[zero] = 0.0
+            w[boundary] = 0.0
+
+        return solve
+
+    solvers = [_bicgstab_solver(a[interior + (k, 0, 0)], a[interior + (k, 1, 1)],
+                                hx, hy, lam, guess[(k,) + interior], counter)
+               for k in range(a.shape[-3])]
 
     def solve(w):
         for k, solve_k in enumerate(solvers):
@@ -420,22 +410,23 @@ def _implicit_solve(grid, a, lam, constant, guess=None, counter=None):
 
 # ------------------------------------------------------------------- stepping
 
-def _stepper(spec, grid, config, dt, t0, values0):
+def _stepper(spec, config, dt):
     """The one-step map for a fixed ``dt``, over blocks of steps.
 
     ``begin(ts)`` starts a block on the time lattice ``ts`` (its steps' start
     times and the next one) and returns ``advance(j, values, out, counter)``,
     which writes the step from ``values`` at ``ts[j]`` into ``out``.
     ``imex_be`` freezes the diffusion coefficient at the step start.  With
-    ``constant_diffusion`` it is evaluated once, at ``(t0, values0)``, and the
-    implicit solve is built once for every step of this ``dt``; it lives
-    only as long as the returned function.  Otherwise both are rebuilt every
-    step.
+    ``constant_diffusion`` it is evaluated once, at t = 0 and the initial
+    state, and the implicit solve is built once for every step of this
+    ``dt``; it lives only as long as the returned function.  Otherwise both
+    are rebuilt every step.
     """
-    reaction = _reaction_drift(spec, grid, values0.shape[0])
+    grid, values0 = spec.initial.grid, spec.initial.values
+    reaction = _reaction_drift(spec, grid, spec.components)
     frozen = None
     if spec.coefficients.constant_diffusion:
-        frozen = _frozen_diffusion(spec, t0, grid, values0)
+        frozen = _frozen_diffusion(spec, 0.0, grid, values0)
 
     def diffusion(t, values):
         if frozen is not None:
@@ -443,7 +434,7 @@ def _stepper(spec, grid, config, dt, t0, values0):
         return _frozen_diffusion(spec, t, grid, values)
 
     if config.scheme == "erk2":
-        boundary = (slice(None),) + np.nonzero(~grid.interior_mask)
+        boundary = (slice(None),) + grid.boundary
 
         def begin(ts):
             explicit, times = reaction(ts), ts.tolist()
@@ -488,22 +479,6 @@ def _stepper(spec, grid, config, dt, t0, values0):
         return advance
 
     return begin
-
-
-def step(state, t, dt, spec, config):
-    """Advance one step of length ``dt`` from ``state``; returns (Field, report)."""
-    if not (dt > 0 and math.isfinite(dt)):
-        raise SpecError("dt must be positive and finite")
-    grid = state.grid
-    counter = [0]
-    old = np.asarray(state.values, dtype=float)
-    new = np.empty(old.shape)
-    advance = _stepper(spec, grid, config, dt, t, old)(np.array([t, t + dt]))
-    advance(0, old, new, counter)
-    rows = np.empty((1, len(MONITORS)))
-    rows[0, _T], rows[0, _MIN], rows[0, _ITER] = t + dt, new.min(), counter[0]
-    _monitor_rows(old[None], new[None], dt, rows)
-    return Field(grid, new), _report(0, rows[0], _source_evaluations(config.scheme))
 
 
 def _monitor_rows(old, new, dt, rows):
@@ -569,16 +544,12 @@ def _stability_bound(spec, grid, values):
     return 1.0 / (2.0 * worst * sum(1.0 / h**2 for h in grid.spacing))
 
 
-def _step_count(spec, config):
-    return max(1, int(round(spec.horizon / config.dt)))
-
-
 def stored_count(spec, config):
     """Snapshots ``solve`` stores, ``1 + ceil(steps / store_every)``.
 
     They are the initial state, every ``store_every``-th step and the last.
     """
-    return 1 - (-_step_count(spec, config) // config.store_every)
+    return 1 - (-whole_steps(spec.horizon, config.dt)[0] // config.store_every)
 
 
 def solve(spec, config, sink=None):
@@ -598,8 +569,7 @@ def solve(spec, config, sink=None):
     """
     grid = spec.initial.grid
     spec.initial.validate()
-    steps = _step_count(spec, config)
-    dt = spec.horizon / steps
+    steps, dt = whole_steps(spec.horizon, config.dt)
     adjusted = abs(dt - config.dt) > 1e-9 * max(1.0, config.dt)
 
     w = spec.initial.values
@@ -633,7 +603,7 @@ def solve(spec, config, sink=None):
     states[0] = w
     row, sign = 0, 1
     t = 0.0
-    begin = _stepper(spec, grid, config, dt, t, w)
+    begin = _stepper(spec, config, dt)
     for first in range(0, steps, BLOCK_STEPS):
         count = min(BLOCK_STEPS, steps - first)
         ts = [t]

@@ -12,6 +12,11 @@ specialized case carried by :class:`LVCoefficients`, which is itself the
 source of the problem :func:`build_lv_problem` builds.  Each fact of a
 problem lives once: its domain is its initial field's grid's, and
 :meth:`CoefficientSet.source_block` is the one per-step source fallback.
+So does each fact of the Dirichlet grid that both routes use: its face
+nodes (:attr:`Grid.boundary`), the second difference, the DST-I mode table
+(:func:`dst_sine_squares`) and transform pair (:func:`dst_modes`,
+:func:`dst_nodes`) of the grid's 2D direct solve and the kernel route, and
+the rule that rounds ``dt`` to whole steps (:func:`whole_steps`).
 
 Evaluator convention: coefficient callables are vectorized over a leading
 batch shape.  ``x`` has shape ``(..., n)``, ``u`` has ``(..., m)``, and the
@@ -31,6 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.fft import dstn, idstn
 
 from .errors import CoefficientError, SpecError
 
@@ -99,28 +105,22 @@ class Grid:
 
     @cached_property
     def interior_mask(self):
-        mask = np.ones(self.shape, dtype=bool)
-        for axis in range(self.dimension):
-            idx = [slice(None)] * self.dimension
-            idx[axis] = 0
-            mask[tuple(idx)] = False
-            idx[axis] = -1
-            mask[tuple(idx)] = False
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[self.interior_slices] = True
         return mask
+
+    @cached_property
+    def boundary(self):
+        """The face nodes as an ``np.nonzero`` index, in C order.
+
+        ``values[(slice(None),) + grid.boundary]`` reaches them in every
+        component of ``(m, *shape)`` values.
+        """
+        return np.nonzero(~self.interior_mask)
 
     @property
     def interior_slices(self):
         return tuple(slice(1, -1) for _ in range(self.dimension))
-
-
-def _zero_boundary(values, grid):
-    dim = grid.dimension
-    for axis in range(dim):
-        idx = [slice(None)] * (1 + dim)
-        idx[1 + axis] = 0
-        values[tuple(idx)] = 0.0
-        idx[1 + axis] = -1
-        values[tuple(idx)] = 0.0
 
 
 def second_difference(values, grid, axis):
@@ -153,6 +153,29 @@ def dst_sine_squares(m):
     return np.sin(0.5 * np.pi * np.arange(1, m + 1) / (m + 1)) ** 2
 
 
+def dst_modes(values, dim):
+    """DST-I coefficients of the interior nodes of the last ``dim`` axes of ``values``."""
+    interior = values[(Ellipsis,) + (slice(1, -1),) * dim]
+    return dstn(interior, type=1, axes=tuple(range(-dim, 0)))
+
+
+def dst_nodes(modes, dim, out):
+    """Node values of DST-I coefficients, written into the interior of ``out``.
+
+    ``modes`` has the shape of that interior and is overwritten; the wall
+    nodes of ``out`` are not written.  Returns ``out``.
+    """
+    out[(Ellipsis,) + (slice(1, -1),) * dim] = idstn(
+        modes, type=1, axes=tuple(range(-dim, 0)), overwrite_x=True)
+    return out
+
+
+def whole_steps(horizon, dt):
+    """``(count, step)``: ``dt`` rounded so that ``count >= 1`` whole steps fill ``horizon``."""
+    count = max(1, int(round(horizon / dt)))
+    return count, horizon / count
+
+
 @dataclass
 class Field:
     """Componentwise state on a grid: ``values`` has shape ``(m, *grid.shape)``.
@@ -183,7 +206,7 @@ class Field:
         if values.ndim == grid.dimension:
             values = values[None]
         fld = cls(grid, values)
-        _zero_boundary(fld.values, grid)
+        fld.values[(slice(None),) + grid.boundary] = 0.0
         return fld
 
     @classmethod
@@ -197,8 +220,7 @@ class Field:
         return self.values.shape[0]
 
     def boundary_max_abs(self):
-        mask = ~self.grid.interior_mask
-        return float(np.abs(self.values[:, mask]).max()) if mask.any() else 0.0
+        return float(np.abs(self.values[(slice(None),) + self.grid.boundary]).max())
 
     def validate(self):
         if not np.isfinite(self.values).all():
@@ -481,7 +503,7 @@ class FrozenSystem:
         """``d_k * lap_h(w_k) + reaction_k`` for w = (u, v), zero Laplacian on the faces."""
         w = np.stack([u, v])
         lap = sum(second_difference(w, self.grid, axis) for axis in range(self.grid.dimension))
-        lap[:, ~self.grid.interior_mask] = 0.0
+        lap[(slice(None),) + self.grid.boundary] = 0.0
         return tuple(d * dw + r for d, dw, r in zip(self.diffusion, lap, self.reaction(u, v)))
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from parapos.checker import ASSUMPTION_IDS
@@ -121,7 +122,7 @@ def test_the_manifest_digest_skips_timestamps_and_sees_every_verdict_datum(
     assert digest(files=[]) != base
 
 
-def test_standard_lists_the_nineteen_scenarios_of_the_gate(digests, tmp_path):
+def test_standard_lists_the_twenty_scenarios_of_the_gate(digests, tmp_path):
     targets = digests.standard_targets(tmp_path)
     configs = digests.PERFBENCH / "configs"
     assert targets == [
@@ -137,24 +138,28 @@ def test_standard_lists_the_nineteen_scenarios_of_the_gate(digests, tmp_path):
         str(tmp_path / "S1_positivity_every_check.json"),
         str(tmp_path / "S1_positivity_majorants.json"),
         str(tmp_path / "S8_competition_2d_weak_residuals.json"),
+        str(tmp_path / "S8_competition_2d_one_species.json"),
     ]
     # the variants validate, and reach the carrying bound, the limit
     # coefficients and battery taken from the problem, every check, the
-    # dominance test of given dissipativity constants, and the 2D steady
-    # state and weak residuals
-    s2, s4 = (load_config(path).analysis_data for path in targets[-5:-3])
+    # dominance test of given dissipativity constants, the 2D steady state
+    # and weak residuals, and a 2D direct solve with one species zero
+    s2, s4 = (load_config(path).analysis_data for path in targets[-6:-4])
     assert s2["ops"] == ["max_principle", "component_bound"]
     assert (s2["t_split"], s2["bound_component"]) == (0.5, 1)
     assert "weak_residuals" in s4["ops"]
     assert "limits" not in s4 and "battery" not in s4
-    every, majorants = (load_config(path) for path in targets[-3:-1])
+    every, majorants = (load_config(path) for path in targets[-4:-2])
     for config in (every, majorants):
         assert config.assumptions() == ASSUMPTION_IDS
     assert every.majorants() is None
     assert (majorants.majorants().d1, majorants.majorants().d2) == (0.5, 1.0)
-    s8 = load_config(targets[-1])
+    s8 = load_config(targets[-2])
     assert s8.analysis_data["ops"] == ["max_principle", "steady_state", "weak_residuals"]
     assert s8.grid().dimension == 2
+    one = load_config(targets[-1]).build_problem()
+    assert one.dimension == 2 and one.coefficients.constant_diffusion
+    assert np.any(one.initial.values[0]) and not np.any(one.initial.values[1])
     # the generated config is the perfbench one for generator seed 7
     spec = importlib.util.spec_from_file_location(
         "workloads", digests.PERFBENCH / "workloads.py")

@@ -29,12 +29,11 @@ from parapos.duhamel import (
     _duhamel_quadrature,
     _lag_evolver,
     _source_at,
-    _to_modes,
-    _to_nodes,
     picard_solve,
 )
 from parapos.errors import (CoefficientError, DomainError, NonContraction,
                             SolverError, SpecError)
+from parapos.fdm import SchemeConfig, solve
 from parapos.model import (
     CoefficientSet,
     Field,
@@ -43,6 +42,8 @@ from parapos.model import (
     ProblemSpec,
     SpatialDomain,
     build_lv_problem,
+    dst_modes,
+    dst_nodes,
 )
 from parapos.scenarios import s6_oracle_crosscheck
 
@@ -76,10 +77,16 @@ def flat_logistic(beta=1.0, gamma=1.0, d=1e-4, amplitude=0.5, horizon=1.0, n=201
     return build_lv_problem(lv, init, horizon)
 
 
+def to_nodes(modes, dim):
+    """Node values of DST-I coefficients, with every wall node exactly 0."""
+    out = np.zeros(modes.shape[:-dim] + tuple(k + 2 for k in modes.shape[-dim:]))
+    return dst_nodes(modes, dim, out)
+
+
 def evolve_nodes(op, values):
     """``op`` applied to node values ``(*batch, *grid.shape)`` through the DST-I."""
     dim = op.grid.dimension
-    return _to_nodes(op.apply(_to_modes(values, dim)), dim)
+    return to_nodes(op.apply(dst_modes(values, dim)), dim)
 
 
 def reference_axis_matrix(n, h, variance):
@@ -127,7 +134,7 @@ class TestKernelOperator:
     def test_zero_lag_is_the_identity(self):
         g = wide_grid(65)
         op = KernelOperator(g, 1.0, 0.0)
-        v = _to_modes(np.sin(g.axes[0]), 1)
+        v = dst_modes(np.sin(g.axes[0]), 1)
         out = op.apply(v)
         assert np.array_equal(out, v)
         assert out is not v
@@ -186,10 +193,10 @@ class TestKernelOperator:
 
     def test_semigroup_composition(self):
         g = wide_grid()
-        modes = _to_modes(np.exp(-g.axes[0] ** 2), 1)
+        modes = dst_modes(np.exp(-g.axes[0] ** 2), 1)
         half = KernelOperator(g, 1.0, 0.3)
-        twice = _to_nodes(half.apply(half.apply(modes)), 1)
-        once = _to_nodes(KernelOperator(g, 1.0, 0.6).apply(modes), 1)
+        twice = to_nodes(half.apply(half.apply(modes)), 1)
+        once = to_nodes(KernelOperator(g, 1.0, 0.6).apply(modes), 1)
         assert np.abs(twice - once).max() <= 1e-10
 
     def test_per_component_rates(self):
@@ -199,7 +206,7 @@ class TestKernelOperator:
         x = g.axes[0]
         init = np.stack([np.exp(-(x**2) / 0.5), np.exp(-(x**2) / 0.5)])
         evolve = _lag_evolver(g, np.array([1.0, 4.0]), 0.5)
-        out = _to_nodes(evolve(_to_modes(init, 1), 1), 1)
+        out = to_nodes(evolve(dst_modes(init, 1), 1), 1)
         assert_allclose(out[0], heat_gaussian(x, 0.25, 1.0, 0.5), atol=1e-10)
         assert_allclose(out[1], heat_gaussian(x, 0.25, 4.0, 0.5), atol=1e-10)
 
@@ -363,7 +370,8 @@ class TestBatchedQuadrature:
             return DenseOperator(grid, float(rates[k]), half_steps * dt / 2.0)
 
         want = duhamel_rows_reference(history, operator)
-        got = _duhamel_quadrature(history, _lag_evolver(grid, rates, dt))
+        got = _duhamel_quadrature(history, _lag_evolver(grid, rates, dt),
+                                  np.zeros(history[1:].shape))
         _assert_close(got, want)
         assert _walls_are_zero(got, dim)
 
@@ -432,12 +440,22 @@ class TestBatchedQuadrature:
         g = wide_grid()
         steps, tau = 50, 0.5
         rows = _duhamel_quadrature(np.ones((steps + 1, 1) + g.shape),
-                                   _lag_evolver(g, np.array([1.0]), tau / steps))
+                                   _lag_evolver(g, np.array([1.0]), tau / steps),
+                                   np.zeros((steps, 1) + g.shape))
         interior = np.abs(g.axes[0]) < 2.0
         assert_allclose(tau / steps * rows[-1, 0, interior], tau, atol=1e-10)
 
 
 class TestPicard:
+    def test_both_routes_round_dt_to_the_same_whole_steps(self):
+        # 0.3 does not divide the horizon 1.0: three whole steps of 1/3 fill it
+        spec = flat_logistic(horizon=1.0, n=21)
+        trajectory = solve(spec, SchemeConfig(dt=0.3))
+        res = picard_solve(spec, PicardConfig(dt=0.3))
+        assert trajectory.dt == res.times[1] == 1.0 / 3.0
+        assert trajectory.dt_adjusted
+        assert len(trajectory.monitors) == len(res.times) - 1 == 3
+
     def test_flat_plateau_tracks_the_logistic_closed_form(self):
         spec = flat_logistic()
         res = picard_solve(spec, PicardConfig(dt=0.01))

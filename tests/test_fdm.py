@@ -39,7 +39,6 @@ from parapos.fdm import (
     positivity_step_bound,
     solve,
     solve_cauchy_nested,
-    step,
 )
 from parapos.model import (
     CoefficientSet,
@@ -53,6 +52,15 @@ from parapos.model import (
 from parapos.scenarios import get_scenario
 
 UNIT = SpatialDomain(((0.0, 1.0),))
+
+
+def one_step(state, dt, spec, config):
+    """One step of length ``dt`` from ``state`` at t = 0, as a one-step ``solve``.
+
+    Returns the new state as a :class:`Field` and the step's report.
+    """
+    traj = solve(replace(spec, initial=state, horizon=dt), replace(config, dt=dt))
+    return Field(state.grid, traj.final_values), traj.reports[0]
 
 
 def heat_problem(n=101, d=1.0, amplitude=1.0, horizon=1.0):
@@ -111,7 +119,7 @@ class TestSingleStep:
         spec = heat_problem()
         g = spec.initial.grid
         dt = 0.01
-        new, report = step(spec.initial, 0.0, dt, spec, SchemeConfig(scheme="imex_be", dt=dt))
+        new, report = one_step(spec.initial, dt, spec, SchemeConfig(scheme="imex_be", dt=dt))
         factor = backward_euler_heat_factor(g.spacing[0], dt)
         assert_allclose(new.values[0], factor * spec.initial.values[0], atol=1e-12)
         assert report.solve_iterations >= 0
@@ -125,7 +133,7 @@ class TestSingleStep:
         init = Field.from_arrays(g, np.full((1, 101), 0.4))
         spec = build_lv_problem(lv, init, horizon=1.0)
         dt = 1e-3
-        new, report = step(init, 0.0, dt, spec, SchemeConfig(scheme="erk2", dt=dt))
+        new, report = one_step(init, dt, spec, SchemeConfig(scheme="erk2", dt=dt))
         oracle = heun_scalar(lambda t, y: y * (1.0 - y), 0.4, dt, 1)
         assert_allclose(new.values[0, 3:-3], oracle, rtol=0, atol=1e-14)
         assert report.source_evaluations == 2
@@ -139,7 +147,7 @@ class TestSingleStep:
         )
         spec = build_lv_problem(lv, init, horizon=1.0)
         dt = 1e-3
-        new, report = step(init, 0.0, dt, spec, SchemeConfig(scheme="imex_be", dt=dt))
+        new, report = one_step(init, dt, spec, SchemeConfig(scheme="imex_be", dt=dt))
         lam = 2.0 * dirichlet_laplacian_eigenvalue(g.spacing[0])
         assert_allclose(new.values[0], init.values[0] / (1.0 + dt * lam), atol=1e-12)
         # constant diffusion is solved directly, with no iterations
@@ -154,7 +162,7 @@ class TestSingleStep:
         axx = 1.0 + pts[..., 0]
         ayy = 0.5 + 0.25 * np.sin(np.pi * pts[..., 1])
         dt = 1e-3
-        new, report = step(init, 0.0, dt, spec, SchemeConfig(scheme="imex_be", dt=dt))
+        new, report = one_step(init, dt, spec, SchemeConfig(scheme="imex_be", dt=dt))
         assert report.solve_iterations >= 1
         w = new.values[0]
         hx, hy = g.spacing
@@ -172,11 +180,11 @@ class TestSingleStep:
     def test_bad_dt_rejected(self):
         spec = heat_problem()
         with pytest.raises(SpecError):
-            step(spec.initial, 0.0, -0.1, spec, SchemeConfig())
+            one_step(spec.initial, -0.1, spec, SchemeConfig())
 
     def test_step_keeps_the_boundary_pinned(self):
         spec = logistic_problem()
-        new, _ = step(spec.initial, 0.0, 0.01, spec, SchemeConfig(scheme="imex_be", dt=0.01))
+        new, _ = one_step(spec.initial, 0.01, spec, SchemeConfig(scheme="imex_be", dt=0.01))
         assert new.values[0, 0] == 0.0
         assert new.values[0, -1] == 0.0
 
@@ -539,25 +547,38 @@ class TestStepReports:
 
 class TestDirectSolvers:
     def test_dst_solve_matches_a_sparse_direct_solve(self):
-        # non-square grid, unequal spacings and unequal coefficients, so an
-        # axis swap anywhere in the transform solve would show
+        # non-square grid, unequal spacings and unequal coefficients within
+        # and across the two components, so an axis swap or a component
+        # swap anywhere in the batched transform solve would show
         g = Grid(SpatialDomain(((0.0, 1.0), (0.0, 2.5))), (17, 29))
         hx, hy = g.spacing
-        axx, ayy, lam = 0.7, 0.05, 0.013
-        a = np.zeros(g.shape + (1, 2, 2))
-        a[..., 0, 0, 0] = axx
-        a[..., 0, 1, 1] = ayy
-        rhs = np.random.default_rng(3).standard_normal((15, 27))
-        mat, _ = _assemble_2d(np.full(rhs.shape, axx), np.full(rhs.shape, ayy),
-                              hx, hy, lam)
-        ref = spsolve(mat.tocsc(), rhs.ravel()).reshape(rhs.shape)
-        w = np.ones((1,) + g.shape)
-        w[0, 1:-1, 1:-1] = rhs
-        _implicit_solve(g, a, lam, True)(w)
-        got = w[0, 1:-1, 1:-1]
-        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        lam = 0.013
+        coefficients = ((0.7, 0.05), (0.02, 0.9))
+        a = np.zeros(g.shape + (2, 2, 2))
+        for k, (axx, ayy) in enumerate(coefficients):
+            a[..., k, 0, 0] = axx
+            a[..., k, 1, 1] = ayy
+        rhs = np.random.default_rng(3).standard_normal((2, 15, 27))
+        w = np.ones((2,) + g.shape)
+        w[:, 1:-1, 1:-1] = rhs
+        solve_both = _implicit_solve(g, a, lam, True)
+        solve_both(w)
+        for k, (axx, ayy) in enumerate(coefficients):
+            mat, _ = _assemble_2d(np.full(rhs[k].shape, axx), np.full(rhs[k].shape, ayy),
+                                  hx, hy, lam)
+            ref = spsolve(mat.tocsc(), rhs[k].ravel()).reshape(rhs[k].shape)
+            got = w[k, 1:-1, 1:-1]
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         # the solve leaves the boundary zero, whatever the right-hand side held there
-        assert not np.any(w[0][~g.interior_mask])
+        assert not np.any(w[(slice(None),) + g.boundary])
+        # a component whose data is all zero, of either sign, stays bitwise
+        # +0.0 beside one that is not
+        w = np.ones((2,) + g.shape)
+        w[0, 1:-1, 1:-1] = rhs[0]
+        w[1, 1:-1, 1:-1] = np.where(rhs[1] < 0.0, -0.0, 0.0)
+        solve_both(w)
+        assert not np.any(w[1].view(np.uint64))
+        assert np.any(w[0])
 
     @pytest.mark.parametrize("nodes", (4, 5, 101))
     def test_factored_1d_solve_is_bitwise_the_banded_solve(self, nodes):
@@ -585,7 +606,7 @@ class TestDirectSolvers:
         init = Field.from_arrays(g, values)
         spec = ProblemSpec(coeffs, init, horizon=1.0)
         dt = 0.01
-        new, _ = step(init, 0.0, dt, spec, SchemeConfig(scheme="imex_be", dt=dt))
+        new, _ = one_step(init, dt, spec, SchemeConfig(scheme="imex_be", dt=dt))
         a_node = 0.05 * (1.0 + 3.0 * g.axes[0][1:-1])
         want = np.zeros_like(values)
         want[0, 1:-1] = banded_implicit_solve(a_node, g.spacing[0], dt, values[0, 1:-1])
@@ -720,8 +741,8 @@ class TestOrderProperties:
         spec = build_lv_problem(lv, upper, horizon=1.0)
         dt = min(dt, positivity_step_bound(spec, reference=upper.values))
         config = SchemeConfig(scheme="imex_be", dt=dt)
-        below, _ = step(lower, 0.0, dt, spec, config)
-        above, _ = step(upper, 0.0, dt, spec, config)
+        below, _ = one_step(lower, dt, spec, config)
+        above, _ = one_step(upper, dt, spec, config)
         gap_after = above.values - below.values
         assert gap_after.min() >= -1e-14 * np.abs(above.values).max()
 

@@ -132,7 +132,7 @@ def test_rejecting_an_incomplete_table_leaves_scipy_interpolate_unloaded(tmp_pat
 def test_a_varying_diffusion_step_in_2d_loads_scipy_sparse_linalg():
     before, after, iterations, finite = after_cli_import("""
 import numpy as np
-from parapos.fdm import SchemeConfig, step
+from parapos.fdm import SchemeConfig, solve
 from parapos.model import CoefficientSet, Field, Grid, ProblemSpec, SpatialDomain
 
 domain = SpatialDomain(((0.0, 1.0), (0.0, 1.0)))
@@ -150,11 +150,12 @@ coefficients = CoefficientSet(
     source=lambda t, x, u, p: np.zeros_like(u))
 pts = grid.points
 init = Field.from_arrays(grid, (np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1]))[None])
-spec = ProblemSpec(coefficients, init, horizon=1.0)
+spec = ProblemSpec(coefficients, init, horizon=1e-3)
 before = 'scipy.sparse' in sys.modules
-new, report = step(init, 0.0, 1e-3, spec, SchemeConfig(scheme='imex_be', dt=1e-3))
+trajectory = solve(spec, SchemeConfig(scheme='imex_be', dt=1e-3))
 print(json.dumps([before, 'scipy.sparse.linalg' in sys.modules,
-                  report.solve_iterations, bool(np.isfinite(new.values).all())]))
+                  trajectory.reports[0].solve_iterations,
+                  bool(np.isfinite(trajectory.final_values).all())]))
 """)
     assert (before, after) == (False, True)
     assert iterations >= 1

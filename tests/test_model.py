@@ -56,6 +56,10 @@ class TestDomainAndGrid:
         assert mask.sum() == 4
         assert not mask[0].any() and not mask[-1].any()
         assert not mask[:, 0].any() and not mask[:, -1].any()
+        # the face nodes are the twelve the mask leaves out, in C order
+        ix, iy = g.boundary
+        assert len(ix) == 12 and not mask[ix, iy].any()
+        assert list(zip(ix, iy))[:5] == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(SpecError):
