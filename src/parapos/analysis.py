@@ -8,6 +8,12 @@ against the limiting elliptic system, a :class:`FrozenSystem` frozen at the
 limit.  Inputs are arrays (or plain numbers for a sup) together with an
 explicit grid or domain; nothing is read off a ``Field``.
 
+The monotonicity rates, their argmin and the sup are read off the stored
+trajectory in spans of snapshots, ``model.SPAN_BYTES`` at a time (the budget
+of the march's own span of states), and give the bits of one ``argmin``
+over all snapshot pairs.  ``component_bound_mk`` reads its early snapshots
+as a prefix view.
+
 Weak residuals use compactly supported quartic bumps as test functions.  In
 one dimension the quadrature partition is augmented with the exact support
 endpoints, because the bump's second derivative jumps there and plain
@@ -26,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DivisionDomainError, IntegrabilityError, SpecError
-from .model import FrozenSystem, Grid
+from .model import SPAN_BYTES, FrozenSystem, Grid
 
 RESIDUAL_FLOOR = 1e-12
 BOUND_DOUBLINGS = 20          # carrying bound: ratio sampled at t_split * 2**j, j <= this
@@ -158,8 +164,9 @@ def component_bound_mk(trajectory, beta, gamma_kk, t_split, component):
     if not 0 < t_split <= trajectory.times[-1] + 1e-12:
         raise SpecError("the split time must lie inside the computed horizon")
 
-    early = trajectory.times <= t_split + 1e-12
-    traj_sup = float(vals[early, component].max())
+    # the times are sorted, so the early snapshots are a prefix
+    early = int(np.searchsorted(trajectory.times, t_split + 1e-12, side="right"))
+    traj_sup = float(vals[:early, component].max())
 
     grid = trajectory.grid
     mesh = Grid(grid.domain,
@@ -244,7 +251,10 @@ def detect_monotone(trajectory, component, expected_sign):
     -tol_mono with tol_mono = MONOTONE_TOL_FACTOR * (1 + sup|u|).  The worst
     margin is taken over interior nodes only, since the wall nodes are pinned
     to zero and would hold it at 0.  The witness points at the worst node
-    (full-grid indices) and snapshot pair.
+    (full-grid indices) and snapshot pair.  The snapshots are read in spans
+    of ``SPAN_BYTES`` (at least one pair of snapshots each), and an
+    ``argmin`` over the span minima picks the one ``argmin`` over all pairs
+    would: the earliest pair and node win a tie, and a NaN wins outright.
     """
     sign = _parse_sign(expected_sign)
     vals = trajectory.values
@@ -255,14 +265,25 @@ def detect_monotone(trajectory, component, expected_sign):
     if not 0 <= component < m:
         raise SpecError(f"component {component} out of range for {m} components")
     series = vals[:, component]
-    interior = series[(slice(None),) + trajectory.grid.interior_slices]
-    dt = np.diff(times)
+    inner = (slice(None),) + trajectory.grid.interior_slices
     shaper = (slice(None),) + (None,) * (series.ndim - 1)
-    rates = sign * np.diff(interior, axis=0) / dt[shaper]
-    flat = int(rates.argmin())
-    where = np.unravel_index(flat, rates.shape)
-    worst = float(rates[where])
-    sup = float(np.abs(series).max())
+    pairs = len(times) - 1
+    step = max(1, SPAN_BYTES // series[0].nbytes)
+    lows, wheres, sups = [], [], []
+    for start in range(0, pairs, step):
+        # the next span starts on this span's last snapshot
+        span = series[start:min(start + step, pairs) + 1]
+        sups.append(np.abs(span).max())
+        interior = span[inner]
+        rates = np.subtract(interior[1:], interior[:-1])
+        rates *= sign
+        rates /= np.diff(times[start:start + len(span)])[shaper]
+        at = np.unravel_index(int(rates.argmin()), rates.shape)
+        lows.append(rates[at])
+        wheres.append((start + at[0], *at[1:]))
+    first = int(np.argmin(lows))
+    worst, where = float(lows[first]), wheres[first]
+    sup = float(np.max(sups))
     tol = MONOTONE_TOL_FACTOR * (1.0 + sup)
     witness = {
         "t_from": float(times[where[0]]),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -26,7 +27,7 @@ from .coefficients import (build_initial_field, parse_coefficient,
 from .errors import ConfigError
 from .fdm import SchemeConfig
 from .model import (Grid, LVCoefficients, Majorants, SpatialDomain,
-                    build_lv_problem)
+                    build_lv_problem, stored_count)
 from .runner import OPS
 
 
@@ -233,6 +234,14 @@ def _check_cross_rules(data, base_dir):
     if analysis.get("t_split", 0.0) > problem["horizon"]:
         raise ConfigError(f"t_split {analysis['t_split']} lies past the horizon "
                           f"{problem['horizon']}", "/analysis/t_split")
+    scheme = data["scheme"]
+    every = scheme.get("store_every", SchemeConfig.store_every)
+    # a step count that is not finite is the march's to reject
+    if "monotone" in ops and math.isfinite(problem["horizon"] / scheme["dt"]):
+        stored = stored_count(problem["horizon"], scheme["dt"], every)
+        if stored < 3:
+            raise ConfigError(f"monotone needs at least three snapshots; storing every "
+                              f"{every} steps keeps {stored}", "/scheme/store_every")
     if "weak_residuals" in ops and m != 2:
         raise ConfigError("weak residuals are defined for two species",
                           "/analysis/ops")

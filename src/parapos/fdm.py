@@ -33,10 +33,10 @@ that lattice (:meth:`model.LVCoefficients.block`); any other source is
 called per step by the one fallback,
 :meth:`model.CoefficientSet.source_block`.
 The march keeps the states of a span of steps in one buffer: ``BLOCK_STEPS``
-steps, or as many as ``SPAN_BYTES`` of states hold if that is fewer, and at
-least one.  Each step writes its state into the buffer's next row and is
-checked for finiteness at once, which gives its ``min_value``.  Once a
-span's steps are taken, one ``_monitor_rows`` call reduces their other
+steps, or as many as :data:`model.SPAN_BYTES` of states hold if that is
+fewer, and at least one.  Each step writes its state into the buffer's next
+row and is checked for finiteness at once, which gives its ``min_value``.
+Once a span's steps are taken, one ``_monitor_rows`` call reduces their other
 monitors together, each into its step's row of ``Trajectory.monitors``, one
 column per entry of :data:`MONITORS`.  The next span runs back through the
 buffer from the row this one ended on, so no state is copied, and spans of
@@ -77,9 +77,9 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .checker import source_jacobians
 from .errors import DegenerateRefinement, NonConvergence, SolverError, SpecError
-from .model import (Field, Grid, SpatialDomain, build_cutoff, distinct_entries,
-                    dst_modes, dst_nodes, dst_sine_squares, second_difference,
-                    whole_steps)
+from .model import (SPAN_BYTES, Field, Grid, SpatialDomain, build_cutoff,
+                    distinct_entries, dst_modes, dst_nodes, dst_sine_squares,
+                    second_difference, stored_count, whole_steps)
 
 SCHEMES = ("imex_be", "erk2")
 
@@ -90,10 +90,6 @@ LINEAR_MAXITER = 5000
 #: steps the march takes per block, over which the coefficients' time parts
 #: are tabulated once
 BLOCK_STEPS = 64
-
-#: bytes of states the march keeps at once: a span of up to ``BLOCK_STEPS``
-#: steps keeps every state it takes and reduces their monitors together
-SPAN_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -544,20 +540,12 @@ def _stability_bound(spec, grid, values):
     return 1.0 / (2.0 * worst * sum(1.0 / h**2 for h in grid.spacing))
 
 
-def stored_count(spec, config):
-    """Snapshots ``solve`` stores, ``1 + ceil(steps / store_every)``.
-
-    They are the initial state, every ``store_every``-th step and the last.
-    """
-    return 1 - (-whole_steps(spec.horizon, config.dt)[0] // config.store_every)
-
-
 def solve(spec, config, sink=None):
     """Integrate the system to its horizon and collect the trajectory.
 
     The march writes the initial state and each snapshot it stores (every
     ``store_every`` steps and at the horizon) into arrays of
-    :func:`stored_count` rows, and the trajectory keeps those arrays.
+    :func:`model.stored_count` rows, and the trajectory keeps those arrays.
     ``sink``, when given, owns them: ``sink.times`` and ``sink.values``, of
     shapes ``(stored,)`` and ``(stored, m, *grid.shape)``.  After writing
     each snapshot the march calls ``sink.post()``, so a consumer can work on
@@ -580,7 +568,7 @@ def solve(spec, config, sink=None):
                 f"explicit scheme unstable: dt={dt:g} exceeds the sampled "
                 f"diffusion bound {bound:g}")
 
-    shape = (stored_count(spec, config), *w.shape)
+    shape = (stored_count(spec.horizon, config.dt, config.store_every), *w.shape)
     if sink is None:
         times, values = np.empty(shape[0]), np.empty(shape)
     else:

@@ -49,6 +49,7 @@ import numpy as np
 
 from .errors import SpecError, WriterError
 from .fdm import MONITORS
+from .model import SPAN_BYTES
 
 MAGIC = b"PPOS1"
 
@@ -400,8 +401,10 @@ def write_json(path, payload):
 
 
 def sha256_file(path):
+    """The file's sha256, read into one buffer of ``SPAN_BYTES``."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = memoryview(bytearray(SPAN_BYTES))
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buffer):
+            digest.update(buffer[:size])
     return digest.hexdigest()

@@ -43,6 +43,10 @@ from .errors import CoefficientError, SpecError
 #: relative asymmetry beyond which a diffusion matrix is rejected outright
 ASYMMETRY_TOL = 1e-12
 
+#: bytes of stored states one pass holds at once: the march's span of
+#: states, the analysis's chunk of snapshots, the read-back hash buffer
+SPAN_BYTES = 1 << 17
+
 
 @dataclass(frozen=True)
 class SpatialDomain:
@@ -174,6 +178,15 @@ def whole_steps(horizon, dt):
     """``(count, step)``: ``dt`` rounded so that ``count >= 1`` whole steps fill ``horizon``."""
     count = max(1, int(round(horizon / dt)))
     return count, horizon / count
+
+
+def stored_count(horizon, dt, store_every):
+    """Snapshots a march stores, ``1 + ceil(steps / store_every)``.
+
+    They are the initial state, every ``store_every``-th of the
+    :func:`whole_steps` and the last.
+    """
+    return 1 - (-whole_steps(horizon, dt)[0] // store_every)
 
 
 @dataclass

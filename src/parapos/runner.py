@@ -41,9 +41,10 @@ from .analysis import (component_bound_mk, default_battery, detect_monotone,
 from .checker import run_checks
 from .duhamel import PicardConfig, picard_solve
 from .errors import NonConvergence, ParaposError, SpecError
-from .fdm import positivity_step_bound, solve, solve_cauchy_nested, stored_count
+from .fdm import positivity_step_bound, solve, solve_cauchy_nested
 from .io import (TrajectoryCsvStream, sha256_file, write_diagnostics_csv,
                  write_json, write_residuals_csv, write_snapshots)
+from .model import stored_count
 
 logger = logging.getLogger("parapos")
 
@@ -452,7 +453,8 @@ def run_scenario(config, out_dir=None, seed=None):
             if "csv" in formats:
                 # the march stores into the stream's shared buffer, and a
                 # forked formatter writes trajectory.csv while it runs
-                shape = (stored_count(problem, scheme), *problem.initial.values.shape)
+                shape = (stored_count(problem.horizon, scheme.dt, scheme.store_every),
+                         *problem.initial.values.shape)
                 with TrajectoryCsvStream(out / "trajectory.csv", shape) as stream:
                     trajectory = solve(problem, scheme, sink=stream)
                 artifacts.add("trajectory.csv", stream.digest)

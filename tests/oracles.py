@@ -261,3 +261,20 @@ def picard_source_reference(source, times, points, window):
         c = np.asarray(source(t, points, u, p), dtype=float)
         out[j] = np.moveaxis(np.broadcast_to(c, u.shape), -1, 0)
     return out
+
+
+def monotone_reference(times, series, sign, tol_factor):
+    """Worst margin, its pair and interior node, and passed, over one array.
+
+    ``series`` holds one component's snapshots ``(snapshots, *grid)``.  The
+    rates are ``sign * diff / dt`` at the interior nodes of every snapshot
+    pair at once, the worst is their first ``argmin`` in C order, and the
+    tolerance is ``tol_factor * (1 + sup|series|)``.
+    """
+    interior = series[(slice(None),) + (slice(1, -1),) * (series.ndim - 1)]
+    dt = np.diff(times).reshape((-1,) + (1,) * (series.ndim - 1))
+    rates = sign * np.diff(interior, axis=0) / dt
+    where = np.unravel_index(int(rates.argmin()), rates.shape)
+    worst = float(rates[where])
+    tol = tol_factor * (1.0 + float(np.abs(series).max()))
+    return worst, int(where[0]), tuple(int(i) + 1 for i in where[1:]), bool(worst >= -tol)

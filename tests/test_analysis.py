@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import bump_mass_1d, bump_mass_2d, steady_logistic_profile
+from oracles import (bump_mass_1d, bump_mass_2d, monotone_reference,
+                     steady_logistic_profile)
 from parapos.analysis import (
+    MONOTONE_TOL_FACTOR,
     RESIDUAL_FLOOR,
     bump_battery,
     component_bound_mk,
@@ -24,8 +27,8 @@ from parapos.analysis import TestFunction as QuarticBump
 from parapos.coefficients import parse_coefficient
 from parapos.errors import DivisionDomainError, IntegrabilityError, SpecError
 from parapos.fdm import MONITORS, SchemeConfig, Trajectory, solve
-from parapos.model import (Field, FrozenSystem, Grid, LVCoefficients, SpatialDomain,
-                           build_lv_problem)
+from parapos.model import (SPAN_BYTES, Field, FrozenSystem, Grid, LVCoefficients,
+                           SpatialDomain, build_lv_problem)
 
 UNIT = SpatialDomain(((0.0, 1.0),))
 LONG = SpatialDomain(((0.0, 8.0),))
@@ -227,6 +230,114 @@ class TestDetectMonotone:
             detect_monotone(traj, 0, "sideways")
         with pytest.raises(SpecError):
             detect_monotone(traj, 1, "+")
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+def spanned_case(kind):
+    """``(grid, times, series, pair)``: one component's snapshots and the pair
+    whose rate the earliest-wins rule picks under ``+``, or None.
+
+    The 1D cases have 401 nodes, so a span holds ``SPAN_BYTES // 3208`` = 40
+    snapshot pairs; integer values on a time step of 0.25 keep every rate
+    exact, so two pairs in different spans can tie.
+    """
+    n = 129 if kind.startswith("2d") else 401
+    grid = Grid(SQUARE, (n, n)) if kind.startswith("2d") else Grid(UNIT, (n,))
+    per = max(1, SPAN_BYTES // (8 * n ** grid.dimension))
+    count = 6 if kind.startswith("2d") else 3 * per + 7
+    times = 0.25 * np.arange(count)
+    steps = np.full((count - 1, *grid.shape), 10.0)
+    pair = None
+    if kind in ("tie", "2d tie"):
+        # the same dip at the last pair of one span and the first of the next
+        first, second = (per - 1, per) if kind == "tie" else (1, 3)
+        a, b = ((7,), (3,)) if grid.dimension == 1 else ((5, 9), (2, 4))
+        steps[(first, *a)] = steps[(second, *b)] = -3.0
+        pair = first
+    series = np.concatenate([np.full((1, *grid.shape), 100.0),
+                             100.0 + np.cumsum(steps, axis=0)])
+    if kind == "signed zero":
+        # every rate is +0.0 but one in the second span, which is -0.0
+        series[:] = 0.0
+        series[per + 5, 11] = -0.0
+        pair = 0
+    elif kind == "negative infinity":
+        # overflowing drops in the first and third spans
+        for p in (5, 2 * per + 5):
+            series[p, 11], series[p + 1, 11] = 1e308, -1e308
+        pair = 5
+    elif kind == "nan":
+        # a NaN snapshot in the second span beats the first span's -inf
+        series[5, 11], series[6, 11] = 1e308, -1e308
+        series[per + 5] = np.nan
+        pair = per + 4
+    elif kind == "nan on a wall":
+        series[per + 5, 0] = np.nan
+    elif kind == "one span":
+        series = series[:5]
+        times = times[:5]
+        series[3, 200] = series[2, 200]
+        pair = 2
+    elif kind == "2d random":
+        series = np.random.default_rng(31).standard_normal(series.shape)
+    return grid, times, series, pair
+
+
+SPAN_CASES = ["tie", "signed zero", "negative infinity", "nan", "nan on a wall",
+              "one span", "2d tie", "2d random"]
+
+
+class TestSpans:
+    """The span-by-span monotonicity check gives the bits of one ``argmin``."""
+
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("kind", SPAN_CASES)
+    def test_monotone_matches_the_one_array_argmin(self, kind, sign):
+        grid, times, series, pair = spanned_case(kind)
+        traj = Trajectory(grid, "imex_be", 0.25, times, series[:, None].copy(),
+                          np.zeros((0, len(MONITORS))))
+        with np.errstate(over="ignore"):
+            verdict = detect_monotone(traj, 0, sign)
+            worst, at, node, passed = monotone_reference(
+                times, series, 1.0 if sign == "+" else -1.0, MONOTONE_TOL_FACTOR)
+        if sign == "+" and pair is not None:
+            assert at == pair
+        assert bits(verdict.worst_margin) == bits(worst)
+        assert verdict.passed == passed
+        witness = verdict.witness
+        assert (witness["t_from"], witness["t_to"]) == (times[at], times[at + 1])
+        assert witness["node"] == node
+        assert bits(witness["rate"]) == bits(worst if sign == "+" else -worst)
+
+    def test_the_cases_reach_across_spans(self):
+        # a 1D span holds 40 pairs, so the tied pairs 39 and 40 lie in two
+        # spans; a 2D state is over the budget, so each of its spans is one pair
+        assert SPAN_BYTES // (8 * 401) == 40
+        assert spanned_case("tie")[3] == 39
+        assert 129 * 129 * 8 > SPAN_BYTES
+        assert np.signbit(spanned_case("signed zero")[2][45, 11])
+
+    def test_a_fine_trajectory_is_read_a_few_spans_at_a_time(self):
+        # 1001 snapshots of two species on 401 nodes, as S4 fine stores:
+        # one array of all rates of a species takes 3.2 MB, and the
+        # one-array reduction peaked at 6.5 MB
+        rng = np.random.default_rng(5)
+        times = np.linspace(0.0, 5.0, 1001)
+        values = rng.random((1001, 2, 401))
+        traj = Trajectory(Grid(UNIT, (401,)), "imex_be", 0.005, times, values,
+                          np.zeros((0, len(MONITORS))))
+        detect_monotone(traj, 0, "+")  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            for k in (0, 1):
+                detect_monotone(traj, k, "+")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * SPAN_BYTES
 
 
 class TestSteadyState:

@@ -255,6 +255,27 @@ class TestCrossRules:
         assert main(["validate", str(path)]) == code
         assert ("/analysis/t_split" in capsys.readouterr().err) == (code == 2)
 
+    @pytest.mark.parametrize("store_every, code", [
+        pytest.param(100, 2, id="two snapshots"),
+        pytest.param(99, 0, id="three snapshots"),
+    ])
+    def test_monotone_needs_three_stored_snapshots(self, tmp_path, capsys,
+                                                   store_every, code):
+        # 100 steps stored every 100 give the initial state and the last;
+        # the run used to march, then end with exit 3 in detect_monotone
+        data = get_scenario("S4_asymptotics").data
+        assert "monotone" in data["analysis"]["ops"]
+        data["problem"]["horizon"] = 1.0
+        data["scheme"]["store_every"] = store_every
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == code
+        assert ("/scheme/store_every" in capsys.readouterr().err) == (code == 2)
+        if code == 2:
+            assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert not (tmp_path / "out").exists()
+
     def test_limits_list_six_entries(self, tmp_path):
         data = get_scenario("S4_asymptotics").data
         data["analysis"]["limits"] = data["analysis"]["limits"][:5]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import signal
 import time
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import trajectory_csv_reference
 from parapos import io
 from parapos.errors import SpecError, WriterError
-from parapos.fdm import MONITORS, SchemeConfig, Trajectory, solve, stored_count
+from parapos.fdm import MONITORS, SchemeConfig, Trajectory, solve
 from parapos.io import (
     MAGIC,
     TrajectoryCsvStream,
@@ -24,7 +25,7 @@ from parapos.io import (
     write_snapshots,
     write_trajectory_csv,
 )
-from parapos.model import Grid, SpatialDomain
+from parapos.model import SPAN_BYTES, Grid, SpatialDomain, stored_count
 from parapos.scenarios import get_scenario
 
 
@@ -227,7 +228,8 @@ class TestTrajectoryCsvStream:
     def test_the_trajectory_is_the_stream_buffer(self, tmp_path, cpus):
         spec = get_scenario("S7_logistic_flat").build_problem()
         scheme = SchemeConfig(dt=0.01, store_every=7)
-        shape = (stored_count(spec, scheme), *spec.initial.values.shape)
+        shape = (stored_count(spec.horizon, scheme.dt, scheme.store_every),
+                 *spec.initial.values.shape)
         with TrajectoryCsvStream(tmp_path / "traj.csv", shape) as stream:
             trajectory = solve(spec, scheme, sink=stream)
         assert np.shares_memory(trajectory.values, stream.values)
@@ -380,7 +382,8 @@ class TestTrajectoryCsvStream:
     def test_a_sink_of_another_shape_is_refused(self, tmp_path):
         spec = get_scenario("S7_logistic_flat").build_problem()
         scheme = SchemeConfig(dt=0.01, store_every=7)
-        shape = (stored_count(spec, scheme) + 1, *spec.initial.values.shape)
+        shape = (stored_count(spec.horizon, scheme.dt, scheme.store_every) + 1,
+                 *spec.initial.values.shape)
         path = tmp_path / "traj.csv"
         with pytest.raises(SpecError, match="the sink holds snapshots of shape"):
             with TrajectoryCsvStream(path, shape) as stream:
@@ -522,6 +525,24 @@ class TestJsonAndHashing:
     def test_sha256_matches_content(self, tmp_path):
         path = tmp_path / "blob.bin"
         path.write_bytes(b"parapos")
-        import hashlib
-
         assert sha256_file(path) == hashlib.sha256(b"parapos").hexdigest()
+
+    @pytest.mark.parametrize("size", [0, 1, SPAN_BYTES, SPAN_BYTES + 1])
+    def test_sha256_reads_every_byte_through_its_buffer(self, tmp_path, size):
+        # an empty file, one byte, exactly one buffer and one byte over it
+        path = tmp_path / "blob.bin"
+        path.write_bytes(np.random.default_rng(size).bytes(size))
+        assert sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_sha256_holds_one_buffer_not_the_file(self, tmp_path):
+        # 4 MB read back in 1 MiB pieces held a piece at a time
+        path = tmp_path / "blob.bin"
+        path.write_bytes(bytes(1 << 22))
+        sha256_file(path)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            sha256_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * SPAN_BYTES
