@@ -348,22 +348,18 @@ def _axis_second_derivative(values, grid, axis):
 
 
 def _derivative_arrays(field_values, grid):
-    """Gradient (m, *shape, n) and Hessian (m, *shape, n, n), one-sided at faces."""
+    """Gradient (m, *shape, n) and Hessian (m, *shape, n, n), one-sided at faces.
+
+    The Hessian's off-diagonal entries are 0, as is each ``a_ij`` they meet.
+    """
     n = grid.dimension
     shape = field_values.shape
     grad = np.empty(shape + (n,))
-    hess = np.empty(shape + (n, n))
-    firsts = []
+    hess = np.zeros(shape + (n, n))
     for axis in range(n):
-        d = np.gradient(field_values, grid.spacing[axis], axis=1 + axis, edge_order=2)
-        firsts.append(d)
-        grad[..., axis] = d
+        grad[..., axis] = np.gradient(field_values, grid.spacing[axis], axis=1 + axis,
+                                      edge_order=2)
         hess[..., axis, axis] = _axis_second_derivative(field_values, grid, axis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mixed = np.gradient(firsts[j], grid.spacing[i], axis=1 + i, edge_order=2)
-            hess[..., i, j] = mixed
-            hess[..., j, i] = mixed
     return grad, hess
 
 

@@ -4,7 +4,8 @@ A scenario file is one JSON object with blocks for the problem, the scheme,
 the assumption checks, the analysis pipeline, and the outputs.  Validation
 runs in two stages: the published JSON schema first (structure, types,
 enums, unknown-key rejection), then cross-field rules the schema language
-cannot express (matching species counts, table files, battery supports).
+cannot express (finite numbers, matching species counts, table files,
+battery supports).
 Both stages report a JSON-pointer to the offending element.
 """
 
@@ -182,8 +183,12 @@ def _check_cross_rules(data, base_dir):
 
     n_nodes = int(np.prod(problem["grid"]["nodes"]))
 
-    def check_tables(node, pointer):
-        # the lattice of a coefficient table, the value count of a profile table
+    def check_values(node, pointer):
+        # every number finite (JSON parsing admits NaN and Infinity, and the
+        # schema's bounds pass them); the lattice of a coefficient table, the
+        # value count of a profile table
+        if isinstance(node, float) and not math.isfinite(node):
+            raise ConfigError(f"must be a finite number, got {node}", pointer)
         if isinstance(node, dict):
             if node.get("family") == "table" or node.get("kind") == "table":
                 path = (base_dir / node["path"]).resolve()
@@ -205,12 +210,12 @@ def _check_cross_rules(data, base_dir):
                         raise ConfigError(f"table {node['path']!r} holds {count} values "
                                           f"for a grid of {n_nodes} nodes", where)
             for key, sub in node.items():
-                check_tables(sub, f"{pointer}/{key}")
+                check_values(sub, f"{pointer}/{key}")
         elif isinstance(node, list):
             for j, sub in enumerate(node):
-                check_tables(sub, f"{pointer}/{j}")
+                check_values(sub, f"{pointer}/{j}")
 
-    check_tables(problem, "/problem")
+    check_values(data, "")
 
     for j, prof in enumerate(problem["initial"]):
         center = prof.get("center")

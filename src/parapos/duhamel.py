@@ -263,11 +263,7 @@ def _extract_rates(spec):
         raise SpecError("kernel route needs diffusion constant in time and state")
     rates = np.empty(m)
     for k in range(m):
-        a = base[k]
-        off = a - np.diag(np.diag(a))
-        if np.abs(off).max() > 1e-12 * (1.0 + np.abs(a).max()):
-            raise SpecError("kernel route needs axis-aligned diffusion")
-        d = np.diag(a)
+        d = np.diag(base[k])
         if np.ptp(d) > 1e-12 * (1.0 + np.abs(d).max()):
             raise SpecError("kernel route needs isotropic diffusion per component")
         if d[0] <= 0:

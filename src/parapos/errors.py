@@ -6,7 +6,7 @@ class ParaposError(Exception):
 
 
 class CoefficientError(ParaposError):
-    """Coefficient evaluator returned non-finite, wrongly shaped, or asymmetric data."""
+    """Coefficient evaluator returned non-finite or wrongly shaped data, or off-diagonal diffusion."""
 
 
 class SpecError(ParaposError):

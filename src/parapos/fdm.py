@@ -1,18 +1,19 @@
 """Finite-difference solvers for the parabolic system on a box.
 
 Spatial discretization is the standard second-order stencil set: central
-differences for gradients, 3/5-point second differences per axis (the one
-copy is :func:`model.second_difference`, which ``FrozenSystem.residual``
-and the checker's A6 check share), and the four-point cross stencil for
-mixed second derivatives.
+differences for gradients and 3/5-point second differences per axis (the
+one copy is :func:`model.second_difference`, which ``FrozenSystem.residual``
+and the checker's A6 check share).  Diffusion is axis-aligned
+(:meth:`model.CoefficientSet.diffusion_matrices` rejects any other), so
+there is no mixed second derivative.
 Zero Dirichlet data is enforced by construction: only interior nodes are
 unknowns and boundary nodes are pinned to zero.
 
 Two time steppers are provided:
 
-* ``imex_be``   backward Euler in the axis-aligned diffusion part, forward
-                Euler in drift, source, and mixed-derivative terms; the
-                diffusion coefficient is frozen at the step start state
+* ``imex_be``   backward Euler in the diffusion, forward Euler in drift
+                and source; the diffusion coefficient is frozen at the
+                step start state
 * ``erk2``      explicit Heun, fully explicit right-hand side, guarded by a
                 diffusion stability bound sampled before stepping begins
 
@@ -183,46 +184,17 @@ def _gradient(values, grid):
     return np.moveaxis(np.stack(grads, axis=-1), 0, -2)
 
 
-def _mixed_difference(values, grid, i, j):
-    """Cross second difference on doubly interior nodes, zero elsewhere."""
-    hi_, hj = grid.spacing[i], grid.spacing[j]
-    out = np.zeros_like(values)
-    inner = [slice(None)] * values.ndim
-    inner[1 + i] = slice(1, -1)
-    inner[1 + j] = slice(1, -1)
-
-    def shifted(di, dj):
-        sl = list(inner)
-        sl[1 + i] = slice(1 + di, values.shape[1 + i] - 1 + di)
-        sl[1 + j] = slice(1 + dj, values.shape[1 + j] - 1 + dj)
-        return values[tuple(sl)]
-
-    out[tuple(inner)] = (
-        shifted(1, 1) - shifted(1, -1) - shifted(-1, 1) + shifted(-1, -1)
-    ) / (4.0 * hi_ * hj)
-    return out
-
-
 def _frozen_diffusion(spec, t, grid, values):
     """Diffusion matrices at every node, shape (*grid.shape, m, n, n)."""
     u = np.moveaxis(values, 0, -1)
     return spec.coefficients.diffusion_matrices(t, grid.points, u, spec.components)
 
 
-def _explicit_diffusion(a, values, grid, diagonal=True):
+def _explicit_diffusion(a, values, grid):
     out = np.zeros_like(values)
-    n = grid.dimension
-    if diagonal:
-        for ax in range(n):
-            d2 = second_difference(values, grid, ax)
-            out += np.moveaxis(a[..., :, ax, ax], -1, 0) * d2
-    if n > 1:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not np.any(distinct_entries(a[..., :, i, j])):
-                    continue
-                dij = _mixed_difference(values, grid, i, j)
-                out += 2.0 * np.moveaxis(a[..., :, i, j], -1, 0) * dij
+    for ax in range(grid.dimension):
+        d2 = second_difference(values, grid, ax)
+        out += np.moveaxis(a[..., :, ax, ax], -1, 0) * d2
     return out
 
 
@@ -453,22 +425,14 @@ def _stepper(spec, config, dt):
         return begin
 
     frozen_solve = _implicit_solve(grid, frozen, dt, True) if frozen is not None else None
-    # mixed second derivatives need two axes, and frozen diffusion shows once
-    # whether it has any off-diagonal entry
-    off_diagonal = ~np.eye(grid.dimension, dtype=bool)
-    mixed = grid.dimension > 1 and (
-        frozen is None or bool(np.any(distinct_entries(frozen)[..., off_diagonal])))
 
     def begin(ts):
         reaction_at, times = reaction(ts), ts.tolist()
 
         def advance(j, values, out, counter):
             a = diffusion(times[j], values)
-            explicit = reaction_at(j, values)
-            if mixed:
-                explicit = explicit + _explicit_diffusion(a, values, grid, diagonal=False)
-            # out = values + dt * explicit, the right-hand side the solve overwrites
-            np.multiply(dt, explicit, out=out)
+            # out = values + dt * reaction, the right-hand side the solve overwrites
+            np.multiply(dt, reaction_at(j, values), out=out)
             np.add(values, out, out=out)
             (frozen_solve or _implicit_solve(grid, a, dt, False, values, counter))(out)
 

@@ -53,7 +53,7 @@ from .model import SPAN_BYTES
 
 MAGIC = b"PPOS1"
 
-_INDEX_NAMES = ("i", "j", "k")
+_INDEX_NAMES = ("i", "j")
 
 
 def _tokens(a):
@@ -89,8 +89,6 @@ def _snapshot_rows(shape, m, source):
     value slots each snapshot fills before one join, so neither the whole
     array as Python objects nor the whole file as text is ever held.
     """
-    if len(shape) > len(_INDEX_NAMES):
-        raise SpecError("trajectory export supports up to three dimensions")
     import orjson  # noqa: F401 - loaded here, before a stream forks its formatter
 
     header = ["t", *_INDEX_NAMES[:len(shape)], "component", "value", "source"]

@@ -2,15 +2,18 @@
 
 The systems handled here have the form
 
-    du^k/dt = sum_ij a_ij(t,x,u) d2u^k/dx_i dx_j
-            + sum_i  b_i(t,x,u,p) du^k/dx_i + c^k(t,x,u,p),    k = 1..m,
+    du^k/dt = sum_i a_ii(t,x,u) d2u^k/dx_i^2
+            + sum_i b_i(t,x,u,p) du^k/dx_i + c^k(t,x,u,p),    k = 1..m,
 
 on a box in 1 or 2 space dimensions, with homogeneous Dirichlet data or a
-nested-box approximation of the whole-space problem.  Competition systems
-(per-species diffusion d_k, source u^k(beta_k - sum_i gamma_ki u^i)) are the
-specialized case carried by :class:`LVCoefficients`, which is itself the
-source of the problem :func:`build_lv_problem` builds.  Each fact of a
-problem lives once: its domain is its initial field's grid's, and
+nested-box approximation of the whole-space problem.  Diffusion is
+axis-aligned: :meth:`CoefficientSet.diffusion_matrices`, the one place
+that reads the off-diagonal entries a_ij, i != j, rejects any that is not
+0.  Competition systems (per-species diffusion d_k, source
+u^k(beta_k - sum_i gamma_ki u^i)) are the specialized case carried by
+:class:`LVCoefficients`, which is itself the source of the problem
+:func:`build_lv_problem` builds.  Each fact of a problem lives once: its
+domain is its initial field's grid's, and
 :meth:`CoefficientSet.source_block` is the one per-step source fallback.
 So does each fact of the Dirichlet grid that both routes use: its face
 nodes (:attr:`Grid.boundary`), the second difference, the DST-I mode table
@@ -39,9 +42,6 @@ import numpy as np
 from scipy.fft import dstn, idstn
 
 from .errors import CoefficientError, SpecError
-
-#: relative asymmetry beyond which a diffusion matrix is rejected outright
-ASYMMETRY_TOL = 1e-12
 
 #: bytes of stored states one pass holds at once: the march's span of
 #: states, the analysis's chunk of snapshots, the read-back hash buffer
@@ -253,24 +253,14 @@ def distinct_entries(a):
     return a[tuple(slice(0, 1) if step == 0 else slice(None) for step in a.strides)]
 
 
-def _symmetrize(a_raw):
-    # each matrix against its own scale, so a batch rejects what one call per
-    # point would reject
-    a_t = np.swapaxes(a_raw, -1, -2)
-    scale = np.maximum(np.abs(a_raw).max(axis=(-2, -1), initial=0.0), 1.0)
-    asym = float((np.abs(a_raw - a_t).max(axis=(-2, -1), initial=0.0) / scale).max(initial=0.0))
-    if asym > ASYMMETRY_TOL:
-        raise CoefficientError(f"diffusion matrix asymmetric beyond tolerance ({asym:.3e})")
-    return 0.5 * (a_raw + a_t)
-
-
 @dataclass
 class CoefficientSet:
     """Evaluators for the second-order, drift, and source coefficients.
 
     ``diffusion(t, x, u)`` may return a shared ``(..., n, n)`` matrix or a
     per-component ``(..., m, n, n)`` stack, selected by
-    ``per_component_diffusion``.  Evaluators must be pure: same inputs, same
+    ``per_component_diffusion``.  Its off-diagonal entries must be 0 (the
+    diffusion is axis-aligned).  Evaluators must be pure: same inputs, same
     bits.  ``drift`` is ``None`` when the problem has no drift term; every
     caller then reads the drift as zero without evaluating anything.  When
     ``depends_on_gradient`` is False the source and drift ignore ``p`` by
@@ -290,9 +280,10 @@ class CoefficientSet:
     def diffusion_matrices(self, t, x, u, components):
         """Evaluate and normalize diffusion to shape ``(..., m, n, n)``.
 
-        The checks and the symmetrization run once per distinct matrix of
-        the evaluator's result (:func:`distinct_entries`); the result is a
-        read-only view broadcast to the batch.
+        The checks, finite entries and zero off-diagonal entries, run once
+        per distinct matrix of the evaluator's result
+        (:func:`distinct_entries`); the result is a read-only view broadcast
+        to the batch.
         """
         x = np.asarray(x, dtype=float)
         n = x.shape[-1]
@@ -308,10 +299,12 @@ class CoefficientSet:
             a_full = np.broadcast_to(a_raw, want)
         except ValueError as exc:
             raise CoefficientError(f"diffusion shape {a_raw.shape} not broadcastable to {want}") from exc
-        a_sym = _symmetrize(distinct_entries(a_full))
+        if distinct_entries(a_full)[..., ~np.eye(n, dtype=bool)].any():
+            raise CoefficientError("diffusion matrix has a non-zero off-diagonal entry; "
+                                   "diffusion must be axis-aligned")
         if not self.per_component_diffusion:
-            a_sym = a_sym[..., None, :, :]
-        return np.broadcast_to(a_sym, batch + (components, n, n))
+            a_full = a_full[..., None, :, :]
+        return np.broadcast_to(a_full, batch + (components, n, n))
 
     def source_block(self, ts, x):
         """The source at each time of ``ts`` as ``at(j, u, p)``, bit for bit ``source(ts[j], x, u, p)``.

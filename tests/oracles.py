@@ -162,14 +162,14 @@ def trapezoid_weak_residual(x, u, d, source, test_values, test_lap):
 def trajectory_csv_reference(times, values, source="fdm"):
     """The trajectory CSV, one row at a time, from its documented format.
 
-    Header ``t,i[,j[,k]],component,value,source``; then one row per stored
+    Header ``t,i[,j],component,value,source``; then one row per stored
     time, per component, per node, nested in that order with nodes in
     row-major order; floats as ``repr`` of the double; each line ends in a
     newline.
     """
     values = np.asarray(values, dtype=float)
     shape = values.shape[2:]
-    header = ["t", *("i", "j", "k")[:len(shape)], "component", "value", "source"]
+    header = ["t", *("i", "j")[:len(shape)], "component", "value", "source"]
     lines = [",".join(header)]
     for it, t in enumerate(times):
         for k in range(values.shape[1]):

@@ -276,6 +276,28 @@ class TestCrossRules:
             assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("block, key, value, pointer", [
+        pytest.param("problem", "horizon", float("inf"), "/problem/horizon", id="horizon"),
+        pytest.param("scheme", "dt", float("nan"), "/scheme/dt", id="dt"),
+        pytest.param("coefficients", 1, float("inf"),
+                     "/problem/coefficients/diffusion/1", id="in a list"),
+    ])
+    def test_non_finite_numbers_are_rejected(self, tmp_path, capsys, block, key, value,
+                                             pointer):
+        # JSON parsing admits NaN and Infinity and the schema passed them;
+        # the run used to end with exit 3 in ProblemSpec or SchemeConfig
+        data = get_scenario("S4_asymptotics").data
+        node = {"problem": data["problem"], "scheme": data["scheme"],
+                "coefficients": data["problem"]["coefficients"]["diffusion"]}[block]
+        node[key] = value
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 2
+        assert f"{pointer}: must be a finite number" in capsys.readouterr().err
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_limits_list_six_entries(self, tmp_path):
         data = get_scenario("S4_asymptotics").data
         data["analysis"]["limits"] = data["analysis"]["limits"][:5]

@@ -560,14 +560,17 @@ class TestPicard:
         with pytest.raises(SpecError, match="does not read the gradient"):
             picard_solve(replace(spec, coefficients=coeffs), PicardConfig(dt=0.01))
 
-    @pytest.mark.parametrize("matrix, dim, message", [
-        (lambda t: (0.01 + np.asarray(t))[..., None, None] * np.eye(1), 1,
+    @pytest.mark.parametrize("matrix, dim, error, message", [
+        (lambda t: (0.01 + np.asarray(t))[..., None, None] * np.eye(1), 1, SpecError,
          "constant in time and state"),
-        (lambda t: np.array([[0.01, 0.003], [0.003, 0.01]]), 2, "axis-aligned"),
-        (lambda t: np.diag([0.01, 0.02]), 2, "isotropic"),
-        (lambda t: np.zeros((1, 1)), 1, "positive diffusion"),
+        # refused for every route by diffusion_matrices
+        (lambda t: np.array([[0.01, 0.003], [0.003, 0.01]]), 2, CoefficientError,
+         "non-zero off-diagonal"),
+        (lambda t: np.diag([0.01, 0.02]), 2, SpecError, "isotropic"),
+        (lambda t: np.zeros((1, 1)), 1, SpecError, "positive diffusion"),
     ], ids=["time-dependent", "off-diagonal", "anisotropic", "non-positive"])
-    def test_diffusion_the_kernel_route_cannot_use_is_rejected(self, matrix, dim, message):
+    def test_diffusion_the_kernel_route_cannot_use_is_rejected(self, matrix, dim, error,
+                                                               message):
         g = Grid(UNIT if dim == 1 else UNIT_SQUARE, (21,) * dim)
         coeffs = CoefficientSet(
             diffusion=lambda t, x, u: np.broadcast_to(
@@ -576,7 +579,7 @@ class TestPicard:
             source=lambda t, x, u, p: np.zeros_like(u),
         )
         spec = ProblemSpec(coeffs, Field.zeros(g, 1), horizon=0.1)
-        with pytest.raises(SpecError, match=message):
+        with pytest.raises(error, match=message):
             picard_solve(spec)
 
     def test_non_finite_source_slopes_are_an_error(self, nan_above):

@@ -332,55 +332,6 @@ class TestSolve:
         assert traj.times[-1] == pytest.approx(1.0)
         assert traj.dt == pytest.approx(1.0 / 33)
 
-    def test_mixed_derivative_terms_consistent_between_schemes(self):
-        # anisotropic 2D diffusion with a cross term: the implicit-explicit
-        # and fully explicit paths must agree to the schemes' joint accuracy
-        dom = SpatialDomain(((0.0, 1.0), (0.0, 1.0)))
-        g = Grid(dom, (21, 21))
-        a = np.array([[1.0, 0.3], [0.3, 0.5]])
-
-        def diffusion(t, x, u):
-            return np.broadcast_to(a, np.asarray(x).shape[:-1] + (2, 2))
-
-        coeffs = CoefficientSet(
-            diffusion=diffusion,
-            drift=lambda t, x, u, p: np.zeros(np.asarray(x).shape[:-1] + (2,)),
-            source=lambda t, x, u, p: np.zeros_like(u),
-        )
-        pts = g.points
-        init = Field.from_arrays(
-            g, (np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1]))[None]
-        )
-        spec = ProblemSpec(coeffs, init, horizon=2e-3)
-        fine = SchemeConfig(scheme="erk2", dt=1e-5)
-        traj_e = solve(spec, fine)
-        traj_i = solve(spec, SchemeConfig(scheme="imex_be", dt=1e-5))
-        assert np.abs(traj_e.final_values - traj_i.final_values).max() < 1e-5
-
-    def test_mixed_derivative_terms_kept_with_constant_diffusion(self):
-        # the direct solve takes the diagonal only; the cross term must still
-        # enter explicitly, as it does on the iterative path
-        dom = SpatialDomain(((0.0, 1.0), (0.0, 1.0)))
-        g = Grid(dom, (21, 21))
-        a = np.array([[1.0, 0.3], [0.3, 0.5]])
-        pts = g.points
-        init = Field.from_arrays(
-            g, (np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1]))[None]
-        )
-        finals = []
-        for constant in (False, True):
-            coeffs = CoefficientSet(
-                diffusion=lambda t, x, u: np.broadcast_to(
-                    a, np.asarray(x).shape[:-1] + (2, 2)),
-                drift=lambda t, x, u, p: np.zeros(np.asarray(x).shape[:-1] + (2,)),
-                source=lambda t, x, u, p: np.zeros_like(u),
-                constant_diffusion=constant,
-            )
-            spec = ProblemSpec(coeffs, init, horizon=0.02)
-            finals.append(solve(spec, SchemeConfig(scheme="imex_be", dt=1e-3)).final_values)
-        scale = np.abs(finals[0]).max()
-        assert np.abs(finals[1] - finals[0]).max() <= 1e-8 * scale
-
 
 def transport_problem(b, n, through_source, d=1e-4, width=0.04, horizon=0.2):
     """A narrow Gaussian bump at the centre of the unit box, carried by the constant drift ``b``.

@@ -160,7 +160,7 @@ class TestTrajectoryCsv:
         write_trajectory_csv(path, small_trajectory())
         assert path.read_bytes().endswith(b"\n")
 
-    @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 2)])
+    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("source", ["fdm", "duhamel"])
     def test_bytes_match_the_row_by_row_reference(self, tmp_path, shape, m, source):
@@ -170,11 +170,6 @@ class TestTrajectoryCsv:
         write_trajectory_csv(path, traj, source=source)
         expected = trajectory_csv_reference(times, values, source=source)
         assert path.read_bytes() == expected.encode("utf-8")
-
-    def test_more_than_three_dimensions_rejected(self, tmp_path):
-        traj = SimpleNamespace(times=np.zeros(1), values=np.zeros((1, 1, 2, 2, 2, 2)))
-        with pytest.raises(SpecError):
-            write_trajectory_csv(tmp_path / "traj.csv", traj)
 
 
 @pytest.fixture(params=[1, 2, 3])
@@ -213,7 +208,7 @@ class TestTrajectoryCsvStream:
     """One forked formatter writes the bytes of the in-process writer."""
 
     @pytest.mark.parametrize("held", [False, True], ids=["stored", "held"])
-    @pytest.mark.parametrize("shape", [(7,), (3, 4), (2, 3, 2)])
+    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_bytes_match_the_row_by_row_reference(self, tmp_path, cpus, shape, m,
                                                   held):
@@ -389,12 +384,6 @@ class TestTrajectoryCsvStream:
             with TrajectoryCsvStream(path, shape) as stream:
                 solve(spec, scheme, sink=stream)
         assert not path.exists()
-        assert_no_child_left()
-
-    def test_more_than_three_dimensions_rejected_before_forking(self, tmp_path):
-        with pytest.raises(SpecError):
-            TrajectoryCsvStream(tmp_path / "traj.csv", (1, 1, 2, 2, 2, 2))
-        assert not (tmp_path / "traj.csv").exists()
         assert_no_child_left()
 
     def test_the_caller_may_overwrite_held_values_after_the_fork(self, tmp_path,

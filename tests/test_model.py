@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from oracles import lv_source_reference
+from parapos.checker import SampleBudget, run_checks
 from parapos.coefficients import (
     BumpInSpace,
     Coefficient,
@@ -15,7 +16,9 @@ from parapos.coefficients import (
     TabulatedCoefficient,
     parse_coefficient,
 )
+from parapos.duhamel import picard_solve
 from parapos.errors import CoefficientError, SpecError
+from parapos.fdm import SchemeConfig, solve
 from parapos.model import (
     CoefficientSet,
     Field,
@@ -498,17 +501,18 @@ class TestDiffusionOncePerDistinctEntry:
     @pytest.mark.parametrize("full", [False, True])
     def test_an_asymmetric_matrix_still_raises(self, full):
         coeffs = _matrix_set(np.array([[1.0, 0.5], [0.0, 1.0]]), full)
-        with pytest.raises(CoefficientError, match="asymmetric"):
+        with pytest.raises(CoefficientError, match="non-zero off-diagonal"):
             coeffs.diffusion_matrices(0.0, SQUARE_POINTS, None, 2)
 
     def test_one_asymmetric_node_in_a_full_stack_still_raises(self):
         def diffusion(t, x, u):
             a = np.array(np.broadcast_to(np.eye(2), np.asarray(x).shape[:-1] + (2, 2)))
-            a[3, 2, 0, 1] = 1e-6
+            # below the diagonal: the other tests put theirs above it
+            a[3, 2, 1, 0] = 1e-6
             return a
 
         coeffs = CoefficientSet(diffusion=diffusion, drift=None, source=None)
-        with pytest.raises(CoefficientError, match="asymmetric"):
+        with pytest.raises(CoefficientError, match="non-zero off-diagonal"):
             coeffs.diffusion_matrices(0.0, SQUARE_POINTS, None, 2)
 
     def test_the_shape_error_names_the_evaluators_own_shape(self):
@@ -519,8 +523,8 @@ class TestDiffusionOncePerDistinctEntry:
             coeffs.diffusion_matrices(0.0, SQUARE_POINTS, None, 2)
 
     @pytest.mark.parametrize("per_component", [False, True])
-    def test_the_result_is_the_symmetric_part_broadcast_to_the_batch(self, per_component):
-        raw = np.array([[2.0, 0.25], [0.25, 3.0]])
+    def test_the_result_is_the_matrices_broadcast_to_the_batch(self, per_component):
+        raw = np.array([[2.0, 0.0], [0.0, 3.0]])
         if per_component:
             raw = np.stack([raw, 2.0 * raw])
         coeffs = CoefficientSet(
@@ -551,14 +555,40 @@ class TestDiffusionOncePerDistinctEntry:
         assert peak < 8 * 201 * 201 * m * 2 * 2
 
 
+@pytest.mark.parametrize("run", [
+    lambda spec: solve(spec, SchemeConfig(scheme="imex_be", dt=1e-3)),
+    lambda spec: solve(spec, SchemeConfig(scheme="erk2", dt=1e-4)),
+    picard_solve,
+    lambda spec: run_checks(spec, SampleBudget(seed=0), ["A1"]),
+    lambda spec: run_checks(spec, SampleBudget(seed=0), ["A6"]),
+], ids=["imex_be", "erk2", "picard", "A1", "A6"])
+@pytest.mark.parametrize("constant", [True, False], ids=["constant", "varying"])
+def test_off_diagonal_diffusion_is_refused_on_every_path(run, constant):
+    # diffusion is axis-aligned by contract, and diffusion_matrices is the
+    # one place that reads the off-diagonal entries
+    g = Grid(SpatialDomain(((0.0, 1.0), (0.0, 1.0))), (9, 9))
+    pts = g.points
+    coeffs = CoefficientSet(
+        diffusion=lambda t, x, u: np.broadcast_to(
+            np.array([[1.0, 0.3], [0.3, 0.5]]), np.asarray(x).shape[:-1] + (2, 2)),
+        drift=None,
+        source=lambda t, x, u, p: np.zeros_like(u),
+        constant_diffusion=constant,
+    )
+    init = Field.from_arrays(
+        g, (np.sin(np.pi * pts[..., 0]) * np.sin(np.pi * pts[..., 1]))[None])
+    with pytest.raises(CoefficientError, match="non-zero off-diagonal"):
+        run(ProblemSpec(coeffs, init, horizon=0.01))
+
+
 def test_majorants_shape_constraints():
     with pytest.raises(SpecError):
         Majorants(d1=-1.0)
 
 
 def test_asymmetry_is_judged_per_matrix_in_a_batch():
-    # 1e-11 off is asymmetric next to unit entries, however large the
-    # other matrices of the batch are
+    # an off-diagonal 1e-11 is refused next to unit entries and next to
+    # entries of 1e3 in the same batch: no tolerance scales with the matrix
     def diffusion(t, x, u):
         x = np.asarray(x)
         a = np.zeros(x.shape[:-1] + (2, 2))
