@@ -160,7 +160,8 @@ class TestTrajectoryCsv:
         write_trajectory_csv(path, small_trajectory())
         assert path.read_bytes().endswith(b"\n")
 
-    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
+    # (1, 5): a grid whose first axis has one node, so i is 0 on every row
+    @pytest.mark.parametrize("shape", [(7,), (3, 4), (1, 5)])
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("source", ["fdm", "duhamel"])
     def test_bytes_match_the_row_by_row_reference(self, tmp_path, shape, m, source):
@@ -208,7 +209,8 @@ class TestTrajectoryCsvStream:
     """One forked formatter writes the bytes of the in-process writer."""
 
     @pytest.mark.parametrize("held", [False, True], ids=["stored", "held"])
-    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
+    # (1, 5): a grid whose first axis has one node, so i is 0 on every row
+    @pytest.mark.parametrize("shape", [(7,), (3, 4), (1, 5)])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_bytes_match_the_row_by_row_reference(self, tmp_path, cpus, shape, m,
                                                   held):
